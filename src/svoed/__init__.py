@@ -12,4 +12,5 @@ included to show what a chosen design does to the inverse problem.
 
 __version__ = "0.1.0"
 
-from . import cli, criteria, dci, design, geometry, models, sampling  # noqa: F401
+# ``cli`` is left out so that ``python -m svoed.cli`` imports it only once.
+from . import criteria, dci, design, geometry, models, sampling  # noqa: F401

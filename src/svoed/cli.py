@@ -17,8 +17,10 @@ diffable.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -32,6 +34,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 MANIFEST_SCHEMA_VERSION = 1
+
+# Rejection sampling from an init density gives up after this many rounds
+# of ``sampling.count`` draws, so a density with less than about 1/1000 of
+# its mass in the box is reported instead of looping forever.
+_MAX_DRAW_ROUNDS = 1000
+
+logger = logging.getLogger(__name__)
 
 _MISSING = object()
 
@@ -82,7 +91,7 @@ def build_model(cfg: dict, paper_scale: bool = False):
         if kind == "heat_plate_2d":
             elements = _get(cfg, "model.elements", int, default=30)
             if paper_scale:
-                elements = 100
+                elements = 99
             return models.HeatPlate2D(
                 elements_per_axis=elements,
                 time_steps=_get(cfg, "model.time_steps", int, default=40),
@@ -147,13 +156,33 @@ def _draw_criteria_samples(cfg, box, seed) -> sampling.SampleSet:
     rng = np.random.default_rng(seed)
     points = np.empty((count, box.dim))
     filled = 0
-    while filled < count:
+    for _ in range(_MAX_DRAW_ROUNDS):
         block = density.sample(rng, count)
         keep = block[box.contains(block)]
         take = min(count - filled, keep.shape[0])
         points[filled : filled + take] = keep[:take]
         filled += take
-    return sampling.SampleSet(points=points, seed=seed, scheme="initial-density")
+        if filled == count:
+            return sampling.SampleSet(points=points, seed=seed, scheme="initial-density")
+    raise ConfigError(
+        f"sampling.init: only {filled} of {_MAX_DRAW_ROUNDS * count} draws fell in the "
+        f"box, {count} needed; the init density has almost no mass there"
+    )
+
+
+def _batch_recipe(cfg, model, box, seed, fd_step) -> str:
+    """SHA-256 of everything that determines the field batch: the cache key."""
+    recipe = {
+        "model_id": model.model_id,
+        "t_final": getattr(model, "t_final", None),
+        "count": _get(cfg, "sampling.count", int),
+        "seed": seed,
+        "measure": _get(cfg, "sampling.measure", str, default="volume"),
+        "init": _get(cfg, "sampling.init", dict, default=None),
+        "box": [box.lower.tolist(), box.upper.tolist()],
+        "fd_step": float(fd_step),
+    }
+    return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
 def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
@@ -164,15 +193,17 @@ def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
     cache_path = None
     if cache is not None:
         cache_path = cfg["_base_dir"] / cache
+        recipe = _batch_recipe(cfg, model, box, seed, fd_step)
         if cache_path.exists():
-            batch = sampling.load_batch(cache_path)
-            if batch.model_id == model.model_id and batch.samples.seed == seed:
-                return batch
+            try:
+                return sampling.load_batch(cache_path, recipe_sha256=recipe)
+            except ValueError as exc:
+                logger.warning("recomputing batch cache %s: %s", cache_path, exc)
     samples = _draw_criteria_samples(cfg, box, seed)
     batch = sampling.estimate_field_jacobians(model, samples, fd_step=fd_step, workers=workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        sampling.save_batch(batch, cache_path)
+        sampling.save_batch(batch, cache_path, recipe_sha256=recipe)
     return batch
 
 
@@ -290,18 +321,18 @@ def run_greedy(cfg, args) -> list[str]:
     batch = _field_batch(cfg, model, box, seed, args.workers)
     space = design.scalar_space(model.field_size, coordinates=model.coordinates)
     trace = design.greedy_oed(space, batch, m_target=m_target, tol=tol, rank_tol=rank_tol)
-    design.trace_to_json(outdir / "greedy_trace.json", trace,
+    design.trace_to_json(trace, outdir / "greedy_trace.json",
                          coordinates=space.index_geometry)
     outputs = ["greedy_trace.json", "greedy_summary.json"]
     coords = space.index_geometry
     for rnd in trace.rounds:
         name = f"greedy_round_{rnd.round_index:02d}.csv"
         with open(outdir / name, "w", newline="") as fh:
-            fh.write("candidate," + ",".join(f"c{i}" for i in range(coords.shape[1]))
-                     + f",{rnd.utility}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["candidate"] + [f"c{i}" for i in range(coords.shape[1])]
+                            + [rnd.utility])
             for q, score in enumerate(rnd.scores):
-                cvals = ",".join(f"{v:.17g}" for v in coords[q])
-                fh.write(f"{q},{cvals},{score:.17g}\n")
+                writer.writerow([q] + [f"{v:.17g}" for v in coords[q]] + [f"{score:.17g}"])
         outputs.append(name)
     summary = {
         "schema_version": 1,

@@ -17,11 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import (
-    RANK_TOL_DEFAULT,
-    batch_scaling_reciprocal,
-    batch_skewness_reciprocal,
-)
+from .geometry import RANK_TOL_DEFAULT, batch_reciprocals
 from .sampling import JacobianBatch
 
 logger = logging.getLogger(__name__)
@@ -67,33 +63,33 @@ def harmonic_mean(values) -> float:
     return 1.0 / mean_recip if mean_recip > 0.0 else np.inf
 
 
-def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def reciprocal_statistics(scaling: np.ndarray, skewness: np.ndarray) -> np.ndarray:
+    """Reduce (C, N) per-sample reciprocals to per-design statistics.
 
-
-def local_reciprocals(
-    matrices: np.ndarray, rank_tol: float = RANK_TOL_DEFAULT
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-sample (1/SE, 1/SK) for a (N, m, n) stack, with exclusions.
-
-    Samples whose matrices contain non-finite entries cannot be scored;
-    they are dropped from the returned arrays and counted (and logged)
-    rather than aborting the reduction.
+    Row c of the (C, 5) result holds, for design c over its N samples: the
+    mean 1/SE, the mean 1/SK, their standard errors (ddof=1; zero for a
+    single sample) and the number of rank-deficient samples (1/SE == 0),
+    in the order :func:`reports_from_statistics` reads them.
     """
-    matrices = np.asarray(matrices, dtype=float)
-    finite = np.all(np.isfinite(matrices), axis=(1, 2))
-    excluded = int(np.sum(~finite))
-    if excluded:
-        logger.warning("excluding %d samples with non-finite Jacobians", excluded)
-        matrices = matrices[finite]
-    if matrices.shape[0] == 0:
-        raise ValueError("no finite samples to average over")
-    scal = batch_scaling_reciprocal(matrices, rank_tol=rank_tol)
-    skew = batch_skewness_reciprocal(matrices, rank_tol=rank_tol)
-    return scal, skew, excluded
+    n = scaling.shape[1]
+    stats = np.zeros((scaling.shape[0], 5))
+    stats[:, 0] = scaling.mean(axis=1)
+    stats[:, 1] = skewness.mean(axis=1)
+    if n > 1:
+        stats[:, 2] = scaling.std(axis=1, ddof=1) / np.sqrt(n)
+        stats[:, 3] = skewness.std(axis=1, ddof=1) / np.sqrt(n)
+    stats[:, 4] = np.count_nonzero(scaling == 0.0, axis=1)
+    return stats
+
+
+def reports_from_statistics(
+    design_ids, stats: np.ndarray, sample_count: int, hm_measure: str = "volume"
+) -> list[CriterionReport]:
+    """One report per design from :func:`reciprocal_statistics` rows."""
+    return [
+        CriterionReport(design_id, ese, esk, se_ese, se_esk, sample_count, int(zeros), hm_measure)
+        for design_id, (ese, esk, se_ese, se_esk, zeros) in zip(design_ids, stats.tolist())
+    ]
 
 
 def expected_criteria(
@@ -102,49 +98,27 @@ def expected_criteria(
     design_id: str | None = None,
     hm_measure: str = "volume",
 ) -> CriterionReport:
-    """Monte Carlo estimate of both utilities for one candidate design."""
+    """Monte Carlo estimate of both utilities for one candidate design.
+
+    Samples whose matrices contain non-finite entries cannot be scored;
+    they are dropped from the averages and counted (and logged) rather
+    than aborting the reduction.
+    """
     if hm_measure not in HM_MEASURES:
         raise ValueError(f"hm_measure must be one of {HM_MEASURES}")
-    scal, skew, _ = local_reciprocals(batch.matrices, rank_tol=rank_tol)
-    ese_inverse, stderr_ese = _mean_and_stderr(scal)
-    esk_inverse, stderr_esk = _mean_and_stderr(skew)
+    matrices = np.asarray(batch.matrices, dtype=float)
+    finite = np.all(np.isfinite(matrices), axis=(1, 2))
+    excluded = int(np.sum(~finite))
+    if excluded:
+        logger.warning("excluding %d samples with non-finite Jacobians", excluded)
+        matrices = matrices[finite]
+    if matrices.shape[0] == 0:
+        raise ValueError("no finite samples to average over")
+    scal, skew = batch_reciprocals(matrices, rank_tol=rank_tol)
     if design_id is None:
         design_id = "-".join(str(r) for r in batch.row_indices)
-    return CriterionReport(
-        design_id=design_id,
-        ese_inverse=ese_inverse,
-        esk_inverse=esk_inverse,
-        stderr_ese=stderr_ese,
-        stderr_esk=stderr_esk,
-        sample_count=int(scal.size),
-        infinite_count=int(np.sum(scal == 0.0)),
-        hm_measure=hm_measure,
-    )
-
-
-def report_from_reciprocals(
-    design_id: str,
-    scaling_reciprocals: np.ndarray,
-    skewness_reciprocals: np.ndarray,
-    hm_measure: str = "volume",
-) -> CriterionReport:
-    """Assemble a report from precomputed per-sample reciprocals.
-
-    Used by the design-space sweeps, which evaluate many candidates in one
-    vectorized pass and reduce afterwards.
-    """
-    ese_inverse, stderr_ese = _mean_and_stderr(scaling_reciprocals)
-    esk_inverse, stderr_esk = _mean_and_stderr(skewness_reciprocals)
-    return CriterionReport(
-        design_id=design_id,
-        ese_inverse=ese_inverse,
-        esk_inverse=esk_inverse,
-        stderr_ese=stderr_ese,
-        stderr_esk=stderr_esk,
-        sample_count=int(scaling_reciprocals.size),
-        infinite_count=int(np.sum(scaling_reciprocals == 0.0)),
-        hm_measure=hm_measure,
-    )
+    stats = reciprocal_statistics(scal[None, :], skew[None, :])
+    return reports_from_statistics([design_id], stats, scal.size, hm_measure)[0]
 
 
 _CSV_FIELDS = (

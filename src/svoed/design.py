@@ -2,7 +2,7 @@
 
 A candidate design is a tuple of observable-row indices into a shared field
 Jacobian batch, so an entire design space is priced with array slicing and
-batched SVDs: no model solves happen here.
+batched QR kernels: no model solves happen here.
 
 The greedy algorithm builds an m-component design one component per round.
 The first component maximizes the expected-scaling utility over all scalar
@@ -21,19 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import CriterionReport, report_from_reciprocals
-from .geometry import (
-    RANK_TOL_DEFAULT,
-    batch_scaling_reciprocal,
-    batch_skewness_reciprocal,
-)
-from .sampling import FieldJacobianBatch, assemble_design_jacobian
+from .criteria import CriterionReport, reciprocal_statistics, reports_from_statistics
+from .geometry import RANK_TOL_DEFAULT, batch_extension_skewness, batch_reciprocals
+from .sampling import FieldJacobianBatch
 
 UTILITIES = ("ese_inverse", "esk_inverse")
 
-# Candidate-chunk size for the vectorized sweeps; bounds peak memory at
-# roughly chunk * N * m * n floats.
-_CHUNK = 64
+# Matrices per kernel call in the vectorized sweeps: a chunk holds
+# about this many // N candidates, so peak memory stays near
+# _CHUNK_MATRICES * m * n floats whatever the sample count.
+_CHUNK_MATRICES = 1 << 14
 
 
 @dataclass
@@ -100,25 +97,29 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
     return DesignSpace(candidates=candidates, index_geometry=geometry, symmetric=True)
 
 
-def _candidate_reciprocals(batch: FieldJacobianBatch, candidates, rank_tol):
-    """Per-candidate arrays of per-sample (1/SE, 1/SK), chunked over candidates."""
-    n_samples = batch.count
-    cand = np.asarray([list(c) for c in candidates], dtype=np.int64)
+def _chunks(n_items: int, n_samples: int):
+    """Slices of at most _CHUNK_MATRICES // n_samples items (at least one)."""
+    size = max(1, _CHUNK_MATRICES // n_samples)
+    return (slice(start, start + size) for start in range(0, n_items, size))
+
+
+def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np.ndarray:
+    """Per-candidate :func:`criteria.reciprocal_statistics` rows.
+
+    Each chunk of candidates is scored in one kernel call and reduced at
+    once, so memory is O(candidates), not O(candidates * samples).
+    """
+    cand = np.asarray(candidates, dtype=np.int64)
     n_cand, arity = cand.shape
-    scal = np.empty((n_cand, n_samples))
-    skew = np.empty((n_cand, n_samples))
-    for start in range(0, n_cand, _CHUNK):
-        block = cand[start : start + _CHUNK]
+    stats = np.empty((n_cand, 5))
+    for part in _chunks(n_cand, batch.count):
+        block = cand[part]
         # (N, C, m, n) -> (C, N, m, n) so each candidate is contiguous.
         stack = batch.jacobians[:, block, :].transpose(1, 0, 2, 3)
-        flat = stack.reshape(-1, arity, batch.n_params)
-        scal[start : start + block.shape[0]] = batch_scaling_reciprocal(
-            flat, rank_tol=rank_tol
-        ).reshape(block.shape[0], n_samples)
-        skew[start : start + block.shape[0]] = batch_skewness_reciprocal(
-            flat, rank_tol=rank_tol
-        ).reshape(block.shape[0], n_samples)
-    return scal, skew
+        scal, skew = batch_reciprocals(stack.reshape(-1, arity, batch.n_params), rank_tol)
+        shape = (block.shape[0], batch.count)
+        stats[part] = reciprocal_statistics(scal.reshape(shape), skew.reshape(shape))
+    return stats
 
 
 @dataclass
@@ -163,13 +164,9 @@ def exhaustive_oed(
     """Score every candidate design and rank by the chosen utility."""
     if utility not in UTILITIES:
         raise ValueError(f"utility must be one of {UTILITIES}")
-    scal, skew = _candidate_reciprocals(batch, space.candidates, rank_tol)
-    reports = [
-        report_from_reciprocals(
-            "-".join(str(r) for r in c), scal[i], skew[i], hm_measure=hm_measure
-        )
-        for i, c in enumerate(space.candidates)
-    ]
+    stats = _candidate_statistics(batch, space.candidates, rank_tol)
+    design_ids = ("-".join(str(r) for r in c) for c in space.candidates)
+    reports = reports_from_statistics(design_ids, stats, batch.count, hm_measure)
     values = np.array([getattr(r, utility) for r in reports])
     return ExhaustiveResult(space=space, reports=reports, order=_rank(values), utility=utility)
 
@@ -247,6 +244,20 @@ class GreedyTrace:
     tol: float = 0.0
 
 
+def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.ndarray:
+    """Mean 1/SK over samples of ``selected + (p,)`` for every row p.
+
+    The selected rows are factored once per sample per chunk of candidate
+    rows; each candidate is then a rank-one extension of that factor.
+    """
+    base = batch.jacobians[:, list(selected), :]
+    means = np.empty(rows.size)
+    for part in _chunks(rows.size, batch.count):
+        skew = batch_extension_skewness(base, batch.jacobians[:, rows[part], :], rank_tol)
+        means[part] = skew.mean(axis=0)
+    return means
+
+
 def greedy_oed(
     space: DesignSpace,
     batch: FieldJacobianBatch,
@@ -282,24 +293,19 @@ def greedy_oed(
 
     for d in range(1, m_target + 1):
         if d == 1:
-            stack = batch.jacobians[:, rows, :].transpose(1, 0, 2)[:, :, None, :]
-            flat = stack.reshape(-1, 1, batch.n_params)
-            scores = batch_scaling_reciprocal(flat, rank_tol=rank_tol)
+            per_candidate = _candidate_statistics(batch, space.candidates, rank_tol)[:, 0]
             utility = "ese_inverse"
         elif d > batch.n_params:
-            # More rows than parameters cannot be full rank; skip the SVDs.
-            scores = np.zeros(rows.size * batch.count)
+            # More rows than parameters cannot be full rank; skip the kernels.
+            per_candidate = np.zeros(rows.size)
             utility = "esk_inverse"
         else:
-            candidates = [tuple(selected) + (int(p),) for p in rows]
-            _, skew = _candidate_reciprocals(batch, candidates, rank_tol)
-            scores = skew
+            per_candidate = _extension_means(batch, selected, rows, rank_tol)
             utility = "esk_inverse"
-        per_candidate = scores.reshape(rows.size, batch.count).mean(axis=1)
         best = int(_rank(per_candidate)[0])
         best_value = float(per_candidate[best])
 
-        adopt = d == 1 or best_value >= tol or d == m_target
+        adopt = d == 1 or best_value >= tol
         trace.rounds.append(
             GreedyRound(
                 round_index=d,

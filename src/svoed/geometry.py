@@ -1,4 +1,4 @@
-"""Pointwise geometric kernels computed from the SVD of a single Jacobian.
+"""Geometric criteria of Jacobians: pointwise references and batched kernels.
 
 Everything here describes how a differentiable map with an m x n Jacobian
 (m <= n) distorts small sets when output events are pulled back into the
@@ -10,10 +10,15 @@ parameter space:
 * the per-row redundancy of the map components (the "local skewness"),
   i.e. how far each row sticks out of the span of the others.
 
-All functions are pure; rank deficiency is reported as +inf rather than
-raised.  Two independent routes to the skewness are provided: the
-singular-value formula used everywhere in production, and a direct
-least-squares projection kept as a cross-check oracle for the tests.
+The pointwise functions work on one matrix from its singular values and
+report rank deficiency as +inf rather than raising; they are the readable
+definitions the tests check against.  The design searches call the batched
+kernels instead: :func:`batch_reciprocals` scores a whole stack from one
+QR factorization per matrix, and :func:`batch_extension_skewness` scores
+every one-row extension of a fixed set of rows by rank-one updates of that
+set's factor.  Both fall back to the singular-value formula for the
+matrices whose conditioning makes the QR route unreliable, so the rank
+cutoff means exactly what it means pointwise.
 """
 
 from __future__ import annotations
@@ -141,39 +146,6 @@ def local_skewness_svd(J, rank_tol: float = RANK_TOL_DEFAULT) -> LocalCriterion:
     return LocalCriterion(scaling, float(vec.max()), vec, sigma, False)
 
 
-def local_skewness_oracle(J, rank_tol: float = RANK_TOL_DEFAULT) -> LocalCriterion:
-    """Local skewness by explicit projection; reference path for tests.
-
-    Splits each row as j_k = j_k0 + j_k_perp with j_k0 the least-squares
-    projection onto the span of the other rows, and scores
-    ||j_k|| / ||j_k_perp||.  Row k scores +inf when it lies in that span
-    (within ``rank_tol`` relative) or is identically zero.
-    """
-    J = as_jacobian(J)
-    m = J.shape[0]
-    sigma = np.linalg.svd(J, compute_uv=False)
-    deficient = bool(sigma[-1] <= rank_tol * sigma[0])
-    scaling = np.inf if deficient else float(1.0 / np.prod(sigma))
-
-    if m == 1:
-        vec = np.array([np.inf]) if deficient else np.ones(1)
-        return LocalCriterion(scaling, float(vec[0]), vec, sigma, deficient)
-
-    vec = np.empty(m)
-    for k in range(m):
-        row = J[k]
-        others = np.delete(J, k, axis=0)
-        coeffs, *_ = np.linalg.lstsq(others.T, row, rcond=None)
-        perp = row - others.T @ coeffs
-        row_norm = np.linalg.norm(row)
-        perp_norm = np.linalg.norm(perp)
-        if row_norm == 0.0 or perp_norm <= rank_tol * row_norm:
-            vec[k] = np.inf
-        else:
-            vec[k] = row_norm / perp_norm
-    return LocalCriterion(scaling, float(vec.max()), vec, sigma, deficient)
-
-
 def skewness_as_scaling_ratio(J, rank_tol: float = RANK_TOL_DEFAULT) -> float:
     """Skewness recovered purely from scaling effects.
 
@@ -200,14 +172,27 @@ def skewness_as_scaling_ratio(J, rank_tol: float = RANK_TOL_DEFAULT) -> float:
     return float(se_full * best)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Batched kernels over stacks of Jacobians.
 #
-# These are what the Monte Carlo criteria actually call: one (N, m, n) array
-# per candidate design instead of N python-level calls.  They return the
-# *reciprocals* 1/SE and 1/SK (zero where rank deficient), which is the form
-# every downstream average needs.
+# They return the *reciprocals* 1/SE and 1/SK (zero where rank deficient),
+# which is the form every downstream average needs.  With J^T = Q R for an
+# m x n matrix J, the Gram matrix is J J^T = R^T R, so
+#
+#     1/SE = prod_k sigma_k = prod_k |R_kk|,
+#     ||j_k_perp||^2 = 1 / (G^-1)_kk = 1 / ||row k of R^-1||^2,
+#     ||j_k|| = ||column k of R||,
+#
+# and 1/SK = min_k ||j_k_perp|| / ||j_k|| needs one triangular inverse.
 # ---------------------------------------------------------------------------
+
+# The QR route loses about cond(J) * eps of relative accuracy, and only the
+# SVD can tell which side of the rank cutoff a nearly deficient matrix is
+# on.  Matrices whose condition bound ||R||_F * ||R^-1||_F (>= cond(J)) is
+# not below this ceiling take the singular-value formula instead.
+_COND_CEILING = 1e8
 
 
 def _as_stack(stack) -> np.ndarray:
@@ -219,41 +204,52 @@ def _as_stack(stack) -> np.ndarray:
     return S
 
 
-def batch_singular_values(stack) -> np.ndarray:
-    """Singular values for a (N, m, n) stack; returns (N, m), descending."""
-    return np.linalg.svd(_as_stack(stack), compute_uv=False)
+def _cond_limit(rank_tol: float) -> float:
+    """Largest condition bound the QR route accepts under ``rank_tol``.
 
-
-def _deficiency_mask(sigma: np.ndarray, rank_tol: float) -> np.ndarray:
-    return sigma[:, -1] <= rank_tol * sigma[:, 0]
-
-
-def batch_scaling_reciprocal(stack, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
-    """1/SE for each matrix in a (N, m, n) stack.
-
-    The reciprocal of the local scaling is the product of singular values,
-    set to 0 where the matrix is rank deficient under ``rank_tol``.
+    A bound below half of 1/rank_tol leaves sigma_min above twice the
+    cutoff, so the SVD rank test would call the matrix full rank too.
     """
-    sigma = batch_singular_values(stack)
-    recip = np.prod(sigma, axis=-1)
-    recip[_deficiency_mask(sigma, rank_tol)] = 0.0
-    return recip
+    if rank_tol <= 0.0:
+        return _COND_CEILING
+    return min(_COND_CEILING, 0.5 / rank_tol)
 
 
-def batch_skewness_reciprocal(stack, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
-    """1/SK in [0, 1] for each matrix in a (N, m, n) stack.
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverses of a (N, k, k) stack of upper-triangular matrices.
 
-    Zero where rank deficient, one where the rows are mutually orthogonal
-    (always one for single-row maps with a nonzero row).
+    Back substitution vectorized over the stack.  A zero diagonal entry
+    gives inf or nan entries rather than an error; callers route those
+    matrices elsewhere through their condition bound.
     """
-    S = _as_stack(stack)
+    k = R.shape[-1]
+    X = np.zeros_like(R)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    for i in range(k - 1, -1, -1):
+        X[:, i, i] = 1.0 / diag[:, i]
+        for j in range(i + 1, k):
+            dot = np.einsum("nl,nl->n", R[:, i, i + 1 : j + 1], X[:, i + 1 : j + 1, j])
+            X[:, i, j] = -dot / diag[:, i]
+    return X
+
+
+def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1/SE, 1/SK) of a (N, m, n) stack from singular values alone.
+
+    1/SE is the product of the singular values; 1/SK uses
+    ||j_k_perp|| * vol(rows without k) = vol(all rows), so it needs the
+    singular values of every row-deleted minor.  Both are zero where the
+    matrix is rank deficient under ``rank_tol``.  This is the reference
+    formula, and the fallback of the QR kernels near the rank cutoff.
+    """
     n_mats, m, _ = S.shape
     sigma = np.linalg.svd(S, compute_uv=False)
-    deficient = _deficiency_mask(sigma, rank_tol)
-    if m == 1:
-        return np.where(deficient, 0.0, 1.0)
-
+    deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
     full_prod = np.prod(sigma, axis=-1)
+    scal = np.where(deficient, 0.0, full_prod)
+    if m == 1:
+        return scal, np.where(deficient, 0.0, 1.0)
+
     row_norms = np.linalg.norm(S, axis=2)
     worst = np.zeros(n_mats)
     for k in range(m):
@@ -261,6 +257,86 @@ def batch_skewness_reciprocal(stack, rank_tol: float = RANK_TOL_DEFAULT) -> np.n
         minor_prod = np.prod(np.linalg.svd(minor, compute_uv=False), axis=-1)
         np.maximum(worst, row_norms[:, k] * minor_prod, out=worst)
     ok = ~deficient & (worst > 0.0)
-    recip = np.zeros(n_mats)
-    recip[ok] = full_prod[ok] / worst[ok]
-    return recip
+    skew = np.zeros(n_mats)
+    skew[ok] = full_prod[ok] / worst[ok]
+    return scal, skew
+
+
+def batch_reciprocals(
+    stack, rank_tol: float = RANK_TOL_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """(1/SE, 1/SK) for each matrix in a (N, m, n) stack.
+
+    1/SE is the product of the singular values and 1/SK, in [0, 1], the
+    smallest ||j_k_perp|| / ||j_k|| over rows (one for mutually orthogonal
+    rows and for any nonzero single row).  Both are zero where the matrix
+    is rank deficient under ``rank_tol``.  One QR of J^T per matrix gives
+    both; matrices too ill-conditioned for it use the SVD formula.
+    """
+    S = _as_stack(stack)
+    R = np.linalg.qr(S.transpose(0, 2, 1), mode="r")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R_inv = _triangular_inverse(R)
+        col_sq = np.einsum("nij,nij->nj", R, R)  # ||j_k||^2
+        inv_row_sq = np.einsum("nij,nij->ni", R_inv, R_inv)  # 1 / ||j_k_perp||^2
+        bound_sq = col_sq.sum(axis=1) * inv_row_sq.sum(axis=1)
+        scal = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+        skew = 1.0 / np.sqrt(np.max(col_sq * inv_row_sq, axis=1))
+    if S.shape[1] == 1:
+        skew = np.ones_like(skew)
+    fallback = ~(bound_sq < _cond_limit(rank_tol) ** 2)
+    if fallback.any():
+        scal[fallback], skew[fallback] = _svd_reciprocals(S[fallback], rank_tol)
+    return scal, skew
+
+
+def batch_extension_skewness(base, rows, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
+    """1/SK of each base matrix extended by each of its candidate rows.
+
+    ``base`` is a (N, k, n) stack with k < n and ``rows`` a (N, C, n) stack;
+    entry [i, c] of the (N, C) result is 1/SK of ``base[i]`` with
+    ``rows[i, c]`` appended as row k, as :func:`batch_reciprocals` would
+    score it.  Each base is factored once, base^T = Q R, and a row j
+    extends the factor by one column:
+
+        R' = [[R, g], [0, s]],   g = Q^T j,   s = ||j - Q g||,
+
+    so the new row scores s / ||j|| and row l of R'^-1 is row l of R^-1
+    followed by -h_l / s, with h = R^-1 g.  A base that is already rank
+    deficient scores zero with every row, since adding a row can only
+    lower sigma_min / sigma_max.  Pairs whose condition bound is not safely
+    small use the SVD formula, as in :func:`batch_reciprocals`.
+    """
+    B = _as_stack(base)
+    J = np.asarray(rows, dtype=float)
+    n_mats, k, n = B.shape
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n rows in the base stack, got shape {B.shape}")
+    if J.ndim != 3 or J.shape[0] != n_mats or J.shape[2] != n:
+        raise ValueError(f"expected a ({n_mats}, C, {n}) row stack, got shape {J.shape}")
+
+    sigma = np.linalg.svd(B, compute_uv=False)
+    base_deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
+    Q, R = np.linalg.qr(B.transpose(0, 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R_inv = _triangular_inverse(R)
+        col_sq = np.einsum("nij,nij->nj", R, R)  # ||base row l||^2
+        inv_row_sq = np.einsum("nij,nij->ni", R_inv, R_inv)
+        g = J @ Q  # (N, C, k)
+        resid = J - g @ Q.transpose(0, 2, 1)
+        s_sq = np.einsum("ncj,ncj->nc", resid, resid)
+        row_sq = np.einsum("ncj,ncj->nc", J, J)
+        h_over_s_sq = (g @ R_inv.transpose(0, 2, 1)) ** 2 / s_sq[..., None]
+        old_rows = col_sq[:, None, :] * (inv_row_sq[:, None, :] + h_over_s_sq)
+        worst_sq = np.maximum(old_rows.max(axis=2), row_sq / s_sq)
+        skew = 1.0 / np.sqrt(worst_sq)
+        bound_sq = (col_sq.sum(axis=1)[:, None] + row_sq) * (
+            inv_row_sq.sum(axis=1)[:, None] + h_over_s_sq.sum(axis=2) + 1.0 / s_sq
+        )
+    skew[base_deficient] = 0.0
+    fallback = ~(bound_sq < _cond_limit(rank_tol) ** 2) & ~base_deficient[:, None]
+    if fallback.any():
+        i, c = np.nonzero(fallback)
+        extended = np.concatenate([B[i], J[i, c][:, None, :]], axis=1)
+        skew[i, c] = _svd_reciprocals(extended, rank_tol)[1]
+    return skew

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BATCH_SCHEMA_VERSION = 1
+BATCH_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -222,14 +222,19 @@ def assemble_design_jacobian(batch: FieldJacobianBatch, row_indices) -> Jacobian
     return JacobianBatch(matrices=matrices, row_indices=rows, model_id=batch.model_id)
 
 
-def save_batch(batch: FieldJacobianBatch, path) -> None:
-    """Persist a batch so criterion sweeps can re-run without model solves."""
+def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None:
+    """Persist a batch so criterion sweeps can re-run without model solves.
+
+    ``recipe_sha256`` identifies what produced the batch (model, samples,
+    step); :func:`load_batch` can refuse a file whose recipe differs.
+    """
     header = {
         "schema_version": BATCH_SCHEMA_VERSION,
         "model_id": batch.model_id,
         "seed": batch.samples.seed,
         "scheme": batch.samples.scheme,
         "fd_step": batch.fd_step,
+        "recipe_sha256": recipe_sha256,
         "N": batch.count,
         "P": batch.field_size,
         "n": batch.n_params,
@@ -243,14 +248,29 @@ def save_batch(batch: FieldJacobianBatch, path) -> None:
     )
 
 
-def load_batch(path) -> FieldJacobianBatch:
+def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
+    """Read a batch written by :func:`save_batch`, checking it first.
+
+    Raises ValueError for an unknown schema, for a stored recipe that
+    differs from ``recipe_sha256`` (when given), and for arrays whose
+    shapes disagree with the header or that hold non-finite values.
+    """
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
+        if header.get("schema_version") != BATCH_SCHEMA_VERSION:
+            raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
+        if recipe_sha256 is not None and header["recipe_sha256"] != recipe_sha256:
+            raise ValueError("batch was made from a different recipe")
         points = data["points"]
         outputs = data["outputs"]
         jacobians = data["jacobians"]
-    if header.get("schema_version") != BATCH_SCHEMA_VERSION:
-        raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
+    N, P, n = header["N"], header["P"], header["n"]
+    for name, array, shape in (("points", points, (N, n)), ("outputs", outputs, (N, P)),
+                               ("jacobians", jacobians, (N, P, n))):
+        if array.shape != shape:
+            raise ValueError(f"batch {name} has shape {array.shape}, header says {shape}")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"batch {name} holds non-finite values")
     samples = SampleSet(points=points, seed=int(header["seed"]), scheme=header["scheme"])
     return FieldJacobianBatch(
         samples=samples,

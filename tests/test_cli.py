@@ -1,0 +1,97 @@
+"""Command-line runs end to end on small rod configs."""
+
+import csv
+import json
+
+import numpy as np
+
+from svoed import cli, sampling
+
+ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
+
+
+def write_config(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_greedy_writes_trace_summary_rounds_and_manifest(tmp_path):
+    config = write_config(tmp_path, "greedy.json", {
+        "task": "greedy", "model": ROD, "sampling": {"count": 6, "seed": 3},
+        "greedy": {"m_target": 2}, "output_dir": "out"})
+    assert cli.main(["greedy", "--config", config]) == cli.EXIT_OK
+
+    out = tmp_path / "out"
+    trace = json.loads((out / "greedy_trace.json").read_text())
+    summary = json.loads((out / "greedy_summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert summary["selected_rows"] == trace["selected"]
+    assert summary["rounds_run"] == len(trace["rounds"]) == 2
+    assert manifest["task"] == "greedy"
+    assert manifest["outputs"] == sorted(["greedy_trace.json", "greedy_summary.json",
+                                          "greedy_round_01.csv", "greedy_round_02.csv"])
+    for rnd in trace["rounds"]:
+        with open(out / f"greedy_round_{rnd['round']:02d}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["candidate", "c0", rnd["utility"]]
+        assert len(rows) == 1 + ROD["elements"] + 1
+        assert [float(r[-1]) for r in rows[1:]] == rnd["scores"]
+
+
+def test_paper_scale_builds_the_99_element_plate():
+    plate = cli.build_model({"model": {"kind": "heat_plate_2d"}}, paper_scale=True)
+    assert plate.field_size == 100 * 100
+
+
+def test_plate_with_100_elements_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "oed.json", {
+        "task": "oed", "model": {"kind": "heat_plate_2d", "elements": 100},
+        "sampling": {"count": 2}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
+    assert "multiple of 3" in capsys.readouterr().err
+
+
+def cache_config(tmp_path, task, count):
+    return write_config(tmp_path, f"{task}.json", {
+        "task": task, "model": ROD,
+        "sampling": {"count": count, "seed": 5, "batch_cache": "cache/batch.npz"},
+        "design": {"arity": 1}, "output_dir": task})
+
+
+def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
+    solves = []
+    estimate = sampling.estimate_field_jacobians
+    monkeypatch.setattr(sampling, "estimate_field_jacobians",
+                        lambda *a, **k: solves.append(1) or estimate(*a, **k))
+
+    # The sweep asks for the batch the oed run cached, so it reuses it.
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    assert len(solves) == 1
+
+    # More samples make a different recipe: the cache is recomputed.
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 7)]) == 0
+    assert len(solves) == 2
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert {row["sample_count"] for row in csv.DictReader(fh)} == {"7"}
+    assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+
+
+def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "sweep.json", {
+        "task": "sweep", "model": ROD,
+        "sampling": {"count": 5, "measure": "initial",
+                     "init": {"kind": "gaussian", "mean": [5.0, 5.0], "cov": 0.01}},
+        "design": {"arity": 1}, "output_dir": "out"})
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    assert "almost no mass" in capsys.readouterr().err
+
+
+def test_init_density_with_mass_in_the_box_fills_the_sample():
+    cfg = {"sampling": {"count": 50, "measure": "initial",
+                        "init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}}}
+    box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
+    samples = cli._draw_criteria_samples(cfg, box, seed=1)
+    assert samples.count == 50
+    assert np.all(box.contains(samples.points))

@@ -144,6 +144,17 @@ def test_greedy_stops_below_tolerance_without_adopting():
     assert not trace.rounds[1].adopted
 
 
+def test_greedy_final_round_below_tolerance_is_not_adopted():
+    # The last round is held to the tolerance like any other: a second
+    # parallel row adds nothing, so it is not adopted even at m_target.
+    batch = constant_field_batch([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    trace = design.greedy_oed(design.scalar_space(3), batch, m_target=2, tol=1e-3)
+    assert trace.selected == (2,)
+    assert trace.stop_reason == "below_tol"
+    assert len(trace.rounds) == 2
+    assert not trace.rounds[-1].adopted
+
+
 def test_greedy_trace_determinism():
     batch = constant_field_batch([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     space = design.scalar_space(3)

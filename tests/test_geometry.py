@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geometry_oracles import local_skewness_oracle
 from svoed import geometry as geo
 
 # Golden ratio: the singular values of [[1,0],[1,1]] are (phi, phi - 1).
@@ -139,14 +140,14 @@ def test_skewness_single_row_convention():
     crit = geo.local_skewness_svd([[3.0, 4.0]])
     assert crit.skewness == pytest.approx(1.0)
     assert crit.scaling == pytest.approx(0.2)
-    assert geo.local_skewness_oracle([[3.0, 4.0]]).skewness == pytest.approx(1.0)
+    assert local_skewness_oracle([[3.0, 4.0]]).skewness == pytest.approx(1.0)
 
 
 def test_skewness_oracle_identity_and_hand_case():
-    assert np.allclose(geo.local_skewness_oracle(np.eye(2)).skewness_vector, 1.0)
+    assert np.allclose(local_skewness_oracle(np.eye(2)).skewness_vector, 1.0)
     J = np.array([[1.0, 0.0], [1.0, 1.0]])
     assert np.allclose(
-        geo.local_skewness_oracle(J).skewness_vector, np.sqrt(2.0), rtol=1e-12
+        local_skewness_oracle(J).skewness_vector, np.sqrt(2.0), rtol=1e-12
     )
 
 
@@ -155,7 +156,7 @@ def test_skewness_oracle_agrees_on_random_3x5():
     for _ in range(50):
         J = rng.uniform(-1.0, 1.0, size=(3, 5))
         svd = geo.local_skewness_svd(J)
-        orc = geo.local_skewness_oracle(J)
+        orc = local_skewness_oracle(J)
         assert np.allclose(svd.skewness_vector, orc.skewness_vector, rtol=1e-8)
 
 
@@ -248,7 +249,7 @@ def test_property_three_skewness_routes_agree():
     for _ in range(300):
         J = random_jacobian(rng)
         svd = geo.local_skewness_svd(J)
-        orc = geo.local_skewness_oracle(J)
+        orc = local_skewness_oracle(J)
         assert np.allclose(svd.skewness_vector, orc.skewness_vector, rtol=1e-8)
         if J.shape[0] >= 2:
             ratio = geo.skewness_as_scaling_ratio(J)
@@ -278,8 +279,7 @@ def test_batch_kernels_match_pointwise():
     stack = rng.uniform(-1.0, 1.0, size=(64, 3, 5))
     stack[5] = 0.0  # all-zero matrix
     stack[9, 2] = 3.0 * stack[9, 0]  # dependent row
-    scal = geo.batch_scaling_reciprocal(stack)
-    skew = geo.batch_skewness_reciprocal(stack)
+    scal, skew = geo.batch_reciprocals(stack)
     for i in range(stack.shape[0]):
         crit = geo.local_skewness_svd(stack[i])
         want_scal = 0.0 if np.isinf(crit.scaling) else 1.0 / crit.scaling
@@ -292,8 +292,7 @@ def test_batch_kernels_single_row_maps():
     rng = np.random.default_rng(32)
     stack = rng.uniform(-1.0, 1.0, size=(16, 1, 4))
     stack[3] = 0.0
-    scal = geo.batch_scaling_reciprocal(stack)
-    skew = geo.batch_skewness_reciprocal(stack)
+    scal, skew = geo.batch_reciprocals(stack)
     norms = np.linalg.norm(stack[:, 0, :], axis=1)
     assert np.allclose(scal, norms)
     assert np.allclose(skew, (norms > 0).astype(float))
@@ -301,6 +300,6 @@ def test_batch_kernels_single_row_maps():
 
 def test_batch_kernels_reject_bad_shapes():
     with pytest.raises(ValueError):
-        geo.batch_scaling_reciprocal(np.ones((4, 3, 2)))  # m > n
+        geo.batch_reciprocals(np.ones((4, 3, 2)))  # m > n
     with pytest.raises(ValueError):
-        geo.batch_skewness_reciprocal(np.ones((3, 2)))
+        geo.batch_reciprocals(np.ones((3, 2)))

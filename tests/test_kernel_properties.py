@@ -1,0 +1,119 @@
+"""Property tests of the batched QR kernels and the greedy rank-one rounds."""
+
+import numpy as np
+from geometry_oracles import local_skewness_oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from svoed import design, geometry as geo, sampling
+
+FEW = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def stacks(draw, max_n=6, max_count=5):
+    """A random (N, m, n) stack with m <= n, from a drawn seed."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, n))
+    count = draw(st.integers(1, max_count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-1.0, 1.0, size=(count, m, n)), rng
+
+
+def well_conditioned(stack, limit=1e4):
+    return bool(np.all(np.linalg.cond(stack) < limit))
+
+
+@FEW
+@given(stacks())
+def test_row_permutation_invariance(drawn):
+    stack, rng = drawn
+    assume(well_conditioned(stack))
+    permuted = stack[:, rng.permutation(stack.shape[1]), :]
+    for got, want in zip(geo.batch_reciprocals(permuted), geo.batch_reciprocals(stack)):
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@FEW
+@given(stacks())
+def test_output_rotation_invariance(drawn):
+    stack, rng = drawn
+    assume(well_conditioned(stack))
+    n = stack.shape[2]
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for got, want in zip(geo.batch_reciprocals(stack @ rotation), geo.batch_reciprocals(stack)):
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@FEW
+@given(stacks(), st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+def test_row_scaling_scales_only_the_scaling(drawn, c):
+    stack, rng = drawn
+    assume(well_conditioned(stack))
+    k = int(rng.integers(stack.shape[1]))
+    scaled = stack.copy()
+    scaled[:, k, :] *= c
+    scal, skew = geo.batch_reciprocals(stack)
+    scal_c, skew_c = geo.batch_reciprocals(scaled)
+    assert np.allclose(scal_c, abs(c) * scal, rtol=1e-10, atol=0.0)
+    assert np.allclose(skew_c, skew, rtol=1e-10, atol=0.0)
+
+
+@FEW
+@given(stacks())
+def test_kernel_matches_projection_oracle(drawn):
+    stack, _ = drawn
+    assume(well_conditioned(stack))
+    scal, skew = geo.batch_reciprocals(stack)
+    for i, J in enumerate(stack):
+        crit = local_skewness_oracle(J)
+        assert np.isclose(scal[i], 1.0 / crit.scaling, rtol=1e-10, atol=0.0)
+        assert np.isclose(skew[i], 1.0 / crit.skewness, rtol=1e-10, atol=0.0)
+
+
+@FEW
+@given(stacks(), st.sampled_from([0.0, 1e-13, 1e-9, 1e-6]))
+def test_zero_pattern_matches_svd_formula(drawn, noise):
+    # Make the last row an exact or nearly exact combination of the others
+    # in every other matrix; rows sitting near the rank cutoff must score
+    # zero exactly when the singular-value formula says so.
+    stack, rng = drawn
+    stack = stack.copy()
+    count, m, n = stack.shape
+    for i in range(0, count, 2):
+        weights = rng.normal(size=m - 1)
+        stack[i, -1] = weights @ stack[i, :-1] + noise * rng.normal(size=n)
+    scal, skew = geo.batch_reciprocals(stack)
+    want_scal, want_skew = geo._svd_reciprocals(stack, geo.RANK_TOL_DEFAULT)
+    assert np.array_equal(scal == 0.0, want_scal == 0.0)
+    assert np.array_equal(skew == 0.0, want_skew == 0.0)
+    assert np.allclose(scal, want_scal, rtol=1e-6, atol=0.0)
+    assert np.allclose(skew, want_skew, rtol=1e-6, atol=0.0)
+
+
+def _field_batch(jacobians):
+    count, field_size, n = jacobians.shape
+    return sampling.FieldJacobianBatch(
+        samples=sampling.SampleSet(points=np.zeros((count, n)), seed=0),
+        outputs=np.zeros((count, field_size)),
+        jacobians=jacobians,
+        fd_step=1.0,
+        model_id="random-field",
+    )
+
+
+@FEW
+@given(st.integers(2, 5), st.integers(3, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_greedy_round_scores_match_explicit_stacks(n, field_size, count, seed):
+    rng = np.random.default_rng(seed)
+    jacobians = rng.uniform(-1.0, 1.0, size=(count, field_size, n))
+    jacobians[:, -1] = 2.0 * jacobians[:, 0]  # a duplicate direction scores zero
+    batch = _field_batch(jacobians)
+    trace = design.greedy_oed(design.scalar_space(field_size), batch, m_target=n, tol=1e-12)
+    for rnd in trace.rounds:
+        chosen = trace.selected[: rnd.round_index - 1]
+        stacks_ = np.stack([jacobians[:, list(chosen) + [p], :] for p in range(field_size)])
+        scal, skew = geo.batch_reciprocals(stacks_.reshape(-1, len(chosen) + 1, n))
+        want = (scal if rnd.round_index == 1 else skew).reshape(field_size, count).mean(axis=1)
+        assert np.allclose(rnd.scores, want, rtol=1e-9, atol=1e-15)
+        assert np.array_equal(rnd.scores == 0.0, want == 0.0)

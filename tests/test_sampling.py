@@ -231,6 +231,29 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
     assert np.array_equal(loaded.samples.points, batch.samples.points)
 
 
+def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_small):
+    _, batch = rod_batch_small
+    path = tmp_path / "batch.npz"
+    sampling.save_batch(batch, path, recipe_sha256="abc")
+    assert sampling.load_batch(path, recipe_sha256="abc").count == batch.count
+    with pytest.raises(ValueError, match="different recipe"):
+        sampling.load_batch(path, recipe_sha256="def")
+
+    bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy(),
+                                      batch.fd_step, batch.model_id)
+    bad.jacobians[0, 0, 0] = np.nan
+    sampling.save_batch(bad, path)
+    with pytest.raises(ValueError, match="non-finite"):
+        sampling.load_batch(path)
+
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["points"] = arrays["points"][:-1]
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="shape"):
+        sampling.load_batch(path)
+
+
 def test_samples_csv_header_and_rows(tmp_path):
     s = sampling.draw_samples(unit_box(), 3, seed=1)
     path = tmp_path / "samples.csv"

@@ -171,16 +171,22 @@ def _draw_criteria_samples(cfg, box, seed) -> sampling.SampleSet:
 
 
 def _batch_recipe(cfg, model, box, seed, fd_step) -> str:
-    """SHA-256 of everything that determines the field batch: the cache key."""
+    """SHA-256 of everything that determines the field batch: the cache key.
+
+    The forward-difference step is part of it only for models that are
+    differenced; exact Jacobians do not depend on it.
+    """
+    method = sampling.jacobian_method(model)
     recipe = {
         "model_id": model.model_id,
+        "jacobian": method,
         "t_final": getattr(model, "t_final", None),
         "count": _get(cfg, "sampling.count", int),
         "seed": seed,
         "measure": _get(cfg, "sampling.measure", str, default="volume"),
         "init": _get(cfg, "sampling.init", dict, default=None),
         "box": [box.lower.tolist(), box.upper.tolist()],
-        "fd_step": float(fd_step),
+        "fd_step": float(fd_step) if method == sampling.FORWARD_DIFFERENCE else None,
     }
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
@@ -453,11 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="thread workers for model evaluations (default: serial)")
         p.add_argument("--paper-scale", action="store_true",
                        help="full-resolution settings for the 2-D plate model")
+        p.add_argument("--log-level", default="WARNING", type=str.upper,
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="verbosity of progress messages on stderr (default: WARNING)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("svoed").setLevel(args.log_level)
     started = time.perf_counter()
     try:
         config_path = Path(args.config).resolve()

@@ -22,6 +22,17 @@ K(lambda) = sum_r lambda_r * K_r with the unit-conductivity region matrices
 K_r assembled once per mesh.  Only the factorization of (M + dt/2 K) depends
 on lambda; M, K_r and the load vector are shared across evaluations, which
 is what makes tens of thousands of solves per design study affordable.
+
+``evaluate_with_jacobian`` also returns the exact derivative of the discrete
+final state with respect to every conductivity (tangent-linear, or forward
+sensitivity, time stepping).  Differentiating the step above by lambda_j
+gives, for v_j = du/dlambda_j,
+
+    (M + dt/2 K) v_j_next = (M - dt/2 K) v_j - dt/2 K_j (u + u_next),
+
+the same two matrices, so the one factorization per parameter point serves
+the state and all n sensitivities.  Each step solves once for u_next and
+once for the n sensitivity columns together.
 """
 
 from __future__ import annotations
@@ -44,8 +55,11 @@ class ForwardModel:
 
     Subclasses set ``model_id``, ``n_params``, ``field_size`` and
     ``coordinates`` (one coordinate row per field value) and implement
-    ``evaluate``.  Instances are immutable after construction and safe to
-    evaluate concurrently at distinct parameter points.
+    ``evaluate``.  A subclass that can differentiate itself also defines
+    ``evaluate_with_jacobian(lam) -> (u, J)`` with J of shape
+    (field_size, n_params); field-Jacobian batches then use it instead of
+    finite differences.  Instances are immutable after construction and
+    safe to evaluate concurrently at distinct parameter points.
     """
 
     model_id: str = "forward-model"
@@ -64,6 +78,30 @@ class ForwardModel:
             coords = coords.T
         target = np.atleast_1d(np.asarray(coordinate, dtype=float))
         return int(np.argmin(np.linalg.norm(coords - target, axis=1)))
+
+
+def _implicit_midpoint(solve, B, stiff_stack, forcing, time_steps, dt, with_jacobian):
+    """March (M + dt/2 K) u_next = B u + forcing from u = 0.
+
+    ``solve`` applies the inverse of M + dt/2 K to a vector or to a (P, n)
+    block, ``B`` is M - dt/2 K and ``stiff_stack`` holds the n region
+    matrices K_j stacked row-wise, (n P, P).  Returns the final state and,
+    when ``with_jacobian``, its (P, n) derivative with respect to the
+    conductivities, else None.  The state arithmetic does not depend on
+    ``with_jacobian``, so both calls return bit-identical states.
+    """
+    size = forcing.size
+    n_params = stiff_stack.shape[0] // size
+    u = np.zeros(size)
+    V = np.zeros((size, n_params)) if with_jacobian else None
+    for _ in range(time_steps):
+        u_next = solve(B @ u + forcing)
+        if with_jacobian:
+            rhs = B @ V
+            rhs -= (0.5 * dt) * (stiff_stack @ (u + u_next)).reshape(n_params, size).T
+            V = solve(rhs)
+        u = u_next
+    return u, V
 
 
 def _check_conductivities(lam, n_params):
@@ -137,19 +175,25 @@ class HeatRod1D(ForwardModel):
 
         self._mass = mass
         self._stiff_regions = stiff
+        self._stiff_stack = np.vstack(stiff)
         self._load = load
 
     def evaluate(self, lam) -> np.ndarray:
+        return self._march(lam, with_jacobian=False)[0]
+
+    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Final temperatures and their exact (P, 2) conductivity Jacobian."""
+        return self._march(lam, with_jacobian=True)
+
+    def _march(self, lam, with_jacobian):
         lam = _check_conductivities(lam, self.n_params)
         K = lam[0] * self._stiff_regions[0] + lam[1] * self._stiff_regions[1]
         A = self._mass + 0.5 * self.dt * K
         B = self._mass - 0.5 * self.dt * K
         factor = scipy.linalg.cho_factor(A)
-        u = np.zeros(self.field_size)
-        forcing = self.dt * self._load
-        for _ in range(self.time_steps):
-            u = scipy.linalg.cho_solve(factor, B @ u + forcing)
-        return u
+        return _implicit_midpoint(
+            lambda rhs: scipy.linalg.cho_solve(factor, rhs), B, self._stiff_stack,
+            self.dt * self._load, self.time_steps, self.dt, with_jacobian)
 
     def total_heat(self, u) -> float:
         """Discrete total heat content integral(rho c u); grows linearly in
@@ -264,6 +308,8 @@ class HeatPlate2D(ForwardModel):
                 (stiff_vals[mask], (rows[mask], cols[mask])), shape=shape
             ).tocsc()
             self._stiff_regions.append(K_r)
+        # Built here, not on first use: instances are shared by worker threads.
+        self._stiff_stack = scipy.sparse.vstack(self._stiff_regions).tocsr()
         self._load = load
         self.plate_of_node = self._assign_plates()
 
@@ -275,18 +321,22 @@ class HeatPlate2D(ForwardModel):
         return 3 * row + col
 
     def evaluate(self, lam) -> np.ndarray:
+        return self._march(lam, with_jacobian=False)[0]
+
+    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Final temperatures and their exact (P, 9) conductivity Jacobian."""
+        return self._march(lam, with_jacobian=True)
+
+    def _march(self, lam, with_jacobian):
         lam = _check_conductivities(lam, self.n_params)
         K = lam[0] * self._stiff_regions[0]
         for r in range(1, 9):
             K = K + lam[r] * self._stiff_regions[r]
         A = (self._mass + 0.5 * self.dt * K).tocsc()
         B = (self._mass - 0.5 * self.dt * K).tocsr()
-        solve = scipy.sparse.linalg.factorized(A)
-        u = np.zeros(self.field_size)
-        forcing = self.dt * self._load
-        for _ in range(self.time_steps):
-            u = solve(B @ u + forcing)
-        return u
+        lu = scipy.sparse.linalg.splu(A)
+        return _implicit_midpoint(lu.solve, B, self._stiff_stack, self.dt * self._load,
+                                  self.time_steps, self.dt, with_jacobian)
 
     def total_heat(self, u) -> float:
         return float(np.sum(self._mass @ np.asarray(u, dtype=float)))

@@ -1,22 +1,37 @@
-"""Parameter sampling and finite-difference field Jacobians.
+"""Parameter sampling and field Jacobians.
 
 The expensive object in a design study is the *field* Jacobian batch: for N
 parameter samples, the model output at every observable location together
-with its forward-difference derivative with respect to every parameter.
-Candidate designs are then priced by selecting rows out of this batch, so
-the model is solved N * (n + 1) times total, not once per design.
+with its derivative with respect to every parameter.  Candidate designs are
+then priced by selecting rows out of this batch, so the model runs once per
+sample, not once per design.  A model that can differentiate itself
+(``evaluate_with_jacobian``, as the heat models do by tangent-linear time
+stepping) gives exact Jacobians from one run per sample; any other model is
+differenced forward, at n + 1 runs per sample.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
+import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-BATCH_SCHEMA_VERSION = 2
+# Schema 3 added the ``jacobian`` provenance field.
+BATCH_SCHEMA_VERSION = 3
+
+TANGENT_LINEAR = "tangent-linear"
+FORWARD_DIFFERENCE = "forward-difference"
+
+# Progress is logged after about every tenth of a batch's samples.
+_PROGRESS_STEPS = 10
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -103,10 +118,13 @@ class ModelEvaluationError(RuntimeError):
 
 @dataclass
 class FieldJacobianBatch:
-    """Outputs and forward-difference Jacobians at every observable location.
+    """Outputs and Jacobians at every observable location.
 
     ``outputs`` is (N, P) and ``jacobians`` is (N, P, n) where P is the
     number of observable field values (e.g. mesh nodes at the final time).
+    ``jacobian`` says how they were made: ``"tangent-linear"`` (exact, from
+    the model's ``evaluate_with_jacobian``) or ``"forward-difference"``
+    (with step ``fd_step``, which a tangent-linear batch does not use).
     """
 
     samples: SampleSet
@@ -114,6 +132,7 @@ class FieldJacobianBatch:
     jacobians: np.ndarray
     fd_step: float
     model_id: str
+    jacobian: str
 
     @property
     def count(self) -> int:
@@ -145,14 +164,43 @@ class JacobianBatch:
         return self.matrices.shape[1]
 
 
-def _evaluate_checked(model, index, lam):
+def jacobian_method(model) -> str:
+    """How :func:`estimate_field_jacobians` differentiates ``model``."""
+    return TANGENT_LINEAR if hasattr(model, "evaluate_with_jacobian") else FORWARD_DIFFERENCE
+
+
+def _evaluate_checked(evaluate, index, lam) -> tuple[np.ndarray, ...]:
+    """``evaluate(lam)`` as a tuple of float arrays.
+
+    A raise inside the model, or any non-finite value in what it returns,
+    becomes a ModelEvaluationError naming the sample.
+    """
     try:
-        out = np.asarray(model.evaluate(lam), dtype=float)
+        result = evaluate(lam)
+        arrays = tuple(np.asarray(a, dtype=float)
+                       for a in (result if isinstance(result, tuple) else (result,)))
     except Exception as exc:  # propagate with the offending sample attached
         raise ModelEvaluationError(index, lam, repr(exc)) from exc
-    if not np.all(np.isfinite(out)):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ModelEvaluationError(index, lam, "model returned non-finite values")
-    return out
+    return arrays
+
+
+def _collect_with_progress(results, count: int) -> list:
+    """List the iterable ``results`` of ``count`` samples, logging progress
+    with rate and time to go after about every tenth of them."""
+    every = math.ceil(count / _PROGRESS_STEPS)
+    started = time.perf_counter()
+    collected = []
+    for result in results:
+        collected.append(result)
+        done = len(collected)
+        if done % every == 0 or done == count:
+            elapsed = time.perf_counter() - started
+            logger.info("field jacobians: %d/%d samples, %.3g samples/s, %.1f s to go",
+                        done, count, done / max(elapsed, 1e-9),
+                        elapsed * (count - done) / done)
+    return collected
 
 
 def estimate_field_jacobians(
@@ -161,35 +209,42 @@ def estimate_field_jacobians(
     fd_step: float = 1e-5,
     workers: int | None = None,
 ) -> FieldJacobianBatch:
-    """Forward-difference Jacobians of the full observable field.
+    """Jacobians of the full observable field at every sample.
 
-    Uses one-sided differences with absolute step ``fd_step``: the base
-    evaluation at each sample is shared across all n perturbations, so the
-    model runs exactly n + 1 times per sample.  Samples are independent;
-    ``workers`` > 1 evaluates them on a thread pool (the model must be safe
-    to call concurrently), and results are assembled by sample index so the
-    batch is identical regardless of completion order.
+    A model with ``evaluate_with_jacobian`` runs once per sample and gives
+    its exact Jacobian.  Any other model is differenced forward with
+    absolute step ``fd_step``: the base evaluation at each sample is shared
+    across all n perturbations, so it runs exactly n + 1 times per sample.
+    Samples are independent; ``workers`` > 1 evaluates them on a thread
+    pool (the model must be safe to call concurrently), and results are
+    assembled by sample index so the batch is identical regardless of
+    completion order.  Progress is logged at INFO level.
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     points = samples.points
     n_samples, n_params = points.shape
+    method = jacobian_method(model)
 
     def one_sample(i):
         lam = points[i]
-        base = _evaluate_checked(model, i, lam)
+        if method == TANGENT_LINEAR:
+            return _evaluate_checked(model.evaluate_with_jacobian, i, lam)
+        (base,) = _evaluate_checked(model.evaluate, i, lam)
         jac = np.empty((base.size, n_params))
         for j in range(n_params):
             bumped = lam.copy()
             bumped[j] += fd_step
-            jac[:, j] = (_evaluate_checked(model, i, bumped) - base) / fd_step
+            (value,) = _evaluate_checked(model.evaluate, i, bumped)
+            jac[:, j] = (value - base) / fd_step
         return base, jac
 
     if workers is None or workers <= 1:
-        results = [one_sample(i) for i in range(n_samples)]
+        results = _collect_with_progress(map(one_sample, range(n_samples)), n_samples)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_sample, range(n_samples)))
+            results = _collect_with_progress(pool.map(one_sample, range(n_samples)),
+                                             n_samples)
 
     outputs = np.stack([r[0] for r in results])
     jacobians = np.stack([r[1] for r in results])
@@ -199,6 +254,7 @@ def estimate_field_jacobians(
         jacobians=jacobians,
         fd_step=fd_step,
         model_id=getattr(model, "model_id", type(model).__name__),
+        jacobian=method,
     )
 
 
@@ -226,11 +282,13 @@ def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None
     """Persist a batch so criterion sweeps can re-run without model solves.
 
     ``recipe_sha256`` identifies what produced the batch (model, samples,
-    step); :func:`load_batch` can refuse a file whose recipe differs.
+    Jacobian method); :func:`load_batch` can refuse a file whose recipe
+    differs.
     """
     header = {
         "schema_version": BATCH_SCHEMA_VERSION,
         "model_id": batch.model_id,
+        "jacobian": batch.jacobian,
         "seed": batch.samples.seed,
         "scheme": batch.samples.scheme,
         "fd_step": batch.fd_step,
@@ -278,6 +336,7 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
         jacobians=jacobians,
         fd_step=float(header["fd_step"]),
         model_id=header["model_id"],
+        jacobian=header["jacobian"],
     )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 
@@ -76,6 +77,62 @@ def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert {row["sample_count"] for row in csv.DictReader(fh)} == {"7"}
     assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+
+
+def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
+    solves, loads = [], []
+    estimate, load = sampling.estimate_field_jacobians, sampling.load_batch
+    monkeypatch.setattr(sampling, "estimate_field_jacobians",
+                        lambda *a, **k: solves.append(1) or estimate(*a, **k))
+    monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
+
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    assert (len(solves), len(loads)) == (1, 1)
+    cache = tmp_path / "cache" / "batch.npz"
+    assert load(cache).jacobian == sampling.TANGENT_LINEAR
+
+    # A schema-2 file (forward differences, no provenance) at the same path.
+    with np.load(cache) as data:
+        arrays = dict(data)
+    header = json.loads(str(arrays["header"]))
+    header["schema_version"] = 2
+    del header["jacobian"]
+    arrays["header"] = np.array(json.dumps(header))
+    np.savez_compressed(cache, **arrays)
+
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    assert len(solves) == 2
+    assert "unsupported batch schema: 2" in caplog.text
+    assert load(cache).jacobian == sampling.TANGENT_LINEAR
+
+
+def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
+    config = write_config(tmp_path, "sweep.json", {
+        "task": "sweep", "model": ROD,
+        "sampling": {"count": 5, "seed": 1, "box": [[-0.1, 0.01], [0.2, 0.2]]},
+        "design": {"arity": 1}, "output_dir": "out"})
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "model evaluation failed at sample" in err
+    assert "conductivities must be finite and positive" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_log_level_flag_turns_on_progress_messages(tmp_path, caplog):
+    def progress():
+        return [r.getMessage() for r in caplog.records if r.name == "svoed.sampling"]
+
+    try:
+        config = write_config(tmp_path, "sweep.json", {
+            "task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1},
+            "design": {"arity": 1}, "output_dir": "out"})
+        assert cli.main(["sweep", "--config", config]) == 0
+        assert progress() == []
+        assert cli.main(["sweep", "--config", config, "--log-level", "info"]) == 0
+        assert [m.split()[2] for m in progress()] == ["1/4", "2/4", "3/4", "4/4"]
+    finally:
+        logging.getLogger("svoed").setLevel(logging.NOTSET)
 
 
 def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import geometry_oracles
 from svoed import criteria, models, sampling
 from svoed.sampling import JacobianBatch
 
@@ -74,10 +75,8 @@ def test_utility_equals_reciprocal_harmonic_mean():
     batch = JacobianBatch(matrices=mats, row_indices=(0, 1))
     rep = criteria.expected_criteria(batch)
 
-    from svoed import geometry
-
-    ses = np.array([geometry.local_scaling(m) for m in mats])
-    sks = np.array([geometry.local_skewness_svd(m).skewness for m in mats])
+    ses = np.array([geometry_oracles.cross_section_measure(m) for m in mats])
+    sks = np.array([geometry_oracles.local_skewness_svd(m).skewness for m in mats])
     assert rep.ese_inverse == pytest.approx(1.0 / criteria.harmonic_mean(ses), rel=1e-12)
     assert rep.esk_inverse == pytest.approx(1.0 / criteria.harmonic_mean(sks), rel=1e-12)
     assert rep.infinite_count == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from svoed import geometry, models, sampling
+import geometry_oracles
+from svoed import models, sampling
 
 CENTER_1D = 20  # node at x = 0.5 on the default 41-node mesh
 
@@ -140,6 +141,63 @@ def test_plate_heating_strongest_at_center():
     assert np.argmax(u) == plate.nearest_field_index([0.5, 0.5])
 
 
+# --- tangent-linear Jacobians ---------------------------------------------------
+
+
+def small_models():
+    return [models.HeatRod1D(), models.HeatPlate2D(elements_per_axis=6, time_steps=5)]
+
+
+def sample_point(model, seed):
+    box = model.parameter_box
+    return np.random.default_rng(seed).uniform(box.lower, box.upper)
+
+
+def column_errors(J, ref):
+    return np.linalg.norm(J - ref, axis=0) / np.linalg.norm(ref, axis=0)
+
+
+@pytest.mark.parametrize("model", small_models(), ids=["rod", "plate-e6"])
+def test_exact_jacobian_outputs_equal_evaluate(model):
+    for seed in range(3):
+        lam = sample_point(model, seed)
+        u, J = model.evaluate_with_jacobian(lam)
+        assert np.array_equal(u, model.evaluate(lam))
+        assert J.shape == (model.field_size, model.n_params)
+
+
+@pytest.mark.parametrize("model", small_models(), ids=["rod", "plate-e6"])
+def test_exact_jacobian_matches_central_differences(model):
+    lam = sample_point(model, 7)
+    _, J = model.evaluate_with_jacobian(lam)
+    h = 1e-5
+    ref = np.empty_like(J)
+    for j in range(model.n_params):
+        up, down = lam.copy(), lam.copy()
+        up[j] += h
+        down[j] -= h
+        ref[:, j] = (model.evaluate(up) - model.evaluate(down)) / (2.0 * h)
+    assert column_errors(J, ref).max() <= 1e-6
+
+
+@pytest.mark.parametrize("model", small_models(), ids=["rod", "plate-e6"])
+def test_forward_differences_converge_to_exact_jacobian_at_first_order(model):
+    lam = sample_point(model, 8)
+    u, J = model.evaluate_with_jacobian(lam)
+    steps = [1e-3, 1e-4, 1e-5]
+    errors = []
+    for h in steps:
+        fd = np.empty_like(J)
+        for j in range(model.n_params):
+            bumped = lam.copy()
+            bumped[j] += h
+            fd[:, j] = (model.evaluate(bumped) - u) / h
+        errors.append(column_errors(fd, J).max())
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert 0.9 <= slope <= 1.1
+    assert errors[0] > errors[1] > errors[2]
+
+
 # --- synthetic maps -------------------------------------------------------------
 
 
@@ -158,18 +216,20 @@ def test_linear_model_jacobian_is_matrix():
 
 def test_rotation_family_leaves_criteria_unchanged():
     A = np.diag([2.0, 4.0])
-    base = geometry.local_skewness_svd(A)
+    base = geometry_oracles.local_skewness_svd(A)
     for theta in (0.3, 1.1, 2.7):
         # Rotating the outputs preserves singular values, hence scaling.
         J_out = models.rotated_linear_model(theta, A).exact_jacobian([0.0, 0.0])
-        assert np.allclose(geometry.singular_values(J_out), base.singular_values)
-        assert geometry.local_scaling(J_out) == pytest.approx(base.scaling, rel=1e-10)
+        assert np.allclose(geometry_oracles.singular_values(J_out), base.singular_values)
+        assert geometry_oracles.cross_section_measure(J_out) == pytest.approx(
+            base.scaling, rel=1e-10)
         # Rotating the inputs additionally preserves the row geometry, so
         # the skewness is unchanged too.
         J_in = A @ models.rotation_matrix(theta)
-        crit = geometry.local_skewness_svd(J_in)
+        crit = geometry_oracles.local_skewness_svd(J_in)
         assert crit.skewness == pytest.approx(base.skewness, rel=1e-10)
-        assert geometry.local_scaling(J_in) == pytest.approx(base.scaling, rel=1e-10)
+        assert geometry_oracles.cross_section_measure(J_in) == pytest.approx(
+            base.scaling, rel=1e-10)
 
 
 def test_catalog_models_evaluate(tmp_path):

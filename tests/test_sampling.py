@@ -1,9 +1,12 @@
-"""Sampling, finite-difference Jacobians, row assembly and persistence."""
+"""Sampling, field Jacobians, row assembly and persistence."""
+
+import logging
 
 import numpy as np
 import pytest
 
-from svoed import geometry, models, sampling
+import geometry_oracles
+from svoed import models, sampling
 
 
 class CountingModel(models.ForwardModel):
@@ -37,6 +40,20 @@ class FailingModel(models.ForwardModel):
         if np.allclose(lam, self.fail_at):
             raise RuntimeError("boom")
         return np.atleast_1d(np.sum(lam))
+
+
+class ExactModel(FailingModel):
+    """FailingModel with its own Jacobian, which is NaN at ``nan_at``."""
+
+    def __init__(self, fail_at, nan_at=None):
+        super().__init__(fail_at)
+        self.nan_at = None if nan_at is None else np.asarray(nan_at, dtype=float)
+
+    def evaluate_with_jacobian(self, lam):
+        jac = np.ones((1, 2))
+        if self.nan_at is not None and np.allclose(lam, self.nan_at):
+            jac[0, 1] = np.nan
+        return self.evaluate(lam), jac
 
 
 def unit_box(n=2):
@@ -142,6 +159,48 @@ def test_fd_failure_reports_sample_and_parameters():
     assert np.allclose(err.value.parameters, s.points[3])
 
 
+def test_exact_jacobian_failure_reports_sample_and_parameters():
+    s = sampling.draw_samples(unit_box(), 5, seed=9)
+    with pytest.raises(sampling.ModelEvaluationError) as err:
+        sampling.estimate_field_jacobians(ExactModel(s.points[3]), s)
+    assert err.value.sample_index == 3
+    assert np.allclose(err.value.parameters, s.points[3])
+
+    with pytest.raises(sampling.ModelEvaluationError, match="non-finite") as err:
+        sampling.estimate_field_jacobians(ExactModel([2.0, 2.0], nan_at=s.points[1]), s)
+    assert err.value.sample_index == 1
+
+
+def test_models_with_their_own_jacobian_skip_finite_differences():
+    s = sampling.draw_samples(unit_box(), 4, seed=9)
+    exact = sampling.estimate_field_jacobians(ExactModel([2.0, 2.0]), s)
+    assert exact.jacobian == sampling.TANGENT_LINEAR
+    assert np.array_equal(exact.jacobians, np.ones((4, 1, 2)))
+    fd = sampling.estimate_field_jacobians(FailingModel([2.0, 2.0]), s)
+    assert fd.jacobian == sampling.FORWARD_DIFFERENCE
+
+
+def test_exact_threaded_matches_serial():
+    plate = models.HeatPlate2D(elements_per_axis=6, time_steps=5)
+    s = sampling.draw_samples(plate.parameter_box, 6, seed=4)
+    serial = sampling.estimate_field_jacobians(plate, s)
+    threaded = sampling.estimate_field_jacobians(plate, s, workers=2)
+    assert serial.jacobian == sampling.TANGENT_LINEAR
+    assert np.array_equal(serial.jacobians, threaded.jacobians)
+    assert np.array_equal(serial.outputs, threaded.outputs)
+
+
+def test_progress_is_logged_about_every_tenth_of_the_samples(caplog):
+    caplog.set_level(logging.INFO, logger="svoed.sampling")
+    model = models.quadratic_model()
+    s = sampling.draw_samples(model.parameter_box, 25, seed=4)
+    sampling.estimate_field_jacobians(model, s, workers=2)
+    messages = [r.getMessage() for r in caplog.records if r.name == "svoed.sampling"]
+    done = [int(m.split()[2].split("/")[0]) for m in messages]
+    assert done == [3, 6, 9, 12, 15, 18, 21, 24, 25]
+    assert all("/25 samples" in m and "samples/s" in m and "s to go" in m for m in messages)
+
+
 def test_fd_threaded_matches_serial():
     model = models.quadratic_model()
     s = sampling.draw_samples(model.parameter_box, 12, seed=4)
@@ -179,7 +238,7 @@ def test_assemble_duplicate_rows_scores_infinite_skewness(rod_batch_small):
     _, batch = rod_batch_small
     jb = sampling.assemble_design_jacobian(batch, [5, 5])
     for i in range(jb.count):
-        assert geometry.local_skewness_svd(jb.matrices[i]).skewness == np.inf
+        assert geometry_oracles.local_skewness_svd(jb.matrices[i]).skewness == np.inf
 
 
 def test_assemble_matches_restricted_model_fd(rod_batch_small):
@@ -195,6 +254,10 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
 
         def evaluate(self, lam):
             return rod.evaluate(lam)[[p, q]]
+
+        def evaluate_with_jacobian(self, lam):
+            u, jac = rod.evaluate_with_jacobian(lam)
+            return u[[p, q]], jac[[p, q]]
 
     restricted_batch = sampling.estimate_field_jacobians(
         Restricted(), batch.samples, fd_step=batch.fd_step
@@ -223,6 +286,7 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
     sampling.save_batch(batch, path)
     loaded = sampling.load_batch(path)
     assert loaded.model_id == batch.model_id
+    assert loaded.jacobian == batch.jacobian == sampling.TANGENT_LINEAR
     assert loaded.fd_step == batch.fd_step
     assert loaded.samples.seed == batch.samples.seed
     assert loaded.samples.scheme == batch.samples.scheme
@@ -240,7 +304,7 @@ def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_smal
         sampling.load_batch(path, recipe_sha256="def")
 
     bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy(),
-                                      batch.fd_step, batch.model_id)
+                                      batch.fd_step, batch.model_id, batch.jacobian)
     bad.jacobians[0, 0, 0] = np.nan
     sampling.save_batch(bad, path)
     with pytest.raises(ValueError, match="non-finite"):

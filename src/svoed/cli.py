@@ -170,43 +170,36 @@ def _draw_criteria_samples(cfg, box, seed) -> sampling.SampleSet:
     )
 
 
-def _batch_recipe(cfg, model, box, seed, fd_step) -> str:
-    """SHA-256 of everything that determines the field batch: the cache key.
-
-    The forward-difference step is part of it only for models that are
-    differenced; exact Jacobians do not depend on it.
-    """
-    method = sampling.jacobian_method(model)
+def _batch_recipe(cfg, model, box, seed) -> str:
+    """SHA-256 of everything that determines the field batch: the cache key."""
     recipe = {
         "model_id": model.model_id,
-        "jacobian": method,
         "t_final": getattr(model, "t_final", None),
         "count": _get(cfg, "sampling.count", int),
         "seed": seed,
         "measure": _get(cfg, "sampling.measure", str, default="volume"),
         "init": _get(cfg, "sampling.init", dict, default=None),
         "box": [box.lower.tolist(), box.upper.tolist()],
-        "fd_step": float(fd_step) if method == sampling.FORWARD_DIFFERENCE else None,
     }
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
 def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
-    fd_step = _get(cfg, "sampling.fd_step", (int, float), default=1e-5)
-    if fd_step <= 0:
-        raise ConfigError("sampling.fd_step: must be positive")
+    if _get(cfg, "sampling.fd_step", default=None) is not None:
+        raise ConfigError("sampling.fd_step: not used; every model this tool builds "
+                          "gives its exact Jacobian")
     cache = _get(cfg, "sampling.batch_cache", str, default=None)
     cache_path = None
     if cache is not None:
         cache_path = cfg["_base_dir"] / cache
-        recipe = _batch_recipe(cfg, model, box, seed, fd_step)
+        recipe = _batch_recipe(cfg, model, box, seed)
         if cache_path.exists():
             try:
                 return sampling.load_batch(cache_path, recipe_sha256=recipe)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
     samples = _draw_criteria_samples(cfg, box, seed)
-    batch = sampling.estimate_field_jacobians(model, samples, fd_step=fd_step, workers=workers)
+    batch = sampling.estimate_field_jacobians(model, samples, workers=workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         sampling.save_batch(batch, cache_path, recipe_sha256=recipe)
@@ -459,16 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="thread workers for model evaluations (default: serial)")
         p.add_argument("--paper-scale", action="store_true",
                        help="full-resolution settings for the 2-D plate model")
-        p.add_argument("--log-level", default="WARNING", type=str.upper,
-                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-                       help="verbosity of progress messages on stderr (default: WARNING)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(format="%(message)s")
-    logging.getLogger("svoed").setLevel(args.log_level)
     started = time.perf_counter()
     try:
         config_path = Path(args.config).resolve()

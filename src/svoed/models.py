@@ -364,9 +364,10 @@ class SyntheticModel(ForwardModel):
             raise ValueError(f"expected {self.n_params} parameters, got shape {lam.shape}")
         return np.asarray(self._func(lam), dtype=float)
 
-    def exact_jacobian(self, lam) -> np.ndarray:
+    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Output and its exact (field_size, n_params) Jacobian."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return np.asarray(self._jacobian(lam), dtype=float)
+        return self.evaluate(lam), np.asarray(self._jacobian(lam), dtype=float)
 
 
 def linear_model(matrix, model_id: str = "linear", box=None) -> SyntheticModel:

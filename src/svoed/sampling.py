@@ -5,33 +5,23 @@ parameter samples, the model output at every observable location together
 with its derivative with respect to every parameter.  Candidate designs are
 then priced by selecting rows out of this batch, so the model runs once per
 sample, not once per design.  A model that can differentiate itself
-(``evaluate_with_jacobian``, as the heat models do by tangent-linear time
-stepping) gives exact Jacobians from one run per sample; any other model is
-differenced forward, at n + 1 runs per sample.
+(``evaluate_with_jacobian``: the heat models by tangent-linear time
+stepping, the synthetic maps analytically) gives exact Jacobians from one
+run per sample; any other model is differenced forward, at n + 1 runs per
+sample.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
-import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-# Schema 3 added the ``jacobian`` provenance field.
+# Schema 3: ``fd_step`` is null for exact, model-supplied Jacobians.
 BATCH_SCHEMA_VERSION = 3
-
-TANGENT_LINEAR = "tangent-linear"
-FORWARD_DIFFERENCE = "forward-difference"
-
-# Progress is logged after about every tenth of a batch's samples.
-_PROGRESS_STEPS = 10
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -122,17 +112,15 @@ class FieldJacobianBatch:
 
     ``outputs`` is (N, P) and ``jacobians`` is (N, P, n) where P is the
     number of observable field values (e.g. mesh nodes at the final time).
-    ``jacobian`` says how they were made: ``"tangent-linear"`` (exact, from
-    the model's ``evaluate_with_jacobian``) or ``"forward-difference"``
-    (with step ``fd_step``, which a tangent-linear batch does not use).
+    ``fd_step`` is the forward-difference step that made the Jacobians, or
+    None when they are exact, from the model's ``evaluate_with_jacobian``.
     """
 
     samples: SampleSet
     outputs: np.ndarray
     jacobians: np.ndarray
-    fd_step: float
+    fd_step: float | None
     model_id: str
-    jacobian: str
 
     @property
     def count(self) -> int:
@@ -164,45 +152,6 @@ class JacobianBatch:
         return self.matrices.shape[1]
 
 
-def jacobian_method(model) -> str:
-    """How :func:`estimate_field_jacobians` differentiates ``model``."""
-    return TANGENT_LINEAR if hasattr(model, "evaluate_with_jacobian") else FORWARD_DIFFERENCE
-
-
-def _evaluate_checked(evaluate, index, lam) -> tuple[np.ndarray, ...]:
-    """``evaluate(lam)`` as a tuple of float arrays.
-
-    A raise inside the model, or any non-finite value in what it returns,
-    becomes a ModelEvaluationError naming the sample.
-    """
-    try:
-        result = evaluate(lam)
-        arrays = tuple(np.asarray(a, dtype=float)
-                       for a in (result if isinstance(result, tuple) else (result,)))
-    except Exception as exc:  # propagate with the offending sample attached
-        raise ModelEvaluationError(index, lam, repr(exc)) from exc
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ModelEvaluationError(index, lam, "model returned non-finite values")
-    return arrays
-
-
-def _collect_with_progress(results, count: int) -> list:
-    """List the iterable ``results`` of ``count`` samples, logging progress
-    with rate and time to go after about every tenth of them."""
-    every = math.ceil(count / _PROGRESS_STEPS)
-    started = time.perf_counter()
-    collected = []
-    for result in results:
-        collected.append(result)
-        done = len(collected)
-        if done % every == 0 or done == count:
-            elapsed = time.perf_counter() - started
-            logger.info("field jacobians: %d/%d samples, %.3g samples/s, %.1f s to go",
-                        done, count, done / max(elapsed, 1e-9),
-                        elapsed * (count - done) / done)
-    return collected
-
-
 def estimate_field_jacobians(
     model,
     samples: SampleSet,
@@ -215,36 +164,43 @@ def estimate_field_jacobians(
     its exact Jacobian.  Any other model is differenced forward with
     absolute step ``fd_step``: the base evaluation at each sample is shared
     across all n perturbations, so it runs exactly n + 1 times per sample.
-    Samples are independent; ``workers`` > 1 evaluates them on a thread
-    pool (the model must be safe to call concurrently), and results are
-    assembled by sample index so the batch is identical regardless of
-    completion order.  Progress is logged at INFO level.
+    A raise inside the model, or a non-finite output or Jacobian, becomes a
+    ModelEvaluationError naming the sample.  Samples are independent;
+    ``workers`` > 1 evaluates them on a thread pool (the model must be safe
+    to call concurrently), and results are assembled by sample index so the
+    batch is identical regardless of completion order.
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     points = samples.points
     n_samples, n_params = points.shape
-    method = jacobian_method(model)
+    exact = hasattr(model, "evaluate_with_jacobian")
 
     def one_sample(i):
         lam = points[i]
-        if method == TANGENT_LINEAR:
-            return _evaluate_checked(model.evaluate_with_jacobian, i, lam)
-        (base,) = _evaluate_checked(model.evaluate, i, lam)
-        jac = np.empty((base.size, n_params))
-        for j in range(n_params):
-            bumped = lam.copy()
-            bumped[j] += fd_step
-            (value,) = _evaluate_checked(model.evaluate, i, bumped)
-            jac[:, j] = (value - base) / fd_step
+        try:
+            if exact:
+                base, jac = (np.asarray(a, dtype=float)
+                             for a in model.evaluate_with_jacobian(lam))
+            else:
+                base = np.asarray(model.evaluate(lam), dtype=float)
+                jac = np.empty((base.size, n_params))
+                for j in range(n_params):
+                    bumped = lam.copy()
+                    bumped[j] += fd_step
+                    jac[:, j] = (np.asarray(model.evaluate(bumped), dtype=float)
+                                 - base) / fd_step
+        except Exception as exc:  # propagate with the offending sample attached
+            raise ModelEvaluationError(i, lam, repr(exc)) from exc
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(jac))):
+            raise ModelEvaluationError(i, lam, "model returned non-finite values")
         return base, jac
 
     if workers is None or workers <= 1:
-        results = _collect_with_progress(map(one_sample, range(n_samples)), n_samples)
+        results = [one_sample(i) for i in range(n_samples)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = _collect_with_progress(pool.map(one_sample, range(n_samples)),
-                                             n_samples)
+            results = list(pool.map(one_sample, range(n_samples)))
 
     outputs = np.stack([r[0] for r in results])
     jacobians = np.stack([r[1] for r in results])
@@ -252,9 +208,8 @@ def estimate_field_jacobians(
         samples=samples,
         outputs=outputs,
         jacobians=jacobians,
-        fd_step=fd_step,
+        fd_step=None if exact else fd_step,
         model_id=getattr(model, "model_id", type(model).__name__),
-        jacobian=method,
     )
 
 
@@ -281,14 +236,12 @@ def assemble_design_jacobian(batch: FieldJacobianBatch, row_indices) -> Jacobian
 def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None:
     """Persist a batch so criterion sweeps can re-run without model solves.
 
-    ``recipe_sha256`` identifies what produced the batch (model, samples,
-    Jacobian method); :func:`load_batch` can refuse a file whose recipe
-    differs.
+    ``recipe_sha256`` identifies what produced the batch (model and
+    samples); :func:`load_batch` can refuse a file whose recipe differs.
     """
     header = {
         "schema_version": BATCH_SCHEMA_VERSION,
         "model_id": batch.model_id,
-        "jacobian": batch.jacobian,
         "seed": batch.samples.seed,
         "scheme": batch.samples.scheme,
         "fd_step": batch.fd_step,
@@ -334,9 +287,8 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
         samples=samples,
         outputs=outputs,
         jacobians=jacobians,
-        fd_step=float(header["fd_step"]),
+        fd_step=None if header["fd_step"] is None else float(header["fd_step"]),
         model_id=header["model_id"],
-        jacobian=header["jacobian"],
     )
 
 

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import logging
 
 import numpy as np
 
@@ -90,21 +89,21 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     assert (len(solves), len(loads)) == (1, 1)
     cache = tmp_path / "cache" / "batch.npz"
-    assert load(cache).jacobian == sampling.TANGENT_LINEAR
+    assert load(cache).fd_step is None
 
-    # A schema-2 file (forward differences, no provenance) at the same path.
+    # A schema-2 file (forward differences) at the same path.
     with np.load(cache) as data:
         arrays = dict(data)
     header = json.loads(str(arrays["header"]))
     header["schema_version"] = 2
-    del header["jacobian"]
+    header["fd_step"] = 1e-5
     arrays["header"] = np.array(json.dumps(header))
     np.savez_compressed(cache, **arrays)
 
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     assert len(solves) == 2
     assert "unsupported batch schema: 2" in caplog.text
-    assert load(cache).jacobian == sampling.TANGENT_LINEAR
+    assert load(cache).fd_step is None
 
 
 def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
@@ -119,20 +118,12 @@ def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_log_level_flag_turns_on_progress_messages(tmp_path, caplog):
-    def progress():
-        return [r.getMessage() for r in caplog.records if r.name == "svoed.sampling"]
-
-    try:
-        config = write_config(tmp_path, "sweep.json", {
-            "task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1},
-            "design": {"arity": 1}, "output_dir": "out"})
-        assert cli.main(["sweep", "--config", config]) == 0
-        assert progress() == []
-        assert cli.main(["sweep", "--config", config, "--log-level", "info"]) == 0
-        assert [m.split()[2] for m in progress()] == ["1/4", "2/4", "3/4", "4/4"]
-    finally:
-        logging.getLogger("svoed").setLevel(logging.NOTSET)
+def test_fd_step_setting_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "sweep.json", {
+        "task": "sweep", "model": ROD, "sampling": {"count": 4, "fd_step": 1e-4},
+        "design": {"arity": 1}, "output_dir": "out"})
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    assert "sampling.fd_step" in capsys.readouterr().err
 
 
 def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys):

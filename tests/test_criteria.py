@@ -99,7 +99,7 @@ def test_monte_carlo_stability_when_doubling_samples():
     reps = []
     for count, seed in ((500, 1), (1000, 2)):
         s = sampling.draw_samples(quad.parameter_box, count, seed=seed)
-        b = sampling.estimate_field_jacobians(quad, s, fd_step=1e-6)
+        b = sampling.estimate_field_jacobians(quad, s)
         reps.append(criteria.expected_criteria(sampling.assemble_design_jacobian(b, [0, 1])))
     gap = abs(reps[0].ese_inverse - reps[1].ese_inverse)
     joint = np.hypot(reps[0].stderr_ese, reps[1].stderr_ese)

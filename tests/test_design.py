@@ -14,7 +14,7 @@ def constant_field_batch(rows, count=40, seed=0):
     model = models.linear_model(A, model_id="fixture")
     box = sampling.ParameterBox([0.0] * A.shape[1], [1.0] * A.shape[1])
     samples = sampling.draw_samples(box, count, seed=seed)
-    return sampling.estimate_field_jacobians(model, samples, fd_step=1e-6)
+    return sampling.estimate_field_jacobians(model, samples)
 
 
 # --- spaces ---------------------------------------------------------------------

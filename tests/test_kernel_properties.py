@@ -99,7 +99,6 @@ def _field_batch(jacobians):
         jacobians=jacobians,
         fd_step=1.0,
         model_id="random-field",
-        jacobian=sampling.FORWARD_DIFFERENCE,
     )
 
 

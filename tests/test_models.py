@@ -203,14 +203,14 @@ def test_forward_differences_converge_to_exact_jacobian_at_first_order(model):
 
 def test_quadratic_jacobian_by_hand():
     quad = models.quadratic_model()
-    assert np.allclose(quad.exact_jacobian([1.0, 1.0]), [[2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(quad.evaluate_with_jacobian([1.0, 1.0])[1], [[2.0, 0.0], [1.0, 1.0]])
     assert np.allclose(quad.evaluate([2.0, 3.0]), [4.0, 6.0])
 
 
 def test_linear_model_jacobian_is_matrix():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     lin = models.linear_model(A)
-    assert np.allclose(lin.exact_jacobian([0.3, 0.7]), A)
+    assert np.allclose(lin.evaluate_with_jacobian([0.3, 0.7])[1], A)
     assert np.allclose(lin.evaluate([1.0, 1.0]), A.sum(axis=1))
 
 
@@ -219,7 +219,7 @@ def test_rotation_family_leaves_criteria_unchanged():
     base = geometry_oracles.local_skewness_svd(A)
     for theta in (0.3, 1.1, 2.7):
         # Rotating the outputs preserves singular values, hence scaling.
-        J_out = models.rotated_linear_model(theta, A).exact_jacobian([0.0, 0.0])
+        _, J_out = models.rotated_linear_model(theta, A).evaluate_with_jacobian([0.0, 0.0])
         assert np.allclose(geometry_oracles.singular_values(J_out), base.singular_values)
         assert geometry_oracles.cross_section_measure(J_out) == pytest.approx(
             base.scaling, rel=1e-10)

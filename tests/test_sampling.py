@@ -1,7 +1,5 @@
 """Sampling, field Jacobians, row assembly and persistence."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,8 @@ from svoed import models, sampling
 
 
 class CountingModel(models.ForwardModel):
-    """Wraps another model and counts evaluate calls."""
+    """Wraps another model, exposing only ``evaluate`` so that field batches
+    difference it, and counts its calls."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -110,7 +109,7 @@ def test_grid_samples_cover_corners():
 
 def test_fd_exact_for_linear_maps():
     A = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
-    model = models.linear_model(A)
+    model = CountingModel(models.linear_model(A))
     s = sampling.draw_samples(unit_box(), 5, seed=2)
     batch = sampling.estimate_field_jacobians(model, s, fd_step=1e-5)
     for i in range(5):
@@ -120,9 +119,10 @@ def test_fd_exact_for_linear_maps():
 def test_fd_quadratic_against_analytic_jacobian():
     quad = models.quadratic_model()
     s = sampling.SampleSet(points=np.array([[1.0, 1.0]]), seed=0)
-    batch = sampling.estimate_field_jacobians(quad, s, fd_step=1e-5)
+    batch = sampling.estimate_field_jacobians(CountingModel(quad), s, fd_step=1e-5)
     assert np.allclose(batch.jacobians[0], [[2.0, 0.0], [1.0, 1.0]], atol=1e-4)
-    assert np.allclose(batch.jacobians[0], quad.exact_jacobian([1.0, 1.0]), atol=1e-4)
+    _, exact = quad.evaluate_with_jacobian([1.0, 1.0])
+    assert np.allclose(batch.jacobians[0], exact, atol=1e-4)
 
 
 def test_fd_call_count_is_n_plus_one_per_sample():
@@ -141,9 +141,9 @@ def test_fd_error_is_first_order():
     errors = []
     for h in steps:
         batch = sampling.estimate_field_jacobians(
-            quad, sampling.SampleSet(points=lam, seed=0), fd_step=h
+            CountingModel(quad), sampling.SampleSet(points=lam, seed=0), fd_step=h
         )
-        errors.append(np.abs(batch.jacobians[0] - quad.exact_jacobian(lam[0])).max())
+        errors.append(np.abs(batch.jacobians[0] - quad.evaluate_with_jacobian(lam[0])[1]).max())
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert 0.5 <= slope <= 2.0
     assert errors[2] < errors[0]
@@ -174,10 +174,10 @@ def test_exact_jacobian_failure_reports_sample_and_parameters():
 def test_models_with_their_own_jacobian_skip_finite_differences():
     s = sampling.draw_samples(unit_box(), 4, seed=9)
     exact = sampling.estimate_field_jacobians(ExactModel([2.0, 2.0]), s)
-    assert exact.jacobian == sampling.TANGENT_LINEAR
+    assert exact.fd_step is None
     assert np.array_equal(exact.jacobians, np.ones((4, 1, 2)))
     fd = sampling.estimate_field_jacobians(FailingModel([2.0, 2.0]), s)
-    assert fd.jacobian == sampling.FORWARD_DIFFERENCE
+    assert fd.fd_step == 1e-5
 
 
 def test_exact_threaded_matches_serial():
@@ -185,24 +185,13 @@ def test_exact_threaded_matches_serial():
     s = sampling.draw_samples(plate.parameter_box, 6, seed=4)
     serial = sampling.estimate_field_jacobians(plate, s)
     threaded = sampling.estimate_field_jacobians(plate, s, workers=2)
-    assert serial.jacobian == sampling.TANGENT_LINEAR
+    assert serial.fd_step is None
     assert np.array_equal(serial.jacobians, threaded.jacobians)
     assert np.array_equal(serial.outputs, threaded.outputs)
 
 
-def test_progress_is_logged_about_every_tenth_of_the_samples(caplog):
-    caplog.set_level(logging.INFO, logger="svoed.sampling")
-    model = models.quadratic_model()
-    s = sampling.draw_samples(model.parameter_box, 25, seed=4)
-    sampling.estimate_field_jacobians(model, s, workers=2)
-    messages = [r.getMessage() for r in caplog.records if r.name == "svoed.sampling"]
-    done = [int(m.split()[2].split("/")[0]) for m in messages]
-    assert done == [3, 6, 9, 12, 15, 18, 21, 24, 25]
-    assert all("/25 samples" in m and "samples/s" in m and "s to go" in m for m in messages)
-
-
 def test_fd_threaded_matches_serial():
-    model = models.quadratic_model()
+    model = CountingModel(models.quadratic_model())
     s = sampling.draw_samples(model.parameter_box, 12, seed=4)
     serial = sampling.estimate_field_jacobians(model, s, fd_step=1e-5)
     threaded = sampling.estimate_field_jacobians(model, s, fd_step=1e-5, workers=4)
@@ -224,7 +213,7 @@ def test_fd_rejects_nonpositive_step():
 def rod_batch_small():
     rod = models.HeatRod1D()
     s = sampling.draw_samples(rod.parameter_box, 20, seed=17)
-    return rod, sampling.estimate_field_jacobians(rod, s, fd_step=1e-5)
+    return rod, sampling.estimate_field_jacobians(rod, s)
 
 
 def test_assemble_selects_rows(rod_batch_small):
@@ -259,9 +248,7 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
             u, jac = rod.evaluate_with_jacobian(lam)
             return u[[p, q]], jac[[p, q]]
 
-    restricted_batch = sampling.estimate_field_jacobians(
-        Restricted(), batch.samples, fd_step=batch.fd_step
-    )
+    restricted_batch = sampling.estimate_field_jacobians(Restricted(), batch.samples)
     jb = sampling.assemble_design_jacobian(batch, [p, q])
     # Same arithmetic on the same evaluations: identical, not merely close.
     assert np.array_equal(jb.matrices, restricted_batch.jacobians)
@@ -286,8 +273,7 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
     sampling.save_batch(batch, path)
     loaded = sampling.load_batch(path)
     assert loaded.model_id == batch.model_id
-    assert loaded.jacobian == batch.jacobian == sampling.TANGENT_LINEAR
-    assert loaded.fd_step == batch.fd_step
+    assert loaded.fd_step is batch.fd_step is None
     assert loaded.samples.seed == batch.samples.seed
     assert loaded.samples.scheme == batch.samples.scheme
     assert np.array_equal(loaded.outputs, batch.outputs)
@@ -304,7 +290,7 @@ def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_smal
         sampling.load_batch(path, recipe_sha256="def")
 
     bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy(),
-                                      batch.fd_step, batch.model_id, batch.jacobian)
+                                      batch.fd_step, batch.model_id)
     bad.jacobians[0, 0, 0] = np.nan
     sampling.save_batch(bad, path)
     with pytest.raises(ValueError, match="non-finite"):

@@ -23,6 +23,7 @@ import json
 import logging
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +109,21 @@ def build_model(cfg: dict, paper_scale: bool = False):
 
 
 def _build_box(cfg: dict, model) -> sampling.ParameterBox:
+    """``sampling.box``, which must lie inside the model's parameter box."""
+    admissible = model.parameter_box
     spec = _get(cfg, "sampling.box", list, default=None)
     if spec is None:
-        return model.parameter_box
+        return admissible
     try:
-        return sampling.ParameterBox(spec[0], spec[1])
+        box = sampling.ParameterBox(spec[0], spec[1])
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"sampling.box: {exc}") from exc
+    if (box.dim != admissible.dim or np.any(box.lower < admissible.lower)
+            or np.any(box.upper > admissible.upper)):
+        raise ConfigError(
+            f"sampling.box: {[box.lower.tolist(), box.upper.tolist()]} is not inside the "
+            f"model's parameter box {[admissible.lower.tolist(), admissible.upper.tolist()]}")
+    return box
 
 
 def build_density(spec: dict, model, field_path: str, default_box=None) -> dci.Density:
@@ -250,18 +259,18 @@ def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> No
 
 
 def _resolve_run(cfg, args):
+    """The prologue every task shares: seed, output directory, model, box."""
     seed = args.seed if args.seed is not None else _get(cfg, "sampling.seed", int, default=0)
     outdir = Path(args.out) if args.out else cfg["_base_dir"] / _get(cfg, "output_dir", str)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.paper_scale and _get(cfg, "model.kind", str, default="") == "heat_plate_2d":
         cfg.setdefault("sampling", {})["count"] = 1000
     model = build_model(cfg, paper_scale=args.paper_scale)
-    return seed, outdir, model
-
-
-def run_sweep(cfg, args) -> list[str]:
-    seed, outdir, model = _resolve_run(cfg, args)
     box = _build_box(cfg, model)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return seed, outdir, model, box
+
+
+def run_sweep(cfg, args, seed, outdir, model, box) -> list[str]:
     rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
     measure = _get(cfg, "sampling.measure", str, default="volume")
     batch = _field_batch(cfg, model, box, seed, args.workers)
@@ -274,9 +283,7 @@ def run_sweep(cfg, args) -> list[str]:
     return ["sweep.csv"]
 
 
-def run_oed(cfg, args) -> list[str]:
-    seed, outdir, model = _resolve_run(cfg, args)
-    box = _build_box(cfg, model)
+def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
     rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
     utility = _get(cfg, "design.utility", str, default="ese_inverse",
                    choices=design.UTILITIES)
@@ -309,9 +316,7 @@ def run_oed(cfg, args) -> list[str]:
     return ["ranking.csv", "oed_summary.json"]
 
 
-def run_greedy(cfg, args) -> list[str]:
-    seed, outdir, model = _resolve_run(cfg, args)
-    box = _build_box(cfg, model)
+def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
     rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
     tol = _get(cfg, "tolerances.greedy_tol", (int, float), default=1e-3)
     m_target = _get(cfg, "greedy.m_target", int)
@@ -347,10 +352,9 @@ def run_greedy(cfg, args) -> list[str]:
     return outputs
 
 
-def _dci_pieces(cfg, args):
-    seed, outdir, model = _resolve_run(cfg, args)
+def _dci_pieces(cfg, seed, model, box):
+    """Design rows and the arguments of :func:`dci.dci_weights` after them."""
     rows = _sensor_rows(cfg, model)
-    box = _build_box(cfg, model)
     init_spec = _get(cfg, "dci.init", dict, default=None)
     init = (dci.UniformBoxDensity(box) if init_spec is None
             else build_density(init_spec, model, "dci.init", default_box=box))
@@ -364,14 +368,12 @@ def _dci_pieces(cfg, args):
     count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
     dci_seed = _get(cfg, "dci.seed", int, default=seed)
     bandwidth = _get(cfg, "dci.bandwidth", str, default="silverman")
-    return seed, outdir, model, rows, box, init, observed, count, dci_seed, bandwidth
+    return rows, (init, observed, count, dci_seed, bandwidth)
 
 
-def run_dci(cfg, args) -> list[str]:
-    (_, outdir, model, rows, box, init, observed,
-     count, dci_seed, bandwidth) = _dci_pieces(cfg, args)
-    ensemble = dci.dci_solve(model, rows, init, observed, count, dci_seed,
-                             bandwidth_rule=bandwidth)
+def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
+    rows, pieces = _dci_pieces(cfg, seed, model, box)
+    ensemble = dci.dci_solve(model, rows, *pieces)
     dci.ensemble_to_csv(outdir / "ensemble.csv", ensemble)
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
@@ -387,20 +389,11 @@ def run_dci(cfg, args) -> list[str]:
     return outputs
 
 
-def run_diag(cfg, args) -> list[str]:
-    (_, outdir, model, rows, box, init, observed,
-     count, dci_seed, bandwidth) = _dci_pieces(cfg, args)
-    rng = np.random.default_rng(dci_seed)
-    points = init.sample(rng, count)
-    qoi = np.empty((count, len(rows)))
-    for i in range(count):
-        qoi[i] = model.evaluate(points[i])[list(rows)]
-    predicted = dci.push_forward_density(qoi, bandwidth_rule=bandwidth)
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", dci.PredictabilityWarning)
-        ensemble = dci.update_weights(qoi, observed, predicted, points=points)
+def run_diag(cfg, args, seed, outdir, model, box) -> list[str]:
+    rows, pieces = _dci_pieces(cfg, seed, model, box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dci.PredictabilityWarning)
+        ensemble = dci.dci_weights(model, rows, *pieces)
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
     summary["predictability_ok"] = bool(
@@ -475,7 +468,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        outputs = runner(cfg, args)
+        seed, outdir, model, box = _resolve_run(cfg, args)
+        outputs = runner(cfg, args, seed, outdir, model, box)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -483,8 +477,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    seed = args.seed if args.seed is not None else _get(cfg, "sampling.seed", int, default=0)
-    outdir = Path(args.out) if args.out else cfg["_base_dir"] / _get(cfg, "output_dir", str)
     _write_manifest(outdir, args.command, cfg, args, seed,
                     outputs, time.perf_counter() - started)
     print(f"{args.command}: wrote {', '.join(sorted(outputs) + ['manifest.json'])} "

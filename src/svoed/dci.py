@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.stats
 
+from . import sampling
 from .sampling import ParameterBox
 
 # Densities below this are treated as underflow: the sample sits where the
@@ -250,6 +251,32 @@ def rejection_sample(ensemble: WeightedEnsemble, seed: int) -> WeightedEnsemble:
     return replace(ensemble, accepted=accepted)
 
 
+def dci_weights(
+    model,
+    row_indices,
+    init: Density,
+    observed: Density,
+    count: int,
+    seed: int,
+    bandwidth_rule="silverman",
+) -> WeightedEnsemble:
+    """Sample, predict and weight for one design, without rejection sampling.
+
+    Draws ``count`` parameters from ``init`` with ``seed``, evaluates the
+    model outputs at the design rows (one :func:`sampling.evaluate_samples`
+    call, so a failed sample raises ModelEvaluationError naming it),
+    estimates the predicted density by kernel density and computes the
+    update weights.
+    """
+    rows = tuple(int(r) for r in row_indices)
+    if len(rows) > model.n_params:
+        raise ValueError("design arity exceeds parameter dimension")
+    points = init.sample(np.random.default_rng(seed), count)
+    qoi, _ = sampling.evaluate_samples(model, points, rows=rows)
+    predicted = push_forward_density(qoi, bandwidth_rule=bandwidth_rule)
+    return update_weights(qoi, observed, predicted, points=points)
+
+
 def dci_solve(
     model,
     row_indices,
@@ -261,21 +288,11 @@ def dci_solve(
 ) -> WeightedEnsemble:
     """End-to-end update for one design: sample, predict, weight, accept.
 
-    Draws ``count`` parameters from ``init``, evaluates the model outputs
-    at the design rows, estimates the predicted density by kernel density,
-    computes the update weights and runs rejection sampling (with a seed
-    derived from ``seed`` so the two random streams stay independent).
+    :func:`dci_weights`, then rejection sampling with a seed derived from
+    ``seed`` so the two random streams stay independent.
     """
-    rows = tuple(int(r) for r in row_indices)
-    if len(rows) > model.n_params:
-        raise ValueError("design arity exceeds parameter dimension")
-    rng = np.random.default_rng(seed)
-    points = init.sample(rng, count)
-    qoi = np.empty((count, len(rows)))
-    for i in range(count):
-        qoi[i] = model.evaluate(points[i])[list(rows)]
-    predicted = push_forward_density(qoi, bandwidth_rule=bandwidth_rule)
-    ensemble = update_weights(qoi, observed, predicted, points=points)
+    ensemble = dci_weights(model, row_indices, init, observed, count, seed,
+                           bandwidth_rule=bandwidth_rule)
     return rejection_sample(ensemble, seed + 1)
 
 

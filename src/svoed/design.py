@@ -182,7 +182,8 @@ def local_maxima(grid, neighborhood: int = 8) -> list[tuple[int, int]]:
 
     NaN cells are treated as undefined: they are never reported and never
     suppress a neighbor.  On a constant field every defined cell qualifies
-    (degenerate but consistent).  Results are sorted by value, descending.
+    (degenerate but consistent).  Results are sorted by value, descending;
+    equal values keep row-major order.
     """
     if neighborhood not in _NEIGHBOR_OFFSETS:
         raise ValueError("neighborhood must be 4 or 8")
@@ -190,37 +191,32 @@ def local_maxima(grid, neighborhood: int = 8) -> list[tuple[int, int]]:
     if G.ndim != 2:
         raise ValueError("expected a 2-D score grid")
     ni, nj = G.shape
-    found = []
-    for i in range(ni):
-        for j in range(nj):
-            v = G[i, j]
-            if np.isnan(v):
-                continue
-            ok = True
-            for di, dj in _NEIGHBOR_OFFSETS[neighborhood]:
-                a, b = i + di, j + dj
-                if 0 <= a < ni and 0 <= b < nj and not np.isnan(G[a, b]) and G[a, b] > v:
-                    ok = False
-                    break
-            if ok:
-                found.append((i, j))
-    found.sort(key=lambda ij: -G[ij])
-    return found
+    # A NaN border: comparisons with NaN are false, so it suppresses nothing.
+    padded = np.pad(G, 1, constant_values=np.nan)
+    peak = ~np.isnan(G)
+    for di, dj in _NEIGHBOR_OFFSETS[neighborhood]:
+        peak &= ~(padded[1 + di : 1 + di + ni, 1 + dj : 1 + dj + nj] > G)
+    found = np.argwhere(peak)
+    order = np.argsort(-G[peak], kind="stable")
+    return [(int(i), int(j)) for i, j in found[order]]
 
 
 def pair_score_grid(space: DesignSpace, values, size: int) -> np.ndarray:
     """Symmetric (size, size) grid of pair-design scores, NaN where undefined.
 
     Mirrors each unordered pair across the diagonal; the diagonal itself
-    (duplicated observables) stays NaN unless a candidate defines it.
+    (duplicated observables) stays NaN unless a candidate defines it.  A
+    cell that several candidates set keeps the last candidate's value.
     """
     if space.arity != 2:
         raise ValueError("pair_score_grid needs an arity-2 design space")
     values = np.asarray(values, dtype=float)
+    if values.shape != (len(space),):
+        raise ValueError(f"need one value per candidate, got shape {values.shape}")
+    pairs = np.asarray(space.candidates, dtype=np.int64)
     grid = np.full((size, size), np.nan)
-    for (i, j), v in zip(space.candidates, values):
-        grid[i, j] = v
-        grid[j, i] = v
+    # Interleave (i, j) and (j, i) so later candidates overwrite both cells.
+    grid[pairs.ravel(), pairs[:, ::-1].ravel()] = np.repeat(values, 2)
     return grid
 
 

@@ -33,6 +33,14 @@ gives, for v_j = du/dlambda_j,
 the same two matrices, so the one factorization per parameter point serves
 the state and all n sensitivities.  Each step solves once for u_next and
 once for the n sensitivity columns together.
+
+The rod is small (41 dense nodes by default) and is evaluated thousands of
+times per study, so it marches many parameter points at once:
+``HeatRod1D.evaluate_stacked`` builds stacked (C, P, P) operators for a
+chunk of C points, inverts each point's M + dt/2 K once, and then applies
+one batched product per time step to the states and one to the (C, P, n)
+sensitivities.  Every product is per point, so a point's result does not
+depend on the chunk it lands in; ``evaluate`` is a chunk of one.
 """
 
 from __future__ import annotations
@@ -40,14 +48,19 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .sampling import ParameterBox
+from .sampling import ModelEvaluationError, ParameterBox
 
 # Inverse-square-root of 3: offsets of the two-point Gauss rule on (0, 1).
 _GAUSS_PTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+# Bytes of stacked rod operators held per chunk: a chunk takes as many
+# points as fit, so memory stays bounded whatever the point count.
+_STACK_BYTES = 1 << 22
+
+_BAD_CONDUCTIVITIES = "conductivities must be finite and positive"
 
 
 class ForwardModel:
@@ -58,8 +71,13 @@ class ForwardModel:
     ``evaluate``.  A subclass that can differentiate itself also defines
     ``evaluate_with_jacobian(lam) -> (u, J)`` with J of shape
     (field_size, n_params); field-Jacobian batches then use it instead of
-    finite differences.  Instances are immutable after construction and
-    safe to evaluate concurrently at distinct parameter points.
+    finite differences.  A subclass that can march many points at once
+    also defines ``evaluate_stacked(points, with_jacobian) -> (U, J)``,
+    U (N, field_size) and J (N, field_size, n_params) or None, raising
+    ``ModelEvaluationError`` with the row of the first inadmissible point;
+    :func:`sampling.evaluate_samples` then calls it once for all samples.
+    Instances are immutable after construction and safe to evaluate
+    concurrently at distinct parameter points.
     """
 
     model_id: str = "forward-model"
@@ -80,25 +98,25 @@ class ForwardModel:
         return int(np.argmin(np.linalg.norm(coords - target, axis=1)))
 
 
-def _implicit_midpoint(solve, B, stiff_stack, forcing, time_steps, dt, with_jacobian):
+def _implicit_midpoint(solve, apply_B, couple, forcing, V, time_steps, dt):
     """March (M + dt/2 K) u_next = B u + forcing from u = 0.
 
-    ``solve`` applies the inverse of M + dt/2 K to a vector or to a (P, n)
-    block, ``B`` is M - dt/2 K and ``stiff_stack`` holds the n region
-    matrices K_j stacked row-wise, (n P, P).  Returns the final state and,
-    when ``with_jacobian``, its (P, n) derivative with respect to the
-    conductivities, else None.  The state arithmetic does not depend on
-    ``with_jacobian``, so both calls return bit-identical states.
+    ``solve`` applies the inverse of M + dt/2 K, ``apply_B`` applies
+    B = M - dt/2 K, and ``couple(w)`` gives the block whose column j is
+    K_j w, for the region matrices K_j.  A model that has already folded
+    the inverse into ``apply_B``, ``couple`` and ``forcing`` passes the
+    identity as ``solve``.  ``V`` is the zero initial sensitivity block,
+    or None to march the state alone.  Returns the final state and its
+    derivative with respect to the conductivities (None without ``V``).
+    The state arithmetic does not depend on ``V``, so both calls return
+    bit-identical states.
     """
-    size = forcing.size
-    n_params = stiff_stack.shape[0] // size
-    u = np.zeros(size)
-    V = np.zeros((size, n_params)) if with_jacobian else None
+    u = np.zeros_like(forcing)
     for _ in range(time_steps):
-        u_next = solve(B @ u + forcing)
-        if with_jacobian:
-            rhs = B @ V
-            rhs -= (0.5 * dt) * (stiff_stack @ (u + u_next)).reshape(n_params, size).T
+        u_next = solve(apply_B(u) + forcing)
+        if V is not None:
+            rhs = apply_B(V)
+            rhs -= (0.5 * dt) * couple(u + u_next)
             V = solve(rhs)
         u = u_next
     return u, V
@@ -109,7 +127,7 @@ def _check_conductivities(lam, n_params):
     if lam.shape != (n_params,):
         raise ValueError(f"expected {n_params} conductivities, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError("conductivities must be finite and positive")
+        raise ValueError(_BAD_CONDUCTIVITIES)
     return lam
 
 
@@ -174,26 +192,71 @@ class HeatRod1D(ForwardModel):
                 load[e + 1] += w * source(x) * t
 
         self._mass = mass
-        self._stiff_regions = stiff
-        self._stiff_stack = np.vstack(stiff)
+        self._stiff_regions = np.array(stiff)
         self._load = load
+        # Per point, a chunk holds dt/2 K, A, A^-1, B, S = A^-1 B and the
+        # n matrices A^-1 K_j, plus about as much again in temporaries.
+        point_bytes = 2 * (self.n_params + 5) * mass.nbytes
+        self._chunk = max(1, _STACK_BYTES // point_bytes)
 
     def evaluate(self, lam) -> np.ndarray:
-        return self._march(lam, with_jacobian=False)[0]
+        return self._march(_check_conductivities(lam, self.n_params)[None], False)[0][0]
 
     def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """Final temperatures and their exact (P, 2) conductivity Jacobian."""
-        return self._march(lam, with_jacobian=True)
+        u, J = self._march(_check_conductivities(lam, self.n_params)[None], True)
+        return u[0], J[0]
+
+    def evaluate_stacked(self, points, with_jacobian=False):
+        """Final temperatures (N, P) at every row of ``points`` (N, 2) and,
+        with ``with_jacobian``, their exact (N, P, 2) Jacobians, else None.
+
+        Points are marched in chunks of a fixed size, set by a byte budget;
+        a point's result is bit-identical to its ``evaluate_with_jacobian``.
+        The first point with a conductivity that is not finite and positive
+        raises ModelEvaluationError naming its row, before any solve.
+        """
+        lam = np.asarray(points, dtype=float)
+        if lam.ndim != 2 or lam.shape[1] != self.n_params:
+            raise ValueError(f"expected points of shape (N, {self.n_params}), got {lam.shape}")
+        admissible = np.all(np.isfinite(lam) & (lam > 0.0), axis=1)
+        if not admissible.all():
+            i = int(np.argmin(admissible))
+            raise ModelEvaluationError(i, lam[i], _BAD_CONDUCTIVITIES)
+        outputs = np.empty((lam.shape[0], self.field_size))
+        jacobians = np.empty(outputs.shape + (self.n_params,)) if with_jacobian else None
+        for start in range(0, lam.shape[0], self._chunk):
+            part = slice(start, start + self._chunk)
+            outputs[part], J = self._march(lam[part], with_jacobian)
+            if with_jacobian:
+                jacobians[part] = J
+        return outputs, jacobians
 
     def _march(self, lam, with_jacobian):
-        lam = _check_conductivities(lam, self.n_params)
-        K = lam[0] * self._stiff_regions[0] + lam[1] * self._stiff_regions[1]
-        A = self._mass + 0.5 * self.dt * K
-        B = self._mass - 0.5 * self.dt * K
-        factor = scipy.linalg.cho_factor(A)
-        return _implicit_midpoint(
-            lambda rhs: scipy.linalg.cho_solve(factor, rhs), B, self._stiff_stack,
-            self.dt * self._load, self.time_steps, self.dt, with_jacobian)
+        """March a chunk of admissible conductivities (C, 2) at once.
+
+        With A = M + dt/2 K inverted once per point, the step becomes
+        u_next = S u + g and the sensitivity coupling A^-1 K_j w, for
+        S = A^-1 B, g = A^-1 dt b and the stacked A^-1 K_j (C, n, P, P).
+        States are (C, P, 1) columns so that one batched product serves
+        states and (C, P, n) sensitivity blocks alike; each product is per
+        point, never a GEMM across points, so results do not depend on C.
+        """
+        half_dt_K = (0.5 * self.dt) * (lam[:, :, None, None] * self._stiff_regions).sum(axis=1)
+        inverse = np.linalg.inv(self._mass + half_dt_K)
+        S = inverse @ (self._mass - half_dt_K)
+        forcing = inverse @ (self.dt * self._load)[:, None]
+        V = couple = None
+        if with_jacobian:
+            coupling = inverse[:, None] @ self._stiff_regions
+            V = np.zeros((lam.shape[0], self.field_size, self.n_params))
+
+            def couple(w):
+                return (coupling @ w[:, None])[..., 0].transpose(0, 2, 1)
+
+        u, V = _implicit_midpoint(lambda x: x, S.__matmul__, couple, forcing, V,
+                                  self.time_steps, self.dt)
+        return u[..., 0], V
 
     def total_heat(self, u) -> float:
         """Discrete total heat content integral(rho c u); grows linearly in
@@ -335,8 +398,14 @@ class HeatPlate2D(ForwardModel):
         A = (self._mass + 0.5 * self.dt * K).tocsc()
         B = (self._mass - 0.5 * self.dt * K).tocsr()
         lu = scipy.sparse.linalg.splu(A)
-        return _implicit_midpoint(lu.solve, B, self._stiff_stack, self.dt * self._load,
-                                  self.time_steps, self.dt, with_jacobian)
+        size, n_params = self.field_size, self.n_params
+        V = np.zeros((size, n_params)) if with_jacobian else None
+
+        def couple(w):
+            return (self._stiff_stack @ w).reshape(n_params, size).T
+
+        return _implicit_midpoint(lu.solve, B.__matmul__, couple, self.dt * self._load, V,
+                                  self.time_steps, self.dt)
 
     def total_heat(self, u) -> float:
         return float(np.sum(self._mass @ np.asarray(u, dtype=float)))

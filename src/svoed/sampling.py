@@ -9,6 +9,12 @@ sample, not once per design.  A model that can differentiate itself
 stepping, the synthetic maps analytically) gives exact Jacobians from one
 run per sample; any other model is differenced forward, at n + 1 runs per
 sample.
+
+Every loop over samples, for field batches and for data-consistent
+inversion alike, goes through :func:`evaluate_samples`.  A model with
+``evaluate_stacked`` (the rod) marches all samples in fixed-size chunks in
+one call; any other model runs one task per sample, on a thread pool when
+asked.
 """
 
 from __future__ import annotations
@@ -152,34 +158,60 @@ class JacobianBatch:
         return self.matrices.shape[1]
 
 
-def estimate_field_jacobians(
+def _require_finite(points, first, outputs, jacobians) -> None:
+    """Raise ModelEvaluationError at the first sample, counted from sample
+    ``first``, whose outputs or Jacobian hold a non-finite value."""
+    bad = ~np.isfinite(outputs).reshape(len(outputs), -1).all(axis=1)
+    if jacobians is not None:
+        bad |= ~np.isfinite(jacobians).reshape(len(jacobians), -1).all(axis=1)
+    if bad.any():
+        i = first + int(np.argmax(bad))
+        raise ModelEvaluationError(i, points[i], "model returned non-finite values")
+
+
+def evaluate_samples(
     model,
-    samples: SampleSet,
+    points,
+    rows=None,
+    with_jacobian: bool = False,
     fd_step: float = 1e-5,
     workers: int | None = None,
-) -> FieldJacobianBatch:
-    """Jacobians of the full observable field at every sample.
+):
+    """Model outputs at every row of ``points`` (N, n), and optionally Jacobians.
 
-    A model with ``evaluate_with_jacobian`` runs once per sample and gives
-    its exact Jacobian.  Any other model is differenced forward with
-    absolute step ``fd_step``: the base evaluation at each sample is shared
-    across all n perturbations, so it runs exactly n + 1 times per sample.
-    A raise inside the model, or a non-finite output or Jacobian, becomes a
-    ModelEvaluationError naming the sample.  Samples are independent;
-    ``workers`` > 1 evaluates them on a thread pool (the model must be safe
-    to call concurrently), and results are assembled by sample index so the
-    batch is identical regardless of completion order.
+    Returns ``(outputs, jacobians)``: outputs (N, R) and jacobians
+    (N, R, n), or None without ``with_jacobian``, where R counts ``rows``
+    (observable indices; None keeps the whole field).  A model with
+    ``evaluate_stacked`` is called once for all points.  Any other model
+    runs one task per sample: ``evaluate``, ``evaluate_with_jacobian`` for
+    an exact Jacobian, or n + 1 ``evaluate`` calls for a forward difference
+    with absolute step ``fd_step``, whose base evaluation is shared by the
+    n perturbations.  ``workers`` > 1 runs those tasks on a thread pool
+    (the model must be safe to call concurrently); results are assembled
+    by sample index, so they do not depend on completion order.  A raise
+    inside the model, or a non-finite output or Jacobian, becomes a
+    ModelEvaluationError naming the sample.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    points = samples.points
+    points = np.asarray(points, dtype=float)
     n_samples, n_params = points.shape
+    take = slice(None) if rows is None else [int(r) for r in rows]
+
+    if hasattr(model, "evaluate_stacked"):
+        outputs, jacobians = model.evaluate_stacked(points, with_jacobian)
+        outputs = outputs[:, take]
+        if with_jacobian:
+            jacobians = jacobians[:, take]
+        _require_finite(points, 0, outputs, jacobians)
+        return outputs, jacobians
+
     exact = hasattr(model, "evaluate_with_jacobian")
 
     def one_sample(i):
         lam = points[i]
         try:
-            if exact:
+            if not with_jacobian:
+                base, jac = np.asarray(model.evaluate(lam), dtype=float), None
+            elif exact:
                 base, jac = (np.asarray(a, dtype=float)
                              for a in model.evaluate_with_jacobian(lam))
             else:
@@ -192,8 +224,9 @@ def estimate_field_jacobians(
                                  - base) / fd_step
         except Exception as exc:  # propagate with the offending sample attached
             raise ModelEvaluationError(i, lam, repr(exc)) from exc
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(jac))):
-            raise ModelEvaluationError(i, lam, "model returned non-finite values")
+        base = base[take]
+        jac = None if jac is None else jac[take]
+        _require_finite(points, i, base[None], None if jac is None else jac[None])
         return base, jac
 
     if workers is None or workers <= 1:
@@ -201,9 +234,29 @@ def estimate_field_jacobians(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_sample, range(n_samples)))
-
     outputs = np.stack([r[0] for r in results])
-    jacobians = np.stack([r[1] for r in results])
+    jacobians = np.stack([r[1] for r in results]) if with_jacobian else None
+    return outputs, jacobians
+
+
+def estimate_field_jacobians(
+    model,
+    samples: SampleSet,
+    fd_step: float = 1e-5,
+    workers: int | None = None,
+) -> FieldJacobianBatch:
+    """Jacobians of the full observable field at every sample.
+
+    Exact from a model with ``evaluate_with_jacobian`` (or
+    ``evaluate_stacked``), else forward differences with absolute step
+    ``fd_step``; see :func:`evaluate_samples` for the evaluation, the
+    ``workers`` pool and the ModelEvaluationError naming a failed sample.
+    """
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
+    exact = hasattr(model, "evaluate_with_jacobian") or hasattr(model, "evaluate_stacked")
+    outputs, jacobians = evaluate_samples(model, samples.points, with_jacobian=True,
+                                          fd_step=fd_step, workers=workers)
     return FieldJacobianBatch(
         samples=samples,
         outputs=outputs,

@@ -107,15 +107,28 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
 
 
 def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
-    config = write_config(tmp_path, "sweep.json", {
-        "task": "sweep", "model": ROD,
-        "sampling": {"count": 5, "seed": 1, "box": [[-0.1, 0.01], [0.2, 0.2]]},
-        "design": {"arity": 1}, "output_dir": "out"})
-    assert cli.main(["sweep", "--config", config]) == cli.EXIT_NUMERICAL
+    # The init density puts about half its mass at negative conductivities.
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 1},
+        "dci": {"sensors": [0.0, 1.0], "count": 50,
+                "init": {"kind": "gaussian", "mean": [0.02, 0.1], "cov": 0.01}},
+        "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "model evaluation failed at sample" in err
     assert "conductivities must be finite and positive" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_box_outside_the_model_box_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "evaluate_samples", None)  # no solve may start
+    config = write_config(tmp_path, "sweep.json", {
+        "task": "sweep", "model": ROD,
+        "sampling": {"count": 5, "seed": 1, "box": [[-0.1, 0.01], [0.2, 0.2]]},
+        "design": {"arity": 1}, "output_dir": "out"})
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    assert "is not inside the model's parameter box" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fd_step_setting_is_a_config_error(tmp_path, capsys):
@@ -143,3 +156,37 @@ def test_init_density_with_mass_in_the_box_fills_the_sample():
     samples = cli._draw_criteria_samples(cfg, box, seed=1)
     assert samples.count == 50
     assert np.all(box.contains(samples.points))
+
+
+def dci_config(tmp_path, task):
+    return write_config(tmp_path, f"{task}.json", {
+        "task": task, "model": ROD, "sampling": {"seed": 2},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9}, "output_dir": task})
+
+
+def output_bytes(outdir):
+    files = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    del manifest["elapsed_seconds"]
+    return files, manifest
+
+
+def test_dci_and_diag_on_the_rod(tmp_path):
+    expected = {"dci": {"ensemble.csv", "dci_summary.json", "updated_density.csv"},
+                "diag": {"diagnostics.json"}}
+    for task, outputs in expected.items():
+        config = dci_config(tmp_path, task)
+        assert cli.main([task, "--config", config]) == cli.EXIT_OK
+        outdir = tmp_path / task
+        assert {p.name for p in outdir.iterdir()} == outputs | {"manifest.json"}
+        assert json.loads((outdir / "manifest.json").read_text())["outputs"] == sorted(outputs)
+        first = output_bytes(outdir)
+        assert cli.main([task, "--config", config]) == cli.EXIT_OK
+        assert output_bytes(outdir) == first
+
+    summary = json.loads((tmp_path / "dci" / "dci_summary.json").read_text())
+    diagnostics = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
+    assert summary["sample_count"] == diagnostics["sample_count"] == 300
+    assert diagnostics["mean_ratio"] == summary["mean_ratio"]
+    assert diagnostics["design_rows"] == summary["design_rows"] == [0, ROD["elements"]]
+    assert 0.0 < summary["acceptance_rate"] <= 1.0

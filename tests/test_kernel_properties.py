@@ -1,5 +1,7 @@
-"""Property tests of the batched QR kernels and the greedy rank-one rounds."""
+"""Property tests of the batched QR kernels, the greedy rank-one rounds
+and the score-grid helpers."""
 
+import design_oracles
 import numpy as np
 from geometry_oracles import local_skewness_oracle
 from hypothesis import assume, given, settings
@@ -117,3 +119,29 @@ def test_greedy_round_scores_match_explicit_stacks(n, field_size, count, seed):
         want = (scal if rnd.round_index == 1 else skew).reshape(field_size, count).mean(axis=1)
         assert np.allclose(rnd.scores, want, rtol=1e-9, atol=1e-15)
         assert np.array_equal(rnd.scores == 0.0, want == 0.0)
+
+
+# A few distinct levels, so that ties between neighbours are common.
+GRID_LEVELS = st.sampled_from([0.0, 1.0, 2.0, -1.5, np.inf, np.nan])
+
+
+@FEW
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([4, 8]), st.data())
+def test_local_maxima_matches_loop_oracle(ni, nj, neighborhood, data):
+    grid = np.array(data.draw(st.lists(GRID_LEVELS, min_size=ni * nj, max_size=ni * nj)))
+    grid = grid.reshape(ni, nj)
+    assert (design.local_maxima(grid, neighborhood)
+            == design_oracles.local_maxima_loop(grid, neighborhood))
+
+
+@FEW
+@given(st.integers(2, 6), st.data())
+def test_pair_score_grid_matches_loop_oracle(size, data):
+    index = st.integers(0, size - 1)
+    candidates = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=12))
+    values = data.draw(st.lists(GRID_LEVELS, min_size=len(candidates),
+                                max_size=len(candidates)))
+    space = design.DesignSpace(candidates=candidates)
+    assert np.array_equal(design.pair_score_grid(space, values, size),
+                          design_oracles.pair_score_grid_loop(candidates, values, size),
+                          equal_nan=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import geometry_oracles
 from svoed import models, sampling
@@ -196,6 +197,71 @@ def test_forward_differences_converge_to_exact_jacobian_at_first_order(model):
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert 0.9 <= slope <= 1.1
     assert errors[0] > errors[1] > errors[2]
+
+
+# --- stacked rod march ----------------------------------------------------------
+
+
+def cho_reference(rod, lam):
+    """The rod's former march: one Cholesky factorization per point, then
+    per step one solve for the state and one for both sensitivities."""
+    K = lam[0] * rod._stiff_regions[0] + lam[1] * rod._stiff_regions[1]
+    A = rod._mass + 0.5 * rod.dt * K
+    B = rod._mass - 0.5 * rod.dt * K
+    factor = scipy.linalg.cho_factor(A)
+    u = np.zeros(rod.field_size)
+    V = np.zeros((rod.field_size, 2))
+    for _ in range(rod.time_steps):
+        u_next = scipy.linalg.cho_solve(factor, B @ u + rod.dt * rod._load)
+        coupling = np.column_stack([K_j @ (u + u_next) for K_j in rod._stiff_regions])
+        V = scipy.linalg.cho_solve(factor, B @ V - 0.5 * rod.dt * coupling)
+        u = u_next
+    return u, V
+
+
+@pytest.fixture(scope="module")
+def rod_points(rod):
+    box = rod.parameter_box
+    return np.random.default_rng(5).uniform(box.lower, box.upper, size=(20, 2))
+
+
+def test_rod_stack_is_bit_identical_across_chunk_sizes(rod, rod_points):
+    assert rod._chunk >= len(rod_points)  # one chunk of N
+    U, J = rod.evaluate_stacked(rod_points, with_jacobian=True)
+    for size in (1, 7):
+        chunked = models.HeatRod1D()
+        chunked._chunk = size
+        U_c, J_c = chunked.evaluate_stacked(rod_points, with_jacobian=True)
+        assert np.array_equal(U_c, U)
+        assert np.array_equal(J_c, J)
+    plain, none = rod.evaluate_stacked(rod_points)
+    assert none is None
+    assert np.array_equal(plain, U)
+    for lam, u, jac in zip(rod_points, U, J):
+        assert np.array_equal(rod.evaluate(lam), u)
+        u_1, jac_1 = rod.evaluate_with_jacobian(lam)
+        assert np.array_equal(u_1, u)
+        assert np.array_equal(jac_1, jac)
+
+
+def test_rod_stack_agrees_with_the_cholesky_march(rod, rod_points):
+    U, J = rod.evaluate_stacked(rod_points, with_jacobian=True)
+    for lam, u, jac in zip(rod_points, U, J):
+        u_ref, jac_ref = cho_reference(rod, lam)
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+        assert column_errors(jac, jac_ref).max() <= 1e-12
+
+
+def test_rod_stack_names_the_first_inadmissible_point(rod, rod_points):
+    points = rod_points.copy()
+    points[11, 1] = -0.01
+    points[15, 0] = np.nan
+    with pytest.raises(sampling.ModelEvaluationError, match="finite and positive") as err:
+        rod.evaluate_stacked(points, with_jacobian=True)
+    assert err.value.sample_index == 11
+    assert np.array_equal(err.value.parameters, points[11])
+    with pytest.raises(ValueError):
+        rod.evaluate_stacked(points[:, :1])
 
 
 # --- synthetic maps -------------------------------------------------------------

@@ -171,6 +171,31 @@ def test_exact_jacobian_failure_reports_sample_and_parameters():
     assert err.value.sample_index == 1
 
 
+def test_bad_point_in_the_middle_of_a_rod_chunk_names_its_sample():
+    rod = models.HeatRod1D(elements=10, time_steps=5)
+    rod._chunk = 7
+    s = sampling.draw_samples(rod.parameter_box, 20, seed=3)
+    s.points[9] = [0.05, 0.0]
+    for call in (lambda: sampling.estimate_field_jacobians(rod, s),
+                 lambda: sampling.evaluate_samples(rod, s.points, rows=[0, 10])):
+        with pytest.raises(sampling.ModelEvaluationError) as err:
+            call()
+        assert err.value.sample_index == 9
+        assert np.array_equal(err.value.parameters, s.points[9])
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["rod", "per-sample"])
+def test_evaluate_samples_restricts_to_design_rows(stacked):
+    rod = models.HeatRod1D(elements=10, time_steps=5)
+    model = rod if stacked else CountingModel(rod)
+    points = sampling.draw_samples(rod.parameter_box, 5, seed=2).points
+    field, jac = sampling.evaluate_samples(model, points, with_jacobian=True)
+    rows, none = sampling.evaluate_samples(model, points, rows=(10, 0, 10))
+    assert none is None
+    assert np.array_equal(rows, field[:, [10, 0, 10]])
+    assert jac.shape == (5, rod.field_size, 2)
+
+
 def test_models_with_their_own_jacobian_skip_finite_differences():
     s = sampling.draw_samples(unit_box(), 4, seed=9)
     exact = sampling.estimate_field_jacobians(ExactModel([2.0, 2.0]), s)

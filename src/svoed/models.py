@@ -34,6 +34,15 @@ the same two matrices, so the one factorization per parameter point serves
 the state and all n sensitivities.  Each step solves once for u_next and
 once for the n sensitivity columns together.
 
+The plate's one factorization per sample is SuperLU's sparse LU of
+A = M + dt/2 K in symmetric mode: one minimum-degree ordering of the
+pattern of A + A^T for rows and columns alike, and diagonal pivots.  A is
+symmetric positive definite (M is, each K_r is positive semidefinite and
+every lambda_r > 0), so its diagonal pivots are stable without row
+interchanges, and the symmetric ordering keeps the factors sparse: about
+628k nonzeros at 99 x 99 elements, against 980k under the default column
+ordering.
+
 The rod is small (41 dense nodes by default) and is evaluated thousands of
 times per study, so it marches many parameter points at once:
 ``HeatRod1D.evaluate_stacked`` builds stacked (C, P, P) operators for a
@@ -330,39 +339,28 @@ class HeatPlate2D(ForwardModel):
         def source(x, y):
             return source_amplitude * np.exp(-((0.5 - x) ** 2 + (0.5 - y) ** 2) / source_width)
 
-        n_elems = elements_per_axis * elements_per_axis
-        rows = np.empty(16 * n_elems, dtype=np.int64)
-        cols = np.empty_like(rows)
-        mass_vals = np.empty(16 * n_elems)
-        stiff_vals = np.empty(16 * n_elems)
-        regions = np.empty(n_elems, dtype=np.int64)
-        load = np.zeros(self.field_size)
+        # Element e = ey * elements_per_axis + ex.  The (E, 16) triplets and
+        # the (E, 2, 2, 4) load terms (element, Gauss point, node) are summed
+        # into shared nodes in that order, as an element-by-element loop would.
+        ey, ex = np.divmod(np.arange(elements_per_axis ** 2), elements_per_axis)
+        n00 = ey * n_axis + ex
+        conn = np.column_stack([n00, n00 + 1, n00 + n_axis + 1, n00 + n_axis])
+        rows = np.repeat(conn, 4, axis=1).ravel()
+        cols = np.tile(conn, (1, 4)).ravel()
+        col, row = np.minimum(2, (3 * ((np.stack([ex, ey]) + 0.5) * h)).astype(int))
+        regions = 3 * row + col
 
-        e = 0
-        for ey in range(elements_per_axis):
-            for ex in range(elements_per_axis):
-                n00 = ey * n_axis + ex
-                conn = np.array([n00, n00 + 1, n00 + n_axis + 1, n00 + n_axis])
-                xc = (ex + 0.5) * h
-                yc = (ey + 0.5) * h
-                regions[e] = 3 * min(2, int(3 * yc)) + min(2, int(3 * xc))
-                sl = slice(16 * e, 16 * (e + 1))
-                rows[sl] = np.repeat(conn, 4)
-                cols[sl] = np.tile(conn, 4)
-                mass_vals[sl] = m_local.ravel()
-                stiff_vals[sl] = k_local.ravel()
-                for ta in _GAUSS_PTS:
-                    for tb in _GAUSS_PTS:
-                        x = ex * h + ta * h
-                        y = ey * h + tb * h
-                        w = 0.25 * h * h
-                        shapes = np.array(
-                            [(1 - ta) * (1 - tb), ta * (1 - tb), ta * tb, (1 - ta) * tb]
-                        )
-                        load[conn] += w * source(x, y) * shapes
-                e += 1
+        ta, tb = np.meshgrid(_GAUSS_PTS, _GAUSS_PTS, indexing="ij", sparse=True)
+        x = ex[:, None, None] * h + ta * h
+        y = ey[:, None, None] * h + tb * h
+        shapes = np.stack([(1 - ta) * (1 - tb), ta * (1 - tb), ta * tb, (1 - ta) * tb], axis=-1)
+        terms = (0.25 * h * h * source(x, y))[..., None] * shapes
+        load = np.zeros(self.field_size)
+        np.add.at(load, np.broadcast_to(conn[:, None, None, :], terms.shape), terms)
 
         shape = (self.field_size, self.field_size)
+        mass_vals = np.tile(m_local.ravel(), regions.size)
+        stiff_vals = np.tile(k_local.ravel(), regions.size)
         self._mass = scipy.sparse.coo_matrix((mass_vals, (rows, cols)), shape=shape).tocsc()
         self._stiff_regions = []
         for r in range(9):
@@ -397,7 +395,9 @@ class HeatPlate2D(ForwardModel):
             K = K + lam[r] * self._stiff_regions[r]
         A = (self._mass + 0.5 * self.dt * K).tocsc()
         B = (self._mass - 0.5 * self.dt * K).tocsr()
-        lu = scipy.sparse.linalg.splu(A)
+        # A is SPD: a symmetric fill-reducing ordering, diagonal pivots.
+        lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
         size, n_params = self.field_size, self.n_params
         V = np.zeros((size, n_params)) if with_jacobian else None
 

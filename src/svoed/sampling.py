@@ -303,7 +303,9 @@ def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None
         "P": batch.field_size,
         "n": batch.n_params,
     }
-    np.savez_compressed(
+    # Uncompressed: float samples barely compress, and np.load reads
+    # either form, so caches written compressed still load.
+    np.savez(
         path,
         header=np.array(json.dumps(header)),
         points=batch.samples.points,

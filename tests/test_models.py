@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import geometry_oracles
+import model_oracles
 from svoed import models, sampling
 
 CENTER_1D = 20  # node at x = 0.5 on the default 41-node mesh
@@ -142,6 +144,17 @@ def test_plate_heating_strongest_at_center():
     assert np.argmax(u) == plate.nearest_field_index([0.5, 0.5])
 
 
+@pytest.mark.parametrize("elements", [3, 6, 9, 30])
+def test_plate_assembly_equals_the_element_loop(elements):
+    plate = models.HeatPlate2D(elements_per_axis=elements)
+    mass, stiff, load = model_oracles.plate_assembly_loop(elements)
+    assert np.array_equal(plate._mass.toarray(), mass.toarray())
+    assert len(plate._stiff_regions) == len(stiff) == 9
+    for K_r, ref in zip(plate._stiff_regions, stiff):
+        assert np.array_equal(K_r.toarray(), ref.toarray())
+    assert np.array_equal(plate._load, load)
+
+
 # --- tangent-linear Jacobians ---------------------------------------------------
 
 
@@ -197,6 +210,36 @@ def test_forward_differences_converge_to_exact_jacobian_at_first_order(model):
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert 0.9 <= slope <= 1.1
     assert errors[0] > errors[1] > errors[2]
+
+
+def default_ordering_reference(plate, lam):
+    """The plate march factored by SuperLU's default column ordering with
+    partial pivoting; per step one state solve and one block solve."""
+    K = sum(lam_r * K_r for lam_r, K_r in zip(lam, plate._stiff_regions))
+    A = (plate._mass + 0.5 * plate.dt * K).tocsc()
+    B = plate._mass - 0.5 * plate.dt * K
+    lu = scipy.sparse.linalg.splu(A)
+    u = np.zeros(plate.field_size)
+    V = np.zeros((plate.field_size, plate.n_params))
+    for _ in range(plate.time_steps):
+        u_next = lu.solve(B @ u + plate.dt * plate._load)
+        coupling = np.column_stack([K_j @ (u + u_next) for K_j in plate._stiff_regions])
+        V = lu.solve(B @ V - 0.5 * plate.dt * coupling)
+        u = u_next
+    return u, V
+
+
+@pytest.mark.parametrize("elements", [6, 12])
+def test_plate_factorization_agrees_with_the_default_ordering(elements):
+    plate = models.HeatPlate2D(elements_per_axis=elements)
+    box = plate.parameter_box
+    alternating = np.where(np.arange(9) % 2, box.upper, box.lower)
+    points = [box.lower, box.upper, alternating, box.midpoint, sample_point(plate, 4)]
+    for lam in points:
+        u, J = plate.evaluate_with_jacobian(lam)
+        u_ref, J_ref = default_ordering_reference(plate, lam)
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+        assert column_errors(J, J_ref).max() <= 1e-12
 
 
 # --- stacked rod march ----------------------------------------------------------

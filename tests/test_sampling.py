@@ -1,5 +1,7 @@
 """Sampling, field Jacobians, row assembly and persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,27 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
     assert np.array_equal(loaded.outputs, batch.outputs)
     assert np.array_equal(loaded.jacobians, batch.jacobians)
     assert np.array_equal(loaded.samples.points, batch.samples.points)
+
+
+def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_batch_small):
+    _, batch = rod_batch_small
+    path = tmp_path / "batch.npz"
+    sampling.save_batch(batch, path, recipe_sha256="abc")
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path) as data:
+        arrays = dict(data)
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(compressed, **arrays)  # how earlier versions wrote the cache
+    with zipfile.ZipFile(compressed) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    loaded = sampling.load_batch(compressed, recipe_sha256="abc")
+    assert sampling.BATCH_SCHEMA_VERSION == 3
+    assert loaded.model_id == batch.model_id
+    assert loaded.fd_step is None
+    assert np.array_equal(loaded.samples.points, batch.samples.points)
+    assert np.array_equal(loaded.outputs, batch.outputs)
+    assert np.array_equal(loaded.jacobians, batch.jacobians)
 
 
 def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_small):

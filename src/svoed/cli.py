@@ -12,6 +12,9 @@ Every run is driven by a single JSON config (paths inside it are resolved
 relative to the config file) and writes a manifest echoing the resolved
 config, its content hash and the seeds, so reruns are reproducible and
 diffable.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+Settings are checked before the first model solve, so a config error
+exits 2 without solving anything; the one exception is an observed density
+centred at the model midpoint, which needs that solve first.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ MANIFEST_SCHEMA_VERSION = 1
 # of ``sampling.count`` draws, so a density with less than about 1/1000 of
 # its mass in the box is reported instead of looping forever.
 _MAX_DRAW_ROUNDS = 1000
+
+# Exhaustive scoring is refused, before any solve and before the space is
+# built, when candidates x samples exceeds this many kernel matrices.  The
+# QR kernel scores about 1.0M (2, 9) and 2.7M (1, 9) matrices a second on
+# one thread of a 2-vCPU host, so this is about 40 s at arity 2.  It admits
+# the e99 plate at arity 1 with 1000 samples (1e7 matrices) and refuses its
+# 49,995,000 pairs at any sample count.
+_MAX_KERNEL_MATRICES = 4 * 10**7
 
 logger = logging.getLogger(__name__)
 
@@ -215,20 +226,38 @@ def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
     return batch
 
 
-def _design_space(cfg, model) -> design.DesignSpace:
-    arity = _get(cfg, "design.arity", int, default=2)
-    if arity == 1:
-        return design.scalar_space(model.field_size, coordinates=model.coordinates)
-    if arity == 2:
-        return design.pair_space(model.field_size, coordinates=model.coordinates)
-    raise ConfigError("design.arity: only 1 and 2 are supported for exhaustive search")
+def _design_space(cfg, model, arity) -> design.DesignSpace:
+    """The exhaustive design space, refused before it is built if scoring
+    it over the sample would exceed the kernel budget."""
+    if arity not in (1, 2):
+        raise ConfigError("design.arity: only 1 and 2 are supported for exhaustive search")
+    size = model.field_size
+    candidates = size if arity == 1 else size * (size - 1) // 2
+    matrices = candidates * _get(cfg, "sampling.count", int)
+    if matrices > _MAX_KERNEL_MATRICES:
+        raise ConfigError(
+            f"design.arity: {candidates} candidates over the sample make {matrices} kernel "
+            f"matrices, more than the {_MAX_KERNEL_MATRICES} this tool scores in one run; "
+            "use 'svoed greedy' or design.arity: 1")
+    space = design.scalar_space if arity == 1 else design.pair_space
+    return space(size, coordinates=model.coordinates)
+
+
+def _scoring_inputs(cfg, args, seed, model, box, arity):
+    """The prologue every scoring task shares: every setting, then the space,
+    and only then the batch, so that a config error costs no solve."""
+    rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
+    measure = _get(cfg, "sampling.measure", str, default="volume",
+                   choices=criteria.HM_MEASURES)
+    space = _design_space(cfg, model, arity)
+    return rank_tol, measure, space, _field_batch(cfg, model, box, seed, args.workers)
 
 
 def _sensor_rows(cfg, model, path="dci.sensors") -> tuple[int, ...]:
     sensors = _get(cfg, path, list)
     if not sensors:
         raise ConfigError(f"{path}: need at least one sensor")
-    return tuple(models.ForwardModel.nearest_field_index(model, s) for s in sensors)
+    return tuple(model.nearest_field_index(s) for s in sensors)
 
 
 def _coordinate_rows(model, rows) -> list:
@@ -238,10 +267,16 @@ def _coordinate_rows(model, rows) -> list:
     return [coords[r].tolist() for r in rows]
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> None:
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
     canonical = json.dumps(echo, sort_keys=True).encode()
-    manifest = {
+    _write_json(outdir / "manifest.json", {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
         "task": task,
@@ -252,10 +287,7 @@ def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> No
         "paper_scale": bool(args.paper_scale),
         "outputs": sorted(outputs),
         "elapsed_seconds": round(elapsed, 3),
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def _resolve_run(cfg, args):
@@ -271,25 +303,20 @@ def _resolve_run(cfg, args):
 
 
 def run_sweep(cfg, args, seed, outdir, model, box) -> list[str]:
-    rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
-    measure = _get(cfg, "sampling.measure", str, default="volume")
-    batch = _field_batch(cfg, model, box, seed, args.workers)
-    space = _design_space(cfg, model)
+    arity = _get(cfg, "design.arity", int, default=2)
+    rank_tol, measure, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
     result = design.exhaustive_oed(space, batch, utility="ese_inverse",
                                    rank_tol=rank_tol, hm_measure=measure)
-    coords = space.index_geometry
     criteria.reports_to_csv(outdir / "sweep.csv", result.reports,
-                            coordinates=None if coords is None else list(coords))
+                            coordinates=space.index_geometry)
     return ["sweep.csv"]
 
 
 def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
-    rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
     utility = _get(cfg, "design.utility", str, default="ese_inverse",
                    choices=design.UTILITIES)
-    measure = _get(cfg, "sampling.measure", str, default="volume")
-    batch = _field_batch(cfg, model, box, seed, args.workers)
-    space = _design_space(cfg, model)
+    arity = _get(cfg, "design.arity", int, default=2)
+    rank_tol, measure, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
     result = design.exhaustive_oed(space, batch, utility=utility,
                                    rank_tol=rank_tol, hm_measure=measure)
     design.ranking_to_csv(outdir / "ranking.csv", result)
@@ -310,25 +337,20 @@ def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
              "value": grid[i, j]}
             for i, j in peaks if i > j
         ]
-    with open(outdir / "oed_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(outdir / "oed_summary.json", summary)
     return ["ranking.csv", "oed_summary.json"]
 
 
 def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
-    rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
     tol = _get(cfg, "tolerances.greedy_tol", (int, float), default=1e-3)
     m_target = _get(cfg, "greedy.m_target", int)
     if m_target < 1:
         raise ConfigError("greedy.m_target: must be at least 1")
-    batch = _field_batch(cfg, model, box, seed, args.workers)
-    space = design.scalar_space(model.field_size, coordinates=model.coordinates)
+    rank_tol, _, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity=1)
     trace = design.greedy_oed(space, batch, m_target=m_target, tol=tol, rank_tol=rank_tol)
-    design.trace_to_json(trace, outdir / "greedy_trace.json",
-                         coordinates=space.index_geometry)
-    outputs = ["greedy_trace.json", "greedy_summary.json"]
     coords = space.index_geometry
+    design.trace_to_json(trace, outdir / "greedy_trace.json", coordinates=coords)
+    outputs = ["greedy_trace.json", "greedy_summary.json"]
     for rnd in trace.rounds:
         name = f"greedy_round_{rnd.round_index:02d}.csv"
         with open(outdir / name, "w", newline="") as fh:
@@ -338,23 +360,28 @@ def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
             for q, score in enumerate(rnd.scores):
                 writer.writerow([q] + [f"{v:.17g}" for v in coords[q]] + [f"{score:.17g}"])
         outputs.append(name)
-    summary = {
+    _write_json(outdir / "greedy_summary.json", {
         "schema_version": 1,
         "selected_rows": list(trace.selected),
         "selected_coordinates": _coordinate_rows(model, trace.selected),
         "stop_reason": trace.stop_reason,
         "rounds_run": len(trace.rounds),
         "tol": tol,
-    }
-    with open(outdir / "greedy_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    })
     return outputs
 
 
 def _dci_pieces(cfg, seed, model, box):
-    """Design rows and the arguments of :func:`dci.dci_weights` after them."""
+    """Design rows and the arguments of :func:`dci.dci_weights` after them.
+
+    Every other setting is read before the one solve here, at the model
+    midpoint, which the observed density then needs.
+    """
     rows = _sensor_rows(cfg, model)
+    count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
+    dci_seed = _get(cfg, "dci.seed", int, default=seed)
+    bandwidth = _get(cfg, "dci.bandwidth", str, default="silverman",
+                     choices=("silverman", "scott"))
     init_spec = _get(cfg, "dci.init", dict, default=None)
     init = (dci.UniformBoxDensity(box) if init_spec is None
             else build_density(init_spec, model, "dci.init", default_box=box))
@@ -365,9 +392,6 @@ def _dci_pieces(cfg, seed, model, box):
         midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
         obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
     observed = build_density(obs_spec, model, "dci.observed")
-    count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
-    dci_seed = _get(cfg, "dci.seed", int, default=seed)
-    bandwidth = _get(cfg, "dci.bandwidth", str, default="silverman")
     return rows, (init, observed, count, dci_seed, bandwidth)
 
 
@@ -378,9 +402,7 @@ def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
     summary["design_coordinates"] = _coordinate_rows(model, rows)
-    with open(outdir / "dci_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(outdir / "dci_summary.json", summary)
     outputs = ["ensemble.csv", "dci_summary.json"]
     if model.n_params == 2:
         x, y, values = dci.updated_density_grid(ensemble, box)
@@ -399,9 +421,7 @@ def run_diag(cfg, args, seed, outdir, model, box) -> list[str]:
     summary["predictability_ok"] = bool(
         abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL
     )
-    with open(outdir / "diagnostics.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(outdir / "diagnostics.json", summary)
     return ["diagnostics.json"]
 
 
@@ -411,15 +431,6 @@ _TASKS = {
     "greedy": run_greedy,
     "dci": run_dci,
     "diag": run_diag,
-}
-
-# Config "task" names accepted as aliases of the subcommands.
-_TASK_ALIASES = {
-    "criteria-sweep": "sweep",
-    "exhaustive-oed": "oed",
-    "greedy-oed": "greedy",
-    "dci-solve": "dci",
-    "diagnostics": "diag",
 }
 
 
@@ -455,12 +466,10 @@ def main(argv=None) -> int:
         config_path = Path(args.config).resolve()
         cfg = load_config(config_path)
         cfg["_base_dir"] = config_path.parent
-        task_field = _get(cfg, "task", str, default=args.command)
-        task = _TASK_ALIASES.get(task_field, task_field)
+        task = _get(cfg, "task", str, default=args.command)
         if task != args.command:
             raise ConfigError(
-                f"task: config says {task_field!r} but the {args.command!r} "
-                "subcommand was invoked"
+                f"task: config says {task!r} but the {args.command!r} subcommand was invoked"
             )
         runner = _TASKS[args.command]
     except ConfigError as exc:

@@ -11,16 +11,9 @@ maximizes, and each rank-deficient sample simply contributes zero.
 from __future__ import annotations
 
 import csv
-import json
-import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import RANK_TOL_DEFAULT, batch_reciprocals
-from .sampling import JacobianBatch
-
-logger = logging.getLogger(__name__)
 
 HM_MEASURES = ("volume", "initial")
 
@@ -76,35 +69,6 @@ def reports_from_statistics(
     ]
 
 
-def expected_criteria(
-    batch: JacobianBatch,
-    rank_tol: float = RANK_TOL_DEFAULT,
-    design_id: str | None = None,
-    hm_measure: str = "volume",
-) -> CriterionReport:
-    """Monte Carlo estimate of both utilities for one candidate design.
-
-    Samples whose matrices contain non-finite entries cannot be scored;
-    they are dropped from the averages and counted (and logged) rather
-    than aborting the reduction.
-    """
-    if hm_measure not in HM_MEASURES:
-        raise ValueError(f"hm_measure must be one of {HM_MEASURES}")
-    matrices = np.asarray(batch.matrices, dtype=float)
-    finite = np.all(np.isfinite(matrices), axis=(1, 2))
-    excluded = int(np.sum(~finite))
-    if excluded:
-        logger.warning("excluding %d samples with non-finite Jacobians", excluded)
-        matrices = matrices[finite]
-    if matrices.shape[0] == 0:
-        raise ValueError("no finite samples to average over")
-    scal, skew = batch_reciprocals(matrices, rank_tol=rank_tol)
-    if design_id is None:
-        design_id = "-".join(str(r) for r in batch.row_indices)
-    stats = reciprocal_statistics(scal[None, :], skew[None, :])
-    return reports_from_statistics([design_id], stats, scal.size, hm_measure)[0]
-
-
 _CSV_FIELDS = (
     "design_id",
     "ese_inverse",
@@ -117,29 +81,21 @@ _CSV_FIELDS = (
 )
 
 
-def reports_to_csv(path, reports, coordinates=None, coordinate_labels=None) -> None:
+def reports_to_csv(path, reports, coordinates=None) -> None:
     """One CSV row per design; optional design coordinates come first.
 
-    ``coordinates`` is an optional sequence (one row per report) of the
-    geometric design coordinates, labelled ``coordinate_labels`` or c0, c1,
-    ...  Float formatting is fixed so identical inputs give identical files.
+    ``coordinates`` is an optional (designs, k) array of the geometric
+    design coordinates, labelled c0, c1, ...  Float formatting is fixed so
+    identical inputs give identical files.
     """
-    coord_rows = None
-    labels: list[str] = []
-    if coordinates is not None:
-        coord_rows = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coordinates]
-        if len(coord_rows) != len(reports):
-            raise ValueError("coordinates and reports must have equal length")
-        width = coord_rows[0].size
-        labels = list(coordinate_labels or (f"c{i}" for i in range(width)))
-
+    coords = np.zeros((len(reports), 0)) if coordinates is None else np.asarray(coordinates)
+    if coords.shape[0] != len(reports):
+        raise ValueError("coordinates and reports must have equal length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(labels) + list(_CSV_FIELDS))
-        for i, rep in enumerate(reports):
-            row = []
-            if coord_rows is not None:
-                row.extend(f"{v:.17g}" for v in coord_rows[i])
+        writer.writerow([f"c{i}" for i in range(coords.shape[1])] + list(_CSV_FIELDS))
+        for rep, coord in zip(reports, coords):
+            row = [f"{v:.17g}" for v in coord]
             row.append(rep.design_id)
             row.extend(
                 f"{getattr(rep, f):.17g}"
@@ -147,9 +103,3 @@ def reports_to_csv(path, reports, coordinates=None, coordinate_labels=None) -> N
             )
             row.extend([str(rep.sample_count), str(rep.infinite_count), rep.hm_measure])
             writer.writerow(row)
-
-
-def reports_to_json(path, reports) -> None:
-    with open(path, "w") as fh:
-        json.dump([asdict(rep) for rep in reports], fh, indent=1)
-        fh.write("\n")

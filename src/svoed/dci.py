@@ -20,7 +20,6 @@ predictability assumption behind the construction is violated.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -133,11 +132,6 @@ class KdeDensity(Density):
         return self._kde.resample(count, seed=rng).T
 
 
-def push_forward_density(qoi_samples, bandwidth_rule="silverman") -> KdeDensity:
-    """Predicted-output density estimated from sampled design outputs."""
-    return KdeDensity(qoi_samples, bandwidth_rule=bandwidth_rule)
-
-
 @dataclass
 class WeightedEnsemble:
     """Parameter samples with their density-ratio weights.
@@ -192,14 +186,13 @@ def update_weights(
     observed: Density,
     predicted: Density,
     points=None,
-    diagnostic_tol: float = DIAGNOSTIC_TOL,
 ) -> WeightedEnsemble:
     """Density-ratio weights observed/predicted at each sampled output.
 
     Samples where the predicted density underflows are excluded (weight
     zero) and counted; they sit outside the predicted support, where the
     ratio is meaningless.  Warns with :class:`PredictabilityWarning` when
-    the mean ratio strays from one by more than ``diagnostic_tol``.
+    the mean ratio strays from one by more than ``DIAGNOSTIC_TOL``.
     """
     qoi = np.asarray(qoi_samples, dtype=float)
     if qoi.ndim == 1:
@@ -216,7 +209,7 @@ def update_weights(
         raise ValueError("predicted density underflowed at every sample")
     mean_ratio = float(kept.mean())
     stderr = float(kept.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
-    if abs(mean_ratio - 1.0) > diagnostic_tol:
+    if abs(mean_ratio - 1.0) > DIAGNOSTIC_TOL:
         warnings.warn(
             f"mean update ratio {mean_ratio:.4g} is far from 1; the observed "
             "density is likely not dominated by the predicted density",
@@ -273,7 +266,7 @@ def dci_weights(
         raise ValueError("design arity exceeds parameter dimension")
     points = init.sample(np.random.default_rng(seed), count)
     qoi, _ = sampling.evaluate_samples(model, points, rows=rows)
-    predicted = push_forward_density(qoi, bandwidth_rule=bandwidth_rule)
+    predicted = KdeDensity(qoi, bandwidth_rule=bandwidth_rule)
     return update_weights(qoi, observed, predicted, points=points)
 
 
@@ -348,9 +341,3 @@ def ensemble_to_csv(path, ensemble: WeightedEnsemble) -> None:
             row.append(f"{ensemble.weights[i]:.17g}")
             row.append("" if accepted is None else str(int(accepted[i])))
             writer.writerow(row)
-
-
-def summary_to_json(path, ensemble: WeightedEnsemble) -> None:
-    with open(path, "w") as fh:
-        json.dump(ensemble.summary(), fh, indent=1)
-        fh.write("\n")

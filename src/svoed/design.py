@@ -1,8 +1,9 @@
 """Design-space search: exhaustive ranking and greedy sequential selection.
 
-A candidate design is a tuple of observable-row indices into a shared field
-Jacobian batch, so an entire design space is priced with array slicing and
-batched QR kernels: no model solves happen here.
+A design space is a (C, m) array of observable-row indices into a shared
+field Jacobian batch, one row per candidate design, so an entire space is
+priced with array slicing and batched QR kernels: no model solves happen
+here.
 
 The greedy algorithm builds an m-component design one component per round.
 The first component maximizes the expected-scaling utility over all scalar
@@ -35,47 +36,41 @@ _CHUNK_MATRICES = 1 << 14
 
 @dataclass
 class DesignSpace:
-    """Indexed list of candidate designs (tuples of observable-row indices).
+    """Candidate designs as a (C, m) array of observable-row indices.
 
-    ``index_geometry`` optionally carries one coordinate row per candidate
-    (e.g. sensor positions) for reporting; ``symmetric`` records that the
-    tuples were canonicalized as unordered (component order is a relabeling
-    of the measurement devices, not a different experiment).
+    Row c holds the m field rows that design c observes.  ``coordinates``
+    optionally carries the model's coordinates, one per field row (a
+    vector, or one row per field value), for reporting.
     """
 
-    candidates: list[tuple[int, ...]]
-    index_geometry: np.ndarray | None = None
-    symmetric: bool = False
+    candidates: np.ndarray
+    coordinates: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("design space must contain at least one candidate")
-        arity = len(self.candidates[0])
-        if any(len(c) != arity for c in self.candidates):
-            raise ValueError("all candidates must have the same arity")
-        if self.index_geometry is not None:
-            geom = np.atleast_2d(np.asarray(self.index_geometry, dtype=float))
-            if geom.shape[0] != len(self.candidates):
-                raise ValueError("index_geometry must have one row per candidate")
-            self.index_geometry = geom
+        self.candidates = np.asarray(self.candidates, dtype=np.int64)
+        if self.candidates.ndim != 2 or self.candidates.size == 0:
+            raise ValueError("need a non-empty (candidates, arity) index array")
+        if self.coordinates is not None:
+            self.coordinates = np.asarray(self.coordinates, dtype=float)
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return self.candidates.shape[0]
 
     @property
     def arity(self) -> int:
-        return len(self.candidates[0])
+        return self.candidates.shape[1]
+
+    @property
+    def index_geometry(self) -> np.ndarray | None:
+        """(C, m * d) coordinates of each candidate's rows, or None."""
+        if self.coordinates is None:
+            return None
+        return self.coordinates[self.candidates].reshape(len(self), -1)
 
 
 def scalar_space(field_size: int, coordinates=None) -> DesignSpace:
     """All single-row designs over a field of ``field_size`` observables."""
-    candidates = [(p,) for p in range(field_size)]
-    geometry = None
-    if coordinates is not None:
-        geometry = np.atleast_2d(np.asarray(coordinates, dtype=float))
-        if geometry.shape[0] == 1 and field_size > 1:
-            geometry = geometry.T
-    return DesignSpace(candidates=candidates, index_geometry=geometry)
+    return DesignSpace(np.arange(field_size)[:, None], coordinates)
 
 
 def pair_space(field_size: int, coordinates=None) -> DesignSpace:
@@ -83,18 +78,10 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
 
     Ordered pairs would score identically (swapping the two rows permutes
     the matrix rows, which changes no singular value), and the diagonal
-    duplicates a row, so only the strict lower triangle is enumerated:
-    field_size * (field_size - 1) / 2 candidates.
+    duplicates a row, so only the strict lower triangle is enumerated, row
+    by row: field_size * (field_size - 1) / 2 candidates.
     """
-    candidates = [(i, j) for i in range(field_size) for j in range(i)]
-    geometry = None
-    if coordinates is not None:
-        coords = np.atleast_1d(np.asarray(coordinates, dtype=float))
-        if coords.ndim == 1:
-            geometry = np.array([(coords[i], coords[j]) for i, j in candidates])
-        else:
-            geometry = np.array([np.concatenate([coords[i], coords[j]]) for i, j in candidates])
-    return DesignSpace(candidates=candidates, index_geometry=geometry, symmetric=True)
+    return DesignSpace(np.column_stack(np.tril_indices(field_size, -1)), coordinates)
 
 
 def _chunks(n_items: int, n_samples: int):
@@ -109,11 +96,10 @@ def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np
     Each chunk of candidates is scored in one kernel call and reduced at
     once, so memory is O(candidates), not O(candidates * samples).
     """
-    cand = np.asarray(candidates, dtype=np.int64)
-    n_cand, arity = cand.shape
+    n_cand, arity = candidates.shape
     stats = np.empty((n_cand, 5))
     for part in _chunks(n_cand, batch.count):
-        block = cand[part]
+        block = candidates[part]
         # (N, C, m, n) -> (C, N, m, n) so each candidate is contiguous.
         stack = batch.jacobians[:, block, :].transpose(1, 0, 2, 3)
         scal, skew = batch_reciprocals(stack.reshape(-1, arity, batch.n_params), rank_tol)
@@ -127,7 +113,7 @@ class ExhaustiveResult:
     """Every candidate's report plus the utility ranking."""
 
     space: DesignSpace
-    reports: list[CriterionReport]  # aligned with space.candidates
+    reports: list[CriterionReport]  # aligned with the rows of space.candidates
     order: np.ndarray  # candidate indices, best first
     utility: str
 
@@ -137,7 +123,7 @@ class ExhaustiveResult:
 
     @property
     def best_candidate(self) -> tuple[int, ...]:
-        return self.space.candidates[self.best_index]
+        return tuple(self.space.candidates[self.best_index].tolist())
 
     @property
     def best_report(self) -> CriterionReport:
@@ -165,28 +151,24 @@ def exhaustive_oed(
     if utility not in UTILITIES:
         raise ValueError(f"utility must be one of {UTILITIES}")
     stats = _candidate_statistics(batch, space.candidates, rank_tol)
-    design_ids = ("-".join(str(r) for r in c) for c in space.candidates)
+    design_ids = ("-".join(map(str, c)) for c in space.candidates.tolist())
     reports = reports_from_statistics(design_ids, stats, batch.count, hm_measure)
     values = np.array([getattr(r, utility) for r in reports])
     return ExhaustiveResult(space=space, reports=reports, order=_rank(values), utility=utility)
 
 
-_NEIGHBOR_OFFSETS = {
-    4: ((-1, 0), (1, 0), (0, -1), (0, 1)),
-    8: tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)),
-}
+_NEIGHBOR_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                          if (di, dj) != (0, 0))
 
 
-def local_maxima(grid, neighborhood: int = 8) -> list[tuple[int, int]]:
-    """Grid cells at least as large as every defined neighbor.
+def local_maxima(grid) -> list[tuple[int, int]]:
+    """Grid cells at least as large as every defined neighbor of the eight.
 
     NaN cells are treated as undefined: they are never reported and never
     suppress a neighbor.  On a constant field every defined cell qualifies
     (degenerate but consistent).  Results are sorted by value, descending;
     equal values keep row-major order.
     """
-    if neighborhood not in _NEIGHBOR_OFFSETS:
-        raise ValueError("neighborhood must be 4 or 8")
     G = np.asarray(grid, dtype=float)
     if G.ndim != 2:
         raise ValueError("expected a 2-D score grid")
@@ -194,7 +176,7 @@ def local_maxima(grid, neighborhood: int = 8) -> list[tuple[int, int]]:
     # A NaN border: comparisons with NaN are false, so it suppresses nothing.
     padded = np.pad(G, 1, constant_values=np.nan)
     peak = ~np.isnan(G)
-    for di, dj in _NEIGHBOR_OFFSETS[neighborhood]:
+    for di, dj in _NEIGHBOR_OFFSETS:
         peak &= ~(padded[1 + di : 1 + di + ni, 1 + dj : 1 + dj + nj] > G)
     found = np.argwhere(peak)
     order = np.argsort(-G[peak], kind="stable")
@@ -213,7 +195,7 @@ def pair_score_grid(space: DesignSpace, values, size: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (len(space),):
         raise ValueError(f"need one value per candidate, got shape {values.shape}")
-    pairs = np.asarray(space.candidates, dtype=np.int64)
+    pairs = space.candidates
     grid = np.full((size, size), np.nan)
     # Interleave (i, j) and (j, i) so later candidates overwrite both cells.
     grid[pairs.ravel(), pairs[:, ::-1].ravel()] = np.repeat(values, 2)
@@ -283,7 +265,7 @@ def greedy_oed(
             stacklevel=2,
         )
 
-    rows = np.asarray([c[0] for c in space.candidates], dtype=np.int64)
+    rows = space.candidates[:, 0]
     trace = GreedyTrace(tol=tol)
     selected: list[int] = []
 

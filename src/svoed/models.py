@@ -54,8 +54,6 @@ depend on the chunk it lands in; ``evaluate`` is a chunk of one.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
@@ -267,14 +265,6 @@ class HeatRod1D(ForwardModel):
                                   self.time_steps, self.dt)
         return u[..., 0], V
 
-    def total_heat(self, u) -> float:
-        """Discrete total heat content integral(rho c u); grows linearly in
-        time under insulated boundaries."""
-        return float(np.sum(self._mass @ np.asarray(u, dtype=float)))
-
-    def source_integral(self) -> float:
-        return float(np.sum(self._load))
-
 
 class HeatPlate2D(ForwardModel):
     """Unit plate welded from nine square plates in a 3 x 3 layout.
@@ -372,14 +362,6 @@ class HeatPlate2D(ForwardModel):
         # Built here, not on first use: instances are shared by worker threads.
         self._stiff_stack = scipy.sparse.vstack(self._stiff_regions).tocsr()
         self._load = load
-        self.plate_of_node = self._assign_plates()
-
-    def _assign_plates(self) -> np.ndarray:
-        # Seam nodes go with the higher plate, mirroring the conductivity
-        # convention that the right/upper side owns the interface.
-        col = np.minimum(2, np.floor(3 * self.coordinates[:, 0]).astype(int))
-        row = np.minimum(2, np.floor(3 * self.coordinates[:, 1]).astype(int))
-        return 3 * row + col
 
     def evaluate(self, lam) -> np.ndarray:
         return self._march(lam, with_jacobian=False)[0]
@@ -406,12 +388,6 @@ class HeatPlate2D(ForwardModel):
 
         return _implicit_midpoint(lu.solve, B.__matmul__, couple, self.dt * self._load, V,
                                   self.time_steps, self.dt)
-
-    def total_heat(self, u) -> float:
-        return float(np.sum(self._mass @ np.asarray(u, dtype=float)))
-
-    def source_integral(self) -> float:
-        return float(np.sum(self._load))
 
 
 class SyntheticModel(ForwardModel):
@@ -482,16 +458,3 @@ def synthetic_maps() -> dict:
         "shear": linear_model([[1.0, 0.0], [1.0, 1.0]], model_id="shear"),
         "rotated-anisotropic": rotated_linear_model(np.pi / 6.0, np.diag([2.0, 4.0])),
     }
-
-
-def field_to_csv(model: ForwardModel, lam, path) -> None:
-    """Export one field snapshot as CSV (x[, y], u) for plotting elsewhere."""
-    u = model.evaluate(lam)
-    coords = np.atleast_2d(model.coordinates.astype(float))
-    if coords.shape[0] == 1:
-        coords = coords.T
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(coords.shape[1])] + ["u"])
-        for row, value in zip(coords, u):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{value:.17g}"])

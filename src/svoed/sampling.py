@@ -19,7 +19,6 @@ asked.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,16 +89,6 @@ def draw_samples(box: ParameterBox, count: int, seed: int) -> SampleSet:
     return SampleSet(points=points, seed=seed, scheme="uniform-random")
 
 
-def grid_samples(box: ParameterBox, per_axis: int) -> SampleSet:
-    """Tensor grid of points, per_axis along each axis, corners included."""
-    if per_axis < 2:
-        raise ValueError("per_axis must be at least 2")
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return SampleSet(points=points, seed=0, scheme="tensor-grid")
-
-
 class ModelEvaluationError(RuntimeError):
     """Forward model failed at a specific sample."""
 
@@ -139,23 +128,6 @@ class FieldJacobianBatch:
     @property
     def n_params(self) -> int:
         return self.jacobians.shape[2]
-
-
-@dataclass
-class JacobianBatch:
-    """Per-sample m x n design Jacobians for one candidate design."""
-
-    matrices: np.ndarray  # (N, m, n)
-    row_indices: tuple[int, ...]
-    model_id: str = ""
-
-    @property
-    def count(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def arity(self) -> int:
-        return self.matrices.shape[1]
 
 
 def _require_finite(points, first, outputs, jacobians) -> None:
@@ -266,26 +238,6 @@ def estimate_field_jacobians(
     )
 
 
-def assemble_design_jacobian(batch: FieldJacobianBatch, row_indices) -> JacobianBatch:
-    """Per-sample design Jacobians by row selection; no model solves.
-
-    Duplicate indices are legal and produce rank-deficient designs on
-    purpose (they score zero utility downstream).
-    """
-    rows = tuple(int(r) for r in row_indices)
-    if len(rows) == 0:
-        raise ValueError("need at least one row index")
-    if any(r < 0 or r >= batch.field_size for r in rows):
-        raise ValueError(f"row indices {rows} out of range for field size {batch.field_size}")
-    if len(rows) > batch.n_params:
-        raise ValueError(
-            f"design arity {len(rows)} exceeds parameter dimension {batch.n_params}; "
-            "criteria require m <= n"
-        )
-    matrices = batch.jacobians[:, rows, :]
-    return JacobianBatch(matrices=matrices, row_indices=rows, model_id=batch.model_id)
-
-
 def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None:
     """Persist a batch so criterion sweeps can re-run without model solves.
 
@@ -345,11 +297,3 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
         fd_step=None if header["fd_step"] is None else float(header["fd_step"]),
         model_id=header["model_id"],
     )
-
-
-def samples_to_csv(samples: SampleSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"lambda_{j + 1}" for j in range(samples.dim)])
-        for row in samples.points:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -1,7 +1,11 @@
 """Pointwise form of the global criteria: the reported utilities in
-``svoed.criteria`` are reciprocals of these harmonic means."""
+``svoed.criteria`` are reciprocals of these harmonic means.  Also a field
+batch over a raw Jacobian stack, so tests can score any stack through the
+design search."""
 
 import numpy as np
+
+from svoed import sampling
 
 
 def harmonic_mean(values) -> float:
@@ -18,3 +22,15 @@ def harmonic_mean(values) -> float:
     reciprocals = np.where(np.isinf(v), 0.0, 1.0 / v)
     mean_recip = float(reciprocals.mean())
     return 1.0 / mean_recip if mean_recip > 0.0 else np.inf
+
+
+def stack_batch(jacobians) -> sampling.FieldJacobianBatch:
+    """A field batch over a raw (N, P, n) Jacobian stack; no model behind it."""
+    count, field_size, n = jacobians.shape
+    return sampling.FieldJacobianBatch(
+        samples=sampling.SampleSet(points=np.zeros((count, n)), seed=0),
+        outputs=np.zeros((count, field_size)),
+        jacobians=jacobians,
+        fd_step=None,
+        model_id="stack",
+    )

@@ -3,14 +3,13 @@
 
 import numpy as np
 
-NEIGHBOR_OFFSETS = {
-    4: ((-1, 0), (1, 0), (0, -1), (0, 1)),
-    8: tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)),
-}
+NEIGHBOR_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                         if (di, dj) != (0, 0))
 
 
-def local_maxima_loop(grid, neighborhood=8):
-    """Defined cells no defined neighbor exceeds, by value descending."""
+def local_maxima_loop(grid):
+    """Defined cells none of their eight defined neighbors exceeds, by value
+    descending."""
     G = np.asarray(grid, dtype=float)
     ni, nj = G.shape
     found = []
@@ -20,7 +19,7 @@ def local_maxima_loop(grid, neighborhood=8):
             if np.isnan(v):
                 continue
             ok = True
-            for di, dj in NEIGHBOR_OFFSETS[neighborhood]:
+            for di, dj in NEIGHBOR_OFFSETS:
                 a, b = i + di, j + dj
                 if 0 <= a < ni and 0 <= b < nj and not np.isnan(G[a, b]) and G[a, b] > v:
                     ok = False

@@ -4,8 +4,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from svoed import cli, sampling
+from svoed import cli, design, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -129,6 +130,47 @@ def test_box_outside_the_model_box_is_a_config_error(tmp_path, capsys, monkeypat
     assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
     assert "is not inside the model's parameter box" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def forbid_solves(monkeypatch):
+    """Make every model solve, and building a design space, fail loudly."""
+    for owner, name in ((sampling, "evaluate_samples"), (models.HeatRod1D, "_march"),
+                        (models.HeatPlate2D, "_march"), (design, "scalar_space"),
+                        (design, "pair_space")):
+        monkeypatch.setattr(owner, name, None)
+
+
+def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "oed.json", {
+        "task": "oed", "model": ROD, "sampling": {"count": 50, "seed": 1},
+        "design": {"arity": 3}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
+    assert "design.arity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [{"bandwidth": "foo"}, {"count": "many"}, {"seed": 1.5}],
+                         ids=["bandwidth", "count", "seed"])
+def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
+                                                         monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 2},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, **setting}, "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
+    assert f"dci.{next(iter(setting))}" in capsys.readouterr().err
+
+
+def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys,
+                                                                       monkeypatch):
+    # 49,995,000 pairs of the e99 plate over 1000 samples: refused before any
+    # solve and before the candidate array is allocated.
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "oed.json", {
+        "task": "oed", "model": {"kind": "heat_plate_2d"}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "49995000 candidates" in err and "greedy" in err
 
 
 def test_fd_step_setting_is_a_config_error(tmp_path, capsys):

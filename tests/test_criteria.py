@@ -1,20 +1,34 @@
-"""Harmonic-mean utilities and the Monte Carlo criterion reports."""
+"""Harmonic-mean utilities and the Monte Carlo criterion reports.
+
+Reports are made the one way the tool makes them: an exhaustive search over
+a design space, here of a single candidate that observes every row.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
 import criteria_oracles
 import geometry_oracles
-from svoed import criteria, models, sampling
-from svoed.sampling import JacobianBatch
+from svoed import cli, criteria, design, models, sampling
 
 
-def constant_batch(J, count=50):
+def report(batch, rows=None):
+    """The criterion report of one design; by default it observes every row."""
+    rows = range(batch.field_size) if rows is None else rows
+    space = design.DesignSpace(candidates=[list(rows)])
+    return design.exhaustive_oed(space, batch).reports[0]
+
+
+def stack_report(matrices):
+    """The report of a design whose per-sample Jacobians are ``matrices``."""
+    return report(criteria_oracles.stack_batch(np.asarray(matrices, dtype=float)))
+
+
+def constant_report(J, count=50):
     J = np.asarray(J, dtype=float)
-    return JacobianBatch(
-        matrices=np.broadcast_to(J, (count,) + J.shape).copy(),
-        row_indices=tuple(range(J.shape[0])),
-    )
+    return stack_report(np.broadcast_to(J, (count,) + J.shape).copy())
 
 
 # --- harmonic mean -------------------------------------------------------------
@@ -47,7 +61,7 @@ def test_harmonic_mean_rejects_bad_values():
 
 
 def test_identity_batch_scores_one():
-    rep = criteria.expected_criteria(constant_batch(np.eye(2)))
+    rep = constant_report(np.eye(2))
     assert rep.ese_inverse == pytest.approx(1.0)
     assert rep.esk_inverse == pytest.approx(1.0)
     assert rep.infinite_count == 0
@@ -55,13 +69,13 @@ def test_identity_batch_scores_one():
 
 
 def test_shear_batch_known_constants():
-    rep = criteria.expected_criteria(constant_batch([[1.0, 0.0], [1.0, 1.0]]))
+    rep = constant_report([[1.0, 0.0], [1.0, 1.0]])
     assert rep.ese_inverse == pytest.approx(1.0, rel=1e-12)
     assert rep.esk_inverse == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_duplicate_row_batch_scores_zero():
-    rep = criteria.expected_criteria(constant_batch([[1.0, 2.0], [2.0, 4.0]], count=30))
+    rep = constant_report([[1.0, 2.0], [2.0, 4.0]], count=30)
     assert rep.ese_inverse == 0.0
     assert rep.esk_inverse == 0.0
     assert rep.infinite_count == 30
@@ -73,8 +87,7 @@ def test_utility_equals_reciprocal_harmonic_mean():
     rng = np.random.default_rng(5)
     mats = rng.uniform(-1.0, 1.0, size=(40, 2, 3))
     mats[7, 1] = 2.0 * mats[7, 0]  # one rank-deficient sample
-    batch = JacobianBatch(matrices=mats, row_indices=(0, 1))
-    rep = criteria.expected_criteria(batch)
+    rep = stack_report(mats)
 
     ses = np.array([geometry_oracles.cross_section_measure(m) for m in mats])
     sks = np.array([geometry_oracles.local_skewness_svd(m).skewness for m in mats])
@@ -87,7 +100,7 @@ def test_esk_inverse_bounded_by_one():
     rng = np.random.default_rng(6)
     for _ in range(20):
         mats = rng.uniform(-2.0, 2.0, size=(25, 3, 4))
-        rep = criteria.expected_criteria(JacobianBatch(matrices=mats, row_indices=(0, 1, 2)))
+        rep = stack_report(mats)
         assert 0.0 <= rep.esk_inverse <= 1.0 + 1e-12
         assert np.isfinite(rep.ese_inverse)
         assert rep.ese_inverse >= 0.0
@@ -101,7 +114,7 @@ def test_monte_carlo_stability_when_doubling_samples():
     for count, seed in ((500, 1), (1000, 2)):
         s = sampling.draw_samples(quad.parameter_box, count, seed=seed)
         b = sampling.estimate_field_jacobians(quad, s)
-        reps.append(criteria.expected_criteria(sampling.assemble_design_jacobian(b, [0, 1])))
+        reps.append(report(b, rows=[0, 1]))
     gap = abs(reps[0].ese_inverse - reps[1].ese_inverse)
     joint = np.hypot(reps[0].stderr_ese, reps[1].stderr_ese)
     assert gap <= 3.0 * joint
@@ -110,49 +123,28 @@ def test_monte_carlo_stability_when_doubling_samples():
     assert gap_k <= 3.0 * joint_k
 
 
-def test_nonfinite_samples_are_excluded_and_counted(caplog):
-    mats = np.broadcast_to(np.eye(2), (10, 2, 2)).copy()
-    mats[4, 0, 0] = np.nan
-    batch = JacobianBatch(matrices=mats, row_indices=(0, 1))
-    with caplog.at_level("WARNING", logger="svoed.criteria"):
-        rep = criteria.expected_criteria(batch)
-    assert rep.sample_count == 9
-    assert rep.ese_inverse == pytest.approx(1.0)
-    assert any("excluding 1 samples" in msg for msg in caplog.messages)
-
-
-def test_rejects_unknown_measure():
-    with pytest.raises(ValueError):
-        criteria.expected_criteria(constant_batch(np.eye(2)), hm_measure="posterior")
+def test_rejects_unknown_measure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "evaluate_samples", None)  # no solve may start
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "task": "sweep", "model": {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5},
+        "sampling": {"count": 5, "measure": "posterior"}, "output_dir": "out"}))
+    assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_CONFIG
+    assert "sampling.measure" in capsys.readouterr().err
 
 
 # --- emission -------------------------------------------------------------------
 
 
 def test_reports_csv_roundtrip(tmp_path):
-    reps = [
-        criteria.expected_criteria(constant_batch(np.eye(2)), design_id="a"),
-        criteria.expected_criteria(constant_batch([[1.0, 0.0], [1.0, 1.0]]), design_id="b"),
-    ]
+    reps = [constant_report(np.eye(2)), constant_report([[1.0, 0.0], [1.0, 1.0]])]
+    coordinates = np.array([(0.0, 1.0), (0.5, 0.25)])
     path = tmp_path / "reports.csv"
-    criteria.reports_to_csv(path, reps, coordinates=[(0.0, 1.0), (0.5, 0.25)],
-                            coordinate_labels=["x0", "x1"])
+    criteria.reports_to_csv(path, reps, coordinates=coordinates)
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("x0,x1,design_id,ese_inverse,esk_inverse")
+    assert lines[0].startswith("c0,c1,design_id,ese_inverse,esk_inverse")
     assert len(lines) == 3
     # determinism: identical call, identical bytes
     path2 = tmp_path / "reports2.csv"
-    criteria.reports_to_csv(path2, reps, coordinates=[(0.0, 1.0), (0.5, 0.25)],
-                            coordinate_labels=["x0", "x1"])
+    criteria.reports_to_csv(path2, reps, coordinates=coordinates)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_reports_json(tmp_path):
-    import json
-
-    reps = [criteria.expected_criteria(constant_batch(np.eye(2)), design_id="a")]
-    path = tmp_path / "reports.json"
-    criteria.reports_to_json(path, reps)
-    loaded = json.loads(path.read_text())
-    assert loaded[0]["design_id"] == "a"
-    assert loaded[0]["esk_inverse"] == pytest.approx(1.0)

@@ -40,14 +40,14 @@ def test_uniform_box_density():
 
 def test_kde_matches_standard_normal_at_origin():
     rng = np.random.default_rng(2)
-    kde = dci.push_forward_density(rng.standard_normal((10_000, 1)))
+    kde = dci.KdeDensity(rng.standard_normal((10_000, 1)))
     assert kde.pdf([[0.0]])[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=0.05)
 
 
 def test_kde_rejects_degenerate_dimension():
     samples = np.column_stack([np.random.default_rng(3).normal(size=50), np.full(50, 7.0)])
     with pytest.raises(ValueError, match="dimension"):
-        dci.push_forward_density(samples)
+        dci.KdeDensity(samples)
     with pytest.raises(ValueError):
         dci.KdeDensity(np.full((50, 1), 3.0))
 
@@ -59,7 +59,7 @@ def test_kde_box_mass_matches_linear_pushforward():
     rng = np.random.default_rng(4)
     n = 10_000
     q = 2.0 * rng.uniform(size=(n, 1)) + 1.0
-    kde = dci.push_forward_density(q)
+    kde = dci.KdeDensity(q)
     grid = np.linspace(1.5, 2.5, 2001)
     mass = np.trapezoid(kde.pdf(grid[:, None]), grid)
     stderr = np.sqrt(0.5 * 0.5 / n)
@@ -239,11 +239,7 @@ def test_ensemble_csv_and_summary(tmp_path):
     assert lines[0] == "lambda_1,lambda_2,q_1,q_2,ratio,accepted"
     assert len(lines) == 51
 
-    json_path = tmp_path / "summary.json"
-    dci.summary_to_json(json_path, ens)
-    import json
-
-    doc = json.loads(json_path.read_text())
+    doc = ens.summary()
     assert doc["sample_count"] == 50
     assert doc["acceptance_rate"] == 1.0
     assert doc["C_estimate"] == pytest.approx(1.0)

@@ -25,8 +25,18 @@ def test_scalar_and_pair_space_sizes():
     space = design.pair_space(41, coordinates=np.linspace(0, 1, 41))
     assert len(space) == 820  # 41 choose 2
     assert space.arity == 2
-    assert space.symmetric
     assert space.index_geometry.shape == (820, 2)
+
+
+def test_pair_space_enumerates_the_lower_triangle_row_by_row():
+    coords = np.random.default_rng(0).uniform(size=(7, 2))
+    space = design.pair_space(7, coordinates=coords)
+    pairs = [(i, j) for i in range(7) for j in range(i)]
+    assert space.candidates.tolist() == [list(p) for p in pairs]
+    assert np.array_equal(space.index_geometry,
+                          [np.concatenate([coords[i], coords[j]]) for i, j in pairs])
+    scalar = design.scalar_space(7, coordinates=coords)
+    assert np.array_equal(scalar.index_geometry, coords)
 
 
 def test_space_validation():

@@ -1,13 +1,14 @@
 """Property tests of the batched QR kernels, the greedy rank-one rounds
 and the score-grid helpers."""
 
+import criteria_oracles
 import design_oracles
 import numpy as np
 from geometry_oracles import local_skewness_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svoed import design, geometry as geo, sampling
+from svoed import design, geometry as geo
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -93,24 +94,13 @@ def test_zero_pattern_matches_svd_formula(drawn, noise):
     assert np.allclose(skew, want_skew, rtol=1e-6, atol=0.0)
 
 
-def _field_batch(jacobians):
-    count, field_size, n = jacobians.shape
-    return sampling.FieldJacobianBatch(
-        samples=sampling.SampleSet(points=np.zeros((count, n)), seed=0),
-        outputs=np.zeros((count, field_size)),
-        jacobians=jacobians,
-        fd_step=1.0,
-        model_id="random-field",
-    )
-
-
 @FEW
 @given(st.integers(2, 5), st.integers(3, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_greedy_round_scores_match_explicit_stacks(n, field_size, count, seed):
     rng = np.random.default_rng(seed)
     jacobians = rng.uniform(-1.0, 1.0, size=(count, field_size, n))
     jacobians[:, -1] = 2.0 * jacobians[:, 0]  # a duplicate direction scores zero
-    batch = _field_batch(jacobians)
+    batch = criteria_oracles.stack_batch(jacobians)
     trace = design.greedy_oed(design.scalar_space(field_size), batch, m_target=n, tol=1e-12)
     for rnd in trace.rounds:
         chosen = trace.selected[: rnd.round_index - 1]
@@ -126,12 +116,11 @@ GRID_LEVELS = st.sampled_from([0.0, 1.0, 2.0, -1.5, np.inf, np.nan])
 
 
 @FEW
-@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([4, 8]), st.data())
-def test_local_maxima_matches_loop_oracle(ni, nj, neighborhood, data):
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_local_maxima_matches_loop_oracle(ni, nj, data):
     grid = np.array(data.draw(st.lists(GRID_LEVELS, min_size=ni * nj, max_size=ni * nj)))
     grid = grid.reshape(ni, nj)
-    assert (design.local_maxima(grid, neighborhood)
-            == design_oracles.local_maxima_loop(grid, neighborhood))
+    assert design.local_maxima(grid) == design_oracles.local_maxima_loop(grid)
 
 
 @FEW

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import geometry_oracles
-from svoed import models, sampling
+from svoed import design, geometry, models, sampling
 
 
 class CountingModel(models.ForwardModel):
@@ -95,15 +95,6 @@ def test_draw_samples_mean_within_monte_carlo_error():
     # Uniform on [a, b]: mean (a+b)/2, sd (b-a)/sqrt(12).
     stderr = 0.19 / np.sqrt(12.0) / np.sqrt(10_000)
     assert np.all(np.abs(s.points.mean(axis=0) - 0.105) <= 3.0 * stderr)
-
-
-def test_grid_samples_cover_corners():
-    box = unit_box()
-    s = sampling.grid_samples(box, 3)
-    assert s.points.shape == (9, 2)
-    assert s.scheme == "tensor-grid"
-    corners = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
-    assert corners <= set(map(tuple, s.points))
 
 
 # --- finite differences -------------------------------------------------------
@@ -244,17 +235,21 @@ def rod_batch_small():
 
 
 def test_assemble_selects_rows(rod_batch_small):
+    # A design is scored on its rows of the field batch, and on nothing else.
     _, batch = rod_batch_small
-    jb = sampling.assemble_design_jacobian(batch, [5])
-    assert jb.matrices.shape == (20, 1, 2)
-    assert np.array_equal(jb.matrices[:, 0, :], batch.jacobians[:, 5, :])
+    result = design.exhaustive_oed(design.DesignSpace(candidates=[[5]]), batch)
+    scal, skew = geometry.batch_reciprocals(batch.jacobians[:, [5], :])
+    assert result.best_report.ese_inverse == scal.mean()
+    assert result.best_report.esk_inverse == skew.mean()
 
 
 def test_assemble_duplicate_rows_scores_infinite_skewness(rod_batch_small):
     _, batch = rod_batch_small
-    jb = sampling.assemble_design_jacobian(batch, [5, 5])
-    for i in range(jb.count):
-        assert geometry_oracles.local_skewness_svd(jb.matrices[i]).skewness == np.inf
+    for matrix in batch.jacobians[:, [5, 5], :]:
+        assert geometry_oracles.local_skewness_svd(matrix).skewness == np.inf
+    result = design.exhaustive_oed(design.DesignSpace(candidates=[[5, 5]]), batch)
+    assert result.best_report.esk_inverse == 0.0
+    assert result.best_report.infinite_count == batch.count
 
 
 def test_assemble_matches_restricted_model_fd(rod_batch_small):
@@ -276,19 +271,8 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
             return u[[p, q]], jac[[p, q]]
 
     restricted_batch = sampling.estimate_field_jacobians(Restricted(), batch.samples)
-    jb = sampling.assemble_design_jacobian(batch, [p, q])
     # Same arithmetic on the same evaluations: identical, not merely close.
-    assert np.array_equal(jb.matrices, restricted_batch.jacobians)
-
-
-def test_assemble_validates_indices(rod_batch_small):
-    _, batch = rod_batch_small
-    with pytest.raises(ValueError):
-        sampling.assemble_design_jacobian(batch, [batch.field_size])
-    with pytest.raises(ValueError):
-        sampling.assemble_design_jacobian(batch, [0, 1, 2])  # m > n for 2 params
-    with pytest.raises(ValueError):
-        sampling.assemble_design_jacobian(batch, [])
+    assert np.array_equal(batch.jacobians[:, [p, q], :], restricted_batch.jacobians)
 
 
 # --- persistence --------------------------------------------------------------
@@ -350,12 +334,3 @@ def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_smal
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match="shape"):
         sampling.load_batch(path)
-
-
-def test_samples_csv_header_and_rows(tmp_path):
-    s = sampling.draw_samples(unit_box(), 3, seed=1)
-    path = tmp_path / "samples.csv"
-    sampling.samples_to_csv(s, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "lambda_1,lambda_2"
-    assert len(lines) == 4

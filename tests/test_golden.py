@@ -14,7 +14,6 @@ of the commit before it) with
 
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -101,4 +100,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

@@ -56,6 +56,12 @@ CASES = {
     "plate-greedy": ("greedy", {
         "model": PLATE6, "sampling": {"count": 6, "seed": 8},
         "greedy": {"m_target": 4}}, []),
+    "rod-dci": ("dci", {
+        "model": ROD, "sampling": {"seed": 2},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9}}, []),
+    "rod-diag": ("diag", {
+        "model": ROD, "sampling": {"seed": 2},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9}}, []),
 }
 
 

@@ -13,8 +13,7 @@ relative to the config file) and writes a manifest echoing the resolved
 config, its content hash and the seeds, so reruns are reproducible and
 diffable.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 Settings are checked before the first model solve, so a config error
-exits 2 without solving anything; the one exception is an observed density
-centred at the model midpoint, which needs that solve first.
+exits 2 without solving anything.
 """
 
 from __future__ import annotations
@@ -51,6 +50,10 @@ _MAX_DRAW_ROUNDS = 1000
 # the e99 plate at arity 1 with 1000 samples (1e7 matrices) and refuses its
 # 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
+
+# CSV rows are formatted this many at a time, so a file of millions of
+# rows never holds all its cells as strings at once.
+_CSV_BLOCK_ROWS = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -159,18 +162,26 @@ def build_density(spec: dict, model, field_path: str, default_box=None) -> dci.D
         raise ConfigError(f"{field_path}: {exc}") from exc
 
 
-def _draw_criteria_samples(cfg, box, seed) -> sampling.SampleSet:
+def _sampling_settings(cfg) -> dict:
+    """``sampling.count``, ``sampling.measure`` and ``sampling.init``, read
+    once.  They decide the criteria samples, so the batch recipe hashes
+    them under these keys."""
     count = _get(cfg, "sampling.count", int)
     if count < 1:
         raise ConfigError("sampling.count: must be at least 1")
-    measure = _get(cfg, "sampling.measure", str, default="volume",
-                   choices=criteria.HM_MEASURES)
-    if measure == "volume":
-        return sampling.draw_samples(box, count, seed)
-    init_spec = _get(cfg, "sampling.init", dict, default=None)
-    if init_spec is None:
-        # The initial measure defaults to uniform on the box, in which case
-        # it coincides with the volume measure.
+    return {
+        "count": count,
+        "measure": _get(cfg, "sampling.measure", str, default="volume",
+                        choices=criteria.HM_MEASURES),
+        "init": _get(cfg, "sampling.init", dict, default=None),
+    }
+
+
+def _draw_criteria_samples(settings, box, seed) -> sampling.SampleSet:
+    count, init_spec = settings["count"], settings["init"]
+    # The initial measure defaults to uniform on the box, in which case it
+    # coincides with the volume measure.
+    if settings["measure"] == "volume" or init_spec is None:
         return sampling.draw_samples(box, count, seed)
     density = build_density(init_spec, None, "sampling.init", default_box=box)
     rng = np.random.default_rng(seed)
@@ -190,21 +201,14 @@ def _draw_criteria_samples(cfg, box, seed) -> sampling.SampleSet:
     )
 
 
-def _batch_recipe(cfg, model, box, seed) -> str:
+def _batch_recipe(settings, model, box, seed) -> str:
     """SHA-256 of everything that determines the field batch: the cache key."""
-    recipe = {
-        "model_id": model.model_id,
-        "t_final": getattr(model, "t_final", None),
-        "count": _get(cfg, "sampling.count", int),
-        "seed": seed,
-        "measure": _get(cfg, "sampling.measure", str, default="volume"),
-        "init": _get(cfg, "sampling.init", dict, default=None),
-        "box": [box.lower.tolist(), box.upper.tolist()],
-    }
+    recipe = dict(settings, model_id=model.model_id, t_final=getattr(model, "t_final", None),
+                  seed=seed, box=[box.lower.tolist(), box.upper.tolist()])
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
-def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
+def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJacobianBatch:
     if _get(cfg, "sampling.fd_step", default=None) is not None:
         raise ConfigError("sampling.fd_step: not used; every model this tool builds "
                           "gives its exact Jacobian")
@@ -212,13 +216,13 @@ def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
     cache_path = None
     if cache is not None:
         cache_path = cfg["_base_dir"] / cache
-        recipe = _batch_recipe(cfg, model, box, seed)
+        recipe = _batch_recipe(settings, model, box, seed)
         if cache_path.exists():
             try:
                 return sampling.load_batch(cache_path, recipe_sha256=recipe)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
-    samples = _draw_criteria_samples(cfg, box, seed)
+    samples = _draw_criteria_samples(settings, box, seed)
     batch = sampling.estimate_field_jacobians(model, samples, workers=workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,14 +230,14 @@ def _field_batch(cfg, model, box, seed, workers) -> sampling.FieldJacobianBatch:
     return batch
 
 
-def _design_space(cfg, model, arity) -> design.DesignSpace:
+def _design_space(model, arity, count) -> design.DesignSpace:
     """The exhaustive design space, refused before it is built if scoring
-    it over the sample would exceed the kernel budget."""
+    it over ``count`` samples would exceed the kernel budget."""
     if arity not in (1, 2):
         raise ConfigError("design.arity: only 1 and 2 are supported for exhaustive search")
     size = model.field_size
     candidates = size if arity == 1 else size * (size - 1) // 2
-    matrices = candidates * _get(cfg, "sampling.count", int)
+    matrices = candidates * count
     if matrices > _MAX_KERNEL_MATRICES:
         raise ConfigError(
             f"design.arity: {candidates} candidates over the sample make {matrices} kernel "
@@ -247,10 +251,10 @@ def _scoring_inputs(cfg, args, seed, model, box, arity):
     """The prologue every scoring task shares: every setting, then the space,
     and only then the batch, so that a config error costs no solve."""
     rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
-    measure = _get(cfg, "sampling.measure", str, default="volume",
-                   choices=criteria.HM_MEASURES)
-    space = _design_space(cfg, model, arity)
-    return rank_tol, measure, space, _field_batch(cfg, model, box, seed, args.workers)
+    settings = _sampling_settings(cfg)
+    space = _design_space(model, arity, settings["count"])
+    batch = _field_batch(cfg, settings, model, box, seed, args.workers)
+    return rank_tol, settings["measure"], space, batch
 
 
 def _sensor_rows(cfg, model, path="dci.sensors") -> tuple[int, ...]:
@@ -271,6 +275,32 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _design_id(rows) -> str:
+    return "-".join(map(str, rows))
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """CSV cells of one block of a column.  Floats are written as ``.17g``,
+    so identical inputs give identical files; each row of a 2-D column is
+    the :func:`_design_id` of its field rows; anything else goes through
+    ``str``."""
+    if column.ndim == 2:
+        return [_design_id(row) for row in column.tolist()]
+    if column.dtype.kind == "f":
+        return [f"{v:.17g}" for v in column.tolist()]
+    return [str(v) for v in column.tolist()]
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV row per entry of the equal-length array ``columns``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            writer.writerows(zip(*(_cells(c[block]) for c in columns)))
 
 
 def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> None:
@@ -305,10 +335,14 @@ def _resolve_run(cfg, args):
 def run_sweep(cfg, args, seed, outdir, model, box) -> list[str]:
     arity = _get(cfg, "design.arity", int, default=2)
     rank_tol, measure, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
-    result = design.exhaustive_oed(space, batch, utility="ese_inverse",
-                                   rank_tol=rank_tol, hm_measure=measure)
-    criteria.reports_to_csv(outdir / "sweep.csv", result.reports,
-                            coordinates=space.index_geometry)
+    stats = design.exhaustive_oed(space, batch, rank_tol=rank_tol).reports
+    coords = space.index_geometry
+    header = [f"c{i}" for i in range(coords.shape[1])] + ["design_id"]
+    header += [*criteria.STATISTICS[:4], "sample_count", criteria.STATISTICS[4], "hm_measure"]
+    _write_csv(outdir / "sweep.csv", header, [
+        *coords.T, space.candidates, *stats[:, :4].T,
+        np.broadcast_to(batch.count, len(space)), stats[:, 4].astype(np.int64),
+        np.broadcast_to(measure, len(space))])
     return ["sweep.csv"]
 
 
@@ -316,20 +350,25 @@ def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
     utility = _get(cfg, "design.utility", str, default="ese_inverse",
                    choices=design.UTILITIES)
     arity = _get(cfg, "design.arity", int, default=2)
-    rank_tol, measure, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
-    result = design.exhaustive_oed(space, batch, utility=utility,
-                                   rank_tol=rank_tol, hm_measure=measure)
-    design.ranking_to_csv(outdir / "ranking.csv", result)
+    rank_tol, _, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
+    result = design.exhaustive_oed(space, batch, utility=utility, rank_tol=rank_tol)
+    ranked = result.reports[result.order]
+    coords = space.index_geometry[result.order]
+    header = ["rank", "design_id"] + [f"c{i}" for i in range(coords.shape[1])]
+    _write_csv(outdir / "ranking.csv", header + list(criteria.STATISTICS), [
+        np.arange(len(space)), space.candidates[result.order], *coords.T,
+        *ranked[:, :4].T, ranked[:, 4].astype(np.int64)])
+    values = result.reports[:, design.UTILITIES.index(utility)]
     summary = {
         "schema_version": 1,
         "utility": utility,
-        "best_design_id": result.best_report.design_id,
+        "best_design_id": _design_id(result.best_candidate),
         "best_candidate": list(result.best_candidate),
-        "best_value": getattr(result.best_report, utility),
+        "best_value": float(values[result.best_index]),
         "candidate_count": len(space),
     }
     if space.arity == 2 and model.coordinates.ndim == 1:
-        grid = design.pair_score_grid(space, result.values(utility), model.field_size)
+        grid = design.pair_score_grid(space, values, model.field_size)
         peaks = design.local_maxima(grid)
         summary["local_maxima"] = [
             {"rows": [i, j],
@@ -351,14 +390,11 @@ def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
     coords = space.index_geometry
     design.trace_to_json(trace, outdir / "greedy_trace.json", coordinates=coords)
     outputs = ["greedy_trace.json", "greedy_summary.json"]
+    header = ["candidate"] + [f"c{i}" for i in range(coords.shape[1])]
     for rnd in trace.rounds:
         name = f"greedy_round_{rnd.round_index:02d}.csv"
-        with open(outdir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["candidate"] + [f"c{i}" for i in range(coords.shape[1])]
-                            + [rnd.utility])
-            for q, score in enumerate(rnd.scores):
-                writer.writerow([q] + [f"{v:.17g}" for v in coords[q]] + [f"{score:.17g}"])
+        _write_csv(outdir / name, header + [rnd.utility],
+                   [np.arange(len(space)), *coords.T, rnd.scores])
         outputs.append(name)
     _write_json(outdir / "greedy_summary.json", {
         "schema_version": 1,
@@ -374,8 +410,9 @@ def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
 def _dci_pieces(cfg, seed, model, box):
     """Design rows and the arguments of :func:`dci.dci_weights` after them.
 
-    Every other setting is read before the one solve here, at the model
-    midpoint, which the observed density then needs.
+    Every setting is checked before the one solve here, at the model
+    midpoint, whose outputs an observed density at ``model-midpoint`` is
+    centred on.
     """
     rows = _sensor_rows(cfg, model)
     count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
@@ -389,6 +426,8 @@ def _dci_pieces(cfg, seed, model, box):
     if obs_spec is None:
         obs_spec = {"kind": "gaussian", "mean": "model-midpoint", "cov": 0.15}
     if obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint":
+        # Checks the covariance on a zero mean of the right length first.
+        build_density(dict(obs_spec, mean=[0.0] * len(rows)), model, "dci.observed")
         midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
         obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
     observed = build_density(obs_spec, model, "dci.observed")
@@ -398,7 +437,11 @@ def _dci_pieces(cfg, seed, model, box):
 def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
     rows, pieces = _dci_pieces(cfg, seed, model, box)
     ensemble = dci.dci_solve(model, rows, *pieces)
-    dci.ensemble_to_csv(outdir / "ensemble.csv", ensemble)
+    points, qoi = ensemble.points, ensemble.qoi
+    header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
+    header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
+    _write_csv(outdir / "ensemble.csv", header, [
+        *points.T, *qoi.T, ensemble.weights, ensemble.accepted.astype(np.int64)])
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
     summary["design_coordinates"] = _coordinate_rows(model, rows)
@@ -406,7 +449,8 @@ def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
     outputs = ["ensemble.csv", "dci_summary.json"]
     if model.n_params == 2:
         x, y, values = dci.updated_density_grid(ensemble, box)
-        dci.density_grid_to_csv(outdir / "updated_density.csv", x, y, values)
+        _write_csv(outdir / "updated_density.csv", ["lambda_1", "lambda_2", "density"],
+                   [np.repeat(x, y.size), np.tile(y, x.size), values.ravel()])
         outputs.append("updated_density.csv")
     return outputs
 

@@ -19,7 +19,6 @@ predictability assumption behind the construction is violated.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
@@ -312,32 +311,3 @@ def updated_density_grid(
     xx, yy = np.meshgrid(x, y, indexing="ij")
     values = kde.pdf(np.column_stack([xx.ravel(), yy.ravel()])).reshape(shape)
     return x, y, values
-
-
-def density_grid_to_csv(path, x, y, values) -> None:
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_1", "lambda_2", "density"])
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                writer.writerow([f"{xi:.17g}", f"{yj:.17g}", f"{values[i, j]:.17g}"])
-
-
-def ensemble_to_csv(path, ensemble: WeightedEnsemble) -> None:
-    """Per-sample record: parameters, outputs, ratio, acceptance flag."""
-    n_params = ensemble.points.shape[1]
-    n_out = ensemble.qoi.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"lambda_{j + 1}" for j in range(n_params)]
-        header += [f"q_{k + 1}" for k in range(n_out)]
-        header += ["ratio", "accepted"]
-        writer.writerow(header)
-        accepted = ensemble.accepted
-        for i in range(ensemble.count):
-            row = [f"{v:.17g}" for v in ensemble.points[i]]
-            row += [f"{v:.17g}" for v in ensemble.qoi[i]]
-            row.append(f"{ensemble.weights[i]:.17g}")
-            row.append("" if accepted is None else str(int(accepted[i])))
-            writer.writerow(row)

@@ -15,18 +15,18 @@ rounds, or early when no candidate clears the skewness-utility tolerance.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import CriterionReport, reciprocal_statistics, reports_from_statistics
+from .criteria import STATISTICS, reciprocal_statistics
 from .geometry import RANK_TOL_DEFAULT, batch_extension_skewness, batch_reciprocals
 from .sampling import FieldJacobianBatch
 
-UTILITIES = ("ese_inverse", "esk_inverse")
+# The utilities a search can maximize: the first two statistics columns.
+UTILITIES = STATISTICS[:2]
 
 # Matrices per kernel call in the vectorized sweeps: a chunk holds
 # about this many // N candidates, so peak memory stays near
@@ -110,10 +110,10 @@ def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np
 
 @dataclass
 class ExhaustiveResult:
-    """Every candidate's report plus the utility ranking."""
+    """Every candidate's statistics plus the utility ranking."""
 
     space: DesignSpace
-    reports: list[CriterionReport]  # aligned with the rows of space.candidates
+    reports: np.ndarray  # (C, 5) criteria.STATISTICS rows, aligned with space.candidates
     order: np.ndarray  # candidate indices, best first
     utility: str
 
@@ -124,14 +124,6 @@ class ExhaustiveResult:
     @property
     def best_candidate(self) -> tuple[int, ...]:
         return tuple(self.space.candidates[self.best_index].tolist())
-
-    @property
-    def best_report(self) -> CriterionReport:
-        return self.reports[self.best_index]
-
-    def values(self, utility: str | None = None) -> np.ndarray:
-        name = utility or self.utility
-        return np.array([getattr(r, name) for r in self.reports])
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
@@ -145,16 +137,13 @@ def exhaustive_oed(
     batch: FieldJacobianBatch,
     utility: str = "ese_inverse",
     rank_tol: float = RANK_TOL_DEFAULT,
-    hm_measure: str = "volume",
 ) -> ExhaustiveResult:
     """Score every candidate design and rank by the chosen utility."""
     if utility not in UTILITIES:
         raise ValueError(f"utility must be one of {UTILITIES}")
     stats = _candidate_statistics(batch, space.candidates, rank_tol)
-    design_ids = ("-".join(map(str, c)) for c in space.candidates.tolist())
-    reports = reports_from_statistics(design_ids, stats, batch.count, hm_measure)
-    values = np.array([getattr(r, utility) for r in reports])
-    return ExhaustiveResult(space=space, reports=reports, order=_rank(values), utility=utility)
+    order = _rank(stats[:, UTILITIES.index(utility)])
+    return ExhaustiveResult(space=space, reports=stats, order=order, utility=utility)
 
 
 _NEIGHBOR_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
@@ -333,25 +322,3 @@ def trace_to_json(trace: GreedyTrace, path, coordinates=None) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def ranking_to_csv(path, result: ExhaustiveResult) -> None:
-    """Ranked exhaustive results, best candidate first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        geom = result.space.index_geometry
-        width = 0 if geom is None else geom.shape[1]
-        header = ["rank", "design_id"] + [f"c{i}" for i in range(width)]
-        header += ["ese_inverse", "esk_inverse", "stderr_ese", "stderr_esk", "infinite_count"]
-        writer.writerow(header)
-        for rank, idx in enumerate(result.order):
-            rep = result.reports[idx]
-            row = [str(rank), rep.design_id]
-            if geom is not None:
-                row.extend(f"{v:.17g}" for v in geom[idx])
-            row.extend(
-                f"{getattr(rep, f):.17g}"
-                for f in ("ese_inverse", "esk_inverse", "stderr_ese", "stderr_esk")
-            )
-            row.append(str(rep.infinite_count))
-            writer.writerow(row)

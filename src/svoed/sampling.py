@@ -159,8 +159,8 @@ def evaluate_samples(
     an exact Jacobian, or n + 1 ``evaluate`` calls for a forward difference
     with absolute step ``fd_step``, whose base evaluation is shared by the
     n perturbations.  ``workers`` > 1 runs those tasks on a thread pool
-    (the model must be safe to call concurrently); results are assembled
-    by sample index, so they do not depend on completion order.  A raise
+    (the model must be safe to call concurrently); each task writes its
+    sample's row, so results do not depend on completion order.  A raise
     inside the model, or a non-finite output or Jacobian, becomes a
     ModelEvaluationError naming the sample.
     """
@@ -177,6 +177,10 @@ def evaluate_samples(
         return outputs, jacobians
 
     exact = hasattr(model, "evaluate_with_jacobian")
+    # Preallocated, so the batch is never held twice.
+    size = model.field_size if rows is None else len(take)
+    outputs = np.empty((n_samples, size))
+    jacobians = np.empty((n_samples, size, n_params)) if with_jacobian else None
 
     def one_sample(i):
         lam = points[i]
@@ -196,18 +200,19 @@ def evaluate_samples(
                                  - base) / fd_step
         except Exception as exc:  # propagate with the offending sample attached
             raise ModelEvaluationError(i, lam, repr(exc)) from exc
-        base = base[take]
-        jac = None if jac is None else jac[take]
-        _require_finite(points, i, base[None], None if jac is None else jac[None])
-        return base, jac
+        outputs[i] = base[take]
+        if with_jacobian:
+            jacobians[i] = jac[take]
+        _require_finite(points, i, outputs[i : i + 1],
+                        None if jacobians is None else jacobians[i : i + 1])
 
     if workers is None or workers <= 1:
-        results = [one_sample(i) for i in range(n_samples)]
+        for i in range(n_samples):
+            one_sample(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_sample, range(n_samples)))
-    outputs = np.stack([r[0] for r in results])
-    jacobians = np.stack([r[1] for r in results]) if with_jacobian else None
+            # Reading every result re-raises the first failure.
+            list(pool.map(one_sample, range(n_samples)))
     return outputs, jacobians
 
 

@@ -149,8 +149,10 @@ def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, 
     assert "design.arity" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", [{"bandwidth": "foo"}, {"count": "many"}, {"seed": 1.5}],
-                         ids=["bandwidth", "count", "seed"])
+@pytest.mark.parametrize("setting", [
+    {"bandwidth": "foo"}, {"count": "many"}, {"seed": 1.5},
+    {"observed": {"kind": "gaussian", "mean": "model-midpoint", "cov": -1}},
+], ids=["bandwidth", "count", "seed", "observed"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     forbid_solves(monkeypatch)
@@ -171,6 +173,20 @@ def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, 
     assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "49995000 candidates" in err and "greedy" in err
+
+
+@pytest.mark.parametrize("settings, digest", [
+    ({"count": 7}, "d4c51dc2fb249a239cb63b6d67472622db70054da04e45921f46a1b9726c091c"),
+    ({"count": 7, "measure": "initial",
+      "init": {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}},
+     "c13e7f53561c6d505af7c1e2a4d2706c3104c2d52abfdf2f8ef84bde8cd8014d"),
+], ids=["volume", "initial"])
+def test_batch_recipe_digest_is_unchanged(settings, digest):
+    # The cache key of earlier versions: a new digest would make every
+    # batch cache already on disk stale.
+    rod = models.HeatRod1D(elements=10, time_steps=5)
+    read = cli._sampling_settings({"sampling": settings})
+    assert cli._batch_recipe(read, rod, rod.parameter_box, 5) == digest
 
 
 def test_fd_step_setting_is_a_config_error(tmp_path, capsys):
@@ -195,7 +211,7 @@ def test_init_density_with_mass_in_the_box_fills_the_sample():
     cfg = {"sampling": {"count": 50, "measure": "initial",
                         "init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}}}
     box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
-    samples = cli._draw_criteria_samples(cfg, box, seed=1)
+    samples = cli._draw_criteria_samples(cli._sampling_settings(cfg), box, seed=1)
     assert samples.count == 50
     assert np.all(box.contains(samples.points))
 

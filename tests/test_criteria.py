@@ -1,10 +1,11 @@
-"""Harmonic-mean utilities and the Monte Carlo criterion reports.
+"""Harmonic-mean utilities and the Monte Carlo criterion statistics.
 
-Reports are made the one way the tool makes them: an exhaustive search over
-a design space, here of a single candidate that observes every row.
+Statistics are made the one way the tool makes them: an exhaustive search
+over a design space, here of a single candidate that observes every row.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from svoed import cli, criteria, design, models, sampling
 
 
 def report(batch):
-    """The criterion report of the one design that observes every row."""
+    """The criteria.STATISTICS of the one design that observes every row,
+    by column name."""
     space = design.DesignSpace(candidates=[list(range(batch.field_size))])
-    return design.exhaustive_oed(space, batch).reports[0]
+    row = design.exhaustive_oed(space, batch).reports[0]
+    return SimpleNamespace(**dict(zip(criteria.STATISTICS, row)))
 
 
 def stack_report(matrices):
@@ -130,20 +133,3 @@ def test_rejects_unknown_measure(tmp_path, capsys, monkeypatch):
         "sampling": {"count": 5, "measure": "posterior"}, "output_dir": "out"}))
     assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_CONFIG
     assert "sampling.measure" in capsys.readouterr().err
-
-
-# --- emission -------------------------------------------------------------------
-
-
-def test_reports_csv_roundtrip(tmp_path):
-    reps = [constant_report(np.eye(2)), constant_report([[1.0, 0.0], [1.0, 1.0]])]
-    coordinates = np.array([(0.0, 1.0), (0.5, 0.25)])
-    path = tmp_path / "reports.csv"
-    criteria.reports_to_csv(path, reps, coordinates=coordinates)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("c0,c1,design_id,ese_inverse,esk_inverse")
-    assert len(lines) == 3
-    # determinism: identical call, identical bytes
-    path2 = tmp_path / "reports2.csv"
-    criteria.reports_to_csv(path2, reps, coordinates=coordinates)
-    assert path.read_bytes() == path2.read_bytes()

@@ -202,7 +202,7 @@ def test_dci_solve_rod_concentrates_near_midpoint():
 # --- updated-density grid ---------------------------------------------------------
 
 
-def test_updated_density_grid_normalizes(tmp_path):
+def test_updated_density_grid_normalizes():
     rng = np.random.default_rng(13)
     box = sampling.ParameterBox([-4.0, -4.0], [4.0, 4.0])
     pts = rng.normal(size=(4000, 2))
@@ -211,9 +211,6 @@ def test_updated_density_grid_normalizes(tmp_path):
     x, y, values = dci.updated_density_grid(ens, box, shape=(80, 80))
     mass = np.trapezoid(np.trapezoid(values, y, axis=1), x)
     assert mass == pytest.approx(1.0, abs=0.05)
-    path = tmp_path / "grid.csv"
-    dci.density_grid_to_csv(path, x, y, values)
-    assert path.read_text().startswith("lambda_1,lambda_2,density")
 
 
 def test_updated_density_grid_needs_two_dims():
@@ -223,22 +220,16 @@ def test_updated_density_grid_needs_two_dims():
         dci.updated_density_grid(ens, box)
 
 
-# --- exports ----------------------------------------------------------------------
+# --- summary ----------------------------------------------------------------------
 
 
-def test_ensemble_csv_and_summary(tmp_path):
+def test_ensemble_summary():
     rng = np.random.default_rng(14)
     pts = rng.normal(size=(50, 2))
     density = unit_gaussian()
     ens = dci.rejection_sample(
         dci.update_weights(pts, observed=density, predicted=density, points=pts), seed=15
     )
-    csv_path = tmp_path / "ensemble.csv"
-    dci.ensemble_to_csv(csv_path, ens)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "lambda_1,lambda_2,q_1,q_2,ratio,accepted"
-    assert len(lines) == 51
-
     doc = ens.summary()
     assert doc["sample_count"] == 50
     assert doc["acceptance_rate"] == 1.0

@@ -55,7 +55,7 @@ def test_exhaustive_ranks_by_row_norm_for_scalar_maps():
     space = design.scalar_space(2)
     result = design.exhaustive_oed(space, batch, utility="ese_inverse")
     assert result.best_candidate == (0,)
-    assert result.best_report.ese_inverse == pytest.approx(2.0, rel=1e-6)
+    assert result.reports[result.best_index, 0] == pytest.approx(2.0, rel=1e-6)
     assert [result.space.candidates[i] for i in result.order] == [(0,), (1,)]
 
 
@@ -196,7 +196,7 @@ def test_greedy_vs_exhaustive_gap_is_documented():
     greedy_value = trace.rounds[1].chosen_utility
 
     exhaustive = design.exhaustive_oed(design.pair_space(3), batch, utility="esk_inverse")
-    best_value = exhaustive.best_report.esk_inverse
+    best_value = exhaustive.reports[exhaustive.best_index, 1]
     assert best_value == pytest.approx(1.0, rel=1e-6)  # pair (2, 1)
 
     expected_gap = 1.0 - 3.0 / np.sqrt(9.01)
@@ -219,15 +219,3 @@ def test_trace_json_export(tmp_path):
     assert len(doc["rounds"]) == 2
     assert len(doc["rounds"][0]["scores"]) == 2
     assert doc["candidate_coordinates"] == [[0.0], [1.0]]
-
-
-def test_ranking_csv_export(tmp_path):
-    batch = constant_field_batch([[2.0, 0.0], [0.0, 1.0]])
-    result = design.exhaustive_oed(design.scalar_space(2, coordinates=[0.0, 1.0]), batch)
-    path = tmp_path / "ranking.csv"
-    design.ranking_to_csv(path, result)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ("rank,design_id,c0,ese_inverse,esk_inverse,"
-                        "stderr_ese,stderr_esk,infinite_count")
-    assert len(lines) == 3
-    assert lines[1].startswith("0,0,")

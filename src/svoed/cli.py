@@ -51,6 +51,12 @@ _MAX_DRAW_ROUNDS = 1000
 # 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
 
+# A field batch is refused, before any solve, when its Jacobians alone
+# (N * P * n float64 values) would exceed this many bytes: half of an 8 GB
+# host.  It admits the e99 plate at 1000 samples (720 MB) and refuses it at
+# 6000 (4.3 GB).
+_MAX_BATCH_BYTES = 4 * 2**30
+
 # CSV rows are formatted this many at a time, so a file of millions of
 # rows never holds all its cells as strings at once.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -208,14 +214,22 @@ def _batch_recipe(settings, model, box, seed) -> str:
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
-def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJacobianBatch:
-    if _get(cfg, "sampling.fd_step", default=None) is not None:
-        raise ConfigError("sampling.fd_step: not used; every model this tool builds "
-                          "gives its exact Jacobian")
+def _cache_path(cfg) -> Path | None:
     cache = _get(cfg, "sampling.batch_cache", str, default=None)
-    cache_path = None
-    if cache is not None:
-        cache_path = cfg["_base_dir"] / cache
+    return None if cache is None else cfg["_base_dir"] / cache
+
+
+def _statistics_path(cache_path: Path) -> Path:
+    """The per-candidate statistics sidecar of a batch cache."""
+    return cache_path.with_suffix(".stats.npz")
+
+
+def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJacobianBatch:
+    """The field batch, from ``sampling.batch_cache`` when it holds this
+    recipe's.  Writing a batch drops its statistics sidecar, so the
+    sidecar never outlives its batch."""
+    cache_path = _cache_path(cfg)
+    if cache_path is not None:
         recipe = _batch_recipe(settings, model, box, seed)
         if cache_path.exists():
             try:
@@ -226,6 +240,7 @@ def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJaco
     batch = sampling.estimate_field_jacobians(model, samples, workers=workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
+        _statistics_path(cache_path).unlink(missing_ok=True)
         sampling.save_batch(batch, cache_path, recipe_sha256=recipe)
     return batch
 
@@ -251,10 +266,53 @@ def _scoring_inputs(cfg, args, seed, model, box, arity):
     """The prologue every scoring task shares: every setting, then the space,
     and only then the batch, so that a config error costs no solve."""
     rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
+    if rank_tol < 0:
+        raise ConfigError("tolerances.rank_tol: must not be negative")
+    if _get(cfg, "sampling.fd_step", default=None) is not None:
+        raise ConfigError("sampling.fd_step: not used; every model this tool builds "
+                          "gives its exact Jacobian")
     settings = _sampling_settings(cfg)
+    batch_bytes = settings["count"] * model.field_size * model.n_params * 8
+    if batch_bytes > _MAX_BATCH_BYTES:
+        raise ConfigError(
+            f"sampling.count: {settings['count']} samples of {model.field_size} field values "
+            f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
+            f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
     space = _design_space(model, arity, settings["count"])
     batch = _field_batch(cfg, settings, model, box, seed, args.workers)
-    return rank_tol, settings["measure"], space, batch
+    return rank_tol, settings, space, batch
+
+
+def _exhaustive(cfg, args, seed, model, box, utility="ese_inverse"):
+    """Every candidate's statistics, ranked by ``utility``, and the sampling
+    settings: the scoring prologue of ``sweep`` and ``oed``.
+
+    With a batch cache, the (C, 5) statistics are kept in a sidecar next to
+    it, keyed on the batch recipe, the batch schema, the arity, ``rank_tol``
+    and the statistics columns: everything the rows depend on.  A later run
+    with the same key ranks the stored rows instead of running the
+    kernels; any other sidecar is recomputed and overwritten.
+    """
+    arity = _get(cfg, "design.arity", int, default=2)
+    rank_tol, settings, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
+    cache_path = _cache_path(cfg)
+    if cache_path is None:
+        return design.exhaustive_oed(space, batch, utility, rank_tol), settings
+    sidecar = _statistics_path(cache_path)
+    key = hashlib.sha256(json.dumps({
+        "recipe": _batch_recipe(settings, model, box, seed),
+        "batch_schema": sampling.BATCH_SCHEMA_VERSION, "arity": arity,
+        "rank_tol": float(rank_tol), "statistics": criteria.STATISTICS,
+    }, sort_keys=True).encode()).hexdigest()
+    if sidecar.exists():
+        try:
+            stats = sampling.load_statistics(sidecar, key, (len(space), len(criteria.STATISTICS)))
+            return design.rank_designs(space, stats, utility), settings
+        except ValueError as exc:
+            logger.warning("recomputing statistics cache %s: %s", sidecar, exc)
+    result = design.exhaustive_oed(space, batch, utility, rank_tol)
+    sampling.save_statistics(result.reports, sidecar, key)
+    return result, settings
 
 
 def _sensor_rows(cfg, model, path="dci.sensors") -> tuple[int, ...]:
@@ -333,25 +391,23 @@ def _resolve_run(cfg, args):
 
 
 def run_sweep(cfg, args, seed, outdir, model, box) -> list[str]:
-    arity = _get(cfg, "design.arity", int, default=2)
-    rank_tol, measure, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
-    stats = design.exhaustive_oed(space, batch, rank_tol=rank_tol).reports
+    result, settings = _exhaustive(cfg, args, seed, model, box)
+    space, stats = result.space, result.reports
     coords = space.index_geometry
     header = [f"c{i}" for i in range(coords.shape[1])] + ["design_id"]
     header += [*criteria.STATISTICS[:4], "sample_count", criteria.STATISTICS[4], "hm_measure"]
     _write_csv(outdir / "sweep.csv", header, [
         *coords.T, space.candidates, *stats[:, :4].T,
-        np.broadcast_to(batch.count, len(space)), stats[:, 4].astype(np.int64),
-        np.broadcast_to(measure, len(space))])
+        np.broadcast_to(settings["count"], len(space)), stats[:, 4].astype(np.int64),
+        np.broadcast_to(settings["measure"], len(space))])
     return ["sweep.csv"]
 
 
 def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
     utility = _get(cfg, "design.utility", str, default="ese_inverse",
                    choices=design.UTILITIES)
-    arity = _get(cfg, "design.arity", int, default=2)
-    rank_tol, _, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
-    result = design.exhaustive_oed(space, batch, utility=utility, rank_tol=rank_tol)
+    result, _ = _exhaustive(cfg, args, seed, model, box, utility)
+    space = result.space
     ranked = result.reports[result.order]
     coords = space.index_geometry[result.order]
     header = ["rank", "design_id"] + [f"c{i}" for i in range(coords.shape[1])]
@@ -382,6 +438,8 @@ def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
 
 def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
     tol = _get(cfg, "tolerances.greedy_tol", (int, float), default=1e-3)
+    if tol <= 0:
+        raise ConfigError("tolerances.greedy_tol: must be positive")
     m_target = _get(cfg, "greedy.m_target", int)
     if m_target < 1:
         raise ConfigError("greedy.m_target: must be at least 1")
@@ -407,7 +465,7 @@ def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
     return outputs
 
 
-def _dci_pieces(cfg, seed, model, box):
+def _dci_pieces(cfg, args, seed, model, box):
     """Design rows and the arguments of :func:`dci.dci_weights` after them.
 
     Every setting is checked before the one solve here, at the model
@@ -415,7 +473,12 @@ def _dci_pieces(cfg, seed, model, box):
     centred on.
     """
     rows = _sensor_rows(cfg, model)
+    if len(rows) > model.n_params:
+        raise ConfigError(f"dci.sensors: {len(rows)} sensors, more than the model's "
+                          f"{model.n_params} parameters")
     count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
+    if count < 2:
+        raise ConfigError("dci.count: the predicted density needs at least 2 samples")
     dci_seed = _get(cfg, "dci.seed", int, default=seed)
     bandwidth = _get(cfg, "dci.bandwidth", str, default="silverman",
                      choices=("silverman", "scott"))
@@ -431,11 +494,11 @@ def _dci_pieces(cfg, seed, model, box):
         midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
         obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
     observed = build_density(obs_spec, model, "dci.observed")
-    return rows, (init, observed, count, dci_seed, bandwidth)
+    return rows, (init, observed, count, dci_seed, bandwidth, args.workers)
 
 
 def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
-    rows, pieces = _dci_pieces(cfg, seed, model, box)
+    rows, pieces = _dci_pieces(cfg, args, seed, model, box)
     ensemble = dci.dci_solve(model, rows, *pieces)
     points, qoi = ensemble.points, ensemble.qoi
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
@@ -456,7 +519,7 @@ def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
 
 
 def run_diag(cfg, args, seed, outdir, model, box) -> list[str]:
-    rows, pieces = _dci_pieces(cfg, seed, model, box)
+    rows, pieces = _dci_pieces(cfg, args, seed, model, box)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dci.PredictabilityWarning)
         ensemble = dci.dci_weights(model, rows, *pieces)

@@ -251,20 +251,21 @@ def dci_weights(
     count: int,
     seed: int,
     bandwidth_rule="silverman",
+    workers: int | None = None,
 ) -> WeightedEnsemble:
     """Sample, predict and weight for one design, without rejection sampling.
 
     Draws ``count`` parameters from ``init`` with ``seed``, evaluates the
     model outputs at the design rows (one :func:`sampling.evaluate_samples`
-    call, so a failed sample raises ModelEvaluationError naming it),
-    estimates the predicted density by kernel density and computes the
-    update weights.
+    call, on ``workers`` threads, so a failed sample raises
+    ModelEvaluationError naming it), estimates the predicted density by
+    kernel density and computes the update weights.
     """
     rows = tuple(int(r) for r in row_indices)
     if len(rows) > model.n_params:
         raise ValueError("design arity exceeds parameter dimension")
     points = init.sample(np.random.default_rng(seed), count)
-    qoi, _ = sampling.evaluate_samples(model, points, rows=rows)
+    qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=workers)
     predicted = KdeDensity(qoi, bandwidth_rule=bandwidth_rule)
     return update_weights(qoi, observed, predicted, points=points)
 
@@ -277,6 +278,7 @@ def dci_solve(
     count: int,
     seed: int,
     bandwidth_rule="silverman",
+    workers: int | None = None,
 ) -> WeightedEnsemble:
     """End-to-end update for one design: sample, predict, weight, accept.
 
@@ -284,7 +286,7 @@ def dci_solve(
     ``seed`` so the two random streams stay independent.
     """
     ensemble = dci_weights(model, row_indices, init, observed, count, seed,
-                           bandwidth_rule=bandwidth_rule)
+                           bandwidth_rule=bandwidth_rule, workers=workers)
     return rejection_sample(ensemble, seed + 1)
 
 

@@ -132,6 +132,15 @@ def _rank(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values, kind="stable")
 
 
+def rank_designs(space: DesignSpace, stats: np.ndarray,
+                 utility: str = "ese_inverse") -> ExhaustiveResult:
+    """Rank the (C, 5) statistics rows of ``space`` by the chosen utility."""
+    if utility not in UTILITIES:
+        raise ValueError(f"utility must be one of {UTILITIES}")
+    order = _rank(stats[:, UTILITIES.index(utility)])
+    return ExhaustiveResult(space=space, reports=stats, order=order, utility=utility)
+
+
 def exhaustive_oed(
     space: DesignSpace,
     batch: FieldJacobianBatch,
@@ -139,11 +148,8 @@ def exhaustive_oed(
     rank_tol: float = RANK_TOL_DEFAULT,
 ) -> ExhaustiveResult:
     """Score every candidate design and rank by the chosen utility."""
-    if utility not in UTILITIES:
-        raise ValueError(f"utility must be one of {UTILITIES}")
-    stats = _candidate_statistics(batch, space.candidates, rank_tol)
-    order = _rank(stats[:, UTILITIES.index(utility)])
-    return ExhaustiveResult(space=space, reports=stats, order=order, utility=utility)
+    return rank_designs(space, _candidate_statistics(batch, space.candidates, rank_tol),
+                        utility)
 
 
 _NEIGHBOR_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)

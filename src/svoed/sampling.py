@@ -20,6 +20,7 @@ asked.
 from __future__ import annotations
 
 import json
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ import numpy as np
 
 # Schema 3: ``fd_step`` is null for exact, model-supplied Jacobians.
 BATCH_SCHEMA_VERSION = 3
+
+# What np.load raises, besides ValueError, on a truncated or foreign file.
+_UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
 
 
 @dataclass(frozen=True)
@@ -274,19 +278,23 @@ def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None
 def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
     """Read a batch written by :func:`save_batch`, checking it first.
 
-    Raises ValueError for an unknown schema, for a stored recipe that
-    differs from ``recipe_sha256`` (when given), and for arrays whose
-    shapes disagree with the header or that hold non-finite values.
+    Raises ValueError for a file that is not a readable batch, for an
+    unknown schema, for a stored recipe that differs from ``recipe_sha256``
+    (when given), and for arrays whose shapes disagree with the header or
+    that hold non-finite values.
     """
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("schema_version") != BATCH_SCHEMA_VERSION:
-            raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
-        if recipe_sha256 is not None and header["recipe_sha256"] != recipe_sha256:
-            raise ValueError("batch was made from a different recipe")
-        points = data["points"]
-        outputs = data["outputs"]
-        jacobians = data["jacobians"]
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            if header.get("schema_version") != BATCH_SCHEMA_VERSION:
+                raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
+            if recipe_sha256 is not None and header["recipe_sha256"] != recipe_sha256:
+                raise ValueError("batch was made from a different recipe")
+            points = data["points"]
+            outputs = data["outputs"]
+            jacobians = data["jacobians"]
+    except _UNREADABLE as exc:
+        raise ValueError(f"unreadable batch file: {exc!r}") from exc
     N, P, n = header["N"], header["P"], header["n"]
     for name, array, shape in (("points", points, (N, n)), ("outputs", outputs, (N, P)),
                                ("jacobians", jacobians, (N, P, n))):
@@ -302,3 +310,34 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
         fd_step=None if header["fd_step"] is None else float(header["fd_step"]),
         model_id=header["model_id"],
     )
+
+
+def save_statistics(stats: np.ndarray, path, key: str) -> None:
+    """Persist per-candidate statistics rows beside the batch they came from.
+
+    ``key`` identifies everything the rows depend on; :func:`load_statistics`
+    refuses a file stored under any other key.
+    """
+    np.savez(path, key=np.array(key), statistics=stats)
+
+
+def load_statistics(path, key: str, shape) -> np.ndarray:
+    """Read statistics written by :func:`save_statistics`, checking them first.
+
+    Raises ValueError for a file that is not a readable statistics file,
+    for a stored key other than ``key``, for an array that is not float of
+    ``shape``, and for negative or non-finite values.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["key"]) != key:
+                raise ValueError("statistics were made from another batch or setting")
+            stats = data["statistics"]
+    except _UNREADABLE as exc:
+        raise ValueError(f"unreadable statistics file: {exc!r}") from exc
+    if stats.dtype != np.float64 or stats.shape != tuple(shape):
+        raise ValueError(f"statistics are {stats.dtype} of shape {stats.shape}, "
+                         f"want float64 of shape {tuple(shape)}")
+    if not np.all(np.isfinite(stats) & (stats >= 0.0)):
+        raise ValueError("statistics hold negative or non-finite values")
+    return stats

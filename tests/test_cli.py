@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from svoed import cli, design, models, sampling
+from svoed import cli, design, geometry, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -53,11 +53,14 @@ def test_plate_with_100_elements_is_a_config_error(tmp_path, capsys):
     assert "multiple of 3" in capsys.readouterr().err
 
 
-def cache_config(tmp_path, task, count):
-    return write_config(tmp_path, f"{task}.json", {
-        "task": task, "model": ROD,
-        "sampling": {"count": count, "seed": 5, "batch_cache": "cache/batch.npz"},
-        "design": {"arity": 1}, "output_dir": task})
+def cache_config(tmp_path, task, count, out=None, cache=True, arity=1, rank_tol=1e-12):
+    out = out or task
+    settings = {"count": count, "seed": 5}
+    if cache:
+        settings["batch_cache"] = "cache/batch.npz"
+    return write_config(tmp_path, f"{out}.json", {
+        "task": task, "model": ROD, "sampling": settings, "design": {"arity": arity},
+        "tolerances": {"rank_tol": rank_tol}, "output_dir": out})
 
 
 def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
@@ -79,16 +82,25 @@ def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
     assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
 
 
+def count_scoring(monkeypatch) -> list:
+    """Record every exhaustive scoring, i.e. every statistics-cache miss."""
+    scored, score = [], design.exhaustive_oed
+    monkeypatch.setattr(design, "exhaustive_oed",
+                        lambda *a, **k: scored.append(1) or score(*a, **k))
+    return scored
+
+
 def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     solves, loads = [], []
     estimate, load = sampling.estimate_field_jacobians, sampling.load_batch
     monkeypatch.setattr(sampling, "estimate_field_jacobians",
                         lambda *a, **k: solves.append(1) or estimate(*a, **k))
     monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
+    scored = count_scoring(monkeypatch)
 
     assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
-    assert (len(solves), len(loads)) == (1, 1)
+    assert (len(solves), len(loads), len(scored)) == (1, 1, 1)
     cache = tmp_path / "cache" / "batch.npz"
     assert load(cache).fd_step is None
 
@@ -101,10 +113,98 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     arrays["header"] = np.array(json.dumps(header))
     np.savez_compressed(cache, **arrays)
 
+    # The recipe is the same, but the rewritten batch dropped the statistics.
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
-    assert len(solves) == 2
+    assert (len(solves), len(scored)) == (2, 2)
     assert "unsupported batch schema: 2" in caplog.text
     assert load(cache).fd_step is None
+
+
+def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    cache = tmp_path / "cache" / "batch.npz"
+    cache.write_bytes(cache.read_bytes()[:1000])
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    assert "recomputing batch cache" in caplog.text and "BadZipFile" in caplog.text
+    assert sampling.load_batch(cache).count == 4
+
+
+SCORED_FILES = {"sweep": ["sweep.csv"], "oed": ["ranking.csv", "oed_summary.json"]}
+
+
+@pytest.mark.parametrize("first, second", [("oed", "sweep"), ("sweep", "oed")])
+def test_warm_statistics_skip_the_kernels(first, second, tmp_path, monkeypatch):
+    assert cli.main([second, "--config",
+                     cache_config(tmp_path, second, 6, "cold", cache=False, arity=2)]) == 0
+    assert cli.main([first, "--config", cache_config(tmp_path, first, 6, "first", arity=2)]) == 0
+    assert (tmp_path / "cache" / "batch.stats.npz").exists()
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called on a warm statistics cache")
+
+    monkeypatch.setattr(geometry, "batch_reciprocals", no_kernel)
+    monkeypatch.setattr(design, "batch_reciprocals", no_kernel)
+    assert cli.main([second, "--config", cache_config(tmp_path, second, 6, "warm", arity=2)]) == 0
+    for name in SCORED_FILES[second]:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def test_other_arity_or_rank_tol_rescores(tmp_path, monkeypatch):
+    # Each setting misses once on the one batch, then hits its own statistics.
+    scored = count_scoring(monkeypatch)
+    for i, settings in enumerate([{}, {"arity": 2}, {"arity": 2, "rank_tol": 1e-8}]):
+        for run in ("miss", "hit"):
+            config = cache_config(tmp_path, "sweep", 6, f"{run}{i}", **settings)
+            assert cli.main(["sweep", "--config", config]) == 0
+            assert len(scored) == i + 1
+        assert ((tmp_path / f"hit{i}" / "sweep.csv").read_bytes()
+                == (tmp_path / f"miss{i}" / "sweep.csv").read_bytes())
+
+
+def test_greedy_writes_no_statistics_and_its_new_batch_drops_them(tmp_path):
+    sidecar = tmp_path / "cache" / "batch.stats.npz"
+    greedy = {"task": "greedy", "model": ROD, "greedy": {"m_target": 2}, "output_dir": "greedy",
+              "sampling": {"count": 4, "seed": 5, "batch_cache": "cache/batch.npz"}}
+    assert cli.main(["greedy", "--config", write_config(tmp_path, "g.json", greedy)]) == 0
+    assert (tmp_path / "cache" / "batch.npz").exists() and not sidecar.exists()
+
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+    assert sidecar.exists()
+    greedy["sampling"]["count"] = 7
+    assert cli.main(["greedy", "--config", write_config(tmp_path, "g.json", greedy)]) == 0
+    assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+    assert not sidecar.exists()
+
+
+def damage(sidecar, how):
+    if how == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:200])
+        return
+    with np.load(sidecar) as data:
+        key, stats = str(data["key"]), data["statistics"]
+    if how == "shape":
+        stats = stats[:-1]
+    elif how == "negative":
+        stats[3, 0] = -1.0
+    else:
+        stats[0, 1] = np.nan
+    sampling.save_statistics(stats, sidecar, key)
+
+
+@pytest.mark.parametrize("how", ["truncated", "shape", "negative", "nan"])
+def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch, caplog):
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6)]) == 0
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6, "cold", False)]) == 0
+    damage(tmp_path / "cache" / "batch.stats.npz", how)
+    scored = count_scoring(monkeypatch)
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6)]) == 0
+    assert len(scored) == 1
+    assert "recomputing statistics cache" in caplog.text
+    assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
+            == (tmp_path / "cold" / "sweep.csv").read_bytes())
+    # The recomputed statistics replaced the damaged ones.
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6)]) == 0
+    assert len(scored) == 1
 
 
 def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
@@ -150,9 +250,10 @@ def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("setting", [
-    {"bandwidth": "foo"}, {"count": "many"}, {"seed": 1.5},
+    {"bandwidth": "foo"}, {"count": "many"}, {"count": 1}, {"count": 0}, {"seed": 1.5},
     {"observed": {"kind": "gaussian", "mean": "model-midpoint", "cov": -1}},
-], ids=["bandwidth", "count", "seed", "observed"])
+    {"sensors": [0.0, 0.5, 1.0]},
+], ids=["bandwidth", "count", "count-1", "count-0", "seed", "observed", "sensors"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     forbid_solves(monkeypatch)
@@ -161,6 +262,30 @@ def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsy
         "dci": {"sensors": [0.0, 1.0], "count": 300, **setting}, "output_dir": "out"})
     assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
     assert f"dci.{next(iter(setting))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances", [{"greedy_tol": 0}, {"rank_tol": -1e-12}],
+                         ids=["greedy_tol", "rank_tol"])
+def test_greedy_tolerance_is_a_config_error_before_any_solve(tolerances, tmp_path, capsys,
+                                                               monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "greedy.json", {
+        "task": "greedy", "model": ROD, "sampling": {"count": 6, "seed": 3},
+        "greedy": {"m_target": 2}, "tolerances": tolerances, "output_dir": "out"})
+    assert cli.main(["greedy", "--config", config]) == cli.EXIT_CONFIG
+    assert f"tolerances.{next(iter(tolerances))}" in capsys.readouterr().err
+
+
+def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 6000 samples x 10,000 nodes x 9 parameters: 4.32e9 bytes of Jacobians.
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "greedy.json", {
+        "task": "greedy", "model": {"kind": "heat_plate_2d", "elements": 99},
+        "sampling": {"count": 6000}, "greedy": {"m_target": 9}, "output_dir": "out"})
+    assert cli.main(["greedy", "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sampling.count" in err and "4320000000-byte" in err
 
 
 def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys,
@@ -248,3 +373,21 @@ def test_dci_and_diag_on_the_rod(tmp_path):
     assert diagnostics["mean_ratio"] == summary["mean_ratio"]
     assert diagnostics["design_rows"] == summary["design_rows"] == [0, ROD["elements"]]
     assert 0.0 < summary["acceptance_rate"] <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
+def test_dci_and_diag_on_worker_threads_match_serial(tmp_path, monkeypatch):
+    pools, evaluate = [], sampling.evaluate_samples
+    monkeypatch.setattr(sampling, "evaluate_samples",
+                        lambda *a, **k: pools.append(k.get("workers")) or evaluate(*a, **k))
+    for task in ("dci", "diag"):
+        config = write_config(tmp_path, f"{task}.json", {
+            "task": task, "model": {"kind": "heat_plate_2d", "elements": 6, "time_steps": 8},
+            "sampling": {"seed": 4},
+            "dci": {"sensors": [[0.5, 0.5], [0.2, 0.8]], "count": 60, "seed": 3},
+            "output_dir": task})
+        assert cli.main([task, "--config", config]) == cli.EXIT_OK
+        serial = output_bytes(tmp_path / task)[0]
+        assert cli.main([task, "--config", config, "--workers", "2"]) == cli.EXIT_OK
+        assert output_bytes(tmp_path / task)[0] == serial
+    assert pools == [None, 2, None, 2]

@@ -147,14 +147,16 @@ def _build_box(cfg: dict, model) -> sampling.ParameterBox:
 
 
 def build_density(spec: dict, model, field_path: str, default_box=None) -> dci.Density:
-    kind = _get(spec, "kind", str, choices=("gaussian", "uniform-box", "kde-from-samples"))
+    """The density ``spec`` describes; a bad field raises a ConfigError
+    naming it under ``field_path``."""
     try:
+        kind = _get(spec, "kind", str, choices=("gaussian", "uniform-box", "kde-from-samples"))
         if kind == "uniform-box":
             lower = _get(spec, "lower", list, default=None)
             upper = _get(spec, "upper", list, default=None)
             if lower is None or upper is None:
                 if default_box is None:
-                    raise ConfigError(f"{field_path}: uniform-box needs lower/upper")
+                    raise ConfigError("lower: uniform-box needs lower and upper")
                 return dci.UniformBoxDensity(default_box)
             return dci.UniformBoxDensity(sampling.ParameterBox(lower, upper))
         if kind == "gaussian":
@@ -162,8 +164,11 @@ def build_density(spec: dict, model, field_path: str, default_box=None) -> dci.D
             cov = _get(spec, "cov", (list, int, float))
             return dci.GaussianDensity(np.atleast_1d(mean), cov)
         samples = _get(spec, "samples", list)
-        return dci.KdeDensity(np.asarray(samples, dtype=float),
-                              bandwidth_rule=spec.get("bandwidth", "silverman"))
+        bandwidth = _get(spec, "bandwidth", str, default="silverman",
+                         choices=("silverman", "scott"))
+        return dci.KdeDensity(np.asarray(samples, dtype=float), bandwidth_rule=bandwidth)
+    except ConfigError as exc:
+        raise ConfigError(f"{field_path}.{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{field_path}: {exc}") from exc
 
@@ -183,13 +188,20 @@ def _sampling_settings(cfg) -> dict:
     }
 
 
+def _init_density(settings, box) -> dci.Density | None:
+    """The ``sampling.init`` density the criteria samples are drawn from, or
+    None for uniform samples on the box.  The initial measure defaults to
+    uniform on the box, in which case it coincides with the volume measure."""
+    if settings["measure"] == "volume" or settings["init"] is None:
+        return None
+    return build_density(settings["init"], None, "sampling.init", default_box=box)
+
+
 def _draw_criteria_samples(settings, box, seed) -> sampling.SampleSet:
-    count, init_spec = settings["count"], settings["init"]
-    # The initial measure defaults to uniform on the box, in which case it
-    # coincides with the volume measure.
-    if settings["measure"] == "volume" or init_spec is None:
+    count = settings["count"]
+    density = _init_density(settings, box)
+    if density is None:
         return sampling.draw_samples(box, count, seed)
-    density = build_density(init_spec, None, "sampling.init", default_box=box)
     rng = np.random.default_rng(seed)
     points = np.empty((count, box.dim))
     filled = 0
@@ -272,6 +284,7 @@ def _scoring_inputs(cfg, args, seed, model, box, arity):
         raise ConfigError("sampling.fd_step: not used; every model this tool builds "
                           "gives its exact Jacobian")
     settings = _sampling_settings(cfg)
+    _init_density(settings, box)  # checked here too, so a bad one costs no solve
     batch_bytes = settings["count"] * model.field_size * model.n_params * 8
     if batch_bytes > _MAX_BATCH_BYTES:
         raise ConfigError(
@@ -319,7 +332,12 @@ def _sensor_rows(cfg, model, path="dci.sensors") -> tuple[int, ...]:
     sensors = _get(cfg, path, list)
     if not sensors:
         raise ConfigError(f"{path}: need at least one sensor")
-    return tuple(model.nearest_field_index(s) for s in sensors)
+    rows = tuple(model.nearest_field_index(s) for s in sensors)
+    if len(set(rows)) < len(rows):
+        # Two equal output rows make the predicted kernel density singular.
+        raise ConfigError(f"{path}: sensors {sensors} resolve to field rows {list(rows)}, "
+                          "and each row may be observed only once")
+    return rows
 
 
 def _coordinate_rows(model, rows) -> list:

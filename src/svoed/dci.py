@@ -11,6 +11,11 @@ through the design map, estimated here with a Gaussian kernel density over
 the sampled outputs.  Pushing the updated density back through Q reproduces
 the observed density, which is the defining property of the update.
 
+Both Gaussian densities here are plain numpy on a Cholesky factor: the
+kernel density whitens its samples once and evaluates query points in
+blocks of ``_BLOCK_BYTES``, elementwise, so its values depend neither on
+the block nor on the BLAS thread count.
+
 The sample mean of r doubles as a diagnostic: it estimates the integral of
 the updated density and should be one.  A mean far from one means the
 observed density puts mass where the model cannot predict, i.e. the
@@ -23,7 +28,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
+import scipy.linalg
 
 from . import sampling
 from .sampling import ParameterBox
@@ -36,6 +41,11 @@ UNDERFLOW_FLOOR = 1e-300
 # purpose: kernel-density bias and Monte Carlo noise live well below it,
 # genuine support mismatches far above.
 DIAGNOSTIC_TOL = 0.2
+
+# Bytes of each (query x sample) matrix a kernel density evaluates at a
+# time: a block takes as many query points as fit, so memory stays bounded
+# whatever the number of points.
+_BLOCK_BYTES = 1 << 22
 
 
 class PredictabilityWarning(UserWarning):
@@ -63,6 +73,12 @@ class Density:
         return pts
 
 
+def _log_norm(factor: np.ndarray) -> float:
+    """Log normalising constant of a Gaussian whose covariance has the lower
+    Cholesky factor ``factor``."""
+    return -0.5 * factor.shape[0] * np.log(2.0 * np.pi) - float(np.log(np.diag(factor)).sum())
+
+
 class GaussianDensity(Density):
     kind = "gaussian"
 
@@ -73,13 +89,18 @@ class GaussianDensity(Density):
             cov = float(cov) * np.eye(self.mean.size)
         elif cov.ndim == 1:
             cov = np.diag(cov)
-        self.cov = cov
         self.dim = self.mean.size
-        # Raises on a non-SPD covariance, which is the validation we want.
-        self._frozen = scipy.stats.multivariate_normal(mean=self.mean, cov=self.cov)
+        if cov.shape != (self.dim, self.dim):
+            raise ValueError(f"covariance of shape {cov.shape} for a mean of length {self.dim}")
+        self.cov = cov
+        # Raises LinAlgError, a ValueError, on a non-SPD covariance.
+        self._factor = scipy.linalg.cholesky(cov, lower=True)
+        self._log_norm = _log_norm(self._factor)
 
     def pdf(self, points) -> np.ndarray:
-        return np.atleast_1d(self._frozen.pdf(self._points(points)))
+        z = scipy.linalg.solve_triangular(self._factor, (self._points(points) - self.mean).T,
+                                          lower=True)
+        return np.exp(self._log_norm - 0.5 * np.einsum("ij,ij->j", z, z))
 
     def sample(self, rng, count) -> np.ndarray:
         return rng.multivariate_normal(self.mean, self.cov, size=count)
@@ -102,7 +123,15 @@ class UniformBoxDensity(Density):
 
 
 class KdeDensity(Density):
-    """Gaussian-kernel density over samples; strictly positive everywhere."""
+    """Gaussian-kernel density over samples; strictly positive everywhere.
+
+    The kernel covariance is the (weighted) sample covariance times the
+    square of a bandwidth factor: Silverman's (neff (d + 2) / 4)^(-1/(d+4))
+    or Scott's neff^(-1/(d+4)), where neff = 1 / sum(w^2) is the effective
+    sample count of the normalised weights w.  The samples are centred and
+    whitened by the kernel's Cholesky factor once; :meth:`pdf` then sums
+    standard-normal kernels over them for a block of query points at a time.
+    """
 
     kind = "kde-from-samples"
 
@@ -112,6 +141,8 @@ class KdeDensity(Density):
             pts = pts[:, None]
         if pts.shape[0] < 2:
             raise ValueError("kernel density needs at least 2 samples")
+        if bandwidth_rule not in ("silverman", "scott"):
+            raise ValueError(f"bandwidth must be 'silverman' or 'scott', not {bandwidth_rule!r}")
         spread = pts.std(axis=0)
         dead = np.nonzero(spread == 0.0)[0]
         if dead.size:
@@ -119,16 +150,57 @@ class KdeDensity(Density):
                 f"zero variance in output dimension(s) {dead.tolist()}; "
                 "a kernel density cannot be formed there"
             )
-        self.dim = pts.shape[1]
+        count, self.dim = pts.shape
         self.samples = pts
         self.bandwidth_rule = bandwidth_rule
-        self._kde = scipy.stats.gaussian_kde(pts.T, bw_method=bandwidth_rule, weights=weights)
+        if weights is None:
+            self.weights = np.ones(count) / count
+        else:
+            self.weights = np.asarray(weights, dtype=float) / np.sum(weights)
+        neff = 1.0 / (self.weights @ self.weights)
+        if bandwidth_rule == "silverman":
+            factor = (neff * (self.dim + 2.0) / 4.0) ** (-1.0 / (self.dim + 4))
+        else:
+            factor = neff ** (-1.0 / (self.dim + 4))
+        data_cov = np.atleast_2d(np.cov(pts.T, aweights=self.weights))
+        self.covariance = data_cov * factor**2
+        # Raises LinAlgError, a ValueError, when the samples span a subspace.
+        self._factor = scipy.linalg.cholesky(data_cov, lower=True) * factor
+        self._norm = np.exp(_log_norm(self._factor))
+        self._centre = pts.mean(axis=0)
+        self._white = np.ascontiguousarray(self._whiten(pts).T)  # one row per axis
+
+    def _whiten(self, pts: np.ndarray) -> np.ndarray:
+        """Points centred on the sample mean and mapped by the
+        inverse Cholesky factor, so the kernel is a standard normal."""
+        return scipy.linalg.solve_triangular(self._factor, (pts - self._centre).T, lower=True).T
 
     def pdf(self, points) -> np.ndarray:
-        return np.atleast_1d(self._kde(self._points(points).T))
+        queries = self._whiten(self._points(points))
+        values = np.empty(len(queries))
+        rows = max(1, _BLOCK_BYTES // (8 * len(self.samples)))
+        for start in range(0, len(queries), rows):
+            block = queries[start : start + rows]
+            # -|x - p|^2 / 2 for every query x and sample p, one axis at a
+            # time.  Elementwise, not a matrix product: BLAS results vary
+            # with the block shape and the thread count, these do not.
+            exponent = np.subtract.outer(block[:, 0], self._white[0])
+            exponent *= exponent
+            step = np.empty_like(exponent)
+            for axis in range(1, self.dim):
+                np.subtract.outer(block[:, axis], self._white[axis], out=step)
+                step *= step
+                exponent += step
+            exponent *= -0.5
+            np.exp(exponent, out=exponent)
+            values[start : start + rows] = np.einsum("ij,j->i", exponent, self.weights)
+        return values * self._norm
 
     def sample(self, rng, count) -> np.ndarray:
-        return self._kde.resample(count, seed=rng).T
+        """A kernel centred on a sample drawn by weight: the same draw as
+        SciPy's ``gaussian_kde.resample`` makes from the same generator."""
+        noise = rng.multivariate_normal(np.zeros(self.dim), self.covariance, size=count)
+        return self.samples[rng.choice(len(self.samples), size=count, p=self.weights)] + noise
 
 
 @dataclass

@@ -248,7 +248,8 @@ def estimate_field_jacobians(
 
 
 def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None:
-    """Persist a batch so criterion sweeps can re-run without model solves.
+    """Persist a batch at ``path`` so criterion sweeps can re-run without
+    model solves.
 
     ``recipe_sha256`` identifies what produced the batch (model and
     samples); :func:`load_batch` can refuse a file whose recipe differs.
@@ -265,14 +266,16 @@ def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None
         "n": batch.n_params,
     }
     # Uncompressed: float samples barely compress, and np.load reads
-    # either form, so caches written compressed still load.
-    np.savez(
-        path,
-        header=np.array(json.dumps(header)),
-        points=batch.samples.points,
-        outputs=batch.outputs,
-        jacobians=batch.jacobians,
-    )
+    # either form, so caches written compressed still load.  Through an
+    # open file, because np.savez appends ".npz" to a path without it.
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header=np.array(json.dumps(header)),
+            points=batch.samples.points,
+            outputs=batch.outputs,
+            jacobians=batch.jacobians,
+        )
 
 
 def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
@@ -318,7 +321,8 @@ def save_statistics(stats: np.ndarray, path, key: str) -> None:
     ``key`` identifies everything the rows depend on; :func:`load_statistics`
     refuses a file stored under any other key.
     """
-    np.savez(path, key=np.array(key), statistics=stats)
+    with open(path, "wb") as fh:  # at ``path`` exactly, as in save_batch
+        np.savez(fh, key=np.array(key), statistics=stats)
 
 
 def load_statistics(path, key: str, shape) -> np.ndarray:

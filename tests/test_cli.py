@@ -2,6 +2,9 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,11 +56,12 @@ def test_plate_with_100_elements_is_a_config_error(tmp_path, capsys):
     assert "multiple of 3" in capsys.readouterr().err
 
 
-def cache_config(tmp_path, task, count, out=None, cache=True, arity=1, rank_tol=1e-12):
+def cache_config(tmp_path, task, count, out=None, cache="cache/batch.npz", arity=1,
+                 rank_tol=1e-12):
     out = out or task
     settings = {"count": count, "seed": 5}
     if cache:
-        settings["batch_cache"] = "cache/batch.npz"
+        settings["batch_cache"] = cache
     return write_config(tmp_path, f"{out}.json", {
         "task": task, "model": ROD, "sampling": settings, "design": {"arity": arity},
         "tolerances": {"rank_tol": rank_tol}, "output_dir": out})
@@ -80,6 +84,20 @@ def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert {row["sample_count"] for row in csv.DictReader(fh)} == {"7"}
     assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+
+
+def test_batch_cache_without_the_npz_suffix_hits(tmp_path, monkeypatch):
+    solves, estimate = [], sampling.estimate_field_jacobians
+    monkeypatch.setattr(sampling, "estimate_field_jacobians",
+                        lambda *a, **k: solves.append(1) or estimate(*a, **k))
+    scored = count_scoring(monkeypatch)
+    for out in ("first", "second"):
+        assert cli.main(["sweep", "--config",
+                         cache_config(tmp_path, "sweep", 4, out, cache="cache/batch")]) == 0
+    assert (len(solves), len(scored)) == (1, 1)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["batch", "batch.stats.npz"]
+    assert ((tmp_path / "second" / "sweep.csv").read_bytes()
+            == (tmp_path / "first" / "sweep.csv").read_bytes())
 
 
 def count_scoring(monkeypatch) -> list:
@@ -249,19 +267,40 @@ def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, 
     assert "design.arity" in capsys.readouterr().err
 
 
+KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
+
+
 @pytest.mark.parametrize("setting", [
     {"bandwidth": "foo"}, {"count": "many"}, {"count": 1}, {"count": 0}, {"seed": 1.5},
     {"observed": {"kind": "gaussian", "mean": "model-midpoint", "cov": -1}},
-    {"sensors": [0.0, 0.5, 1.0]},
-], ids=["bandwidth", "count", "count-1", "count-0", "seed", "observed", "sensors"])
+    {"sensors": [0.0, 0.5, 1.0]}, {"sensors": [0.0, 0.0]},
+    {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": 0.3}},
+    {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": "foo"}},
+], ids=["bandwidth", "count", "count-1", "count-0", "seed", "observed", "sensors",
+        "sensors-duplicate", "init-bandwidth-number", "init-bandwidth-name"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     forbid_solves(monkeypatch)
-    config = write_config(tmp_path, "dci.json", {
-        "task": "dci", "model": ROD, "sampling": {"seed": 2},
-        "dci": {"sensors": [0.0, 1.0], "count": 300, **setting}, "output_dir": "out"})
-    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
-    assert f"dci.{next(iter(setting))}" in capsys.readouterr().err
+    for task in ("dci", "diag"):
+        config = write_config(tmp_path, f"{task}.json", {
+            "task": task, "model": ROD, "sampling": {"seed": 2},
+            "dci": {"sensors": [0.0, 1.0], "count": 300, **setting}, "output_dir": "out"})
+        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
+        assert f"dci.{next(iter(setting))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bandwidth", [0.3, "foo"], ids=["number", "name"])
+def test_sampling_init_bandwidth_is_a_config_error_before_any_solve(bandwidth, tmp_path,
+                                                                     capsys, monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "sweep.json", {
+        "task": "sweep", "model": ROD,
+        "sampling": {"count": 5, "seed": 1, "measure": "initial",
+                     "init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES,
+                              "bandwidth": bandwidth}},
+        "design": {"arity": 1}, "output_dir": "out"})
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    assert "sampling.init.bandwidth" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerances", [{"greedy_tol": 0}, {"rank_tol": -1e-12}],
@@ -391,3 +430,13 @@ def test_dci_and_diag_on_worker_threads_match_serial(tmp_path, monkeypatch):
         assert cli.main([task, "--config", config, "--workers", "2"]) == cli.EXIT_OK
         assert output_bytes(tmp_path / task)[0] == serial
     assert pools == [None, 2, None, 2]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every run about 0.9 s of start-up and 40 MB; no
+    # svoed module may import it.
+    src = Path(cli.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, svoed.cli; print('scipy.stats' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert loaded.strip() == "False"

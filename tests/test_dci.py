@@ -1,9 +1,14 @@
-"""Density machinery, ratio updates, rejection sampling and the solver."""
+"""Density machinery, ratio updates, rejection sampling and the solver.
+
+SciPy's ``multivariate_normal`` and ``gaussian_kde`` are the oracles of the
+numpy densities: same values to round-off, same draws from one generator.
+"""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from svoed import dci, models, sampling
 
@@ -27,6 +32,8 @@ def test_gaussian_density_pdf_and_sampling():
 def test_gaussian_density_rejects_bad_covariance():
     with pytest.raises(ValueError):
         dci.GaussianDensity([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # not PSD
+    with pytest.raises(ValueError, match="shape"):
+        dci.GaussianDensity([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_uniform_box_density():
@@ -42,6 +49,64 @@ def test_kde_matches_standard_normal_at_origin():
     rng = np.random.default_rng(2)
     kde = dci.KdeDensity(rng.standard_normal((10_000, 1)))
     assert kde.pdf([[0.0]])[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=0.05)
+
+
+@pytest.mark.parametrize("cov", [0.3, [0.2, 0.5, 1.5], "full"], ids=["scalar", "diag", "full"])
+def test_gaussian_density_pdf_matches_scipy(cov):
+    rng = np.random.default_rng(20)
+    mean = rng.normal(size=3)
+    if cov == "full":
+        a = rng.normal(size=(3, 3))
+        cov = a @ a.T + 0.1 * np.eye(3)
+    full = np.diag(np.broadcast_to(cov, 3)) if np.ndim(cov) < 2 else cov
+    points = mean + rng.normal(size=(200, 3))
+    expected = scipy.stats.multivariate_normal(mean, full).pdf(points)
+    np.testing.assert_allclose(dci.GaussianDensity(mean, cov).pdf(points), expected, rtol=1e-12)
+
+
+def kde_case(dim, weighted, offset, seed=21):
+    """Correlated samples far from 0 when ``offset`` is large, optional
+    weights, and query points: some samples and a few far in the tails."""
+    rng = np.random.default_rng(seed + dim)
+    samples = rng.normal(size=(300, dim)) @ rng.normal(size=(dim, dim)) + offset
+    weights = rng.uniform(0.0, 2.0, size=300) if weighted else None
+    # Five standard deviations out along a few directions of the samples.
+    factor = np.linalg.cholesky(np.atleast_2d(np.cov(samples.T)))
+    directions = np.array([[1.0] * dim, [-1.0] * dim, [1.0] + [-1.0] * (dim - 1)])
+    tails = samples.mean(axis=0) + 5.0 / np.sqrt(dim) * directions @ factor.T
+    return samples, weights, np.vstack([samples[:20], tails])
+
+
+@pytest.mark.parametrize("rule", ["silverman", "scott"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kde_pdf_and_sample_match_scipy(dim, offset, weighted, rule):
+    samples, weights, queries = kde_case(dim, weighted, offset)
+    kde = dci.KdeDensity(samples, bandwidth_rule=rule, weights=weights)
+    oracle = scipy.stats.gaussian_kde(samples.T, bw_method=rule, weights=weights)
+    expected = oracle(queries.T)
+    assert expected.min() > 1e-100  # the tail points stay clear of underflow
+    np.testing.assert_allclose(kde.pdf(queries), expected, rtol=1e-10)
+    draws = kde.sample(np.random.default_rng(22), 50)
+    assert np.allclose(draws, oracle.resample(50, seed=np.random.default_rng(22)).T)
+
+
+def test_kde_blocks_do_not_change_the_values(monkeypatch):
+    samples, weights, _ = kde_case(2, True, 0.0)
+    queries = np.random.default_rng(23).normal(size=(50, 2))
+    kde = dci.KdeDensity(samples, weights=weights)
+    values = []
+    for rows in (1, 7, len(queries)):
+        monkeypatch.setattr(dci, "_BLOCK_BYTES", rows * 8 * len(samples))
+        values.append(kde.pdf(queries))
+    assert all(np.array_equal(v, values[-1]) for v in values)
+
+
+@pytest.mark.parametrize("rule", [0.3, "foo", None])
+def test_kde_rejects_a_bandwidth_other_than_the_two_rules(rule):
+    with pytest.raises(ValueError, match="bandwidth"):
+        dci.KdeDensity(np.random.default_rng(24).normal(size=(50, 2)), bandwidth_rule=rule)
 
 
 def test_kde_rejects_degenerate_dimension():

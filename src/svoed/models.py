@@ -43,18 +43,24 @@ interchanges, and the symmetric ordering keeps the factors sparse: about
 628k nonzeros at 99 x 99 elements, against 980k under the default column
 ordering.
 
-The rod is small (41 dense nodes by default) and is evaluated thousands of
-times per study, so it marches many parameter points at once:
-``HeatRod1D.evaluate_stacked`` builds stacked (C, P, P) operators for a
-chunk of C points, inverts each point's M + dt/2 K once, and then applies
-one batched product per time step to the states and one to the (C, P, n)
-sensitivities.  Every product is per point, so a point's result does not
-depend on the chunk it lands in; ``evaluate`` is a chunk of one.
+The rod is small (41 nodes by default) and is evaluated thousands of
+times per study, so it marches many parameter points at once.  Its A is a
+symmetric positive definite tridiagonal matrix, and
+``HeatRod1D.evaluate_stacked`` treats a chunk of C points as one
+block-diagonal tridiagonal system of C * P rows, with a zero off-diagonal
+entry between two points.  LAPACK's tridiagonal LDL^T (``dpttrf``) factors
+it once, ``dpttrs`` solves each step at O(P) cost per column and point,
+and B and the couplings K_j w are three-band products.  A zero coupling
+leaves each point's factor and solve as if the point were alone, and
+``dpttrs`` solves every right-hand column on its own, so a point's result
+depends neither on its chunk nor on the BLAS threads; ``evaluate`` is a
+chunk of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -63,7 +69,7 @@ from .sampling import ModelEvaluationError, ParameterBox
 # Inverse-square-root of 3: offsets of the two-point Gauss rule on (0, 1).
 _GAUSS_PTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
-# Bytes of stacked rod operators held per chunk: a chunk takes as many
+# Bytes of rod bands and columns held per chunk: a chunk takes as many
 # points as fit, so memory stays bounded whatever the point count.
 _STACK_BYTES = 1 << 22
 
@@ -110,13 +116,11 @@ def _implicit_midpoint(solve, apply_B, couple, forcing, V, time_steps, dt):
 
     ``solve`` applies the inverse of M + dt/2 K, ``apply_B`` applies
     B = M - dt/2 K, and ``couple(w)`` gives the block whose column j is
-    K_j w, for the region matrices K_j.  A model that has already folded
-    the inverse into ``apply_B``, ``couple`` and ``forcing`` passes the
-    identity as ``solve``.  ``V`` is the zero initial sensitivity block,
-    or None to march the state alone.  Returns the final state and its
-    derivative with respect to the conductivities (None without ``V``).
-    The state arithmetic does not depend on ``V``, so both calls return
-    bit-identical states.
+    K_j w, for the region matrices K_j.  ``V`` is the zero initial
+    sensitivity block, or None to march the state alone.  Returns the
+    final state and its derivative with respect to the conductivities
+    (None without ``V``).  The state arithmetic does not depend on ``V``,
+    so both calls return bit-identical states.
     """
     u = np.zeros_like(forcing)
     for _ in range(time_steps):
@@ -127,6 +131,16 @@ def _implicit_midpoint(solve, apply_B, couple, forcing, V, time_steps, dt):
             V = solve(rhs)
         u = u_next
     return u, V
+
+
+def _three_band_product(diag, upper, w):
+    """The symmetric tridiagonal matrix with diagonal ``diag`` and
+    superdiagonal ``upper`` applied to the columns of ``w``; both bands
+    broadcast against the rows of ``w``."""
+    out = diag * w
+    out[1:] += upper * w[:-1]
+    out[:-1] += upper * w[1:]
+    return out
 
 
 def _check_conductivities(lam, n_params):
@@ -201,9 +215,18 @@ class HeatRod1D(ForwardModel):
         self._mass = mass
         self._stiff_regions = np.array(stiff)
         self._load = load
-        # Per point, a chunk holds dt/2 K, A, A^-1, B, S = A^-1 B and the
-        # n matrices A^-1 K_j, plus about as much again in temporaries.
-        point_bytes = 2 * (self.n_params + 5) * mass.nbytes
+
+        def bands(matrix):
+            # Diagonal, and superdiagonal ending in the zero entry that
+            # couples a point to the next one in a stacked system.
+            return np.stack([np.diagonal(matrix), np.append(np.diagonal(matrix, 1), 0.0)])
+
+        self._mass_bands = bands(mass)
+        self._stiff_bands = np.stack([bands(K_r) for K_r in stiff])
+        # Per point, a chunk holds the bands of dt/2 K, A, B and the factor,
+        # the n region bands of the couplings, the state and n sensitivity
+        # columns and their step temporaries: about 30 columns of P floats.
+        point_bytes = 32 * nodes.nbytes
         self._chunk = max(1, _STACK_BYTES // point_bytes)
 
     def evaluate(self, lam) -> np.ndarray:
@@ -234,36 +257,48 @@ class HeatRod1D(ForwardModel):
         jacobians = np.empty(outputs.shape + (self.n_params,)) if with_jacobian else None
         for start in range(0, lam.shape[0], self._chunk):
             part = slice(start, start + self._chunk)
-            outputs[part], J = self._march(lam[part], with_jacobian)
+            outputs[part], J = self._march(lam[part], with_jacobian, start)
             if with_jacobian:
                 jacobians[part] = J
         return outputs, jacobians
 
-    def _march(self, lam, with_jacobian):
-        """March a chunk of admissible conductivities (C, 2) at once.
+    def _march(self, lam, with_jacobian, first=0):
+        """March a chunk of admissible conductivities (C, 2) at once; row c
+        is sample ``first + c`` of the caller's points.
 
-        With A = M + dt/2 K inverted once per point, the step becomes
-        u_next = S u + g and the sensitivity coupling A^-1 K_j w, for
-        S = A^-1 B, g = A^-1 dt b and the stacked A^-1 K_j (C, n, P, P).
-        States are (C, P, 1) columns so that one batched product serves
-        states and (C, P, n) sensitivity blocks alike; each product is per
-        point, never a GEMM across points, so results do not depend on C.
+        The chunk is one block-diagonal system of C * P rows whose off band
+        is zero between two points.  It is factored once, and states are
+        (C * P, 1) columns so that one three-band product and one ``dpttrs``
+        call serve states and (C * P, n) sensitivity blocks alike.
         """
-        half_dt_K = (0.5 * self.dt) * (lam[:, :, None, None] * self._stiff_regions).sum(axis=1)
-        inverse = np.linalg.inv(self._mass + half_dt_K)
-        S = inverse @ (self._mass - half_dt_K)
-        forcing = inverse @ (self.dt * self._load)[:, None]
+        size = lam.shape[0] * self.field_size
+        half_dt_K = (0.5 * self.dt) * (lam[:, :, None, None] * self._stiff_bands).sum(axis=1)
+        A = (self._mass_bands + half_dt_K).swapaxes(0, 1).reshape(2, size)
+        B = (self._mass_bands - half_dt_K).swapaxes(0, 1).reshape(2, size, 1)
+        factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(A[0], A[1, :-1])
+        if info:
+            row = (info - 1) // self.field_size
+            raise ModelEvaluationError(first + row, lam[row],
+                                       f"M + dt/2 K is not positive definite (dpttrf info {info})")
+
+        def solve(rhs):
+            return scipy.linalg.lapack.dpttrs(factor_d, factor_e, rhs)[0]
+
+        def apply_B(w):
+            return _three_band_product(B[0], B[1, :-1], w)
+
         V = couple = None
         if with_jacobian:
-            coupling = inverse[:, None] @ self._stiff_regions
-            V = np.zeros((lam.shape[0], self.field_size, self.n_params))
+            K = np.tile(self._stiff_bands.transpose(1, 2, 0), (1, lam.shape[0], 1))
+            V = np.zeros((size, self.n_params))
 
             def couple(w):
-                return (coupling @ w[:, None])[..., 0].transpose(0, 2, 1)
+                return _three_band_product(K[0], K[1, :-1], w)
 
-        u, V = _implicit_midpoint(lambda x: x, S.__matmul__, couple, forcing, V,
-                                  self.time_steps, self.dt)
-        return u[..., 0], V
+        forcing = np.tile(self.dt * self._load, lam.shape[0])[:, None]
+        u, V = _implicit_midpoint(solve, apply_B, couple, forcing, V, self.time_steps, self.dt)
+        return (u.reshape(-1, self.field_size),
+                None if V is None else V.reshape(-1, self.field_size, self.n_params))
 
 
 class HeatPlate2D(ForwardModel):

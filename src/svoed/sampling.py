@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Schema 3: ``fd_step`` is null for exact, model-supplied Jacobians.
-BATCH_SCHEMA_VERSION = 3
+# Schema 4: the rod's tridiagonal march moves its values at round-off.
+BATCH_SCHEMA_VERSION = 4
 
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
@@ -287,7 +288,9 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
     that hold non-finite values.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # Through an open file: np.load leaves a file it opened itself open
+        # when the file is not a readable zip.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
             if header.get("schema_version") != BATCH_SCHEMA_VERSION:
                 raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
@@ -333,7 +336,7 @@ def load_statistics(path, key: str, shape) -> np.ndarray:
     ``shape``, and for negative or non-finite values.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:  # as in load_batch
             if str(data["key"]) != key:
                 raise ValueError("statistics were made from another batch or setting")
             stats = data["statistics"]

@@ -115,27 +115,30 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
                         lambda *a, **k: solves.append(1) or estimate(*a, **k))
     monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
     scored = count_scoring(monkeypatch)
+    older = sampling.BATCH_SCHEMA_VERSION - 1
 
-    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    # The batch and its statistics sidecar as the previous schema wrote them.
+    with monkeypatch.context() as previous:
+        previous.setattr(sampling, "BATCH_SCHEMA_VERSION", older)
+        assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+        assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     assert (len(solves), len(loads), len(scored)) == (1, 1, 1)
     cache = tmp_path / "cache" / "batch.npz"
-    assert load(cache).fd_step is None
-
-    # A schema-2 file (forward differences) at the same path.
+    sidecar = cli._statistics_path(cache)
     with np.load(cache) as data:
-        arrays = dict(data)
-    header = json.loads(str(arrays["header"]))
-    header["schema_version"] = 2
-    header["fd_step"] = 1e-5
-    arrays["header"] = np.array(json.dumps(header))
-    np.savez_compressed(cache, **arrays)
+        assert json.loads(str(data["header"]))["schema_version"] == older
+    with np.load(sidecar) as data:
+        older_key = str(data["key"])
 
-    # The recipe is the same, but the rewritten batch dropped the statistics.
+    # The recipe is the same, but the batch is recomputed and rescored.
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     assert (len(solves), len(scored)) == (2, 2)
-    assert "unsupported batch schema: 2" in caplog.text
+    assert f"unsupported batch schema: {older}" in caplog.text
     assert load(cache).fd_step is None
+    with np.load(sidecar) as data:
+        assert str(data["key"]) != older_key
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+    assert (len(solves), len(scored)) == (2, 2)
 
 
 def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):

@@ -1,5 +1,7 @@
 """Heat-model physics sanity and synthetic-map fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -280,18 +282,21 @@ def rod_points(rod):
 
 
 def test_rod_stack_is_bit_identical_across_chunk_sizes(rod, rod_points):
-    assert rod._chunk >= len(rod_points)  # one chunk of N
-    U, J = rod.evaluate_stacked(rod_points, with_jacobian=True)
+    # The box corners, the stiffest contrast, share a chunk at every size but 1.
+    box = rod.parameter_box
+    points = np.vstack([box.lower, box.upper, rod_points])
+    assert rod._chunk >= len(points)  # one chunk of N
+    U, J = rod.evaluate_stacked(points, with_jacobian=True)
     for size in (1, 7):
         chunked = models.HeatRod1D()
         chunked._chunk = size
-        U_c, J_c = chunked.evaluate_stacked(rod_points, with_jacobian=True)
+        U_c, J_c = chunked.evaluate_stacked(points, with_jacobian=True)
         assert np.array_equal(U_c, U)
         assert np.array_equal(J_c, J)
-    plain, none = rod.evaluate_stacked(rod_points)
+    plain, none = rod.evaluate_stacked(points)
     assert none is None
     assert np.array_equal(plain, U)
-    for lam, u, jac in zip(rod_points, U, J):
+    for lam, u, jac in zip(points, U, J):
         assert np.array_equal(rod.evaluate(lam), u)
         u_1, jac_1 = rod.evaluate_with_jacobian(lam)
         assert np.array_equal(u_1, u)
@@ -304,6 +309,29 @@ def test_rod_stack_agrees_with_the_cholesky_march(rod, rod_points):
         u_ref, jac_ref = cho_reference(rod, lam)
         assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
         assert column_errors(jac, jac_ref).max() <= 1e-12
+
+
+def test_rod_stack_memory_is_bounded_by_the_chunk_budget(rod):
+    points = np.random.default_rng(6).uniform(rod.parameter_box.lower,
+                                              rod.parameter_box.upper, size=(5000, 2))
+    output_bytes = points.shape[0] * rod.field_size * (1 + rod.n_params) * 8
+    tracemalloc.start()
+    try:
+        rod.evaluate_stacked(points, with_jacobian=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= output_bytes + 2 * models._STACK_BYTES
+
+
+def test_rod_march_refuses_a_system_that_is_not_positive_definite(rod):
+    # Admissible conductivities always give an SPD system; a negative one,
+    # past the admissibility check, gives a negative pivot in the second point.
+    lam = np.array([[0.1, 0.1], [-50.0, 0.1], [0.1, 0.1]])
+    with pytest.raises(sampling.ModelEvaluationError, match="not positive definite") as err:
+        rod._march(lam, False, first=10)
+    assert err.value.sample_index == 11
+    assert np.array_equal(err.value.parameters, lam[1])
 
 
 def test_rod_stack_names_the_first_inadmissible_point(rod, rod_points):

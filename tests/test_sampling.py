@@ -320,7 +320,7 @@ def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_b
     with zipfile.ZipFile(compressed) as archive:
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
     loaded = sampling.load_batch(compressed, recipe_sha256="abc")
-    assert sampling.BATCH_SCHEMA_VERSION == 3
+    assert sampling.BATCH_SCHEMA_VERSION == 4
     assert loaded.model_id == batch.model_id
     assert loaded.fd_step is None
     assert np.array_equal(loaded.samples.points, batch.samples.points)

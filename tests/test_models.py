@@ -282,7 +282,7 @@ def rod_points(rod):
 
 
 def test_rod_stack_is_bit_identical_across_chunk_sizes(rod, rod_points):
-    # The box corners, the stiffest contrast, share a chunk at every size but 1.
+    # The box corners, the softest and the stiffest rod, share one chunk but at size 1.
     box = rod.parameter_box
     points = np.vstack([box.lower, box.upper, rod_points])
     assert rod._chunk >= len(points)  # one chunk of N

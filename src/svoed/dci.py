@@ -55,7 +55,6 @@ class PredictabilityWarning(UserWarning):
 class Density:
     """Evaluable (and sampleable) probability density on R^d."""
 
-    kind: str = "density"
     dim: int = 0
 
     def pdf(self, points) -> np.ndarray:
@@ -80,8 +79,6 @@ def _log_norm(factor: np.ndarray) -> float:
 
 
 class GaussianDensity(Density):
-    kind = "gaussian"
-
     def __init__(self, mean, cov):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.asarray(cov, dtype=float)
@@ -107,8 +104,6 @@ class GaussianDensity(Density):
 
 
 class UniformBoxDensity(Density):
-    kind = "uniform-box"
-
     def __init__(self, box: ParameterBox):
         self.box = box
         self.dim = box.dim
@@ -133,8 +128,6 @@ class KdeDensity(Density):
     standard-normal kernels over them for a block of query points at a time.
     """
 
-    kind = "kde-from-samples"
-
     def __init__(self, samples, bandwidth_rule="silverman", weights=None):
         pts = np.asarray(samples, dtype=float)
         if pts.ndim == 1:
@@ -152,7 +145,6 @@ class KdeDensity(Density):
             )
         count, self.dim = pts.shape
         self.samples = pts
-        self.bandwidth_rule = bandwidth_rule
         if weights is None:
             self.weights = np.ones(count) / count
         else:
@@ -366,20 +358,20 @@ def updated_density_grid(
     ensemble: WeightedEnsemble,
     box: ParameterBox,
     shape=(60, 60),
-    bandwidth_rule="silverman",
 ):
     """Weighted kernel density of the updated ensemble on a 2-D grid.
 
     Returns (x_axis, y_axis, values) with values[i, j] at (x_axis[i],
     y_axis[j]).  Two parameters only; higher-dimensional marginals are out
-    of scope here.
+    of scope here.  In two dimensions Silverman's and Scott's bandwidth
+    factors are both neff^(-1/6), so the grid takes no bandwidth rule.
     """
     if ensemble.points.shape[1] != 2 or box.dim != 2:
         raise ValueError("density grids are supported for 2 parameters only")
     weights = ensemble.weights
     if np.sum(weights) <= 0.0:
         raise ValueError("cannot form a density from all-zero weights")
-    kde = KdeDensity(ensemble.points, bandwidth_rule=bandwidth_rule, weights=weights)
+    kde = KdeDensity(ensemble.points, weights=weights)
     x = np.linspace(box.lower[0], box.upper[0], shape[0])
     y = np.linspace(box.lower[1], box.upper[1], shape[1])
     xx, yy = np.meshgrid(x, y, indexing="ij")

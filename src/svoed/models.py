@@ -83,8 +83,8 @@ class ForwardModel:
     ``coordinates`` (one coordinate row per field value) and implement
     ``evaluate``.  A subclass that can differentiate itself also defines
     ``evaluate_with_jacobian(lam) -> (u, J)`` with J of shape
-    (field_size, n_params); field-Jacobian batches then use it instead of
-    finite differences.  A subclass that can march many points at once
+    (field_size, n_params); a field-Jacobian batch needs it (or
+    ``evaluate_stacked``).  A subclass that can march many points at once
     also defines ``evaluate_stacked(points, with_jacobian) -> (U, J)``,
     U (N, field_size) and J (N, field_size, n_params) or None, raising
     ``ModelEvaluationError`` with the row of the first inadmissible point;
@@ -179,7 +179,6 @@ class HeatRod1D(ForwardModel):
 
         self.model_id = f"heat-rod-1d-e{elements}-s{time_steps}"
         self.n_params = 2
-        self.elements = elements
         self.time_steps = time_steps
         self.t_final = float(t_final)
         self.dt = self.t_final / time_steps
@@ -329,7 +328,6 @@ class HeatPlate2D(ForwardModel):
 
         self.model_id = f"heat-plate-2d-e{elements_per_axis}-s{time_steps}"
         self.n_params = 9
-        self.elements_per_axis = elements_per_axis
         self.time_steps = time_steps
         self.t_final = float(t_final)
         self.dt = self.t_final / time_steps

@@ -7,8 +7,7 @@ then priced by selecting rows out of this batch, so the model runs once per
 sample, not once per design.  A model that can differentiate itself
 (``evaluate_with_jacobian``: the heat models by tangent-linear time
 stepping, the synthetic maps analytically) gives exact Jacobians from one
-run per sample; any other model is differenced forward, at n + 1 runs per
-sample.
+run per sample, and only such a model can make a batch.
 
 Every loop over samples, for field batches and for data-consistent
 inversion alike, goes through :func:`evaluate_samples`.  A model with
@@ -26,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Schema 3: ``fd_step`` is null for exact, model-supplied Jacobians.
 # Schema 4: the rod's tridiagonal march moves its values at round-off.
-BATCH_SCHEMA_VERSION = 4
+# Schema 5: the header drops ``fd_step``; every batch holds exact Jacobians.
+BATCH_SCHEMA_VERSION = 5
 
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
@@ -112,14 +111,11 @@ class FieldJacobianBatch:
 
     ``outputs`` is (N, P) and ``jacobians`` is (N, P, n) where P is the
     number of observable field values (e.g. mesh nodes at the final time).
-    ``fd_step`` is the forward-difference step that made the Jacobians, or
-    None when they are exact, from the model's ``evaluate_with_jacobian``.
     """
 
     samples: SampleSet
     outputs: np.ndarray
     jacobians: np.ndarray
-    fd_step: float | None
     model_id: str
 
     @property
@@ -151,7 +147,6 @@ def evaluate_samples(
     points,
     rows=None,
     with_jacobian: bool = False,
-    fd_step: float = 1e-5,
     workers: int | None = None,
 ):
     """Model outputs at every row of ``points`` (N, n), and optionally Jacobians.
@@ -160,13 +155,13 @@ def evaluate_samples(
     (N, R, n), or None without ``with_jacobian``, where R counts ``rows``
     (observable indices; None keeps the whole field).  A model with
     ``evaluate_stacked`` is called once for all points.  Any other model
-    runs one task per sample: ``evaluate``, ``evaluate_with_jacobian`` for
-    an exact Jacobian, or n + 1 ``evaluate`` calls for a forward difference
-    with absolute step ``fd_step``, whose base evaluation is shared by the
-    n perturbations.  ``workers`` > 1 runs those tasks on a thread pool
-    (the model must be safe to call concurrently); each task writes its
-    sample's row, so results do not depend on completion order.  A raise
-    inside the model, or a non-finite output or Jacobian, becomes a
+    runs one task per sample: ``evaluate``, or ``evaluate_with_jacobian``
+    for the exact Jacobian.  With ``with_jacobian``, a model that has
+    neither ``evaluate_stacked`` nor ``evaluate_with_jacobian`` is refused
+    with ValueError before any call.  ``workers`` > 1 runs the tasks on a
+    thread pool (the model must be safe to call concurrently); each task
+    writes its sample's row, so results do not depend on completion order.
+    A raise inside the model, or a non-finite output or Jacobian, becomes a
     ModelEvaluationError naming the sample.
     """
     points = np.asarray(points, dtype=float)
@@ -181,7 +176,9 @@ def evaluate_samples(
         _require_finite(points, 0, outputs, jacobians)
         return outputs, jacobians
 
-    exact = hasattr(model, "evaluate_with_jacobian")
+    if with_jacobian and not hasattr(model, "evaluate_with_jacobian"):
+        raise ValueError(f"{type(model).__name__} gives no Jacobian: a batch needs "
+                         "evaluate_with_jacobian or evaluate_stacked")
     # Preallocated, so the batch is never held twice.
     size = model.field_size if rows is None else len(take)
     outputs = np.empty((n_samples, size))
@@ -190,19 +187,11 @@ def evaluate_samples(
     def one_sample(i):
         lam = points[i]
         try:
-            if not with_jacobian:
-                base, jac = np.asarray(model.evaluate(lam), dtype=float), None
-            elif exact:
+            if with_jacobian:
                 base, jac = (np.asarray(a, dtype=float)
                              for a in model.evaluate_with_jacobian(lam))
             else:
-                base = np.asarray(model.evaluate(lam), dtype=float)
-                jac = np.empty((base.size, n_params))
-                for j in range(n_params):
-                    bumped = lam.copy()
-                    bumped[j] += fd_step
-                    jac[:, j] = (np.asarray(model.evaluate(bumped), dtype=float)
-                                 - base) / fd_step
+                base, jac = np.asarray(model.evaluate(lam), dtype=float), None
         except Exception as exc:  # propagate with the offending sample attached
             raise ModelEvaluationError(i, lam, repr(exc)) from exc
         outputs[i] = base[take]
@@ -224,26 +213,20 @@ def evaluate_samples(
 def estimate_field_jacobians(
     model,
     samples: SampleSet,
-    fd_step: float = 1e-5,
     workers: int | None = None,
 ) -> FieldJacobianBatch:
-    """Jacobians of the full observable field at every sample.
-
-    Exact from a model with ``evaluate_with_jacobian`` (or
-    ``evaluate_stacked``), else forward differences with absolute step
-    ``fd_step``; see :func:`evaluate_samples` for the evaluation, the
-    ``workers`` pool and the ModelEvaluationError naming a failed sample.
+    """Exact Jacobians of the full observable field at every sample, from
+    the model's ``evaluate_with_jacobian`` (or ``evaluate_stacked``); see
+    :func:`evaluate_samples` for the evaluation, the ``workers`` pool, the
+    refusal of any other model and the ModelEvaluationError naming a
+    failed sample.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    exact = hasattr(model, "evaluate_with_jacobian") or hasattr(model, "evaluate_stacked")
     outputs, jacobians = evaluate_samples(model, samples.points, with_jacobian=True,
-                                          fd_step=fd_step, workers=workers)
+                                          workers=workers)
     return FieldJacobianBatch(
         samples=samples,
         outputs=outputs,
         jacobians=jacobians,
-        fd_step=None if exact else fd_step,
         model_id=getattr(model, "model_id", type(model).__name__),
     )
 
@@ -260,7 +243,6 @@ def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None
         "model_id": batch.model_id,
         "seed": batch.samples.seed,
         "scheme": batch.samples.scheme,
-        "fd_step": batch.fd_step,
         "recipe_sha256": recipe_sha256,
         "N": batch.count,
         "P": batch.field_size,
@@ -313,7 +295,6 @@ def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
         samples=samples,
         outputs=outputs,
         jacobians=jacobians,
-        fd_step=None if header["fd_step"] is None else float(header["fd_step"]),
         model_id=header["model_id"],
     )
 

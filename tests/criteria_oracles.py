@@ -31,6 +31,5 @@ def stack_batch(jacobians) -> sampling.FieldJacobianBatch:
         samples=sampling.SampleSet(points=np.zeros((count, n)), seed=0),
         outputs=np.zeros((count, field_size)),
         jacobians=jacobians,
-        fd_step=None,
         model_id="stack",
     )

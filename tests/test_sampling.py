@@ -11,8 +11,7 @@ from svoed import design, geometry, models, sampling
 
 
 class CountingModel(models.ForwardModel):
-    """Wraps another model, exposing only ``evaluate`` so that field batches
-    difference it, and counts its calls."""
+    """Wraps another model, exposing only ``evaluate``, and counts its calls."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -98,57 +97,14 @@ def test_draw_samples_mean_within_monte_carlo_error():
     assert np.all(np.abs(s.points.mean(axis=0) - 0.105) <= 3.0 * stderr)
 
 
-# --- finite differences -------------------------------------------------------
+# --- evaluation and field Jacobians -------------------------------------------
 
 
-def test_fd_exact_for_linear_maps():
-    A = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
-    model = CountingModel(models.linear_model(A))
-    s = sampling.draw_samples(unit_box(), 5, seed=2)
-    batch = sampling.estimate_field_jacobians(model, s, fd_step=1e-5)
-    for i in range(5):
-        assert np.allclose(batch.jacobians[i], A, atol=1e-9)
-
-
-def test_fd_quadratic_against_analytic_jacobian():
-    quad = models.quadratic_model()
-    s = sampling.SampleSet(points=np.array([[1.0, 1.0]]), seed=0)
-    batch = sampling.estimate_field_jacobians(CountingModel(quad), s, fd_step=1e-5)
-    assert np.allclose(batch.jacobians[0], [[2.0, 0.0], [1.0, 1.0]], atol=1e-4)
-    _, exact = quad.evaluate_with_jacobian([1.0, 1.0])
-    assert np.allclose(batch.jacobians[0], exact, atol=1e-4)
-
-
-def test_fd_call_count_is_n_plus_one_per_sample():
-    model = CountingModel(models.quadratic_model())
-    s = sampling.draw_samples(model.parameter_box, 7, seed=5)
-    sampling.estimate_field_jacobians(model, s, fd_step=1e-6)
-    assert model.calls == 7 * (model.n_params + 1)
-
-
-def test_fd_error_is_first_order():
-    # Forward differences on a smooth map: halving the step halves the
-    # error, within a factor of 4 on a log-log fit.
-    quad = models.quadratic_model()
-    lam = np.array([[1.3, 0.8]])
-    steps = [4e-4, 2e-4, 1e-4]
-    errors = []
-    for h in steps:
-        batch = sampling.estimate_field_jacobians(
-            CountingModel(quad), sampling.SampleSet(points=lam, seed=0), fd_step=h
-        )
-        errors.append(np.abs(batch.jacobians[0] - quad.evaluate_with_jacobian(lam[0])[1]).max())
-    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-    assert 0.5 <= slope <= 2.0
-    assert errors[2] < errors[0]
-
-
-def test_fd_failure_reports_sample_and_parameters():
-    box = unit_box()
-    s = sampling.draw_samples(box, 5, seed=9)
-    model = FailingModel(s.points[3])
+def test_evaluation_failure_reports_sample_and_parameters():
+    # Outputs alone, as data-consistent inversion evaluates the plate.
+    s = sampling.draw_samples(unit_box(), 5, seed=9)
     with pytest.raises(sampling.ModelEvaluationError) as err:
-        sampling.estimate_field_jacobians(model, s, fd_step=1e-7)
+        sampling.evaluate_samples(FailingModel(s.points[3]), s.points)
     assert err.value.sample_index == 3
     assert np.allclose(err.value.parameters, s.points[3])
 
@@ -178,25 +134,27 @@ def test_bad_point_in_the_middle_of_a_rod_chunk_names_its_sample():
         assert np.array_equal(err.value.parameters, s.points[9])
 
 
-@pytest.mark.parametrize("stacked", [True, False], ids=["rod", "per-sample"])
-def test_evaluate_samples_restricts_to_design_rows(stacked):
-    rod = models.HeatRod1D(elements=10, time_steps=5)
-    model = rod if stacked else CountingModel(rod)
-    points = sampling.draw_samples(rod.parameter_box, 5, seed=2).points
+@pytest.mark.parametrize("model", [
+    models.HeatRod1D(elements=10, time_steps=5),
+    models.HeatPlate2D(elements_per_axis=3, time_steps=5),
+], ids=["rod", "per-sample"])
+def test_evaluate_samples_restricts_to_design_rows(model):
+    points = sampling.draw_samples(model.parameter_box, 5, seed=2).points
     field, jac = sampling.evaluate_samples(model, points, with_jacobian=True)
     rows, none = sampling.evaluate_samples(model, points, rows=(10, 0, 10))
     assert none is None
     assert np.array_equal(rows, field[:, [10, 0, 10]])
-    assert jac.shape == (5, rod.field_size, 2)
+    assert jac.shape == (5, model.field_size, model.n_params)
 
 
-def test_models_with_their_own_jacobian_skip_finite_differences():
-    s = sampling.draw_samples(unit_box(), 4, seed=9)
-    exact = sampling.estimate_field_jacobians(ExactModel([2.0, 2.0]), s)
-    assert exact.fd_step is None
-    assert np.array_equal(exact.jacobians, np.ones((4, 1, 2)))
-    fd = sampling.estimate_field_jacobians(FailingModel([2.0, 2.0]), s)
-    assert fd.fd_step == 1e-5
+def test_models_without_their_own_jacobian_are_refused():
+    model = CountingModel(models.quadratic_model())
+    s = sampling.draw_samples(model.parameter_box, 4, seed=9)
+    with pytest.raises(ValueError, match="no Jacobian"):
+        sampling.estimate_field_jacobians(model, s)
+    with pytest.raises(ValueError, match="no Jacobian"):
+        sampling.evaluate_samples(model, s.points, with_jacobian=True)
+    assert model.calls == 0
 
 
 def test_exact_threaded_matches_serial():
@@ -204,16 +162,6 @@ def test_exact_threaded_matches_serial():
     s = sampling.draw_samples(plate.parameter_box, 6, seed=4)
     serial = sampling.estimate_field_jacobians(plate, s)
     threaded = sampling.estimate_field_jacobians(plate, s, workers=2)
-    assert serial.fd_step is None
-    assert np.array_equal(serial.jacobians, threaded.jacobians)
-    assert np.array_equal(serial.outputs, threaded.outputs)
-
-
-def test_fd_threaded_matches_serial():
-    model = CountingModel(models.quadratic_model())
-    s = sampling.draw_samples(model.parameter_box, 12, seed=4)
-    serial = sampling.estimate_field_jacobians(model, s, fd_step=1e-5)
-    threaded = sampling.estimate_field_jacobians(model, s, fd_step=1e-5, workers=4)
     assert np.array_equal(serial.jacobians, threaded.jacobians)
     assert np.array_equal(serial.outputs, threaded.outputs)
 
@@ -230,13 +178,6 @@ def test_per_sample_batch_is_held_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * (batch.outputs.nbytes + batch.jacobians.nbytes)
-
-
-def test_fd_rejects_nonpositive_step():
-    model = models.quadratic_model()
-    s = sampling.draw_samples(model.parameter_box, 1, seed=1)
-    with pytest.raises(ValueError):
-        sampling.estimate_field_jacobians(model, s, fd_step=0.0)
 
 
 # --- design-row assembly ------------------------------------------------------
@@ -299,7 +240,6 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
     sampling.save_batch(batch, path)
     loaded = sampling.load_batch(path)
     assert loaded.model_id == batch.model_id
-    assert loaded.fd_step is batch.fd_step is None
     assert loaded.samples.seed == batch.samples.seed
     assert loaded.samples.scheme == batch.samples.scheme
     assert np.array_equal(loaded.outputs, batch.outputs)
@@ -320,9 +260,8 @@ def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_b
     with zipfile.ZipFile(compressed) as archive:
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
     loaded = sampling.load_batch(compressed, recipe_sha256="abc")
-    assert sampling.BATCH_SCHEMA_VERSION == 4
+    assert sampling.BATCH_SCHEMA_VERSION == 5
     assert loaded.model_id == batch.model_id
-    assert loaded.fd_step is None
     assert np.array_equal(loaded.samples.points, batch.samples.points)
     assert np.array_equal(loaded.outputs, batch.outputs)
     assert np.array_equal(loaded.jacobians, batch.jacobians)
@@ -337,7 +276,7 @@ def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_smal
         sampling.load_batch(path, recipe_sha256="def")
 
     bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy(),
-                                      batch.fd_step, batch.model_id)
+                                      batch.model_id)
     bad.jacobians[0, 0, 0] = np.nan
     sampling.save_batch(bad, path)
     with pytest.raises(ValueError, match="non-finite"):

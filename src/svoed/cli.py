@@ -102,6 +102,8 @@ def load_config(path: Path) -> dict:
 
 def build_model(cfg: dict, paper_scale: bool = False):
     kind = _get(cfg, "model.kind", str, choices=("heat_rod_1d", "heat_plate_2d", "synthetic"))
+    if paper_scale and kind != "heat_plate_2d":
+        raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
     try:
         if kind == "heat_rod_1d":
             return models.HeatRod1D(
@@ -146,7 +148,7 @@ def _build_box(cfg: dict, model) -> sampling.ParameterBox:
     return box
 
 
-def build_density(spec: dict, model, field_path: str, default_box=None) -> dci.Density:
+def build_density(spec: dict, field_path: str, default_box=None) -> dci.Density:
     """The density ``spec`` describes; a bad field raises a ConfigError
     naming it under ``field_path``."""
     try:
@@ -194,7 +196,7 @@ def _init_density(settings, box) -> dci.Density | None:
     uniform on the box, in which case it coincides with the volume measure."""
     if settings["measure"] == "volume" or settings["init"] is None:
         return None
-    return build_density(settings["init"], None, "sampling.init", default_box=box)
+    return build_density(settings["init"], "sampling.init", default_box=box)
 
 
 def _draw_criteria_samples(settings, box, seed) -> sampling.SampleSet:
@@ -212,18 +214,27 @@ def _draw_criteria_samples(settings, box, seed) -> sampling.SampleSet:
         points[filled : filled + take] = keep[:take]
         filled += take
         if filled == count:
-            return sampling.SampleSet(points=points, seed=seed, scheme="initial-density")
+            return sampling.SampleSet(points)
     raise ConfigError(
         f"sampling.init: only {filled} of {_MAX_DRAW_ROUNDS * count} draws fell in the "
         f"box, {count} needed; the init density has almost no mass there"
     )
 
 
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _batch_recipe(settings, model, box, seed) -> str:
-    """SHA-256 of everything that determines the field batch: the cache key."""
+    """SHA-256 of everything that determines the field batch."""
     recipe = dict(settings, model_id=model.model_id, t_final=getattr(model, "t_final", None),
                   seed=seed, box=[box.lower.tolist(), box.upper.tolist()])
-    return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
+    return _sha256(recipe)
+
+
+def _batch_key(settings, model, box, seed) -> str:
+    """The batch cache key: the recipe and the batch schema."""
+    return _sha256([_batch_recipe(settings, model, box, seed), sampling.BATCH_SCHEMA_VERSION])
 
 
 def _cache_path(cfg) -> Path | None:
@@ -242,10 +253,10 @@ def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJaco
     sidecar never outlives its batch."""
     cache_path = _cache_path(cfg)
     if cache_path is not None:
-        recipe = _batch_recipe(settings, model, box, seed)
+        key = _batch_key(settings, model, box, seed)
         if cache_path.exists():
             try:
-                return sampling.load_batch(cache_path, recipe_sha256=recipe)
+                return sampling.load_batch(cache_path, key)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
     samples = _draw_criteria_samples(settings, box, seed)
@@ -253,7 +264,7 @@ def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJaco
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         _statistics_path(cache_path).unlink(missing_ok=True)
-        sampling.save_batch(batch, cache_path, recipe_sha256=recipe)
+        sampling.save_batch(batch, cache_path, key)
     return batch
 
 
@@ -301,10 +312,11 @@ def _exhaustive(cfg, args, seed, model, box, utility="ese_inverse"):
     settings: the scoring prologue of ``sweep`` and ``oed``.
 
     With a batch cache, the (C, 5) statistics are kept in a sidecar next to
-    it, keyed on the batch recipe, the batch schema, the arity, ``rank_tol``
-    and the statistics columns: everything the rows depend on.  A later run
-    with the same key ranks the stored rows instead of running the
-    kernels; any other sidecar is recomputed and overwritten.
+    it, keyed on the batch key, the arity, ``rank_tol`` and the statistics
+    columns: everything the rows depend on.  A later run with the same key
+    ranks the stored rows instead of running the kernels; any other
+    sidecar, or one of another shape or with negative values, is
+    recomputed and overwritten.
     """
     arity = _get(cfg, "design.arity", int, default=2)
     rank_tol, settings, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
@@ -312,30 +324,29 @@ def _exhaustive(cfg, args, seed, model, box, utility="ese_inverse"):
     if cache_path is None:
         return design.exhaustive_oed(space, batch, utility, rank_tol), settings
     sidecar = _statistics_path(cache_path)
-    key = hashlib.sha256(json.dumps({
-        "recipe": _batch_recipe(settings, model, box, seed),
-        "batch_schema": sampling.BATCH_SCHEMA_VERSION, "arity": arity,
-        "rank_tol": float(rank_tol), "statistics": criteria.STATISTICS,
-    }, sort_keys=True).encode()).hexdigest()
+    key = _sha256([_batch_key(settings, model, box, seed), arity, float(rank_tol),
+                   criteria.STATISTICS])
     if sidecar.exists():
         try:
-            stats = sampling.load_statistics(sidecar, key, (len(space), len(criteria.STATISTICS)))
+            (stats,) = sampling.load_arrays(sidecar, key, ["statistics"])
+            if stats.shape != (len(space), len(criteria.STATISTICS)) or np.any(stats < 0.0):
+                raise ValueError(f"statistics of shape {stats.shape} or with negative values")
             return design.rank_designs(space, stats, utility), settings
         except ValueError as exc:
             logger.warning("recomputing statistics cache %s: %s", sidecar, exc)
     result = design.exhaustive_oed(space, batch, utility, rank_tol)
-    sampling.save_statistics(result.reports, sidecar, key)
+    sampling.save_arrays(sidecar, key, statistics=result.reports)
     return result, settings
 
 
-def _sensor_rows(cfg, model, path="dci.sensors") -> tuple[int, ...]:
-    sensors = _get(cfg, path, list)
+def _sensor_rows(cfg, model) -> tuple[int, ...]:
+    sensors = _get(cfg, "dci.sensors", list)
     if not sensors:
-        raise ConfigError(f"{path}: need at least one sensor")
+        raise ConfigError("dci.sensors: need at least one sensor")
     rows = tuple(model.nearest_field_index(s) for s in sensors)
     if len(set(rows)) < len(rows):
         # Two equal output rows make the predicted kernel density singular.
-        raise ConfigError(f"{path}: sensors {sensors} resolve to field rows {list(rows)}, "
+        raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {list(rows)}, "
                           "and each row may be observed only once")
     return rows
 
@@ -381,12 +392,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> None:
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    canonical = json.dumps(echo, sort_keys=True).encode()
     _write_json(outdir / "manifest.json", {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
         "task": task,
-        "config_sha256": hashlib.sha256(canonical).hexdigest(),
+        "config_sha256": _sha256(echo),
         "config": echo,
         "seed_used": seed,
         "workers": args.workers,
@@ -398,11 +408,13 @@ def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> No
 
 def _resolve_run(cfg, args):
     """The prologue every task shares: seed, output directory, model, box."""
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
     seed = args.seed if args.seed is not None else _get(cfg, "sampling.seed", int, default=0)
     outdir = Path(args.out) if args.out else cfg["_base_dir"] / _get(cfg, "output_dir", str)
-    if args.paper_scale and _get(cfg, "model.kind", str, default="") == "heat_plate_2d":
-        cfg.setdefault("sampling", {})["count"] = 1000
     model = build_model(cfg, paper_scale=args.paper_scale)
+    if args.paper_scale:
+        cfg.setdefault("sampling", {})["count"] = 1000
     box = _build_box(cfg, model)
     outdir.mkdir(parents=True, exist_ok=True)
     return seed, outdir, model, box
@@ -502,16 +514,16 @@ def _dci_pieces(cfg, args, seed, model, box):
                      choices=("silverman", "scott"))
     init_spec = _get(cfg, "dci.init", dict, default=None)
     init = (dci.UniformBoxDensity(box) if init_spec is None
-            else build_density(init_spec, model, "dci.init", default_box=box))
+            else build_density(init_spec, "dci.init", default_box=box))
     obs_spec = _get(cfg, "dci.observed", dict, default=None)
     if obs_spec is None:
         obs_spec = {"kind": "gaussian", "mean": "model-midpoint", "cov": 0.15}
     if obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint":
         # Checks the covariance on a zero mean of the right length first.
-        build_density(dict(obs_spec, mean=[0.0] * len(rows)), model, "dci.observed")
+        build_density(dict(obs_spec, mean=[0.0] * len(rows)), "dci.observed")
         midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
         obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
-    observed = build_density(obs_spec, model, "dci.observed")
+    observed = build_density(obs_spec, "dci.observed")
     return rows, (init, observed, count, dci_seed, bandwidth, args.workers)
 
 

@@ -115,7 +115,6 @@ class ExhaustiveResult:
     space: DesignSpace
     reports: np.ndarray  # (C, 5) criteria.STATISTICS rows, aligned with space.candidates
     order: np.ndarray  # candidate indices, best first
-    utility: str
 
     @property
     def best_index(self) -> int:
@@ -138,7 +137,7 @@ def rank_designs(space: DesignSpace, stats: np.ndarray,
     if utility not in UTILITIES:
         raise ValueError(f"utility must be one of {UTILITIES}")
     order = _rank(stats[:, UTILITIES.index(utility)])
-    return ExhaustiveResult(space=space, reports=stats, order=order, utility=utility)
+    return ExhaustiveResult(space=space, reports=stats, order=order)
 
 
 def exhaustive_oed(

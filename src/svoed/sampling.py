@@ -18,7 +18,6 @@ asked.
 
 from __future__ import annotations
 
-import json
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ import numpy as np
 
 # Schema 4: the rod's tridiagonal march moves its values at round-off.
 # Schema 5: the header drops ``fd_step``; every batch holds exact Jacobians.
-BATCH_SCHEMA_VERSION = 5
+# Schema 6: one key covers the recipe and the schema; no JSON header.
+BATCH_SCHEMA_VERSION = 6
 
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
@@ -69,19 +69,9 @@ class ParameterBox:
 
 @dataclass
 class SampleSet:
-    """Parameter points plus the recipe that produced them."""
+    """Parameter points, one row per sample."""
 
     points: np.ndarray  # (N, n)
-    seed: int
-    scheme: str = "uniform-random"
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def draw_samples(box: ParameterBox, count: int, seed: int) -> SampleSet:
@@ -90,7 +80,7 @@ def draw_samples(box: ParameterBox, count: int, seed: int) -> SampleSet:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     points = rng.uniform(box.lower, box.upper, size=(count, box.dim))
-    return SampleSet(points=points, seed=seed, scheme="uniform-random")
+    return SampleSet(points)
 
 
 class ModelEvaluationError(RuntimeError):
@@ -116,7 +106,6 @@ class FieldJacobianBatch:
     samples: SampleSet
     outputs: np.ndarray
     jacobians: np.ndarray
-    model_id: str
 
     @property
     def count(self) -> int:
@@ -223,109 +212,57 @@ def estimate_field_jacobians(
     """
     outputs, jacobians = evaluate_samples(model, samples.points, with_jacobian=True,
                                           workers=workers)
-    return FieldJacobianBatch(
-        samples=samples,
-        outputs=outputs,
-        jacobians=jacobians,
-        model_id=getattr(model, "model_id", type(model).__name__),
-    )
+    return FieldJacobianBatch(samples, outputs, jacobians)
 
 
-def save_batch(batch: FieldJacobianBatch, path, recipe_sha256: str = "") -> None:
-    """Persist a batch at ``path`` so criterion sweeps can re-run without
-    model solves.
+def save_arrays(path, key: str, **arrays) -> None:
+    """Write ``arrays`` under ``key`` at exactly ``path``, as an uncompressed
+    ``.npz``; :func:`load_arrays` refuses the file under any other key.
 
-    ``recipe_sha256`` identifies what produced the batch (model and
-    samples); :func:`load_batch` can refuse a file whose recipe differs.
+    Uncompressed, because float samples barely compress.  Through an open
+    file, because np.savez appends ".npz" to a path without it.
     """
-    header = {
-        "schema_version": BATCH_SCHEMA_VERSION,
-        "model_id": batch.model_id,
-        "seed": batch.samples.seed,
-        "scheme": batch.samples.scheme,
-        "recipe_sha256": recipe_sha256,
-        "N": batch.count,
-        "P": batch.field_size,
-        "n": batch.n_params,
-    }
-    # Uncompressed: float samples barely compress, and np.load reads
-    # either form, so caches written compressed still load.  Through an
-    # open file, because np.savez appends ".npz" to a path without it.
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            header=np.array(json.dumps(header)),
-            points=batch.samples.points,
-            outputs=batch.outputs,
-            jacobians=batch.jacobians,
-        )
+        np.savez(fh, key=np.array(key), **arrays)
 
 
-def load_batch(path, recipe_sha256: str | None = None) -> FieldJacobianBatch:
-    """Read a batch written by :func:`save_batch`, checking it first.
+def load_arrays(path, key: str, names) -> list[np.ndarray]:
+    """The arrays ``names`` of a file written by :func:`save_arrays`.
 
-    Raises ValueError for a file that is not a readable batch, for an
-    unknown schema, for a stored recipe that differs from ``recipe_sha256``
-    (when given), and for arrays whose shapes disagree with the header or
-    that hold non-finite values.
+    Raises ValueError for a file that is not a readable ``.npz`` holding
+    them, for a file stored under another key (or none: an older schema),
+    and for an array that is not float64 or holds a non-finite value.
     """
     try:
         # Through an open file: np.load leaves a file it opened itself open
         # when the file is not a readable zip.
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            header = json.loads(str(data["header"]))
-            if header.get("schema_version") != BATCH_SCHEMA_VERSION:
-                raise ValueError(f"unsupported batch schema: {header.get('schema_version')}")
-            if recipe_sha256 is not None and header["recipe_sha256"] != recipe_sha256:
-                raise ValueError("batch was made from a different recipe")
-            points = data["points"]
-            outputs = data["outputs"]
-            jacobians = data["jacobians"]
+            if "key" not in data.files or str(data["key"]) != key:
+                raise ValueError("stored under another key")
+            arrays = [data[name] for name in names]
     except _UNREADABLE as exc:
-        raise ValueError(f"unreadable batch file: {exc!r}") from exc
-    N, P, n = header["N"], header["P"], header["n"]
-    for name, array, shape in (("points", points, (N, n)), ("outputs", outputs, (N, P)),
-                               ("jacobians", jacobians, (N, P, n))):
-        if array.shape != shape:
-            raise ValueError(f"batch {name} has shape {array.shape}, header says {shape}")
+        raise ValueError(f"unreadable file: {exc!r}") from exc
+    for name, array in zip(names, arrays):
+        if array.dtype != np.float64:
+            raise ValueError(f"{name} is {array.dtype}, not float64")
         if not np.all(np.isfinite(array)):
-            raise ValueError(f"batch {name} holds non-finite values")
-    samples = SampleSet(points=points, seed=int(header["seed"]), scheme=header["scheme"])
-    return FieldJacobianBatch(
-        samples=samples,
-        outputs=outputs,
-        jacobians=jacobians,
-        model_id=header["model_id"],
-    )
+            raise ValueError(f"{name} holds non-finite values")
+    return arrays
 
 
-def save_statistics(stats: np.ndarray, path, key: str) -> None:
-    """Persist per-candidate statistics rows beside the batch they came from.
-
-    ``key`` identifies everything the rows depend on; :func:`load_statistics`
-    refuses a file stored under any other key.
-    """
-    with open(path, "wb") as fh:  # at ``path`` exactly, as in save_batch
-        np.savez(fh, key=np.array(key), statistics=stats)
+def save_batch(batch: FieldJacobianBatch, path, key: str) -> None:
+    """Persist a batch at ``path`` under ``key``, which names what made it,
+    so criterion sweeps can re-run without model solves."""
+    save_arrays(path, key, points=batch.samples.points, outputs=batch.outputs,
+                jacobians=batch.jacobians)
 
 
-def load_statistics(path, key: str, shape) -> np.ndarray:
-    """Read statistics written by :func:`save_statistics`, checking them first.
-
-    Raises ValueError for a file that is not a readable statistics file,
-    for a stored key other than ``key``, for an array that is not float of
-    ``shape``, and for negative or non-finite values.
-    """
-    try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:  # as in load_batch
-            if str(data["key"]) != key:
-                raise ValueError("statistics were made from another batch or setting")
-            stats = data["statistics"]
-    except _UNREADABLE as exc:
-        raise ValueError(f"unreadable statistics file: {exc!r}") from exc
-    if stats.dtype != np.float64 or stats.shape != tuple(shape):
-        raise ValueError(f"statistics are {stats.dtype} of shape {stats.shape}, "
-                         f"want float64 of shape {tuple(shape)}")
-    if not np.all(np.isfinite(stats) & (stats >= 0.0)):
-        raise ValueError("statistics hold negative or non-finite values")
-    return stats
+def load_batch(path, key: str) -> FieldJacobianBatch:
+    """Read a batch written by :func:`save_batch` under ``key``; ValueError
+    as for :func:`load_arrays`, and for array shapes that disagree."""
+    points, outputs, jacobians = load_arrays(path, key, ("points", "outputs", "jacobians"))
+    shape = jacobians.shape
+    if len(shape) != 3 or points.shape != (shape[0], shape[2]) or outputs.shape != shape[:2]:
+        raise ValueError(f"batch shapes disagree: points {points.shape}, "
+                         f"outputs {outputs.shape}, jacobians {jacobians.shape}")
+    return FieldJacobianBatch(SampleSet(points), outputs, jacobians)

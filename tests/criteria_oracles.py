@@ -28,8 +28,7 @@ def stack_batch(jacobians) -> sampling.FieldJacobianBatch:
     """A field batch over a raw (N, P, n) Jacobian stack; no model behind it."""
     count, field_size, n = jacobians.shape
     return sampling.FieldJacobianBatch(
-        samples=sampling.SampleSet(points=np.zeros((count, n)), seed=0),
+        samples=sampling.SampleSet(points=np.zeros((count, n))),
         outputs=np.zeros((count, field_size)),
         jacobians=jacobians,
-        model_id="stack",
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svoed import cli, design, geometry, models, sampling
+from svoed import cli, criteria, design, geometry, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -67,6 +67,13 @@ def cache_config(tmp_path, task, count, out=None, cache="cache/batch.npz", arity
         "tolerances": {"rank_tol": rank_tol}, "output_dir": out})
 
 
+def batch_key(count):
+    """The key a ``cache_config`` batch of ``count`` samples is stored under."""
+    rod = cli.build_model({"model": ROD})
+    settings = cli._sampling_settings({"sampling": {"count": count}})
+    return cli._batch_key(settings, rod, rod.parameter_box, 5)
+
+
 def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
     solves = []
     estimate = sampling.estimate_field_jacobians
@@ -83,7 +90,7 @@ def test_batch_cache_is_keyed_on_the_recipe(tmp_path, monkeypatch):
     assert len(solves) == 2
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert {row["sample_count"] for row in csv.DictReader(fh)} == {"7"}
-    assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+    assert sampling.load_batch(tmp_path / "cache" / "batch.npz", batch_key(7)).count == 7
 
 
 def test_batch_cache_without_the_npz_suffix_hits(tmp_path, monkeypatch):
@@ -108,6 +115,25 @@ def count_scoring(monkeypatch) -> list:
     return scored
 
 
+def write_schema_5(cache, sidecar, save):
+    """Rewrite the batch cache and its sidecar as schema 5 wrote them: the
+    arrays beside a JSON header, and a sidecar key hashed from a dict."""
+    with np.load(cache) as data:
+        arrays = {name: data[name] for name in ("points", "outputs", "jacobians")}
+    with np.load(sidecar) as data:
+        stats = data["statistics"]
+    rod = cli.build_model({"model": ROD})
+    recipe = cli._batch_recipe(cli._sampling_settings({"sampling": {"count": 4}}), rod,
+                               rod.parameter_box, 5)
+    N, P, n = arrays["jacobians"].shape
+    header = {"schema_version": 5, "model_id": rod.model_id, "seed": 5,
+              "scheme": "uniform-random", "recipe_sha256": recipe, "N": N, "P": P, "n": n}
+    save(cache, header=np.array(json.dumps(header)), **arrays)
+    key = cli._sha256({"recipe": recipe, "batch_schema": 5, "arity": 1, "rank_tol": 1e-12,
+                       "statistics": criteria.STATISTICS})
+    np.savez(sidecar, key=np.array(key), statistics=stats)
+
+
 def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     solves, loads = [], []
     estimate, load = sampling.estimate_field_jacobians, sampling.load_batch
@@ -115,31 +141,36 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
                         lambda *a, **k: solves.append(1) or estimate(*a, **k))
     monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
     scored = count_scoring(monkeypatch)
-    older = sampling.BATCH_SCHEMA_VERSION - 1
-
-    # The batch and its statistics sidecar as the previous schema wrote them.
-    with monkeypatch.context() as previous:
-        previous.setattr(sampling, "BATCH_SCHEMA_VERSION", older)
-        assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
-        assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
-    assert (len(solves), len(loads), len(scored)) == (1, 1, 1)
     cache = tmp_path / "cache" / "batch.npz"
     sidecar = cli._statistics_path(cache)
-    with np.load(cache) as data:
-        assert json.loads(str(data["header"]))["schema_version"] == older
-    with np.load(sidecar) as data:
-        older_key = str(data["key"])
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+    cold = cache_config(tmp_path, "sweep", 4, "cold", cache=False)
+    assert cli.main(["sweep", "--config", cold]) == 0
+    assert (len(solves), len(loads), len(scored)) == (2, 0, 2)
 
-    # The recipe is the same, but the batch is recomputed and rescored.
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
-    assert (len(solves), len(scored)) == (2, 2)
-    assert f"unsupported batch schema: {older}" in caplog.text
-    with np.load(cache) as data:
-        assert "fd_step" not in json.loads(str(data["header"]))
-    with np.load(sidecar) as data:
-        assert str(data["key"]) != older_key
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
-    assert (len(solves), len(scored)) == (2, 2)
+    def this_layout_one_schema_back():
+        with monkeypatch.context() as previous:
+            previous.setattr(sampling, "BATCH_SCHEMA_VERSION", sampling.BATCH_SCHEMA_VERSION - 1)
+            assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+
+    # Schema 5 as it was written (uncompressed or, by earlier versions,
+    # compressed), and this layout under an older schema number.
+    for older in (lambda: write_schema_5(cache, sidecar, np.savez),
+                  lambda: write_schema_5(cache, sidecar, np.savez_compressed),
+                  this_layout_one_schema_back):
+        older()
+        solved, loaded, caplog_start = len(solves), len(loads), len(caplog.records)
+        # The recipe is the same, but the batch is recomputed, with a
+        # warning, and rescored; the next run serves both.
+        for _ in range(2):
+            assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
+            assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (
+                tmp_path / "cold" / "sweep.csv").read_bytes()
+        assert (len(solves), len(loads)) == (solved + 1, loaded + 2)
+        warned = [r.getMessage() for r in caplog.records[caplog_start:]]
+        assert len(warned) == 1 and "recomputing batch cache" in warned[0]
+        assert "stored under another key" in warned[0]
+    assert len(scored) == 2 + 3 + 1  # the older-schema number also rescored its oed
 
 
 def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
@@ -148,7 +179,7 @@ def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
     cache.write_bytes(cache.read_bytes()[:1000])
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     assert "recomputing batch cache" in caplog.text and "BadZipFile" in caplog.text
-    assert sampling.load_batch(cache).count == 4
+    assert sampling.load_batch(cache, batch_key(4)).count == 4
 
 
 SCORED_FILES = {"sweep": ["sweep.csv"], "oed": ["ranking.csv", "oed_summary.json"]}
@@ -194,8 +225,23 @@ def test_greedy_writes_no_statistics_and_its_new_batch_drops_them(tmp_path):
     assert sidecar.exists()
     greedy["sampling"]["count"] = 7
     assert cli.main(["greedy", "--config", write_config(tmp_path, "g.json", greedy)]) == 0
-    assert sampling.load_batch(tmp_path / "cache" / "batch.npz").count == 7
+    assert sampling.load_batch(tmp_path / "cache" / "batch.npz", batch_key(7)).count == 7
     assert not sidecar.exists()
+
+
+def test_sidecar_copied_back_over_a_rewritten_batch_is_rescored(tmp_path, monkeypatch, caplog):
+    sidecar = tmp_path / "cache" / "batch.stats.npz"
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
+    old = sidecar.read_bytes()
+    # Another recipe rewrites the batch; then the old sidecar comes back.
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 7, "cold")]) == 0
+    sidecar.write_bytes(old)
+    scored = count_scoring(monkeypatch)
+    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 7)]) == 0
+    assert len(scored) == 1
+    assert "recomputing statistics cache" in caplog.text and "another key" in caplog.text
+    assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
+            == (tmp_path / "cold" / "sweep.csv").read_bytes())
 
 
 def damage(sidecar, how):
@@ -210,7 +256,7 @@ def damage(sidecar, how):
         stats[3, 0] = -1.0
     else:
         stats[0, 1] = np.nan
-    sampling.save_statistics(stats, sidecar, key)
+    sampling.save_arrays(sidecar, key, statistics=stats)
 
 
 @pytest.mark.parametrize("how", ["truncated", "shape", "negative", "nan"])
@@ -331,6 +377,30 @@ def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, caps
     assert "sampling.count" in err and "4320000000-byte" in err
 
 
+@pytest.mark.parametrize("model", [ROD, {"kind": "synthetic", "name": "shear"}],
+                         ids=["rod", "synthetic"])
+def test_paper_scale_off_the_plate_is_a_config_error_before_any_solve(model, tmp_path, capsys,
+                                                                       monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "oed.json", {
+        "task": "oed", "model": model, "sampling": {"count": 4}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
+    assert "--paper-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_config_error_before_any_solve(workers, tmp_path, capsys,
+                                                              monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0], "count": 50},
+        "output_dir": "out"})
+    assert cli.main(["dci", "--config", config, "--workers", workers]) == cli.EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys,
                                                                        monkeypatch):
     # 49,995,000 pairs of the e99 plate over 1000 samples: refused before any
@@ -350,8 +420,8 @@ def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, 
      "c13e7f53561c6d505af7c1e2a4d2706c3104c2d52abfdf2f8ef84bde8cd8014d"),
 ], ids=["volume", "initial"])
 def test_batch_recipe_digest_is_unchanged(settings, digest):
-    # The cache key of earlier versions: a new digest would make every
-    # batch cache already on disk stale.
+    # The recipe half of the batch key: a new digest would make every batch
+    # cache already on disk stale, as a new batch schema does.
     rod = models.HeatRod1D(elements=10, time_steps=5)
     read = cli._sampling_settings({"sampling": settings})
     assert cli._batch_recipe(read, rod, rod.parameter_box, 5) == digest
@@ -380,7 +450,7 @@ def test_init_density_with_mass_in_the_box_fills_the_sample():
                         "init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}}}
     box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
     samples = cli._draw_criteria_samples(cli._sampling_settings(cfg), box, seed=1)
-    assert samples.count == 50
+    assert samples.points.shape == (50, 2)
     assert np.all(box.contains(samples.points))
 
 

@@ -237,11 +237,8 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
 def test_batch_roundtrip(tmp_path, rod_batch_small):
     _, batch = rod_batch_small
     path = tmp_path / "batch.npz"
-    sampling.save_batch(batch, path)
-    loaded = sampling.load_batch(path)
-    assert loaded.model_id == batch.model_id
-    assert loaded.samples.seed == batch.samples.seed
-    assert loaded.samples.scheme == batch.samples.scheme
+    sampling.save_batch(batch, path, "abc")
+    loaded = sampling.load_batch(path, "abc")
     assert np.array_equal(loaded.outputs, batch.outputs)
     assert np.array_equal(loaded.jacobians, batch.jacobians)
     assert np.array_equal(loaded.samples.points, batch.samples.points)
@@ -250,7 +247,7 @@ def test_batch_roundtrip(tmp_path, rod_batch_small):
 def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_batch_small):
     _, batch = rod_batch_small
     path = tmp_path / "batch.npz"
-    sampling.save_batch(batch, path, recipe_sha256="abc")
+    sampling.save_batch(batch, path, "abc")
     with zipfile.ZipFile(path) as archive:
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
     with np.load(path) as data:
@@ -259,9 +256,8 @@ def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_b
     np.savez_compressed(compressed, **arrays)  # how earlier versions wrote the cache
     with zipfile.ZipFile(compressed) as archive:
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
-    loaded = sampling.load_batch(compressed, recipe_sha256="abc")
-    assert sampling.BATCH_SCHEMA_VERSION == 5
-    assert loaded.model_id == batch.model_id
+    loaded = sampling.load_batch(compressed, "abc")
+    assert sampling.BATCH_SCHEMA_VERSION == 6
     assert np.array_equal(loaded.samples.points, batch.samples.points)
     assert np.array_equal(loaded.outputs, batch.outputs)
     assert np.array_equal(loaded.jacobians, batch.jacobians)
@@ -270,21 +266,21 @@ def test_batch_is_stored_uncompressed_and_compressed_caches_load(tmp_path, rod_b
 def test_load_batch_rejects_stale_recipe_and_bad_arrays(tmp_path, rod_batch_small):
     _, batch = rod_batch_small
     path = tmp_path / "batch.npz"
-    sampling.save_batch(batch, path, recipe_sha256="abc")
-    assert sampling.load_batch(path, recipe_sha256="abc").count == batch.count
-    with pytest.raises(ValueError, match="different recipe"):
-        sampling.load_batch(path, recipe_sha256="def")
-
-    bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy(),
-                                      batch.model_id)
-    bad.jacobians[0, 0, 0] = np.nan
-    sampling.save_batch(bad, path)
-    with pytest.raises(ValueError, match="non-finite"):
-        sampling.load_batch(path)
-
+    sampling.save_batch(batch, path, "abc")
+    assert sampling.load_batch(path, "abc").count == batch.count
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["points"] = arrays["points"][:-1]
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="shape"):
-        sampling.load_batch(path)
+    with pytest.raises(ValueError, match="another key"):
+        sampling.load_batch(path, "def")
+
+    bad = sampling.FieldJacobianBatch(batch.samples, batch.outputs, batch.jacobians.copy())
+    bad.jacobians[0, 0, 0] = np.nan
+    sampling.save_batch(bad, path, "abc")
+    with pytest.raises(ValueError, match="non-finite"):
+        sampling.load_batch(path, "abc")
+
+    for name, array, match in (("points", arrays["points"][:-1], "shapes disagree"),
+                               ("outputs", arrays["outputs"].astype(np.float32), "float64")):
+        np.savez_compressed(path, **dict(arrays, **{name: array}))
+        with pytest.raises(ValueError, match=match):
+            sampling.load_batch(path, "abc")

@@ -13,7 +13,8 @@ relative to the config file) and writes a manifest echoing the resolved
 config, its content hash and the seeds, so reruns are reproducible and
 diffable.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 Settings are checked before the first model solve, so a config error
-exits 2 without solving anything.
+exits 2 without solving anything.  Every key a config may hold is declared
+once, in ``_SETTINGS``; a key its task or kind does not read exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import logging
 import sys
 import time
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -70,21 +72,112 @@ class ConfigError(Exception):
     """Invalid or missing run-configuration field; message names the path."""
 
 
-def _get(cfg: dict, path: str, types=None, default=_MISSING, choices=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is not _MISSING:
-                return default
-            raise ConfigError(f"{path}: missing required field")
-        node = node[part]
-    if types is not None and not isinstance(node, types):
-        raise ConfigError(f"{path}: expected {types}, got {type(node).__name__}")
-    if isinstance(node, bool) and types in ((int, float), int):
-        raise ConfigError(f"{path}: expected a number, got a boolean")
-    if choices is not None and node not in choices:
-        raise ConfigError(f"{path}: must be one of {sorted(choices)}")
-    return node
+# One config key: its JSON type (names of _TYPES joined by " or "), its
+# default (_MISSING: required), the values it admits (a tuple of choices, or
+# a lower bound such as ">= 1", on the length of a list) and its readers.
+_Setting = namedtuple("_Setting", "type default allowed readers")
+_TYPES = {"int": int, "number": (int, float), "string": str, "list": list, "object": dict}
+
+_SCORING, _DCI = ("sweep", "oed", "greedy"), ("dci", "diag")
+_TASK_NAMES = _SCORING + _DCI
+_HEAT = ("heat_rod_1d", "heat_plate_2d")
+_MODEL_KINDS = _HEAT + ("synthetic",)
+_DENSITY_KINDS = ("gaussian", "uniform-box", "kde-from-samples")
+
+# Every key a run config may hold, declared once.  Its readers are tasks;
+# for the ``model`` section, model kinds; and for the keys of a density
+# spec (``sampling.init``, ``dci.init``, ``dci.observed``), density kinds.
+_SETTINGS = {
+    "task": _Setting("string", _MISSING, _TASK_NAMES, _TASK_NAMES),
+    "output_dir": _Setting("string", None, None, _TASK_NAMES),
+    "sampling.seed": _Setting("int", 0, None, _TASK_NAMES),
+    "sampling.box": _Setting("list", None, None, _TASK_NAMES),
+    "sampling.count": _Setting("int", _MISSING, ">= 1", _SCORING),
+    "sampling.measure": _Setting("string", "volume", criteria.HM_MEASURES, _SCORING),
+    "sampling.init": _Setting("object", None, None, _SCORING),
+    "sampling.batch_cache": _Setting("string", None, None, _SCORING),
+    "design.arity": _Setting("int", 2, (1, 2), ("sweep", "oed")),
+    "design.utility": _Setting("string", "ese_inverse", design.UTILITIES, ("oed",)),
+    "tolerances.rank_tol": _Setting("number", 1e-12, ">= 0", _SCORING),
+    "tolerances.greedy_tol": _Setting("number", 1e-3, "> 0", ("greedy",)),
+    "greedy.m_target": _Setting("int", _MISSING, ">= 1", ("greedy",)),
+    "dci.sensors": _Setting("list", _MISSING, ">= 1", _DCI),
+    "dci.count": _Setting("int", 1000, ">= 2", _DCI),
+    "dci.seed": _Setting("int", None, None, _DCI),
+    "dci.bandwidth": _Setting("string", "silverman", ("silverman", "scott"), _DCI),
+    "dci.init": _Setting("object", {"kind": "uniform-box"}, None, _DCI),
+    "dci.observed": _Setting("object", {"kind": "gaussian", "mean": "model-midpoint",
+                                        "cov": 0.15}, None, _DCI),
+    "model.kind": _Setting("string", _MISSING, _MODEL_KINDS, _MODEL_KINDS),
+    "model.elements": _Setting("int", None, None, _HEAT),
+    "model.time_steps": _Setting("int", None, None, _HEAT),
+    "model.t_final": _Setting("number", None, None, _HEAT),
+    "model.name": _Setting("string", _MISSING, tuple(models.synthetic_maps()), ("synthetic",)),
+    "kind": _Setting("string", _MISSING, _DENSITY_KINDS, _DENSITY_KINDS),
+    "lower": _Setting("list", None, None, ("uniform-box",)),
+    "upper": _Setting("list", None, None, ("uniform-box",)),
+    "mean": _Setting("list or number", _MISSING, None, ("gaussian",)),
+    "cov": _Setting("list or number", _MISSING, None, ("gaussian",)),
+    "samples": _Setting("list", _MISSING, None, ("kde-from-samples",)),
+    "bandwidth": _Setting("string", "silverman", ("silverman", "scott"), ("kde-from-samples",)),
+}
+
+
+def _flatten(section: dict, where: str = "") -> dict:
+    """``section``'s values by dotted key, nested objects included."""
+    flat = {}
+    for name, value in section.items():
+        key = where + name
+        is_section = isinstance(value, dict) and key not in _SETTINGS
+        flat.update(_flatten(value, key + ".") if is_section else {key: value})
+    return flat
+
+
+def _value(key: str, value, setting: _Setting):
+    """``value`` checked against ``setting``, or its default when missing."""
+    if value is _MISSING:
+        if setting.default is _MISSING:
+            raise ConfigError(f"{key}: missing required field")
+        return setting.default
+    types = tuple(_TYPES[name] for name in setting.type.split(" or "))
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key}: expected {setting.type}, got {type(value).__name__}")
+    if isinstance(setting.allowed, tuple) and value not in setting.allowed:
+        raise ConfigError(f"{key}: must be one of {list(setting.allowed)}, got {value!r}")
+    if isinstance(setting.allowed, str):
+        op, bound = setting.allowed.split()
+        size = len(value) if isinstance(value, list) else value
+        if not (size > float(bound) if op == ">" else size >= float(bound)):
+            raise ConfigError(f"{key}: {'length ' if isinstance(value, list) else ''}must be "
+                              f"{setting.allowed}, got {value!r}")
+    return value
+
+
+def _read(flat: dict, kind_key: str, where: str = "") -> dict:
+    """The settings the kind at ``kind_key`` reads from the flattened section
+    ``flat``, defaults filled in; any other key is refused, naming the
+    nearest one it reads.  Messages put ``where`` before each key."""
+    kind = _value(where + kind_key, flat.get(kind_key, _MISSING), _SETTINGS[kind_key])
+    read = {key: setting for key, setting in _SETTINGS.items() if kind in setting.readers}
+    for key in [key for key in flat if key not in read]:
+        import difflib  # only on a refusal, so no run's start-up pays for it
+        near = difflib.get_close_matches(key, list(read), n=1)
+        hint = (f"read only by {', '.join(_SETTINGS[key].readers)}" if key in _SETTINGS
+                else f"did you mean {where}{near[0]}?" if near else "no such setting")
+        raise ConfigError(f"{where}{key}: not a setting of {kind}; {hint}")
+    return {key: _value(where + key, flat.get(key, _MISSING), setting)
+            for key, setting in read.items()}
+
+
+def _settings(cfg: dict, task: str, paper_scale: bool = False) -> dict:
+    """Every setting ``task`` reads outside the ``model`` section."""
+    flat = _flatten({name: value for name, value in cfg.items() if name != "model"})
+    if flat.setdefault("task", task) != task:
+        raise ConfigError(
+            f"task: config says {flat['task']!r} but the {task!r} subcommand was invoked")
+    if paper_scale and task in _SCORING:
+        flat["sampling.count"] = 1000
+    return _read(flat, "task")
 
 
 def load_config(path: Path) -> dict:
@@ -93,7 +186,7 @@ def load_config(path: Path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -101,39 +194,27 @@ def load_config(path: Path) -> dict:
 
 
 def build_model(cfg: dict, paper_scale: bool = False):
-    kind = _get(cfg, "model.kind", str, choices=("heat_rod_1d", "heat_plate_2d", "synthetic"))
+    """The model of ``cfg["model"]``.  Only the keys given reach its
+    constructor, so an absent one takes the model's own default."""
+    settings = _read(_flatten({"model": cfg.get("model", {})}), "model.kind")
+    kind = settings["model.kind"]
     if paper_scale and kind != "heat_plate_2d":
         raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
+    if kind == "synthetic":
+        return models.synthetic_maps()[settings["model.name"]]
+    model, elements = ((models.HeatRod1D, "elements") if kind == "heat_rod_1d"
+                       else (models.HeatPlate2D, "elements_per_axis"))
+    given = {elements: 99 if paper_scale else settings["model.elements"],
+             "time_steps": settings["model.time_steps"], "t_final": settings["model.t_final"]}
     try:
-        if kind == "heat_rod_1d":
-            return models.HeatRod1D(
-                elements=_get(cfg, "model.elements", int, default=40),
-                time_steps=_get(cfg, "model.time_steps", int, default=20),
-                t_final=_get(cfg, "model.t_final", (int, float), default=1.0),
-            )
-        if kind == "heat_plate_2d":
-            elements = _get(cfg, "model.elements", int, default=30)
-            if paper_scale:
-                elements = 99
-            return models.HeatPlate2D(
-                elements_per_axis=elements,
-                time_steps=_get(cfg, "model.time_steps", int, default=40),
-                t_final=_get(cfg, "model.t_final", (int, float), default=2.0),
-            )
-        name = _get(cfg, "model.name", str)
-        catalog = models.synthetic_maps()
-        if name not in catalog:
-            raise ConfigError(f"model.name: unknown synthetic model {name!r}; "
-                              f"available: {sorted(catalog)}")
-        return catalog[name]
+        return model(**{name: value for name, value in given.items() if value is not None})
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _build_box(cfg: dict, model) -> sampling.ParameterBox:
+def _build_box(spec, model) -> sampling.ParameterBox:
     """``sampling.box``, which must lie inside the model's parameter box."""
     admissible = model.parameter_box
-    spec = _get(cfg, "sampling.box", list, default=None)
     if spec is None:
         return admissible
     try:
@@ -151,57 +232,25 @@ def _build_box(cfg: dict, model) -> sampling.ParameterBox:
 def build_density(spec: dict, field_path: str, default_box=None) -> dci.Density:
     """The density ``spec`` describes; a bad field raises a ConfigError
     naming it under ``field_path``."""
+    fields = _read(_flatten(spec), "kind", field_path + ".")
     try:
-        kind = _get(spec, "kind", str, choices=("gaussian", "uniform-box", "kde-from-samples"))
-        if kind == "uniform-box":
-            lower = _get(spec, "lower", list, default=None)
-            upper = _get(spec, "upper", list, default=None)
-            if lower is None or upper is None:
+        if fields["kind"] == "uniform-box":
+            if fields["lower"] is None or fields["upper"] is None:
                 if default_box is None:
-                    raise ConfigError("lower: uniform-box needs lower and upper")
+                    raise ConfigError(f"{field_path}.lower: uniform-box needs lower and upper")
                 return dci.UniformBoxDensity(default_box)
-            return dci.UniformBoxDensity(sampling.ParameterBox(lower, upper))
-        if kind == "gaussian":
-            mean = _get(spec, "mean", (list, int, float))
-            cov = _get(spec, "cov", (list, int, float))
-            return dci.GaussianDensity(np.atleast_1d(mean), cov)
-        samples = _get(spec, "samples", list)
-        bandwidth = _get(spec, "bandwidth", str, default="silverman",
-                         choices=("silverman", "scott"))
-        return dci.KdeDensity(np.asarray(samples, dtype=float), bandwidth_rule=bandwidth)
-    except ConfigError as exc:
-        raise ConfigError(f"{field_path}.{exc}") from exc
+            return dci.UniformBoxDensity(sampling.ParameterBox(fields["lower"], fields["upper"]))
+        if fields["kind"] == "gaussian":
+            return dci.GaussianDensity(np.atleast_1d(fields["mean"]), fields["cov"])
+        return dci.KdeDensity(np.asarray(fields["samples"], dtype=float),
+                              bandwidth_rule=fields["bandwidth"])
     except ValueError as exc:
         raise ConfigError(f"{field_path}: {exc}") from exc
 
 
-def _sampling_settings(cfg) -> dict:
-    """``sampling.count``, ``sampling.measure`` and ``sampling.init``, read
-    once.  They decide the criteria samples, so the batch recipe hashes
-    them under these keys."""
-    count = _get(cfg, "sampling.count", int)
-    if count < 1:
-        raise ConfigError("sampling.count: must be at least 1")
-    return {
-        "count": count,
-        "measure": _get(cfg, "sampling.measure", str, default="volume",
-                        choices=criteria.HM_MEASURES),
-        "init": _get(cfg, "sampling.init", dict, default=None),
-    }
-
-
-def _init_density(settings, box) -> dci.Density | None:
-    """The ``sampling.init`` density the criteria samples are drawn from, or
-    None for uniform samples on the box.  The initial measure defaults to
-    uniform on the box, in which case it coincides with the volume measure."""
-    if settings["measure"] == "volume" or settings["init"] is None:
-        return None
-    return build_density(settings["init"], "sampling.init", default_box=box)
-
-
-def _draw_criteria_samples(settings, box, seed) -> sampling.SampleSet:
-    count = settings["count"]
-    density = _init_density(settings, box)
+def _draw_criteria_samples(density, box, count, seed) -> sampling.SampleSet:
+    """``count`` criteria samples in ``box``: uniform without ``density``,
+    else drawn from it and rejected outside the box."""
     if density is None:
         return sampling.draw_samples(box, count, seed)
     rng = np.random.default_rng(seed)
@@ -227,9 +276,9 @@ def _sha256(doc) -> str:
 
 def _batch_recipe(settings, model, box, seed) -> str:
     """SHA-256 of everything that determines the field batch."""
-    recipe = dict(settings, model_id=model.model_id, t_final=getattr(model, "t_final", None),
-                  seed=seed, box=[box.lower.tolist(), box.upper.tolist()])
-    return _sha256(recipe)
+    recipe = {name: settings["sampling." + name] for name in ("count", "measure", "init")}
+    return _sha256(dict(recipe, model_id=model.model_id, t_final=getattr(model, "t_final", None),
+                        seed=seed, box=[box.lower.tolist(), box.upper.tolist()]))
 
 
 def _batch_key(settings, model, box, seed) -> str:
@@ -237,9 +286,24 @@ def _batch_key(settings, model, box, seed) -> str:
     return _sha256([_batch_recipe(settings, model, box, seed), sampling.BATCH_SCHEMA_VERSION])
 
 
-def _cache_path(cfg) -> Path | None:
-    cache = _get(cfg, "sampling.batch_cache", str, default=None)
-    return None if cache is None else cfg["_base_dir"] / cache
+class _Run(dict):
+    """One run: its settings by dotted key, and the model, box, seed and
+    output directory every task starts from, all checked before any solve."""
+
+    def __init__(self, cfg: dict, args, base_dir: Path):
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
+        super().__init__(_settings(cfg, args.command, args.paper_scale))
+        self.model = build_model(cfg, paper_scale=args.paper_scale)
+        self.workers = args.workers
+        cache = self.get("sampling.batch_cache")  # read by the scoring tasks only
+        self.cache_path = None if cache is None else base_dir / cache
+        self.seed = args.seed if args.seed is not None else self["sampling.seed"]
+        if not args.out and self["output_dir"] is None:
+            raise ConfigError("output_dir: missing required field (or pass --out)")
+        self.outdir = Path(args.out) if args.out else base_dir / self["output_dir"]
+        self.box = _build_box(self["sampling.box"], self.model)
+        self.outdir.mkdir(parents=True, exist_ok=True)
 
 
 def _statistics_path(cache_path: Path) -> Path:
@@ -247,20 +311,21 @@ def _statistics_path(cache_path: Path) -> Path:
     return cache_path.with_suffix(".stats.npz")
 
 
-def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJacobianBatch:
+def _field_batch(run, density) -> sampling.FieldJacobianBatch:
     """The field batch, from ``sampling.batch_cache`` when it holds this
-    recipe's.  Writing a batch drops its statistics sidecar, so the
+    recipe's, else solved at samples drawn with ``density`` (None: uniform
+    on the box).  Writing a batch drops its statistics sidecar, so the
     sidecar never outlives its batch."""
-    cache_path = _cache_path(cfg)
+    cache_path = run.cache_path
     if cache_path is not None:
-        key = _batch_key(settings, model, box, seed)
+        key = _batch_key(run, run.model, run.box, run.seed)
         if cache_path.exists():
             try:
                 return sampling.load_batch(cache_path, key)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
-    samples = _draw_criteria_samples(settings, box, seed)
-    batch = sampling.estimate_field_jacobians(model, samples, workers=workers)
+    samples = _draw_criteria_samples(density, run.box, run["sampling.count"], run.seed)
+    batch = sampling.estimate_field_jacobians(run.model, samples, workers=run.workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         _statistics_path(cache_path).unlink(missing_ok=True)
@@ -271,8 +336,6 @@ def _field_batch(cfg, settings, model, box, seed, workers) -> sampling.FieldJaco
 def _design_space(model, arity, count) -> design.DesignSpace:
     """The exhaustive design space, refused before it is built if scoring
     it over ``count`` samples would exceed the kernel budget."""
-    if arity not in (1, 2):
-        raise ConfigError("design.arity: only 1 and 2 are supported for exhaustive search")
     size = model.field_size
     candidates = size if arity == 1 else size * (size - 1) // 2
     matrices = candidates * count
@@ -285,31 +348,31 @@ def _design_space(model, arity, count) -> design.DesignSpace:
     return space(size, coordinates=model.coordinates)
 
 
-def _scoring_inputs(cfg, args, seed, model, box, arity):
-    """The prologue every scoring task shares: every setting, then the space,
-    and only then the batch, so that a config error costs no solve."""
-    rank_tol = _get(cfg, "tolerances.rank_tol", (int, float), default=1e-12)
-    if rank_tol < 0:
-        raise ConfigError("tolerances.rank_tol: must not be negative")
-    if _get(cfg, "sampling.fd_step", default=None) is not None:
-        raise ConfigError("sampling.fd_step: not used; every model this tool builds "
-                          "gives its exact Jacobian")
-    settings = _sampling_settings(cfg)
-    _init_density(settings, box)  # checked here too, so a bad one costs no solve
-    batch_bytes = settings["count"] * model.field_size * model.n_params * 8
+def _scoring_inputs(run, arity):
+    """The prologue every scoring task shares: the checks that depend on the
+    model, then the space, and only then the batch, so that a config error
+    costs no solve.  The criteria samples are uniform on the box, unless the
+    initial measure takes a ``sampling.init`` density; the volume measure
+    takes none."""
+    density, count, model = None, run["sampling.count"], run.model
+    if run["sampling.init"] is not None:
+        if run["sampling.measure"] == "volume":
+            raise ConfigError("sampling.init: given, but sampling.measure is 'volume' (the "
+                              "default), which ignores it; set sampling.measure to 'initial'")
+        density = build_density(run["sampling.init"], "sampling.init", default_box=run.box)
+    batch_bytes = count * model.field_size * model.n_params * 8
     if batch_bytes > _MAX_BATCH_BYTES:
         raise ConfigError(
-            f"sampling.count: {settings['count']} samples of {model.field_size} field values "
+            f"sampling.count: {count} samples of {model.field_size} field values "
             f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
             f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
-    space = _design_space(model, arity, settings["count"])
-    batch = _field_batch(cfg, settings, model, box, seed, args.workers)
-    return rank_tol, settings, space, batch
+    space = _design_space(model, arity, count)
+    return space, _field_batch(run, density)
 
 
-def _exhaustive(cfg, args, seed, model, box, utility="ese_inverse"):
-    """Every candidate's statistics, ranked by ``utility``, and the sampling
-    settings: the scoring prologue of ``sweep`` and ``oed``.
+def _exhaustive(run, utility="ese_inverse"):
+    """Every candidate's statistics, ranked by ``utility``: the scoring
+    prologue of ``sweep`` and ``oed``.
 
     With a batch cache, the (C, 5) statistics are kept in a sidecar next to
     it, keyed on the batch key, the arity, ``rank_tol`` and the statistics
@@ -318,44 +381,28 @@ def _exhaustive(cfg, args, seed, model, box, utility="ese_inverse"):
     sidecar, or one of another shape or with negative values, is
     recomputed and overwritten.
     """
-    arity = _get(cfg, "design.arity", int, default=2)
-    rank_tol, settings, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity)
-    cache_path = _cache_path(cfg)
-    if cache_path is None:
-        return design.exhaustive_oed(space, batch, utility, rank_tol), settings
-    sidecar = _statistics_path(cache_path)
-    key = _sha256([_batch_key(settings, model, box, seed), arity, float(rank_tol),
+    arity, rank_tol = run["design.arity"], run["tolerances.rank_tol"]
+    space, batch = _scoring_inputs(run, arity)
+    if run.cache_path is None:
+        return design.exhaustive_oed(space, batch, utility, rank_tol)
+    sidecar = _statistics_path(run.cache_path)
+    key = _sha256([_batch_key(run, run.model, run.box, run.seed), arity, float(rank_tol),
                    criteria.STATISTICS])
     if sidecar.exists():
         try:
             (stats,) = sampling.load_arrays(sidecar, key, ["statistics"])
             if stats.shape != (len(space), len(criteria.STATISTICS)) or np.any(stats < 0.0):
                 raise ValueError(f"statistics of shape {stats.shape} or with negative values")
-            return design.rank_designs(space, stats, utility), settings
+            return design.rank_designs(space, stats, utility)
         except ValueError as exc:
             logger.warning("recomputing statistics cache %s: %s", sidecar, exc)
     result = design.exhaustive_oed(space, batch, utility, rank_tol)
     sampling.save_arrays(sidecar, key, statistics=result.reports)
-    return result, settings
-
-
-def _sensor_rows(cfg, model) -> tuple[int, ...]:
-    sensors = _get(cfg, "dci.sensors", list)
-    if not sensors:
-        raise ConfigError("dci.sensors: need at least one sensor")
-    rows = tuple(model.nearest_field_index(s) for s in sensors)
-    if len(set(rows)) < len(rows):
-        # Two equal output rows make the predicted kernel density singular.
-        raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {list(rows)}, "
-                          "and each row may be observed only once")
-    return rows
+    return result
 
 
 def _coordinate_rows(model, rows) -> list:
-    coords = np.atleast_2d(model.coordinates.astype(float))
-    if coords.shape[0] == 1:
-        coords = coords.T
-    return [coords[r].tolist() for r in rows]
+    return model.coordinates.reshape(model.field_size, -1)[list(rows)].tolist()
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -390,58 +437,27 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             writer.writerows(zip(*(_cells(c[block]) for c in columns)))
 
 
-def _write_manifest(outdir: Path, task, cfg, args, seed, outputs, elapsed) -> None:
-    echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    _write_json(outdir / "manifest.json", {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "tool_version": __version__,
-        "task": task,
-        "config_sha256": _sha256(echo),
-        "config": echo,
-        "seed_used": seed,
-        "workers": args.workers,
-        "paper_scale": bool(args.paper_scale),
-        "outputs": sorted(outputs),
-        "elapsed_seconds": round(elapsed, 3),
-    })
-
-
-def _resolve_run(cfg, args):
-    """The prologue every task shares: seed, output directory, model, box."""
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
-    seed = args.seed if args.seed is not None else _get(cfg, "sampling.seed", int, default=0)
-    outdir = Path(args.out) if args.out else cfg["_base_dir"] / _get(cfg, "output_dir", str)
-    model = build_model(cfg, paper_scale=args.paper_scale)
-    if args.paper_scale:
-        cfg.setdefault("sampling", {})["count"] = 1000
-    box = _build_box(cfg, model)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return seed, outdir, model, box
-
-
-def run_sweep(cfg, args, seed, outdir, model, box) -> list[str]:
-    result, settings = _exhaustive(cfg, args, seed, model, box)
+def run_sweep(run) -> list[str]:
+    result = _exhaustive(run)
     space, stats = result.space, result.reports
     coords = space.index_geometry
     header = [f"c{i}" for i in range(coords.shape[1])] + ["design_id"]
     header += [*criteria.STATISTICS[:4], "sample_count", criteria.STATISTICS[4], "hm_measure"]
-    _write_csv(outdir / "sweep.csv", header, [
+    _write_csv(run.outdir / "sweep.csv", header, [
         *coords.T, space.candidates, *stats[:, :4].T,
-        np.broadcast_to(settings["count"], len(space)), stats[:, 4].astype(np.int64),
-        np.broadcast_to(settings["measure"], len(space))])
+        np.broadcast_to(run["sampling.count"], len(space)), stats[:, 4].astype(np.int64),
+        np.broadcast_to(run["sampling.measure"], len(space))])
     return ["sweep.csv"]
 
 
-def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
-    utility = _get(cfg, "design.utility", str, default="ese_inverse",
-                   choices=design.UTILITIES)
-    result, _ = _exhaustive(cfg, args, seed, model, box, utility)
+def run_oed(run) -> list[str]:
+    utility, model = run["design.utility"], run.model
+    result = _exhaustive(run, utility)
     space = result.space
     ranked = result.reports[result.order]
     coords = space.index_geometry[result.order]
     header = ["rank", "design_id"] + [f"c{i}" for i in range(coords.shape[1])]
-    _write_csv(outdir / "ranking.csv", header + list(criteria.STATISTICS), [
+    _write_csv(run.outdir / "ranking.csv", header + list(criteria.STATISTICS), [
         np.arange(len(space)), space.candidates[result.order], *coords.T,
         *ranked[:, :4].T, ranked[:, 4].astype(np.int64)])
     values = result.reports[:, design.UTILITIES.index(utility)]
@@ -462,32 +478,28 @@ def run_oed(cfg, args, seed, outdir, model, box) -> list[str]:
              "value": grid[i, j]}
             for i, j in peaks if i > j
         ]
-    _write_json(outdir / "oed_summary.json", summary)
+    _write_json(run.outdir / "oed_summary.json", summary)
     return ["ranking.csv", "oed_summary.json"]
 
 
-def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
-    tol = _get(cfg, "tolerances.greedy_tol", (int, float), default=1e-3)
-    if tol <= 0:
-        raise ConfigError("tolerances.greedy_tol: must be positive")
-    m_target = _get(cfg, "greedy.m_target", int)
-    if m_target < 1:
-        raise ConfigError("greedy.m_target: must be at least 1")
-    rank_tol, _, space, batch = _scoring_inputs(cfg, args, seed, model, box, arity=1)
-    trace = design.greedy_oed(space, batch, m_target=m_target, tol=tol, rank_tol=rank_tol)
+def run_greedy(run) -> list[str]:
+    tol = run["tolerances.greedy_tol"]
+    space, batch = _scoring_inputs(run, arity=1)
+    trace = design.greedy_oed(space, batch, m_target=run["greedy.m_target"], tol=tol,
+                              rank_tol=run["tolerances.rank_tol"])
     coords = space.index_geometry
-    design.trace_to_json(trace, outdir / "greedy_trace.json", coordinates=coords)
+    design.trace_to_json(trace, run.outdir / "greedy_trace.json", coordinates=coords)
     outputs = ["greedy_trace.json", "greedy_summary.json"]
     header = ["candidate"] + [f"c{i}" for i in range(coords.shape[1])]
     for rnd in trace.rounds:
         name = f"greedy_round_{rnd.round_index:02d}.csv"
-        _write_csv(outdir / name, header + [rnd.utility],
+        _write_csv(run.outdir / name, header + [rnd.utility],
                    [np.arange(len(space)), *coords.T, rnd.scores])
         outputs.append(name)
-    _write_json(outdir / "greedy_summary.json", {
+    _write_json(run.outdir / "greedy_summary.json", {
         "schema_version": 1,
         "selected_rows": list(trace.selected),
-        "selected_coordinates": _coordinate_rows(model, trace.selected),
+        "selected_coordinates": _coordinate_rows(run.model, trace.selected),
         "stop_reason": trace.stop_reason,
         "rounds_run": len(trace.rounds),
         "tol": tol,
@@ -495,79 +507,76 @@ def run_greedy(cfg, args, seed, outdir, model, box) -> list[str]:
     return outputs
 
 
-def _dci_pieces(cfg, args, seed, model, box):
+def _dci_pieces(run):
     """Design rows and the arguments of :func:`dci.dci_weights` after them.
 
     Every setting is checked before the one solve here, at the model
     midpoint, whose outputs an observed density at ``model-midpoint`` is
     centred on.
     """
-    rows = _sensor_rows(cfg, model)
+    model, box, sensors = run.model, run.box, run["dci.sensors"]
+    rows = tuple(model.nearest_field_index(s) for s in sensors)
+    if len(set(rows)) < len(rows):
+        # Two equal output rows make the predicted kernel density singular.
+        raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {list(rows)}, "
+                          "and each row may be observed only once")
     if len(rows) > model.n_params:
         raise ConfigError(f"dci.sensors: {len(rows)} sensors, more than the model's "
                           f"{model.n_params} parameters")
-    count = _get(cfg, "dci.count", int, default=_get(cfg, "sampling.count", int, default=1000))
-    if count < 2:
-        raise ConfigError("dci.count: the predicted density needs at least 2 samples")
-    dci_seed = _get(cfg, "dci.seed", int, default=seed)
-    bandwidth = _get(cfg, "dci.bandwidth", str, default="silverman",
-                     choices=("silverman", "scott"))
-    init_spec = _get(cfg, "dci.init", dict, default=None)
-    init = (dci.UniformBoxDensity(box) if init_spec is None
-            else build_density(init_spec, "dci.init", default_box=box))
-    obs_spec = _get(cfg, "dci.observed", dict, default=None)
-    if obs_spec is None:
-        obs_spec = {"kind": "gaussian", "mean": "model-midpoint", "cov": 0.15}
+    init = build_density(run["dci.init"], "dci.init", default_box=box)
+    obs_spec = run["dci.observed"]
     if obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint":
         # Checks the covariance on a zero mean of the right length first.
         build_density(dict(obs_spec, mean=[0.0] * len(rows)), "dci.observed")
         midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
         obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
     observed = build_density(obs_spec, "dci.observed")
-    return rows, (init, observed, count, dci_seed, bandwidth, args.workers)
+    dci_seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
+    return rows, (init, observed, run["dci.count"], dci_seed, run["dci.bandwidth"], run.workers)
 
 
-def run_dci(cfg, args, seed, outdir, model, box) -> list[str]:
-    rows, pieces = _dci_pieces(cfg, args, seed, model, box)
-    ensemble = dci.dci_solve(model, rows, *pieces)
+def run_dci(run) -> list[str]:
+    rows, pieces = _dci_pieces(run)
+    ensemble = dci.dci_solve(run.model, rows, *pieces)
     points, qoi = ensemble.points, ensemble.qoi
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
     header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
-    _write_csv(outdir / "ensemble.csv", header, [
+    _write_csv(run.outdir / "ensemble.csv", header, [
         *points.T, *qoi.T, ensemble.weights, ensemble.accepted.astype(np.int64)])
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
-    summary["design_coordinates"] = _coordinate_rows(model, rows)
-    _write_json(outdir / "dci_summary.json", summary)
+    summary["design_coordinates"] = _coordinate_rows(run.model, rows)
+    _write_json(run.outdir / "dci_summary.json", summary)
     outputs = ["ensemble.csv", "dci_summary.json"]
-    if model.n_params == 2:
-        x, y, values = dci.updated_density_grid(ensemble, box)
-        _write_csv(outdir / "updated_density.csv", ["lambda_1", "lambda_2", "density"],
+    if run.model.n_params == 2:
+        x, y, values = dci.updated_density_grid(ensemble, run.box)
+        _write_csv(run.outdir / "updated_density.csv", ["lambda_1", "lambda_2", "density"],
                    [np.repeat(x, y.size), np.tile(y, x.size), values.ravel()])
         outputs.append("updated_density.csv")
     return outputs
 
 
-def run_diag(cfg, args, seed, outdir, model, box) -> list[str]:
-    rows, pieces = _dci_pieces(cfg, args, seed, model, box)
+def run_diag(run) -> list[str]:
+    rows, pieces = _dci_pieces(run)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dci.PredictabilityWarning)
-        ensemble = dci.dci_weights(model, rows, *pieces)
+        ensemble = dci.dci_weights(run.model, rows, *pieces)
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
     summary["predictability_ok"] = bool(
         abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL
     )
-    _write_json(outdir / "diagnostics.json", summary)
+    _write_json(run.outdir / "diagnostics.json", summary)
     return ["diagnostics.json"]
 
 
+# Each subcommand's runner and help.
 _TASKS = {
-    "sweep": run_sweep,
-    "oed": run_oed,
-    "greedy": run_greedy,
-    "dci": run_dci,
-    "diag": run_diag,
+    "sweep": (run_sweep, "score every candidate design"),
+    "oed": (run_oed, "rank designs by a utility and report the argmax"),
+    "greedy": (run_greedy, "sequential component-by-component design"),
+    "dci": (run_dci, "solve the inverse problem for one design"),
+    "diag": (run_diag, "predictability diagnostic for one design"),
 }
 
 
@@ -578,13 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "data-consistent inversion from one JSON run config.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep", "score every candidate design"),
-        ("oed", "rank designs by a utility and report the argmax"),
-        ("greedy", "sequential component-by-component design"),
-        ("dci", "solve the inverse problem for one design"),
-        ("diag", "predictability diagnostic for one design"),
-    ):
+    for name, (_, help_text) in _TASKS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -602,20 +605,8 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config).resolve()
         cfg = load_config(config_path)
-        cfg["_base_dir"] = config_path.parent
-        task = _get(cfg, "task", str, default=args.command)
-        if task != args.command:
-            raise ConfigError(
-                f"task: config says {task!r} but the {args.command!r} subcommand was invoked"
-            )
-        runner = _TASKS[args.command]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        seed, outdir, model, box = _resolve_run(cfg, args)
-        outputs = runner(cfg, args, seed, outdir, model, box)
+        run = _Run(cfg, args, config_path.parent)
+        outputs = _TASKS[args.command][0](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -623,10 +614,20 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    _write_manifest(outdir, args.command, cfg, args, seed,
-                    outputs, time.perf_counter() - started)
+    _write_json(run.outdir / "manifest.json", {
+        "schema_version": MANIFEST_SCHEMA_VERSION,
+        "tool_version": __version__,
+        "task": args.command,
+        "config_sha256": _sha256(cfg),
+        "config": cfg,
+        "seed_used": run.seed,
+        "workers": run.workers,
+        "paper_scale": bool(args.paper_scale),
+        "outputs": sorted(outputs),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
+    })
     print(f"{args.command}: wrote {', '.join(sorted(outputs) + ['manifest.json'])} "
-          f"to {outdir}")
+          f"to {run.outdir}")
     return EXIT_OK
 
 

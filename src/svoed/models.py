@@ -104,9 +104,7 @@ class ForwardModel:
 
     def nearest_field_index(self, coordinate) -> int:
         """Index of the observable location closest to ``coordinate``."""
-        coords = np.atleast_2d(self.coordinates.astype(float))
-        if coords.shape[0] == 1:
-            coords = coords.T
+        coords = self.coordinates.reshape(self.field_size, -1)
         target = np.atleast_1d(np.asarray(coordinate, dtype=float))
         return int(np.argmin(np.linalg.norm(coords - target, axis=1)))
 

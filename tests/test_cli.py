@@ -70,7 +70,7 @@ def cache_config(tmp_path, task, count, out=None, cache="cache/batch.npz", arity
 def batch_key(count):
     """The key a ``cache_config`` batch of ``count`` samples is stored under."""
     rod = cli.build_model({"model": ROD})
-    settings = cli._sampling_settings({"sampling": {"count": count}})
+    settings = cli._settings({"sampling": {"count": count}}, "sweep")
     return cli._batch_key(settings, rod, rod.parameter_box, 5)
 
 
@@ -123,7 +123,7 @@ def write_schema_5(cache, sidecar, save):
     with np.load(sidecar) as data:
         stats = data["statistics"]
     rod = cli.build_model({"model": ROD})
-    recipe = cli._batch_recipe(cli._sampling_settings({"sampling": {"count": 4}}), rod,
+    recipe = cli._batch_recipe(cli._settings({"sampling": {"count": 4}}, "sweep"), rod,
                                rod.parameter_box, 5)
     N, P, n = arrays["jacobians"].shape
     header = {"schema_version": 5, "model_id": rod.model_id, "seed": 5,
@@ -423,7 +423,7 @@ def test_batch_recipe_digest_is_unchanged(settings, digest):
     # The recipe half of the batch key: a new digest would make every batch
     # cache already on disk stale, as a new batch schema does.
     rod = models.HeatRod1D(elements=10, time_steps=5)
-    read = cli._sampling_settings({"sampling": settings})
+    read = cli._settings({"sampling": settings}, "sweep")
     assert cli._batch_recipe(read, rod, rod.parameter_box, 5) == digest
 
 
@@ -446,10 +446,9 @@ def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys
 
 
 def test_init_density_with_mass_in_the_box_fills_the_sample():
-    cfg = {"sampling": {"count": 50, "measure": "initial",
-                        "init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}}}
+    density = cli.build_density({"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}, "init")
     box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
-    samples = cli._draw_criteria_samples(cli._sampling_settings(cfg), box, seed=1)
+    samples = cli._draw_criteria_samples(density, box, 50, seed=1)
     assert samples.points.shape == (50, 2)
     assert np.all(box.contains(samples.points))
 
@@ -514,3 +513,118 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import sys, svoed.cli; print('scipy.stats' in sys.modules)"],
         cwd=src, capture_output=True, text=True, check=True, timeout=60).stdout
     assert loaded.strip() == "False"
+
+
+SWEEP = {"task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1}, "output_dir": "out"}
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (None, "config file not found"),
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "root must be a JSON object"),
+    (json.dumps(dict(SWEEP, task="oed")), "task: config says 'oed'"),
+    (json.dumps(dict(SWEEP, model={"kind": "synthetic", "name": "circle"})), "model.name"),
+    (json.dumps(dict(SWEEP, sampling={"seed": 1})), "sampling.count: missing"),
+    (json.dumps({k: v for k, v in SWEEP.items() if k != "output_dir"}), "output_dir: missing"),
+    (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": "x"})), "sampling.seed: expected int"),
+    (json.dumps(dict(SWEEP, sampling={"count": True})), "sampling.count: expected int"),
+], ids=["missing-file", "invalid-json", "root-not-object", "task-mismatch",
+        "unknown-synthetic", "missing-count", "missing-output-dir", "seed-string", "count-bool"])
+def test_config_error_exits_2_before_any_solve(text, fragment, tmp_path, capsys, monkeypatch):
+    forbid_solves(monkeypatch)
+    path = tmp_path / "sweep.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A valid config for each reader of the settings table: a task, a model kind
+# (the model of a sweep) or a density kind (the sampling.init of a sweep).
+TASK_CONFIGS = {
+    "sweep": SWEEP, "oed": dict(SWEEP, task="oed"),
+    "greedy": dict(SWEEP, task="greedy", greedy={"m_target": 2}),
+    "dci": {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
+    "diag": {"task": "diag", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
+}
+MODEL_SPECS = {"heat_rod_1d": ROD, "heat_plate_2d": {"kind": "heat_plate_2d", "elements": 3},
+               "synthetic": {"kind": "synthetic", "name": "shear"}}
+DENSITY_SPECS = {"gaussian": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01},
+                 "uniform-box": {"kind": "uniform-box"},
+                 "kde-from-samples": {"kind": "kde-from-samples", "samples": KDE_SAMPLES}}
+
+
+def config_for(reader):
+    """A valid config read by ``reader``, and the section its keys live in."""
+    if reader in TASK_CONFIGS:
+        cfg = json.loads(json.dumps(TASK_CONFIGS[reader]))
+        return cfg, cfg, ""
+    if reader in MODEL_SPECS:
+        cfg = dict(SWEEP, model=dict(MODEL_SPECS[reader]))
+        return cfg, cfg, ""
+    init = dict(DENSITY_SPECS[reader])
+    cfg = dict(SWEEP, sampling={"count": 4, "measure": "initial", "init": init})
+    return cfg, init, "sampling.init."
+
+
+def put(section, key, value):
+    *parents, leaf = key.split(".")
+    for part in parents:
+        section = section.setdefault(part, {})
+    section[leaf] = value
+
+
+@pytest.mark.parametrize("key", list(cli._SETTINGS))
+def test_misspelt_key_is_refused_before_any_solve(key, tmp_path, capsys, monkeypatch):
+    # The misspelling doubles the last letter, in a config of the key's first reader.
+    forbid_solves(monkeypatch)
+    reader = cli._SETTINGS[key].readers[0]
+    cfg, section, where = config_for(reader)
+    put(section, key + key[-1], 1)
+    config = write_config(tmp_path, "c.json", cfg)
+    assert cli.main([cfg["task"], "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{where}{key + key[-1]}: not a setting of {reader}" in err
+    assert f"did you mean {where}{key}?" in err
+
+
+@pytest.mark.parametrize("task, change, key, readers", [
+    ("sweep", {"model": dict(ROD, name="shear")}, "model.name", "synthetic"),
+    ("sweep", {"model": {"kind": "synthetic", "name": "shear", "elements": 4}},
+     "model.elements", "heat_rod_1d, heat_plate_2d"),
+    ("sweep", {"design": {"utility": "esk_inverse"}}, "design.utility", "oed"),
+    ("sweep", {"greedy": {"m_target": 2}}, "greedy.m_target", "greedy"),
+    ("dci", {"sampling": {"count": 50}}, "sampling.count", "sweep, oed, greedy"),
+], ids=["name-on-rod", "elements-on-synthetic", "utility-on-sweep", "greedy-on-sweep",
+        "count-on-dci"])
+def test_setting_of_another_reader_is_refused(task, change, key, readers, tmp_path, capsys,
+                                               monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "c.json", dict(TASK_CONFIGS[task], **change))
+    assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}: not a setting of " in err and f"read only by {readers}" in err
+
+
+def test_init_density_with_the_volume_measure_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # The volume measure draws uniform samples and would ignore the density.
+    forbid_solves(monkeypatch)
+    cfg = dict(SWEEP, sampling={"count": 8, "seed": 4, "init": DENSITY_SPECS["gaussian"]})
+    config = write_config(tmp_path, "c.json", cfg)
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sampling.init" in err and "sampling.measure" in err
+
+
+def readme_settings():
+    """(key, readers) of each row of the README's settings tables."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip().strip("`"): cells[-1].strip() for cells in rows}
+
+
+def test_readme_settings_reference_matches_the_table():
+    assert readme_settings() == {key: ", ".join(setting.readers)
+                                 for key, setting in cli._SETTINGS.items()}

@@ -40,9 +40,9 @@ EXIT_NUMERICAL = 3
 
 MANIFEST_SCHEMA_VERSION = 1
 
-# Rejection sampling from an init density gives up after this many rounds
-# of ``sampling.count`` draws, so a density with less than about 1/1000 of
-# its mass in the box is reported instead of looping forever.
+# Drawing from the initial density gives up after this many rounds of
+# ``count`` draws, so a density with less than about 1/1000 of its mass in
+# the box is reported instead of looping forever.
 _MAX_DRAW_ROUNDS = 1000
 
 # Exhaustive scoring is refused, before any solve and before the space is
@@ -86,15 +86,14 @@ _DENSITY_KINDS = ("gaussian", "uniform-box", "kde-from-samples")
 
 # Every key a run config may hold, declared once.  Its readers are tasks;
 # for the ``model`` section, model kinds; and for the keys of a density
-# spec (``sampling.init``, ``dci.init``, ``dci.observed``), density kinds.
+# spec (``sampling.init``, ``dci.observed``), density kinds.
 _SETTINGS = {
     "task": _Setting("string", _MISSING, _TASK_NAMES, _TASK_NAMES),
     "output_dir": _Setting("string", None, None, _TASK_NAMES),
     "sampling.seed": _Setting("int", 0, None, _TASK_NAMES),
     "sampling.box": _Setting("list", None, None, _TASK_NAMES),
     "sampling.count": _Setting("int", _MISSING, ">= 1", _SCORING),
-    "sampling.measure": _Setting("string", "volume", criteria.HM_MEASURES, _SCORING),
-    "sampling.init": _Setting("object", None, None, _SCORING),
+    "sampling.init": _Setting("object", None, None, _TASK_NAMES),
     "sampling.batch_cache": _Setting("string", None, None, _SCORING),
     "design.arity": _Setting("int", 2, (1, 2), ("sweep", "oed")),
     "design.utility": _Setting("string", "ese_inverse", design.UTILITIES, ("oed",)),
@@ -105,7 +104,6 @@ _SETTINGS = {
     "dci.count": _Setting("int", 1000, ">= 2", _DCI),
     "dci.seed": _Setting("int", None, None, _DCI),
     "dci.bandwidth": _Setting("string", "silverman", ("silverman", "scott"), _DCI),
-    "dci.init": _Setting("object", {"kind": "uniform-box"}, None, _DCI),
     "dci.observed": _Setting("object", {"kind": "gaussian", "mean": "model-midpoint",
                                         "cov": 0.15}, None, _DCI),
     "model.kind": _Setting("string", _MISSING, _MODEL_KINDS, _MODEL_KINDS),
@@ -235,10 +233,11 @@ def build_density(spec: dict, field_path: str, default_box=None) -> dci.Density:
     fields = _read(_flatten(spec), "kind", field_path + ".")
     try:
         if fields["kind"] == "uniform-box":
-            if fields["lower"] is None or fields["upper"] is None:
-                if default_box is None:
-                    raise ConfigError(f"{field_path}.lower: uniform-box needs lower and upper")
+            missing = [bound for bound in ("lower", "upper") if fields[bound] is None]
+            if len(missing) == 2 and default_box is not None:
                 return dci.UniformBoxDensity(default_box)
+            if missing:
+                raise ConfigError(f"{field_path}.{missing[0]}: uniform-box needs lower and upper")
             return dci.UniformBoxDensity(sampling.ParameterBox(fields["lower"], fields["upper"]))
         if fields["kind"] == "gaussian":
             return dci.GaussianDensity(np.atleast_1d(fields["mean"]), fields["cov"])
@@ -248,11 +247,9 @@ def build_density(spec: dict, field_path: str, default_box=None) -> dci.Density:
         raise ConfigError(f"{field_path}: {exc}") from exc
 
 
-def _draw_criteria_samples(density, box, count, seed) -> sampling.SampleSet:
-    """``count`` criteria samples in ``box``: uniform without ``density``,
-    else drawn from it and rejected outside the box."""
-    if density is None:
-        return sampling.draw_samples(box, count, seed)
+def _draw_initial(density, box, count, seed) -> np.ndarray:
+    """``count`` points drawn from the initial ``density`` with ``seed``,
+    those outside ``box`` rejected: the points of every task."""
     rng = np.random.default_rng(seed)
     points = np.empty((count, box.dim))
     filled = 0
@@ -263,7 +260,7 @@ def _draw_criteria_samples(density, box, count, seed) -> sampling.SampleSet:
         points[filled : filled + take] = keep[:take]
         filled += take
         if filled == count:
-            return sampling.SampleSet(points)
+            return points
     raise ConfigError(
         f"sampling.init: only {filled} of {_MAX_DRAW_ROUNDS * count} draws fell in the "
         f"box, {count} needed; the init density has almost no mass there"
@@ -274,9 +271,15 @@ def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _hm_measure(settings) -> str:
+    """The measure the samples are drawn from, as ``hm_measure`` names it."""
+    return "volume" if settings["sampling.init"] is None else "initial"
+
+
 def _batch_recipe(settings, model, box, seed) -> str:
     """SHA-256 of everything that determines the field batch."""
-    recipe = {name: settings["sampling." + name] for name in ("count", "measure", "init")}
+    recipe = {"count": settings["sampling.count"], "measure": _hm_measure(settings),
+              "init": settings["sampling.init"]}
     return _sha256(dict(recipe, model_id=model.model_id, t_final=getattr(model, "t_final", None),
                         seed=seed, box=[box.lower.tolist(), box.upper.tolist()]))
 
@@ -287,8 +290,9 @@ def _batch_key(settings, model, box, seed) -> str:
 
 
 class _Run(dict):
-    """One run: its settings by dotted key, and the model, box, seed and
-    output directory every task starts from, all checked before any solve."""
+    """One run: its settings by dotted key, and the model, box, initial
+    density, seed and output directory every task starts from, all checked
+    before any solve."""
 
     def __init__(self, cfg: dict, args, base_dir: Path):
         if args.workers is not None and args.workers < 1:
@@ -303,6 +307,12 @@ class _Run(dict):
             raise ConfigError("output_dir: missing required field (or pass --out)")
         self.outdir = Path(args.out) if args.out else base_dir / self["output_dir"]
         self.box = _build_box(self["sampling.box"], self.model)
+        init = self["sampling.init"]
+        self.density = build_density({"kind": "uniform-box"} if init is None else init,
+                                     "sampling.init", default_box=self.box)
+        if self.density.dim != self.box.dim:
+            raise ConfigError(f"sampling.init: a density on {self.density.dim} parameters for "
+                              f"a model of {self.box.dim}")
         self.outdir.mkdir(parents=True, exist_ok=True)
 
 
@@ -311,11 +321,11 @@ def _statistics_path(cache_path: Path) -> Path:
     return cache_path.with_suffix(".stats.npz")
 
 
-def _field_batch(run, density) -> sampling.FieldJacobianBatch:
+def _field_batch(run) -> sampling.FieldJacobianBatch:
     """The field batch, from ``sampling.batch_cache`` when it holds this
-    recipe's, else solved at samples drawn with ``density`` (None: uniform
-    on the box).  Writing a batch drops its statistics sidecar, so the
-    sidecar never outlives its batch."""
+    recipe's, else solved at samples drawn from the initial density.
+    Writing a batch drops its statistics sidecar, so the sidecar never
+    outlives its batch."""
     cache_path = run.cache_path
     if cache_path is not None:
         key = _batch_key(run, run.model, run.box, run.seed)
@@ -324,7 +334,8 @@ def _field_batch(run, density) -> sampling.FieldJacobianBatch:
                 return sampling.load_batch(cache_path, key)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
-    samples = _draw_criteria_samples(density, run.box, run["sampling.count"], run.seed)
+    samples = sampling.SampleSet(
+        _draw_initial(run.density, run.box, run["sampling.count"], run.seed))
     batch = sampling.estimate_field_jacobians(run.model, samples, workers=run.workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -351,15 +362,8 @@ def _design_space(model, arity, count) -> design.DesignSpace:
 def _scoring_inputs(run, arity):
     """The prologue every scoring task shares: the checks that depend on the
     model, then the space, and only then the batch, so that a config error
-    costs no solve.  The criteria samples are uniform on the box, unless the
-    initial measure takes a ``sampling.init`` density; the volume measure
-    takes none."""
-    density, count, model = None, run["sampling.count"], run.model
-    if run["sampling.init"] is not None:
-        if run["sampling.measure"] == "volume":
-            raise ConfigError("sampling.init: given, but sampling.measure is 'volume' (the "
-                              "default), which ignores it; set sampling.measure to 'initial'")
-        density = build_density(run["sampling.init"], "sampling.init", default_box=run.box)
+    costs no solve."""
+    count, model = run["sampling.count"], run.model
     batch_bytes = count * model.field_size * model.n_params * 8
     if batch_bytes > _MAX_BATCH_BYTES:
         raise ConfigError(
@@ -367,7 +371,7 @@ def _scoring_inputs(run, arity):
             f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
             f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
     space = _design_space(model, arity, count)
-    return space, _field_batch(run, density)
+    return space, _field_batch(run)
 
 
 def _exhaustive(run, utility="ese_inverse"):
@@ -446,7 +450,7 @@ def run_sweep(run) -> list[str]:
     _write_csv(run.outdir / "sweep.csv", header, [
         *coords.T, space.candidates, *stats[:, :4].T,
         np.broadcast_to(run["sampling.count"], len(space)), stats[:, 4].astype(np.int64),
-        np.broadcast_to(run["sampling.measure"], len(space))])
+        np.broadcast_to(_hm_measure(run), len(space))])
     return ["sweep.csv"]
 
 
@@ -507,15 +511,19 @@ def run_greedy(run) -> list[str]:
     return outputs
 
 
-def _dci_pieces(run):
-    """Design rows and the arguments of :func:`dci.dci_weights` after them.
+def _dci_ensemble(run):
+    """Design rows, the weighted ensemble of :func:`dci.dci_weights` and
+    the DCI seed.
 
-    Every setting is checked before the one solve here, at the model
-    midpoint, whose outputs an observed density at ``model-midpoint`` is
-    centred on.
+    Every setting is checked, and the initial points drawn, before the
+    first solve: the one at the model midpoint, whose outputs an observed
+    density at ``model-midpoint`` is centred on.
     """
     model, box, sensors = run.model, run.box, run["dci.sensors"]
-    rows = tuple(model.nearest_field_index(s) for s in sensors)
+    try:
+        rows = tuple(model.nearest_field_index(s) for s in sensors)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dci.sensors: {exc}") from exc
     if len(set(rows)) < len(rows):
         # Two equal output rows make the predicted kernel density singular.
         raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {list(rows)}, "
@@ -523,21 +531,24 @@ def _dci_pieces(run):
     if len(rows) > model.n_params:
         raise ConfigError(f"dci.sensors: {len(rows)} sensors, more than the model's "
                           f"{model.n_params} parameters")
-    init = build_density(run["dci.init"], "dci.init", default_box=box)
     obs_spec = run["dci.observed"]
-    if obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint":
+    midpoint = obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint"
+    if midpoint:
         # Checks the covariance on a zero mean of the right length first.
         build_density(dict(obs_spec, mean=[0.0] * len(rows)), "dci.observed")
-        midpoint_qoi = model.evaluate(box.midpoint)[list(rows)]
-        obs_spec = dict(obs_spec, mean=midpoint_qoi.tolist())
+    seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
+    points = _draw_initial(run.density, box, run["dci.count"], seed)
+    if midpoint:
+        obs_spec = dict(obs_spec, mean=model.evaluate(box.midpoint)[list(rows)].tolist())
     observed = build_density(obs_spec, "dci.observed")
-    dci_seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
-    return rows, (init, observed, run["dci.count"], dci_seed, run["dci.bandwidth"], run.workers)
+    return rows, dci.dci_weights(model, rows, points, observed, run["dci.bandwidth"],
+                                 run.workers), seed
 
 
 def run_dci(run) -> list[str]:
-    rows, pieces = _dci_pieces(run)
-    ensemble = dci.dci_solve(run.model, rows, *pieces)
+    rows, weighted, seed = _dci_ensemble(run)
+    # Its own seed, so the two random streams stay independent.
+    ensemble = dci.rejection_sample(weighted, seed + 1)
     points, qoi = ensemble.points, ensemble.qoi
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
     header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
@@ -557,10 +568,9 @@ def run_dci(run) -> list[str]:
 
 
 def run_diag(run) -> list[str]:
-    rows, pieces = _dci_pieces(run)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dci.PredictabilityWarning)
-        ensemble = dci.dci_weights(run.model, rows, *pieces)
+        rows, ensemble, _ = _dci_ensemble(run)
     summary = ensemble.summary()
     summary["design_rows"] = list(rows)
     summary["predictability_ok"] = bool(

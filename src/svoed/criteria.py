@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-HM_MEASURES = ("volume", "initial")
-
 # Columns of a :func:`reciprocal_statistics` row, in order.
 STATISTICS = ("ese_inverse", "esk_inverse", "stderr_ese", "stderr_esk", "infinite_count")
 

@@ -310,48 +310,25 @@ def rejection_sample(ensemble: WeightedEnsemble, seed: int) -> WeightedEnsemble:
 def dci_weights(
     model,
     row_indices,
-    init: Density,
+    points,
     observed: Density,
-    count: int,
-    seed: int,
     bandwidth_rule="silverman",
     workers: int | None = None,
 ) -> WeightedEnsemble:
-    """Sample, predict and weight for one design, without rejection sampling.
+    """Predict and weight for one design at the initial ``points`` (N, n).
 
-    Draws ``count`` parameters from ``init`` with ``seed``, evaluates the
-    model outputs at the design rows (one :func:`sampling.evaluate_samples`
-    call, on ``workers`` threads, so a failed sample raises
-    ModelEvaluationError naming it), estimates the predicted density by
-    kernel density and computes the update weights.
+    Evaluates the model outputs at the design rows (one
+    :func:`sampling.evaluate_samples` call, on ``workers`` threads, so a
+    failed sample raises ModelEvaluationError naming it), estimates the
+    predicted density by kernel density and computes the update weights.
+    :func:`rejection_sample` then turns them into an accepted draw.
     """
     rows = tuple(int(r) for r in row_indices)
     if len(rows) > model.n_params:
         raise ValueError("design arity exceeds parameter dimension")
-    points = init.sample(np.random.default_rng(seed), count)
     qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=workers)
     predicted = KdeDensity(qoi, bandwidth_rule=bandwidth_rule)
     return update_weights(qoi, observed, predicted, points=points)
-
-
-def dci_solve(
-    model,
-    row_indices,
-    init: Density,
-    observed: Density,
-    count: int,
-    seed: int,
-    bandwidth_rule="silverman",
-    workers: int | None = None,
-) -> WeightedEnsemble:
-    """End-to-end update for one design: sample, predict, weight, accept.
-
-    :func:`dci_weights`, then rejection sampling with a seed derived from
-    ``seed`` so the two random streams stay independent.
-    """
-    ensemble = dci_weights(model, row_indices, init, observed, count, seed,
-                           bandwidth_rule=bandwidth_rule, workers=workers)
-    return rejection_sample(ensemble, seed + 1)
 
 
 def updated_density_grid(

@@ -103,9 +103,13 @@ class ForwardModel:
         raise NotImplementedError
 
     def nearest_field_index(self, coordinate) -> int:
-        """Index of the observable location closest to ``coordinate``."""
+        """Index of the observable location closest to ``coordinate``;
+        ValueError unless it has one finite number per coordinate axis."""
         coords = self.coordinates.reshape(self.field_size, -1)
         target = np.atleast_1d(np.asarray(coordinate, dtype=float))
+        if target.shape != coords.shape[1:] or not np.all(np.isfinite(target)):
+            raise ValueError(f"{coordinate!r}: expected one finite number per coordinate axis, "
+                             f"of which the model has {coords.shape[1]}")
         return int(np.argmin(np.linalg.norm(coords - target, axis=1)))
 
 

@@ -275,18 +275,56 @@ def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch, caplog):
     assert len(scored) == 1
 
 
-def test_model_failure_is_a_numerical_failure(tmp_path, capsys):
-    # The init density puts about half its mass at negative conductivities.
+def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # The rod marches every point with its conductivities negated, so it
+    # refuses the first sample of the DCI ensemble.
+    march = models.HeatRod1D.evaluate_stacked
+    monkeypatch.setattr(models.HeatRod1D, "evaluate_stacked",
+                        lambda self, points, *args: march(self, -points, *args))
     config = write_config(tmp_path, "dci.json", {
         "task": "dci", "model": ROD, "sampling": {"seed": 1},
-        "dci": {"sensors": [0.0, 1.0], "count": 50,
-                "init": {"kind": "gaussian", "mean": [0.02, 0.1], "cov": 0.01}},
-        "output_dir": "out"})
+        "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
     assert cli.main(["dci", "--config", config]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "model evaluation failed at sample" in err
+    assert "model evaluation failed at sample 0" in err
     assert "conductivities must be finite and positive" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def ensemble_points(outdir) -> np.ndarray:
+    """The lambda columns of a ``dci`` run's ``ensemble.csv``."""
+    with open(outdir / "ensemble.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return np.array([[float(v) for k, v in row.items() if k.startswith("lambda_")]
+                     for row in rows])
+
+
+@pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
+def test_dci_draws_its_initial_points_inside_the_box(tmp_path):
+    # The density puts about half its mass at negative conductivities.
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD,
+        "sampling": {"seed": 1,
+                     "init": {"kind": "gaussian", "mean": [0.02, 0.1], "cov": 0.01}},
+        "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    points = ensemble_points(tmp_path / "out")
+    assert points.shape == (50, 2)
+    assert np.all(cli.build_model({"model": ROD}).parameter_box.contains(points))
+
+
+@pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
+def test_dci_draws_the_points_of_the_field_batch(tmp_path):
+    init = {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}
+    sweep = write_config(tmp_path, "sweep.json", dict(
+        SWEEP, sampling={"count": 30, "seed": 6, "init": init, "batch_cache": "batch.npz"}))
+    assert cli.main(["sweep", "--config", sweep]) == cli.EXIT_OK
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 6, "init": init},
+        "dci": {"sensors": [0.0, 1.0], "count": 30, "seed": 6}, "output_dir": "dci"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    with np.load(tmp_path / "batch.npz") as cache:
+        assert np.array_equal(ensemble_points(tmp_path / "dci"), cache["points"])
 
 
 def test_box_outside_the_model_box_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -324,19 +362,25 @@ KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
     {"bandwidth": "foo"}, {"count": "many"}, {"count": 1}, {"count": 0}, {"seed": 1.5},
     {"observed": {"kind": "gaussian", "mean": "model-midpoint", "cov": -1}},
     {"sensors": [0.0, 0.5, 1.0]}, {"sensors": [0.0, 0.0]},
+    {"sensors": [[0.5, 0.5], [1.0, 1.0]]}, {"sensors": ["a", 1.0]}, {"sensors": [None, 1.0]},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": 0.3}},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": "foo"}},
 ], ids=["bandwidth", "count", "count-1", "count-0", "seed", "observed", "sensors",
-        "sensors-duplicate", "init-bandwidth-number", "init-bandwidth-name"])
+        "sensors-duplicate", "sensors-dimension", "sensors-string", "sensors-null",
+        "init-bandwidth-number", "init-bandwidth-name"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
+    # The initial density is sampling.init, read by every task.
     forbid_solves(monkeypatch)
+    (name, value), = setting.items()
+    sampling_section, dci_section, key = (({"init": value}, {}, "sampling.init.bandwidth")
+                                          if name == "init" else ({}, setting, f"dci.{name}"))
     for task in ("dci", "diag"):
         config = write_config(tmp_path, f"{task}.json", {
-            "task": task, "model": ROD, "sampling": {"seed": 2},
-            "dci": {"sensors": [0.0, 1.0], "count": 300, **setting}, "output_dir": "out"})
+            "task": task, "model": ROD, "sampling": {"seed": 2, **sampling_section},
+            "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
         assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
-        assert f"dci.{next(iter(setting))}" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bandwidth", [0.3, "foo"], ids=["number", "name"])
@@ -345,7 +389,7 @@ def test_sampling_init_bandwidth_is_a_config_error_before_any_solve(bandwidth, t
     forbid_solves(monkeypatch)
     config = write_config(tmp_path, "sweep.json", {
         "task": "sweep", "model": ROD,
-        "sampling": {"count": 5, "seed": 1, "measure": "initial",
+        "sampling": {"count": 5, "seed": 1,
                      "init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES,
                               "bandwidth": bandwidth}},
         "design": {"arity": 1}, "output_dir": "out"})
@@ -415,8 +459,7 @@ def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, 
 
 @pytest.mark.parametrize("settings, digest", [
     ({"count": 7}, "d4c51dc2fb249a239cb63b6d67472622db70054da04e45921f46a1b9726c091c"),
-    ({"count": 7, "measure": "initial",
-      "init": {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}},
+    ({"count": 7, "init": {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}},
      "c13e7f53561c6d505af7c1e2a4d2706c3104c2d52abfdf2f8ef84bde8cd8014d"),
 ], ids=["volume", "initial"])
 def test_batch_recipe_digest_is_unchanged(settings, digest):
@@ -435,22 +478,53 @@ def test_fd_step_setting_is_a_config_error(tmp_path, capsys):
     assert "sampling.fd_step" in capsys.readouterr().err
 
 
-def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys):
-    config = write_config(tmp_path, "sweep.json", {
-        "task": "sweep", "model": ROD,
-        "sampling": {"count": 5, "measure": "initial",
-                     "init": {"kind": "gaussian", "mean": [5.0, 5.0], "cov": 0.01}},
-        "design": {"arity": 1}, "output_dir": "out"})
+def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys,
+                                                                monkeypatch):
+    init = {"kind": "gaussian", "mean": [5.0, 5.0], "cov": 0.01}
+    monkeypatch.setattr(sampling, "evaluate_samples", None)  # no solve may start
+    config = write_config(tmp_path, "sweep.json", dict(
+        SWEEP, sampling={"count": 5, "init": init}, design={"arity": 1}))
     assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
     assert "almost no mass" in capsys.readouterr().err
+    # DCI draws its points before its first solve.
+    forbid_solves(monkeypatch)
+    for task in ("dci", "diag"):
+        config = write_config(tmp_path, f"{task}.json", {
+            "task": task, "model": ROD, "sampling": {"init": init},
+            "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
+        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
+        assert "almost no mass" in capsys.readouterr().err
 
 
 def test_init_density_with_mass_in_the_box_fills_the_sample():
     density = cli.build_density({"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}, "init")
     box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
-    samples = cli._draw_criteria_samples(density, box, 50, seed=1)
-    assert samples.points.shape == (50, 2)
-    assert np.all(box.contains(samples.points))
+    points = cli._draw_initial(density, box, 50, seed=1)
+    assert points.shape == (50, 2)
+    assert np.all(box.contains(points))
+
+
+def test_init_density_of_another_dimension_is_a_config_error(tmp_path, capsys, monkeypatch):
+    forbid_solves(monkeypatch)
+    init = {"kind": "gaussian", "mean": [0.1, 0.1, 0.1], "cov": 0.001}
+    for task in ("sweep", "dci"):
+        cfg = json.loads(json.dumps(TASK_CONFIGS[task]))
+        cfg.setdefault("sampling", {})["init"] = init
+        config = write_config(tmp_path, "c.json", cfg)
+        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
+        assert "sampling.init: a density on 3 parameters for a model of 2" in (
+            capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("given, missing", [("lower", "upper"), ("upper", "lower")])
+def test_uniform_box_with_one_bound_is_a_config_error(given, missing, tmp_path, capsys,
+                                                      monkeypatch):
+    forbid_solves(monkeypatch)
+    init = {"kind": "uniform-box", given: [0.05, 0.05]}
+    config = write_config(tmp_path, "c.json", dict(SWEEP, sampling={"count": 4, "init": init}))
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
+    assert f"sampling.init.{missing}: uniform-box needs lower and upper" in (
+        capsys.readouterr().err)
 
 
 def dci_config(tmp_path, task):
@@ -564,7 +638,7 @@ def config_for(reader):
         cfg = dict(SWEEP, model=dict(MODEL_SPECS[reader]))
         return cfg, cfg, ""
     init = dict(DENSITY_SPECS[reader])
-    cfg = dict(SWEEP, sampling={"count": 4, "measure": "initial", "init": init})
+    cfg = dict(SWEEP, sampling={"count": 4, "init": init})
     return cfg, init, "sampling.init."
 
 
@@ -607,14 +681,17 @@ def test_setting_of_another_reader_is_refused(task, change, key, readers, tmp_pa
     assert f"{key}: not a setting of " in err and f"read only by {readers}" in err
 
 
-def test_init_density_with_the_volume_measure_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # The volume measure draws uniform samples and would ignore the density.
+def test_removed_density_settings_are_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    # sampling.init is the one initial density; the measure follows from it.
     forbid_solves(monkeypatch)
-    cfg = dict(SWEEP, sampling={"count": 8, "seed": 4, "init": DENSITY_SPECS["gaussian"]})
-    config = write_config(tmp_path, "c.json", cfg)
-    assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "sampling.init" in err and "sampling.measure" in err
+    for task, key, change in (
+            ("sweep", "sampling.measure", {"sampling": {"count": 4, "measure": "initial"}}),
+            ("dci", "dci.init", {"dci": {"sensors": [0.0, 1.0],
+                                         "init": DENSITY_SPECS["gaussian"]}})):
+        config = write_config(tmp_path, "c.json", dict(TASK_CONFIGS[task], **change))
+        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and f": not a setting of {task}" in err
 
 
 def readme_settings():
@@ -628,3 +705,13 @@ def readme_settings():
 def test_readme_settings_reference_matches_the_table():
     assert readme_settings() == {key: ", ".join(setting.readers)
                                  for key, setting in cli._SETTINGS.items()}
+
+
+def test_readme_json_examples_are_valid_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("\n```", 1)[0] for block in readme.split("```json\n")[1:]]
+    assert blocks
+    for block in blocks:
+        cfg = json.loads(block)
+        cli._settings(cfg, cfg["task"])
+        cli.build_model(cfg)

@@ -222,11 +222,18 @@ def test_rejection_recovers_updated_density_moments():
 # --- end-to-end solver ------------------------------------------------------------
 
 
+def dci_solve(model, rows, init, observed, count, seed):
+    """Weights at ``count`` draws from ``init``, then rejection sampling on
+    the next seed, as ``svoed dci`` composes them."""
+    points = init.sample(np.random.default_rng(seed), count)
+    return dci.rejection_sample(dci.dci_weights(model, rows, points, observed), seed + 1)
+
+
 def test_dci_solve_identity_weights_near_one():
     ident = models.identity_model(2)
     init = unit_gaussian()
     observed = unit_gaussian()  # observed equals the exact pushforward
-    ens = dci.dci_solve(ident, (0, 1), init, observed, 4000, seed=10)
+    ens = dci_solve(ident, (0, 1), init, observed, 4000, seed=10)
     # Weights are exact-density / kde-density, so they hover near one with
     # kernel-estimation error; the bulk must sit tight around unity.
     lo, hi = np.quantile(ens.weights, [0.25, 0.75])
@@ -239,8 +246,8 @@ def test_dci_solve_determinism():
     ident = models.identity_model(2)
     init = unit_gaussian()
     observed = dci.GaussianDensity([0.1, 0.1], 0.25 * np.eye(2))
-    a = dci.dci_solve(ident, (0, 1), init, observed, 500, seed=11)
-    b = dci.dci_solve(ident, (0, 1), init, observed, 500, seed=11)
+    a = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
+    b = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.accepted, b.accepted)
@@ -249,7 +256,7 @@ def test_dci_solve_determinism():
 def test_dci_solve_rejects_overwide_design():
     ident = models.identity_model(2)
     with pytest.raises(ValueError):
-        dci.dci_solve(ident, (0, 1, 1), unit_gaussian(), unit_gaussian(), 10, seed=0)
+        dci_solve(ident, (0, 1, 1), unit_gaussian(), unit_gaussian(), 10, seed=0)
 
 
 def test_dci_solve_rod_concentrates_near_midpoint():
@@ -257,7 +264,7 @@ def test_dci_solve_rod_concentrates_near_midpoint():
     box = rod.parameter_box
     rows = (40, 0)
     observed = dci.GaussianDensity(rod.evaluate(box.midpoint)[list(rows)], 0.15 * np.eye(2))
-    ens = dci.dci_solve(rod, rows, dci.UniformBoxDensity(box), observed, 2000, seed=12)
+    ens = dci_solve(rod, rows, dci.UniformBoxDensity(box), observed, 2000, seed=12)
     acc = ens.points[ens.accepted]
     assert acc.shape[0] > 20
     assert np.all(np.abs(acc.mean(axis=0) - box.midpoint) < 0.02)

@@ -35,7 +35,7 @@ CASES = {
         "design": {"arity": 2}}, []),
     "rod-sweep-initial": ("sweep", {
         "model": ROD,
-        "sampling": {"count": 8, "seed": 4, "measure": "initial",
+        "sampling": {"count": 8, "seed": 4,
                      "init": {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}},
         "design": {"arity": 2}}, []),
     "rod-oed-pairs": ("oed", {

@@ -90,7 +90,7 @@ _DENSITY_KINDS = ("gaussian", "uniform-box", "kde-from-samples")
 _SETTINGS = {
     "task": _Setting("string", _MISSING, _TASK_NAMES, _TASK_NAMES),
     "output_dir": _Setting("string", None, None, _TASK_NAMES),
-    "sampling.seed": _Setting("int", 0, None, _TASK_NAMES),
+    "sampling.seed": _Setting("int", 0, ">= 0", _TASK_NAMES),
     "sampling.box": _Setting("list", None, None, _TASK_NAMES),
     "sampling.count": _Setting("int", _MISSING, ">= 1", _SCORING),
     "sampling.init": _Setting("object", None, None, _TASK_NAMES),
@@ -102,7 +102,7 @@ _SETTINGS = {
     "greedy.m_target": _Setting("int", _MISSING, ">= 1", ("greedy",)),
     "dci.sensors": _Setting("list", _MISSING, ">= 1", _DCI),
     "dci.count": _Setting("int", 1000, ">= 2", _DCI),
-    "dci.seed": _Setting("int", None, None, _DCI),
+    "dci.seed": _Setting("int", None, ">= 0", _DCI),
     "dci.bandwidth": _Setting("string", "silverman", ("silverman", "scott"), _DCI),
     "dci.observed": _Setting("object", {"kind": "gaussian", "mean": "model-midpoint",
                                         "cov": 0.15}, None, _DCI),
@@ -122,11 +122,13 @@ _SETTINGS = {
 
 
 def _flatten(section: dict, where: str = "") -> dict:
-    """``section``'s values by dotted key, nested objects included."""
+    """``section``'s values by dotted key.  Only an object that holds
+    declared settings is split into them, so any other key keeps the name
+    it was written under."""
     flat = {}
     for name, value in section.items():
         key = where + name
-        is_section = isinstance(value, dict) and key not in _SETTINGS
+        is_section = isinstance(value, dict) and any(s.startswith(key + ".") for s in _SETTINGS)
         flat.update(_flatten(value, key + ".") if is_section else {key: value})
     return flat
 
@@ -292,11 +294,14 @@ def _batch_key(settings, model, box, seed) -> str:
 class _Run(dict):
     """One run: its settings by dotted key, and the model, box, initial
     density, seed and output directory every task starts from, all checked
-    before any solve."""
+    before any solve.  The task's prologue makes the output directory once
+    its own checks have passed too, so a config error leaves none behind."""
 
     def __init__(self, cfg: dict, args, base_dir: Path):
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         super().__init__(_settings(cfg, args.command, args.paper_scale))
         self.model = build_model(cfg, paper_scale=args.paper_scale)
         self.workers = args.workers
@@ -313,7 +318,6 @@ class _Run(dict):
         if self.density.dim != self.box.dim:
             raise ConfigError(f"sampling.init: a density on {self.density.dim} parameters for "
                               f"a model of {self.box.dim}")
-        self.outdir.mkdir(parents=True, exist_ok=True)
 
 
 def _statistics_path(cache_path: Path) -> Path:
@@ -321,11 +325,11 @@ def _statistics_path(cache_path: Path) -> Path:
     return cache_path.with_suffix(".stats.npz")
 
 
-def _field_batch(run) -> sampling.FieldJacobianBatch:
+def _field_batch(run, points) -> sampling.FieldJacobianBatch:
     """The field batch, from ``sampling.batch_cache`` when it holds this
-    recipe's, else solved at samples drawn from the initial density.
-    Writing a batch drops its statistics sidecar, so the sidecar never
-    outlives its batch."""
+    recipe's, else solved at ``points``, the run's draws from the initial
+    density.  Writing a batch drops its statistics sidecar, so the sidecar
+    never outlives its batch."""
     cache_path = run.cache_path
     if cache_path is not None:
         key = _batch_key(run, run.model, run.box, run.seed)
@@ -334,9 +338,8 @@ def _field_batch(run) -> sampling.FieldJacobianBatch:
                 return sampling.load_batch(cache_path, key)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
-    samples = sampling.SampleSet(
-        _draw_initial(run.density, run.box, run["sampling.count"], run.seed))
-    batch = sampling.estimate_field_jacobians(run.model, samples, workers=run.workers)
+    batch = sampling.estimate_field_jacobians(run.model, sampling.SampleSet(points),
+                                              workers=run.workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         _statistics_path(cache_path).unlink(missing_ok=True)
@@ -361,8 +364,9 @@ def _design_space(model, arity, count) -> design.DesignSpace:
 
 def _scoring_inputs(run, arity):
     """The prologue every scoring task shares: the checks that depend on the
-    model, then the space, and only then the batch, so that a config error
-    costs no solve."""
+    model, then the space and the draw, and only then the output directory
+    and the batch, so that a config error costs no solve and leaves no
+    directory."""
     count, model = run["sampling.count"], run.model
     batch_bytes = count * model.field_size * model.n_params * 8
     if batch_bytes > _MAX_BATCH_BYTES:
@@ -371,7 +375,9 @@ def _scoring_inputs(run, arity):
             f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
             f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
     space = _design_space(model, arity, count)
-    return space, _field_batch(run)
+    points = _draw_initial(run.density, run.box, count, run.seed)
+    run.outdir.mkdir(parents=True, exist_ok=True)
+    return space, _field_batch(run, points)
 
 
 def _exhaustive(run, utility="ese_inverse"):
@@ -512,12 +518,15 @@ def run_greedy(run) -> list[str]:
 
 
 def _dci_ensemble(run):
-    """Design rows, the weighted ensemble of :func:`dci.dci_weights` and
-    the DCI seed.
+    """Design rows, initial points, the design's outputs there, their
+    weighted ensemble and the DCI seed.
 
-    Every setting is checked, and the initial points drawn, before the
-    first solve: the one at the model midpoint, whose outputs an observed
-    density at ``model-midpoint`` is centred on.
+    Every setting is checked, the initial points drawn and the output
+    directory made before the first solve: the one at the model midpoint,
+    whose outputs an observed density at ``model-midpoint`` is centred on.
+    The outputs at the points then take one :func:`sampling.evaluate_samples`
+    call, on ``--workers`` threads, so a failed sample is named; their kernel
+    density is the predicted density the weights divide by.
     """
     model, box, sensors = run.model, run.box, run["dci.sensors"]
     try:
@@ -533,34 +542,57 @@ def _dci_ensemble(run):
                           f"{model.n_params} parameters")
     obs_spec = run["dci.observed"]
     midpoint = obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint"
-    if midpoint:
-        # Checks the covariance on a zero mean of the right length first.
-        build_density(dict(obs_spec, mean=[0.0] * len(rows)), "dci.observed")
+    # A midpoint mean is checked as zeros of the right length until it is solved.
+    observed = build_density(dict(obs_spec, mean=[0.0] * len(rows)) if midpoint else obs_spec,
+                             "dci.observed")
+    if observed.dim != len(rows):
+        raise ConfigError(f"dci.observed: a density on {observed.dim} outputs for "
+                          f"{len(rows)} sensors")
     seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
     points = _draw_initial(run.density, box, run["dci.count"], seed)
+    run.outdir.mkdir(parents=True, exist_ok=True)
     if midpoint:
-        obs_spec = dict(obs_spec, mean=model.evaluate(box.midpoint)[list(rows)].tolist())
-    observed = build_density(obs_spec, "dci.observed")
-    return rows, dci.dci_weights(model, rows, points, observed, run["dci.bandwidth"],
-                                 run.workers), seed
+        observed = build_density(
+            dict(obs_spec, mean=model.evaluate(box.midpoint)[list(rows)].tolist()), "dci.observed")
+    qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=run.workers)
+    predicted = dci.KdeDensity(qoi, bandwidth_rule=run["dci.bandwidth"])
+    return rows, points, qoi, dci.update_weights(qoi, observed, predicted), seed
+
+
+def _dci_report(run, rows, ensemble, accepted=None) -> dict:
+    """``dci_summary.json`` with the ``accepted`` mask, ``diagnostics.json``
+    without it: the same statistics of ``ensemble``, then the design, then
+    the design's coordinates or the predictability verdict."""
+    report = {
+        "schema_version": 1,
+        "sample_count": ensemble.weights.size,
+        "mean_ratio": ensemble.mean_ratio,
+        "stderr": ensemble.stderr,
+        "acceptance_rate": None if accepted is None else float(np.mean(accepted)),
+        # The largest ratio: the constant the rejection sampler divides by.
+        "C_estimate": float(ensemble.weights.max()),
+        "excluded_count": int(np.sum(ensemble.excluded)),
+        "design_rows": list(rows),
+    }
+    if accepted is None:
+        report["predictability_ok"] = bool(abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL)
+    else:
+        report["design_coordinates"] = _coordinate_rows(run.model, rows)
+    return report
 
 
 def run_dci(run) -> list[str]:
-    rows, weighted, seed = _dci_ensemble(run)
+    rows, points, qoi, ensemble, seed = _dci_ensemble(run)
     # Its own seed, so the two random streams stay independent.
-    ensemble = dci.rejection_sample(weighted, seed + 1)
-    points, qoi = ensemble.points, ensemble.qoi
+    accepted = dci.rejection_sample(ensemble.weights, seed + 1)
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
     header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
     _write_csv(run.outdir / "ensemble.csv", header, [
-        *points.T, *qoi.T, ensemble.weights, ensemble.accepted.astype(np.int64)])
-    summary = ensemble.summary()
-    summary["design_rows"] = list(rows)
-    summary["design_coordinates"] = _coordinate_rows(run.model, rows)
-    _write_json(run.outdir / "dci_summary.json", summary)
+        *points.T, *qoi.T, ensemble.weights, accepted.astype(np.int64)])
+    _write_json(run.outdir / "dci_summary.json", _dci_report(run, rows, ensemble, accepted))
     outputs = ["ensemble.csv", "dci_summary.json"]
     if run.model.n_params == 2:
-        x, y, values = dci.updated_density_grid(ensemble, run.box)
+        x, y, values = dci.updated_density_grid(points, ensemble.weights, run.box)
         _write_csv(run.outdir / "updated_density.csv", ["lambda_1", "lambda_2", "density"],
                    [np.repeat(x, y.size), np.tile(y, x.size), values.ravel()])
         outputs.append("updated_density.csv")
@@ -570,13 +602,8 @@ def run_dci(run) -> list[str]:
 def run_diag(run) -> list[str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dci.PredictabilityWarning)
-        rows, ensemble, _ = _dci_ensemble(run)
-    summary = ensemble.summary()
-    summary["design_rows"] = list(rows)
-    summary["predictability_ok"] = bool(
-        abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL
-    )
-    _write_json(run.outdir / "diagnostics.json", summary)
+        rows, _, _, ensemble, _ = _dci_ensemble(run)
+    _write_json(run.outdir / "diagnostics.json", _dci_report(run, rows, ensemble))
     return ["diagnostics.json"]
 
 

@@ -10,6 +10,8 @@ where the predicted density is the push-forward of the initial density
 through the design map, estimated here with a Gaussian kernel density over
 the sampled outputs.  Pushing the updated density back through Q reproduces
 the observed density, which is the defining property of the update.
+Nothing here solves a model: the weights are a function of the sampled
+outputs Q(lam) alone, which the caller computes.
 
 Both Gaussian densities here are plain numpy on a Cholesky factor: the
 kernel density whitens its samples once and evaluates query points in
@@ -25,12 +27,11 @@ predictability assumption behind the construction is violated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import sampling
 from .sampling import ParameterBox
 
 # Densities below this are treated as underflow: the sample sits where the
@@ -197,65 +198,27 @@ class KdeDensity(Density):
 
 @dataclass
 class WeightedEnsemble:
-    """Parameter samples with their density-ratio weights.
+    """Density-ratio weights of sampled outputs.
 
     ``mean_ratio`` is the average weight over the retained (non-underflow)
     samples and should sit near one when the observed density is reachable
-    by the model.  ``accepted`` is filled in by rejection sampling and marks
-    an unweighted draw from the updated density.
+    by the model; ``excluded`` marks the underflow samples, whose weight is
+    zero.
     """
 
-    points: np.ndarray
-    qoi: np.ndarray
     weights: np.ndarray
     mean_ratio: float
     stderr: float
     excluded: np.ndarray
-    accepted: np.ndarray | None = None
-
-    @property
-    def count(self) -> int:
-        return self.weights.size
-
-    @property
-    def excluded_count(self) -> int:
-        return int(np.sum(self.excluded))
-
-    @property
-    def ratio_bound(self) -> float:
-        """Largest observed ratio; the constant a rejection sampler divides by."""
-        return float(self.weights.max())
-
-    @property
-    def acceptance_rate(self) -> float | None:
-        if self.accepted is None:
-            return None
-        return float(np.mean(self.accepted))
-
-    def summary(self) -> dict:
-        return {
-            "schema_version": 1,
-            "sample_count": self.count,
-            "mean_ratio": self.mean_ratio,
-            "stderr": self.stderr,
-            "acceptance_rate": self.acceptance_rate,
-            "C_estimate": self.ratio_bound,
-            "excluded_count": self.excluded_count,
-        }
 
 
-def update_weights(
-    qoi_samples,
-    observed: Density,
-    predicted: Density,
-    points=None,
-) -> WeightedEnsemble:
+def update_weights(qoi_samples, observed: Density, predicted: Density) -> WeightedEnsemble:
     """Density-ratio weights observed/predicted at each sampled output.
 
     Samples where the predicted density underflows are excluded (weight
-    zero) and counted; they sit outside the predicted support, where the
-    ratio is meaningless.  Warns with :class:`PredictabilityWarning` when
-    the mean ratio strays from one by more than ``DIAGNOSTIC_TOL``.
+    zero); they sit outside the predicted support, where the ratio is
+    meaningless.  Warns with :class:`PredictabilityWarning` when the mean
+    ratio strays from one by more than ``DIAGNOSTIC_TOL``.
     """
     qoi = np.asarray(qoi_samples, dtype=float)
     if qoi.ndim == 1:
@@ -279,76 +242,35 @@ def update_weights(
             PredictabilityWarning,
             stacklevel=2,
         )
-
-    if points is None:
-        points = qoi
-    points = np.asarray(points, dtype=float)
-    return WeightedEnsemble(
-        points=points,
-        qoi=qoi,
-        weights=weights,
-        mean_ratio=mean_ratio,
-        stderr=stderr,
-        excluded=excluded,
-    )
+    return WeightedEnsemble(weights, mean_ratio, stderr, excluded)
 
 
-def rejection_sample(ensemble: WeightedEnsemble, seed: int) -> WeightedEnsemble:
-    """Accept sample i with probability weight_i / max weight.
+def rejection_sample(weights: np.ndarray, seed: int) -> np.ndarray:
+    """The mask of samples accepted, each with probability weight / max weight.
 
     The accepted subset is an unweighted draw from the updated density.
     """
-    bound = ensemble.ratio_bound
+    bound = float(weights.max())
     if bound <= 0.0:
         raise ValueError("rejection sampling needs at least one positive weight")
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=ensemble.count)
-    accepted = u <= ensemble.weights / bound
-    return replace(ensemble, accepted=accepted)
+    return rng.uniform(size=weights.size) <= weights / bound
 
 
-def dci_weights(
-    model,
-    row_indices,
-    points,
-    observed: Density,
-    bandwidth_rule="silverman",
-    workers: int | None = None,
-) -> WeightedEnsemble:
-    """Predict and weight for one design at the initial ``points`` (N, n).
-
-    Evaluates the model outputs at the design rows (one
-    :func:`sampling.evaluate_samples` call, on ``workers`` threads, so a
-    failed sample raises ModelEvaluationError naming it), estimates the
-    predicted density by kernel density and computes the update weights.
-    :func:`rejection_sample` then turns them into an accepted draw.
-    """
-    rows = tuple(int(r) for r in row_indices)
-    if len(rows) > model.n_params:
-        raise ValueError("design arity exceeds parameter dimension")
-    qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=workers)
-    predicted = KdeDensity(qoi, bandwidth_rule=bandwidth_rule)
-    return update_weights(qoi, observed, predicted, points=points)
-
-
-def updated_density_grid(
-    ensemble: WeightedEnsemble,
-    box: ParameterBox,
-    shape=(60, 60),
-):
-    """Weighted kernel density of the updated ensemble on a 2-D grid.
+def updated_density_grid(points, weights, box: ParameterBox, shape=(60, 60)):
+    """Kernel density of the ``points`` (N, 2) weighted by ``weights``, the
+    updated ensemble, on a 2-D grid over ``box``.
 
     Returns (x_axis, y_axis, values) with values[i, j] at (x_axis[i],
     y_axis[j]).  Two parameters only; higher-dimensional marginals are out
     of scope here.  In two dimensions Silverman's and Scott's bandwidth
     factors are both neff^(-1/6), so the grid takes no bandwidth rule.
     """
-    if ensemble.points.shape[1] != 2 or box.dim != 2:
+    if np.shape(points)[1] != 2 or box.dim != 2:
         raise ValueError("density grids are supported for 2 parameters only")
-    weights = ensemble.weights
     if np.sum(weights) <= 0.0:
         raise ValueError("cannot form a density from all-zero weights")
-    kde = KdeDensity(ensemble.points, weights=weights)
+    kde = KdeDensity(points, weights=weights)
     x = np.linspace(box.lower[0], box.upper[0], shape[0])
     y = np.linspace(box.lower[1], box.upper[1], shape[1])
     xx, yy = np.meshgrid(x, y, indexing="ij")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svoed import cli, criteria, design, geometry, models, sampling
+from svoed import cli, criteria, dci, design, geometry, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -291,11 +291,12 @@ def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-def ensemble_points(outdir) -> np.ndarray:
-    """The lambda columns of a ``dci`` run's ``ensemble.csv``."""
+def ensemble_columns(outdir, prefix="lambda_") -> np.ndarray:
+    """The columns of a ``dci`` run's ``ensemble.csv`` whose names start
+    with ``prefix``, one row per sample."""
     with open(outdir / "ensemble.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return np.array([[float(v) for k, v in row.items() if k.startswith("lambda_")]
+    return np.array([[float(v) for k, v in row.items() if k.startswith(prefix)]
                      for row in rows])
 
 
@@ -308,23 +309,43 @@ def test_dci_draws_its_initial_points_inside_the_box(tmp_path):
                      "init": {"kind": "gaussian", "mean": [0.02, 0.1], "cov": 0.01}},
         "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
     assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
-    points = ensemble_points(tmp_path / "out")
+    points = ensemble_columns(tmp_path / "out")
     assert points.shape == (50, 2)
     assert np.all(cli.build_model({"model": ROD}).parameter_box.contains(points))
 
 
 @pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
 def test_dci_draws_the_points_of_the_field_batch(tmp_path):
+    # With the batch's count, seed and initial density, dci solves at the
+    # batch's points and gets the batch's outputs at its rows, so its weights
+    # are those of the cached outputs: a design's DCI needs no solve.
     init = {"kind": "gaussian", "mean": [0.1, 0.12], "cov": 0.002}
-    sweep = write_config(tmp_path, "sweep.json", dict(
-        SWEEP, sampling={"count": 30, "seed": 6, "init": init, "batch_cache": "batch.npz"}))
-    assert cli.main(["sweep", "--config", sweep]) == cli.EXIT_OK
-    config = write_config(tmp_path, "dci.json", {
-        "task": "dci", "model": ROD, "sampling": {"seed": 6, "init": init},
-        "dci": {"sensors": [0.0, 1.0], "count": 30, "seed": 6}, "output_dir": "dci"})
-    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
-    with np.load(tmp_path / "batch.npz") as cache:
-        assert np.array_equal(ensemble_points(tmp_path / "dci"), cache["points"])
+    plate = {"kind": "heat_plate_2d", "elements": 3, "time_steps": 8}
+    for name, model, given, sensors in (("rod", ROD, {"init": init}, [0.0, 1.0]),
+                                        ("plate", plate, {}, [[0.5, 0.5], [0.0, 1.0]])):
+        sweep = write_config(tmp_path, f"{name}-sweep.json", dict(SWEEP, model=model, sampling=dict(
+            given, count=30, seed=6, batch_cache=f"{name}.npz")))
+        assert cli.main(["sweep", "--config", sweep]) == cli.EXIT_OK
+        config = write_config(tmp_path, f"{name}-dci.json", {
+            "task": "dci", "model": model, "sampling": dict(given, seed=6),
+            "dci": {"sensors": sensors, "count": 30, "seed": 6}, "output_dir": name})
+        assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+        built = cli.build_model({"model": model})
+        rows = [built.nearest_field_index(s) for s in sensors]
+        with np.load(tmp_path / f"{name}.npz") as cache:
+            points, outputs = cache["points"], cache["outputs"][:, rows]
+        assert np.array_equal(ensemble_columns(tmp_path / name), points)
+        assert np.array_equal(ensemble_columns(tmp_path / name, "q_"), outputs)
+        observed = dci.GaussianDensity(built.evaluate(built.parameter_box.midpoint)[rows], 0.15)
+        weights = dci.update_weights(outputs, observed, dci.KdeDensity(outputs)).weights
+        ratio = ensemble_columns(tmp_path / name, "ratio")[:, 0]
+        if name == "rod":
+            assert np.array_equal(ratio, weights)
+        else:
+            # The plate's solved outputs are row-major and the cached slice is
+            # column-major, and the kernel density's mean and covariance round
+            # differently on the two layouts.
+            np.testing.assert_allclose(ratio, weights, rtol=1e-12, atol=0.0)
 
 
 def test_box_outside_the_model_box_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -353,6 +374,7 @@ def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, 
         "design": {"arity": 3}, "output_dir": "out"})
     assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
     assert "design.arity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
@@ -360,14 +382,18 @@ KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
 
 @pytest.mark.parametrize("setting", [
     {"bandwidth": "foo"}, {"count": "many"}, {"count": 1}, {"count": 0}, {"seed": 1.5},
+    {"seed": -5},
     {"observed": {"kind": "gaussian", "mean": "model-midpoint", "cov": -1}},
+    {"observed": {"kind": "gaussian", "mean": [1.0, 2.0], "cov": -1}},
+    {"observed": {"kind": "gaussian", "mean": [1.0, 2.0, 3.0], "cov": 0.1}},
     {"sensors": [0.0, 0.5, 1.0]}, {"sensors": [0.0, 0.0]},
     {"sensors": [[0.5, 0.5], [1.0, 1.0]]}, {"sensors": ["a", 1.0]}, {"sensors": [None, 1.0]},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": 0.3}},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": "foo"}},
-], ids=["bandwidth", "count", "count-1", "count-0", "seed", "observed", "sensors",
-        "sensors-duplicate", "sensors-dimension", "sensors-string", "sensors-null",
-        "init-bandwidth-number", "init-bandwidth-name"])
+], ids=["bandwidth", "count", "count-1", "count-0", "seed", "seed-negative", "observed",
+        "observed-mean", "observed-dimension", "sensors", "sensors-duplicate",
+        "sensors-dimension", "sensors-string", "sensors-null", "init-bandwidth-number",
+        "init-bandwidth-name"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     # The initial density is sampling.init, read by every task.
@@ -381,6 +407,7 @@ def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsy
             "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
         assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bandwidth", [0.3, "foo"], ids=["number", "name"])
@@ -419,6 +446,7 @@ def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, caps
     assert cli.main(["greedy", "--config", config]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "sampling.count" in err and "4320000000-byte" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model", [ROD, {"kind": "synthetic", "name": "shear"}],
@@ -445,6 +473,14 @@ def test_workers_below_one_is_a_config_error_before_any_solve(workers, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_option_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "sweep.json", SWEEP)
+    assert cli.main(["sweep", "--config", config, "--seed", "-3"]) == cli.EXIT_CONFIG
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys,
                                                                        monkeypatch):
     # 49,995,000 pairs of the e99 plate over 1000 samples: refused before any
@@ -455,6 +491,7 @@ def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, 
     assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "49995000 candidates" in err and "greedy" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("settings, digest", [
@@ -486,6 +523,7 @@ def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys
         SWEEP, sampling={"count": 5, "init": init}, design={"arity": 1}))
     assert cli.main(["sweep", "--config", config]) == cli.EXIT_CONFIG
     assert "almost no mass" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     # DCI draws its points before its first solve.
     forbid_solves(monkeypatch)
     for task in ("dci", "diag"):
@@ -494,6 +532,7 @@ def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys
             "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
         assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
         assert "almost no mass" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_init_density_with_mass_in_the_box_fills_the_sample():
@@ -601,9 +640,11 @@ SWEEP = {"task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1}, "ou
     (json.dumps(dict(SWEEP, sampling={"seed": 1})), "sampling.count: missing"),
     (json.dumps({k: v for k, v in SWEEP.items() if k != "output_dir"}), "output_dir: missing"),
     (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": "x"})), "sampling.seed: expected int"),
+    (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": -1})), "sampling.seed: must be >= 0"),
     (json.dumps(dict(SWEEP, sampling={"count": True})), "sampling.count: expected int"),
 ], ids=["missing-file", "invalid-json", "root-not-object", "task-mismatch",
-        "unknown-synthetic", "missing-count", "missing-output-dir", "seed-string", "count-bool"])
+        "unknown-synthetic", "missing-count", "missing-output-dir", "seed-string", "seed-negative",
+        "count-bool"])
 def test_config_error_exits_2_before_any_solve(text, fragment, tmp_path, capsys, monkeypatch):
     forbid_solves(monkeypatch)
     path = tmp_path / "sweep.json"
@@ -690,8 +731,7 @@ def test_removed_density_settings_are_refused_before_any_solve(tmp_path, capsys,
                                          "init": DENSITY_SPECS["gaussian"]}})):
         config = write_config(tmp_path, "c.json", dict(TASK_CONFIGS[task], **change))
         assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert key in err and f": not a setting of {task}" in err
+        assert f"{key}: not a setting of {task}" in capsys.readouterr().err
 
 
 def readme_settings():

@@ -141,7 +141,7 @@ def test_update_identity_gives_unit_weights():
     ens = dci.update_weights(q, observed=density, predicted=density)
     assert np.allclose(ens.weights, 1.0)
     assert ens.mean_ratio == pytest.approx(1.0)
-    assert ens.excluded_count == 0
+    assert not ens.excluded.any()
 
 
 def test_update_mean_ratio_near_one_inside_support():
@@ -166,7 +166,7 @@ def test_update_excludes_predicted_underflow():
     q = np.array([[0.0, 0.0], [60.0, 60.0]])  # second point: pdf underflows
     observed = unit_gaussian()
     ens = dci.update_weights(q, observed=observed, predicted=unit_gaussian())
-    assert ens.excluded_count == 1
+    assert ens.excluded.tolist() == [False, True]
     assert ens.weights[1] == 0.0
     # Diagnostics run over the retained samples only.
     assert ens.mean_ratio == pytest.approx(1.0)
@@ -175,31 +175,18 @@ def test_update_excludes_predicted_underflow():
 # --- rejection sampling ----------------------------------------------------------
 
 
-def make_ensemble(weights):
-    w = np.asarray(weights, dtype=float)
-    pts = np.zeros((w.size, 2))
-    return dci.WeightedEnsemble(
-        points=pts, qoi=pts, weights=w, mean_ratio=float(w.mean()),
-        stderr=0.0, excluded=np.zeros(w.size, dtype=bool),
-    )
-
-
 def test_rejection_accepts_everything_for_equal_weights():
-    ens = dci.rejection_sample(make_ensemble(np.full(100, 0.7)), seed=1)
-    assert ens.accepted.all()
-    assert ens.acceptance_rate == 1.0
+    assert dci.rejection_sample(np.full(100, 0.7), seed=1).all()
 
 
 def test_rejection_never_accepts_zero_weight():
     for seed in range(10):
-        ens = dci.rejection_sample(make_ensemble([1.0, 0.0]), seed=seed)
-        assert ens.accepted[0]
-        assert not ens.accepted[1]
+        assert dci.rejection_sample(np.array([1.0, 0.0]), seed=seed).tolist() == [True, False]
 
 
 def test_rejection_requires_positive_weight():
     with pytest.raises(ValueError):
-        dci.rejection_sample(make_ensemble([0.0, 0.0]), seed=0)
+        dci.rejection_sample(np.zeros(2), seed=0)
 
 
 def test_rejection_recovers_updated_density_moments():
@@ -208,9 +195,8 @@ def test_rejection_recovers_updated_density_moments():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(20_000, 2))
     observed = dci.GaussianDensity([0.3, -0.2], 0.16 * np.eye(2))
-    ens = dci.update_weights(pts, observed=observed, predicted=unit_gaussian(), points=pts)
-    ens = dci.rejection_sample(ens, seed=9)
-    acc = ens.points[ens.accepted]
+    ens = dci.update_weights(pts, observed=observed, predicted=unit_gaussian())
+    acc = pts[dci.rejection_sample(ens.weights, seed=9)]
     n_acc = acc.shape[0]
     se_mean = 0.4 / np.sqrt(n_acc)
     assert np.all(np.abs(acc.mean(axis=0) - [0.3, -0.2]) <= 3.0 * se_mean)
@@ -223,40 +209,37 @@ def test_rejection_recovers_updated_density_moments():
 
 
 def dci_solve(model, rows, init, observed, count, seed):
-    """Weights at ``count`` draws from ``init``, then rejection sampling on
-    the next seed, as ``svoed dci`` composes them."""
+    """``count`` draws from ``init``, their weighted ensemble and the mask
+    that rejection sampling on the next seed accepts, composed as
+    ``svoed dci`` composes them."""
     points = init.sample(np.random.default_rng(seed), count)
-    return dci.rejection_sample(dci.dci_weights(model, rows, points, observed), seed + 1)
+    qoi, _ = sampling.evaluate_samples(model, points, rows=rows)
+    ens = dci.update_weights(qoi, observed, dci.KdeDensity(qoi))
+    return points, ens, dci.rejection_sample(ens.weights, seed + 1)
 
 
 def test_dci_solve_identity_weights_near_one():
     ident = models.identity_model(2)
     init = unit_gaussian()
     observed = unit_gaussian()  # observed equals the exact pushforward
-    ens = dci_solve(ident, (0, 1), init, observed, 4000, seed=10)
+    _, ens, accepted = dci_solve(ident, (0, 1), init, observed, 4000, seed=10)
     # Weights are exact-density / kde-density, so they hover near one with
     # kernel-estimation error; the bulk must sit tight around unity.
     lo, hi = np.quantile(ens.weights, [0.25, 0.75])
     assert 0.9 <= lo <= hi <= 1.1
     assert ens.mean_ratio == pytest.approx(1.0, abs=0.05)
-    assert ens.accepted is not None
+    assert accepted.shape == ens.weights.shape
 
 
 def test_dci_solve_determinism():
     ident = models.identity_model(2)
     init = unit_gaussian()
     observed = dci.GaussianDensity([0.1, 0.1], 0.25 * np.eye(2))
-    a = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
-    b = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
-    assert np.array_equal(a.points, b.points)
+    a_points, a, a_accepted = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
+    b_points, b, b_accepted = dci_solve(ident, (0, 1), init, observed, 500, seed=11)
+    assert np.array_equal(a_points, b_points)
     assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.accepted, b.accepted)
-
-
-def test_dci_solve_rejects_overwide_design():
-    ident = models.identity_model(2)
-    with pytest.raises(ValueError):
-        dci_solve(ident, (0, 1, 1), unit_gaussian(), unit_gaussian(), 10, seed=0)
+    assert np.array_equal(a_accepted, b_accepted)
 
 
 def test_dci_solve_rod_concentrates_near_midpoint():
@@ -264,8 +247,9 @@ def test_dci_solve_rod_concentrates_near_midpoint():
     box = rod.parameter_box
     rows = (40, 0)
     observed = dci.GaussianDensity(rod.evaluate(box.midpoint)[list(rows)], 0.15 * np.eye(2))
-    ens = dci_solve(rod, rows, dci.UniformBoxDensity(box), observed, 2000, seed=12)
-    acc = ens.points[ens.accepted]
+    points, ens, accepted = dci_solve(rod, rows, dci.UniformBoxDensity(box), observed, 2000,
+                                      seed=12)
+    acc = points[accepted]
     assert acc.shape[0] > 20
     assert np.all(np.abs(acc.mean(axis=0) - box.midpoint) < 0.02)
     assert abs(ens.mean_ratio - 1.0) <= 3.0 * ens.stderr + 0.05
@@ -279,30 +263,20 @@ def test_updated_density_grid_normalizes():
     box = sampling.ParameterBox([-4.0, -4.0], [4.0, 4.0])
     pts = rng.normal(size=(4000, 2))
     observed = dci.GaussianDensity([0.0, 0.0], 0.25 * np.eye(2))
-    ens = dci.update_weights(pts, observed=observed, predicted=unit_gaussian(), points=pts)
-    x, y, values = dci.updated_density_grid(ens, box, shape=(80, 80))
+    ens = dci.update_weights(pts, observed=observed, predicted=unit_gaussian())
+    x, y, values = dci.updated_density_grid(pts, ens.weights, box, shape=(80, 80))
     mass = np.trapezoid(np.trapezoid(values, y, axis=1), x)
     assert mass == pytest.approx(1.0, abs=0.05)
 
 
 def test_updated_density_grid_needs_two_dims():
-    ens = make_ensemble(np.ones(10))
     box = sampling.ParameterBox([0.0], [1.0])
-    with pytest.raises(ValueError):
-        dci.updated_density_grid(ens, box)
+    with pytest.raises(ValueError, match="2 parameters"):
+        dci.updated_density_grid(np.zeros((10, 1)), np.ones(10), box)
 
 
-# --- summary ----------------------------------------------------------------------
-
-
-def test_ensemble_summary():
-    rng = np.random.default_rng(14)
-    pts = rng.normal(size=(50, 2))
-    density = unit_gaussian()
-    ens = dci.rejection_sample(
-        dci.update_weights(pts, observed=density, predicted=density, points=pts), seed=15
-    )
-    doc = ens.summary()
-    assert doc["sample_count"] == 50
-    assert doc["acceptance_rate"] == 1.0
-    assert doc["C_estimate"] == pytest.approx(1.0)
+def test_updated_density_grid_needs_a_positive_weight():
+    box = sampling.ParameterBox([0.0, 0.0], [1.0, 1.0])
+    points = np.random.default_rng(14).uniform(size=(10, 2))
+    with pytest.raises(ValueError, match="all-zero weights"):
+        dci.updated_density_grid(points, np.zeros(10), box)

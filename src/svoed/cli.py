@@ -630,7 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="thread workers for model evaluations (default: serial)")
+                       help="threads for model solves (default: serial, since solves "
+                            "contend on threads); criterion kernels and kernel densities "
+                            "always use every CPU the process may run on (taskset limits "
+                            "them), with the 4 MiB density block shared among them")
         p.add_argument("--paper-scale", action="store_true",
                        help="full-resolution settings for the 2-D plate model")
     return parser

@@ -15,8 +15,8 @@ outputs Q(lam) alone, which the caller computes.
 
 Both Gaussian densities here are plain numpy on a Cholesky factor: the
 kernel density whitens its samples once and evaluates query points in
-blocks of ``_BLOCK_BYTES``, elementwise, so its values depend neither on
-the block nor on the BLAS thread count.
+blocks, on every CPU the process may run on, elementwise, so its values
+depend neither on the block nor on the thread count.
 
 The sample mean of r doubles as a diagnostic: it estimates the integral of
 the updated density and should be one.  A mean far from one means the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .sampling import ParameterBox
+from . import sampling
 
 # Densities below this are treated as underflow: the sample sits where the
 # predicted density has no support worth the name.
@@ -43,9 +43,10 @@ UNDERFLOW_FLOOR = 1e-300
 # genuine support mismatches far above.
 DIAGNOSTIC_TOL = 0.2
 
-# Bytes of each (query x sample) matrix a kernel density evaluates at a
-# time: a block takes as many query points as fit, so memory stays bounded
-# whatever the number of points.
+# Bytes of the (query x sample) matrices a kernel density evaluates at a
+# time, summed over its threads: each thread's block takes as many query
+# points as fit in its share, so memory stays bounded whatever the number
+# of points and threads.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -105,7 +106,7 @@ class GaussianDensity(Density):
 
 
 class UniformBoxDensity(Density):
-    def __init__(self, box: ParameterBox):
+    def __init__(self, box: sampling.ParameterBox):
         self.box = box
         self.dim = box.dim
         self._density = 1.0 / box.volume
@@ -171,22 +172,26 @@ class KdeDensity(Density):
     def pdf(self, points) -> np.ndarray:
         queries = self._whiten(self._points(points))
         values = np.empty(len(queries))
-        rows = max(1, _BLOCK_BYTES // (8 * len(self.samples)))
-        for start in range(0, len(queries), rows):
-            block = queries[start : start + rows]
+        threads = sampling.cpu_count()
+        rows = max(1, _BLOCK_BYTES // (8 * len(self.samples) * threads))
+
+        def evaluate(block):
             # -|x - p|^2 / 2 for every query x and sample p, one axis at a
             # time.  Elementwise, not a matrix product: BLAS results vary
             # with the block shape and the thread count, these do not.
-            exponent = np.subtract.outer(block[:, 0], self._white[0])
+            exponent = np.subtract.outer(queries[block, 0], self._white[0])
             exponent *= exponent
             step = np.empty_like(exponent)
             for axis in range(1, self.dim):
-                np.subtract.outer(block[:, axis], self._white[axis], out=step)
+                np.subtract.outer(queries[block, axis], self._white[axis], out=step)
                 step *= step
                 exponent += step
             exponent *= -0.5
             np.exp(exponent, out=exponent)
-            values[start : start + rows] = np.einsum("ij,j->i", exponent, self.weights)
+            values[block] = np.einsum("ij,j->i", exponent, self.weights)
+
+        sampling.thread_map(evaluate, (slice(start, start + rows)
+                                       for start in range(0, len(queries), rows)), threads)
         return values * self._norm
 
     def sample(self, rng, count) -> np.ndarray:
@@ -257,7 +262,7 @@ def rejection_sample(weights: np.ndarray, seed: int) -> np.ndarray:
     return rng.uniform(size=weights.size) <= weights / bound
 
 
-def updated_density_grid(points, weights, box: ParameterBox, shape=(60, 60)):
+def updated_density_grid(points, weights, box: sampling.ParameterBox, shape=(60, 60)):
     """Kernel density of the ``points`` (N, 2) weighted by ``weights``, the
     updated ensemble, on a 2-D grid over ``box``.
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import STATISTICS, reciprocal_statistics
-from .geometry import RANK_TOL_DEFAULT, batch_extension_skewness, batch_reciprocals
-from .sampling import FieldJacobianBatch
+from .geometry import RANK_TOL_DEFAULT, ExtensionBase, batch_reciprocals
+from .sampling import FieldJacobianBatch, thread_map
 
 # The utilities a search can maximize: the first two statistics columns.
 UTILITIES = STATISTICS[:2]
@@ -85,7 +85,11 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
 
 
 def _chunks(n_items: int, n_samples: int):
-    """Slices of at most _CHUNK_MATRICES // n_samples items (at least one)."""
+    """Slices of at most _CHUNK_MATRICES // n_samples items (at least one).
+
+    The boundaries depend on the sizes alone, never on the thread count: a
+    kernel's last bits can move with the number of rows it is given.
+    """
     size = max(1, _CHUNK_MATRICES // n_samples)
     return (slice(start, start + size) for start in range(0, n_items, size))
 
@@ -94,17 +98,21 @@ def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np
     """Per-candidate :func:`criteria.reciprocal_statistics` rows.
 
     Each chunk of candidates is scored in one kernel call and reduced at
-    once, so memory is O(candidates), not O(candidates * samples).
+    once, so memory is O(candidates), not O(candidates * samples).  The
+    chunks run on :func:`sampling.thread_map`'s threads.
     """
     n_cand, arity = candidates.shape
     stats = np.empty((n_cand, 5))
-    for part in _chunks(n_cand, batch.count):
+
+    def score(part):
         block = candidates[part]
         # (N, C, m, n) -> (C, N, m, n) so each candidate is contiguous.
         stack = batch.jacobians[:, block, :].transpose(1, 0, 2, 3)
         scal, skew = batch_reciprocals(stack.reshape(-1, arity, batch.n_params), rank_tol)
         shape = (block.shape[0], batch.count)
         stats[part] = reciprocal_statistics(scal.reshape(shape), skew.reshape(shape))
+
+    thread_map(score, _chunks(n_cand, batch.count))
     return stats
 
 
@@ -219,14 +227,17 @@ class GreedyTrace:
 def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.ndarray:
     """Mean 1/SK over samples of ``selected + (p,)`` for every row p.
 
-    The selected rows are factored once per sample per chunk of candidate
-    rows; each candidate is then a rank-one extension of that factor.
+    The selected rows are factored once per sample for the whole round;
+    each candidate is then a rank-one extension of that factor, scored in
+    chunks of candidate rows on :func:`sampling.thread_map`'s threads.
     """
-    base = batch.jacobians[:, list(selected), :]
+    base = ExtensionBase(batch.jacobians[:, list(selected), :], rank_tol)
     means = np.empty(rows.size)
-    for part in _chunks(rows.size, batch.count):
-        skew = batch_extension_skewness(base, batch.jacobians[:, rows[part], :], rank_tol)
-        means[part] = skew.mean(axis=0)
+
+    def score(part):
+        means[part] = base.skewness(batch.jacobians[:, rows[part], :]).mean(axis=0)
+
+    thread_map(score, _chunks(rows.size, batch.count))
     return means
 
 

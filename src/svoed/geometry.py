@@ -11,8 +11,8 @@ parameter space:
   i.e. how far each row sticks out of the span of the others.
 
 :func:`batch_reciprocals` scores a whole stack from one QR factorization
-per matrix, and :func:`batch_extension_skewness` scores every one-row
-extension of a fixed set of rows by rank-one updates of that set's factor.
+per matrix, and :class:`ExtensionBase` factors a fixed set of rows once and
+scores every one-row extension of it by rank-one updates of that factor.
 Both fall back to the singular-value formula for the matrices whose
 conditioning makes the QR route unreliable, so the rank cutoff means
 exactly what it means pointwise.  The pointwise definitions the tests
@@ -145,53 +145,64 @@ def batch_reciprocals(
     return scal, skew
 
 
-def batch_extension_skewness(base, rows, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
-    """1/SK of each base matrix extended by each of its candidate rows.
+class ExtensionBase:
+    """A (N, k, n) stack of base matrices, k < n, factored once so that
+    :meth:`skewness` can score any number of one-row extensions of it.
 
-    ``base`` is a (N, k, n) stack with k < n and ``rows`` a (N, C, n) stack;
-    entry [i, c] of the (N, C) result is 1/SK of ``base[i]`` with
-    ``rows[i, c]`` appended as row k, as :func:`batch_reciprocals` would
-    score it.  Each base is factored once, base^T = Q R, and a row j
-    extends the factor by one column:
+    Each base is factored as base^T = Q R, and a row j extends the factor by
+    one column:
 
         R' = [[R, g], [0, s]],   g = Q^T j,   s = ||j - Q g||,
 
     so the new row scores s / ||j|| and row l of R'^-1 is row l of R^-1
     followed by -h_l / s, with h = R^-1 g.  A base that is already rank
     deficient scores zero with every row, since adding a row can only
-    lower sigma_min / sigma_max.  Pairs whose condition bound is not safely
-    small use the SVD formula, as in :func:`batch_reciprocals`.
+    lower sigma_min / sigma_max.
     """
-    B = _as_stack(base)
-    J = np.asarray(rows, dtype=float)
-    n_mats, k, n = B.shape
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n rows in the base stack, got shape {B.shape}")
-    if J.ndim != 3 or J.shape[0] != n_mats or J.shape[2] != n:
-        raise ValueError(f"expected a ({n_mats}, C, {n}) row stack, got shape {J.shape}")
 
-    sigma = np.linalg.svd(B, compute_uv=False)
-    base_deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
-    Q, R = np.linalg.qr(B.transpose(0, 2, 1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R_inv = _triangular_inverse(R)
-        col_sq = np.einsum("nij,nij->nj", R, R)  # ||base row l||^2
-        inv_row_sq = np.einsum("nij,nij->ni", R_inv, R_inv)
-        g = J @ Q  # (N, C, k)
-        resid = J - g @ Q.transpose(0, 2, 1)
-        s_sq = np.einsum("ncj,ncj->nc", resid, resid)
-        row_sq = np.einsum("ncj,ncj->nc", J, J)
-        h_over_s_sq = (g @ R_inv.transpose(0, 2, 1)) ** 2 / s_sq[..., None]
-        old_rows = col_sq[:, None, :] * (inv_row_sq[:, None, :] + h_over_s_sq)
-        worst_sq = np.maximum(old_rows.max(axis=2), row_sq / s_sq)
-        skew = 1.0 / np.sqrt(worst_sq)
-        bound_sq = (col_sq.sum(axis=1)[:, None] + row_sq) * (
-            inv_row_sq.sum(axis=1)[:, None] + h_over_s_sq.sum(axis=2) + 1.0 / s_sq
-        )
-    skew[base_deficient] = 0.0
-    fallback = ~(bound_sq < _cond_limit(rank_tol) ** 2) & ~base_deficient[:, None]
-    if fallback.any():
-        i, c = np.nonzero(fallback)
-        extended = np.concatenate([B[i], J[i, c][:, None, :]], axis=1)
-        skew[i, c] = _svd_reciprocals(extended, rank_tol)[1]
-    return skew
+    def __init__(self, base, rank_tol: float = RANK_TOL_DEFAULT):
+        B = _as_stack(base)
+        k, n = B.shape[1:]
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n rows in the base stack, got shape {B.shape}")
+        self.base, self.rank_tol = B, rank_tol
+        sigma = np.linalg.svd(B, compute_uv=False)
+        self.deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
+        self.Q, R = np.linalg.qr(B.transpose(0, 2, 1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.R_inv = _triangular_inverse(R)
+            self.col_sq = np.einsum("nij,nij->nj", R, R)  # ||base row l||^2
+            self.inv_row_sq = np.einsum("nij,nij->ni", self.R_inv, self.R_inv)
+
+    def skewness(self, rows) -> np.ndarray:
+        """1/SK of each base matrix extended by each of its candidate rows.
+
+        ``rows`` is a (N, C, n) stack; entry [i, c] of the (N, C) result is
+        1/SK of base i with ``rows[i, c]`` appended as row k, as
+        :func:`batch_reciprocals` would score it.  Pairs whose condition
+        bound is not safely small use the SVD formula, as there.
+        """
+        Q, col_sq, inv_row_sq = self.Q, self.col_sq, self.inv_row_sq
+        J = np.asarray(rows, dtype=float)
+        n_mats, _, n = self.base.shape
+        if J.ndim != 3 or J.shape[0] != n_mats or J.shape[2] != n:
+            raise ValueError(f"expected a ({n_mats}, C, {n}) row stack, got shape {J.shape}")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = J @ Q  # (N, C, k)
+            resid = J - g @ Q.transpose(0, 2, 1)
+            s_sq = np.einsum("ncj,ncj->nc", resid, resid)
+            row_sq = np.einsum("ncj,ncj->nc", J, J)
+            h_over_s_sq = (g @ self.R_inv.transpose(0, 2, 1)) ** 2 / s_sq[..., None]
+            old_rows = col_sq[:, None, :] * (inv_row_sq[:, None, :] + h_over_s_sq)
+            worst_sq = np.maximum(old_rows.max(axis=2), row_sq / s_sq)
+            skew = 1.0 / np.sqrt(worst_sq)
+            bound_sq = (col_sq.sum(axis=1)[:, None] + row_sq) * (
+                inv_row_sq.sum(axis=1)[:, None] + h_over_s_sq.sum(axis=2) + 1.0 / s_sq
+            )
+        skew[self.deficient] = 0.0
+        fallback = ~(bound_sq < _cond_limit(self.rank_tol) ** 2) & ~self.deficient[:, None]
+        if fallback.any():
+            i, c = np.nonzero(fallback)
+            extended = np.concatenate([self.base[i], J[i, c][:, None, :]], axis=1)
+            skew[i, c] = _svd_reciprocals(extended, self.rank_tol)[1]
+        return skew

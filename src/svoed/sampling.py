@@ -12,12 +12,14 @@ run per sample, and only such a model can make a batch.
 Every loop over samples, for field batches and for data-consistent
 inversion alike, goes through :func:`evaluate_samples`.  A model with
 ``evaluate_stacked`` (the rod) marches all samples in fixed-size chunks in
-one call; any other model runs one task per sample, on a thread pool when
-asked.
+one call; any other model runs one task per sample, on threads when asked.
+:func:`thread_map` runs those tasks, and the chunks of the design kernels
+and kernel densities, which take every CPU the process may run on.
 """
 
 from __future__ import annotations
 
+import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +33,35 @@ BATCH_SCHEMA_VERSION = 6
 
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, which ``taskset``
+    limits, or every CPU where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def thread_map(fn, items, threads: int | None = None) -> None:
+    """Call ``fn`` on every item of ``items``, on ``threads`` threads
+    (default: :func:`cpu_count`); a single item or thread runs inline.
+
+    ``fn`` writes each result into its own preallocated slice, so results
+    depend neither on the thread count nor on the completion order.  The
+    threads are joined before this returns, and the first item to raise, in
+    item order, re-raises its exception here.
+    """
+    items = list(items)
+    threads = min(len(items), cpu_count() if threads is None else threads)
+    if threads <= 1:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Reading every result re-raises the first failure.
+        list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -147,9 +178,9 @@ def evaluate_samples(
     runs one task per sample: ``evaluate``, or ``evaluate_with_jacobian``
     for the exact Jacobian.  With ``with_jacobian``, a model that has
     neither ``evaluate_stacked`` nor ``evaluate_with_jacobian`` is refused
-    with ValueError before any call.  ``workers`` > 1 runs the tasks on a
-    thread pool (the model must be safe to call concurrently); each task
-    writes its sample's row, so results do not depend on completion order.
+    with ValueError before any call.  ``workers`` > 1 runs the tasks on
+    that many threads of :func:`thread_map` (the model must be safe to call
+    concurrently); the default is serial.
     A raise inside the model, or a non-finite output or Jacobian, becomes a
     ModelEvaluationError naming the sample.
     """
@@ -189,13 +220,7 @@ def evaluate_samples(
         _require_finite(points, i, outputs[i : i + 1],
                         None if jacobians is None else jacobians[i : i + 1])
 
-    if workers is None or workers <= 1:
-        for i in range(n_samples):
-            one_sample(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Reading every result re-raises the first failure.
-            list(pool.map(one_sample, range(n_samples)))
+    thread_map(one_sample, range(n_samples), threads=workers or 1)
     return outputs, jacobians
 
 

@@ -1,0 +1,169 @@
+"""The thread map behind the kernels and kernel densities: results that do not
+depend on the thread count, no thread left running, and bounded memory."""
+
+import json
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from svoed import cli, dci, design, sampling
+
+ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
+
+# Small enough that every case below splits into many chunks or blocks.
+CHUNK_MATRICES = 40
+BLOCK_ROWS = 16
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(design, "_CHUNK_MATRICES", CHUNK_MATRICES)
+
+
+def on_threads(monkeypatch, threads):
+    monkeypatch.setattr(sampling, "cpu_count", lambda: threads)
+
+
+def random_batch(count=20, field_size=40, n_params=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return sampling.FieldJacobianBatch(
+        sampling.SampleSet(rng.uniform(size=(count, n_params))),
+        rng.normal(size=(count, field_size)),
+        rng.normal(size=(count, field_size, n_params)))
+
+
+def kde_case(count=300, queries=200, seed=31):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(count, 2)) @ np.array([[1.0, 0.4], [0.0, 0.7]])
+    return (dci.KdeDensity(samples, weights=rng.uniform(0.5, 1.5, size=count)),
+            rng.normal(size=(queries, 2)))
+
+
+def test_thread_map_runs_items_concurrently_and_joins():
+    barrier = threading.Barrier(3, timeout=30)
+    seen = np.zeros(3)
+
+    def fn(i):
+        barrier.wait()  # passes only when all three items run at once
+        seen[i] = i + 1
+
+    before = threading.active_count()
+    sampling.thread_map(fn, range(3), threads=3)
+    assert seen.tolist() == [1, 2, 3]
+    assert threading.active_count() == before
+
+
+def test_thread_map_runs_one_item_or_thread_inline():
+    callers = []
+    sampling.thread_map(lambda i: callers.append(threading.get_ident()), [0], threads=4)
+    sampling.thread_map(lambda i: callers.append(threading.get_ident()), range(3), threads=1)
+    assert callers == [threading.get_ident()] * 4
+
+
+def test_thread_map_raises_the_first_failure_in_item_order():
+    def fn(i):
+        if i in (2, 5):
+            raise RuntimeError(f"item {i}")
+
+    with pytest.raises(RuntimeError, match="item 2"):
+        sampling.thread_map(fn, range(8), threads=3)
+
+
+def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch, small_chunks):
+    batch = random_batch()
+    space = design.pair_space(batch.field_size)
+    rows = []
+    for threads in (1, 3):
+        on_threads(monkeypatch, threads)
+        rows.append(design._candidate_statistics(batch, space.candidates, 1e-12))
+    assert rows[0].tobytes() == rows[1].tobytes()
+
+
+def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):
+    batch = random_batch()
+    traces = []
+    for threads in (1, 3):
+        on_threads(monkeypatch, threads)
+        traces.append(design.greedy_oed(design.scalar_space(batch.field_size), batch,
+                                        m_target=4, tol=1e-12))
+    one, three = traces
+    assert one.selected == three.selected and len(one.selected) == 4
+    assert [r.chosen for r in one.rounds] == [r.chosen for r in three.rounds]
+    for a, b in zip(one.rounds, three.rounds):
+        assert a.scores.tobytes() == b.scores.tobytes()
+
+
+def test_kde_pdf_does_not_depend_on_the_thread_count(monkeypatch):
+    kde, queries = kde_case()
+    # BLOCK_ROWS query rows per block on three threads, three times that on one.
+    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * len(kde.samples) * 3 * BLOCK_ROWS)
+    values = []
+    for threads in (1, 3):
+        on_threads(monkeypatch, threads)
+        values.append(kde.pdf(queries))
+    assert values[0].tobytes() == values[1].tobytes()
+
+
+CLI_CASES = {
+    "oed": {"model": ROD, "sampling": {"count": 8, "seed": 3}, "design": {"arity": 2}},
+    "greedy": {"model": ROD, "sampling": {"count": 6, "seed": 5}, "greedy": {"m_target": 2}},
+    "dci": {"model": ROD, "sampling": {"seed": 2},
+            "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9}},
+}
+
+
+def run_cli(tmp_path, task, out):
+    config = tmp_path / f"{task}.json"
+    config.write_text(json.dumps(dict(CLI_CASES[task], task=task)))
+    assert cli.main([task, "--config", str(config), "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    return tmp_path / out
+
+
+def output_bytes(outdir):
+    files = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    del manifest["elapsed_seconds"]
+    return files, manifest
+
+
+@pytest.mark.parametrize("task", sorted(CLI_CASES))
+def test_cli_outputs_do_not_depend_on_the_thread_count(task, tmp_path, monkeypatch,
+                                                      small_chunks):
+    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * 300 * 3 * BLOCK_ROWS)
+    outputs = []
+    for threads in (1, 3):
+        on_threads(monkeypatch, threads)
+        outputs.append(output_bytes(run_cli(tmp_path, task, f"out{threads}")))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("task", ["oed", "dci"])
+def test_cli_leaves_no_thread_running(task, tmp_path, monkeypatch, small_chunks):
+    # A pool left behind would keep the process, or the benchmark study, alive.
+    on_threads(monkeypatch, 3)
+    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * 300 * 3 * BLOCK_ROWS)
+    before = threading.active_count()
+    run_cli(tmp_path, task, "out")
+    assert threading.active_count() == before
+
+
+def test_kde_threads_share_one_block_budget(monkeypatch):
+    # Each thread takes its share of _BLOCK_BYTES, so three threads hold no
+    # more (query x sample) matrices at once than one thread does: 8 MiB,
+    # two matrices of 4 MiB.  Slack: 192 KiB for each extra thread, whose
+    # broadcasting ufunc calls allocate their own iterator buffers (8192
+    # elements per operand) whatever the block size.
+    kde, queries = kde_case(count=2000, queries=3000)
+    peaks = {}
+    for threads in (1, 3):
+        on_threads(monkeypatch, threads)
+        tracemalloc.start()
+        try:
+            values = kde.pdf(queries)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] > 2 * dci._BLOCK_BYTES  # the matrices are traced at all
+    assert peaks[3] <= peaks[1] + values.nbytes + 2 * 192 * 1024

@@ -134,6 +134,10 @@ class KdeDensity(Density):
         pts = np.asarray(samples, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        # One contiguous column per axis, whatever the caller's layout: the
+        # mean and covariance sum along each axis, and numpy rounds a sum
+        # along a strided axis differently from one along a contiguous axis.
+        pts = np.asfortranarray(pts)
         if pts.shape[0] < 2:
             raise ValueError("kernel density needs at least 2 samples")
         if bandwidth_rule not in ("silverman", "scott"):

@@ -103,6 +103,16 @@ def test_kde_blocks_do_not_change_the_values(monkeypatch):
     assert all(np.array_equal(v, values[-1]) for v in values)
 
 
+def test_kde_weights_do_not_depend_on_the_sample_layout():
+    # The same outputs, row-major or column-major, give the same weights
+    # to the last bit: the mean and covariance sum in one canonical order.
+    samples, _, _ = kde_case(3, False, 100.0)
+    observed = dci.GaussianDensity(samples.mean(axis=0), np.cov(samples.T))
+    weights = [dci.update_weights(q, observed, dci.KdeDensity(q)).weights
+               for q in (np.ascontiguousarray(samples), np.asfortranarray(samples))]
+    assert weights[0].tobytes() == weights[1].tobytes()
+
+
 @pytest.mark.parametrize("rule", [0.3, "foo", None])
 def test_kde_rejects_a_bandwidth_other_than_the_two_rules(rule):
     with pytest.raises(ValueError, match="bandwidth"):

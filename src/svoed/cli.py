@@ -46,10 +46,11 @@ MANIFEST_SCHEMA_VERSION = 1
 _MAX_DRAW_ROUNDS = 1000
 
 # Exhaustive scoring is refused, before any solve and before the space is
-# built, when candidates x samples exceeds this many kernel matrices.  The
-# QR kernel scores about 1.0M (2, 9) and 2.7M (1, 9) matrices a second on
-# one thread of a 2-vCPU host, so this is about 40 s at arity 2.  It admits
-# the e99 plate at arity 1 with 1000 samples (1e7 matrices) and refuses its
+# built, when candidates x samples exceeds this many kernel matrices.  On a
+# 2-vCPU host the candidate scoring handles about 0.9M (2, 9) and 2.9M
+# (1, 9) matrices a second on one thread, and 1.5M (2, 9) on both, so this
+# is about 45 s at arity 2 on one CPU and 27 s on two.  It admits the e99
+# plate at arity 1 with 1000 samples (1e7 matrices) and refuses its
 # 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
 

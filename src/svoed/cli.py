@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criteria, dci, design, models, sampling
+from . import __version__, criteria, dci, design, geometry, models, sampling
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,11 +47,11 @@ _MAX_DRAW_ROUNDS = 1000
 
 # Exhaustive scoring is refused, before any solve and before the space is
 # built, when candidates x samples exceeds this many kernel matrices.  On a
-# 2-vCPU host the candidate scoring handles about 0.9M (2, 9) and 2.9M
-# (1, 9) matrices a second on one thread, and 1.5M (2, 9) on both, so this
-# is about 45 s at arity 2 on one CPU and 27 s on two.  It admits the e99
-# plate at arity 1 with 1000 samples (1e7 matrices) and refuses its
-# 49,995,000 pairs at any sample count.
+# 2-vCPU host the candidate scoring handles about 2.9M (2, 9) and 8.4M
+# (1, 9) matrices a second on one thread, and 5.1M (2, 9) and 10.7M (1, 9)
+# on both, so this is about 14 s at arity 2 on one CPU and 8 s on two.
+# It admits the e99 plate at arity 1 with 1000 samples (1e7 matrices) and
+# refuses its 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
 
 # A field batch is refused, before any solve, when its Jacobians alone
@@ -386,8 +386,8 @@ def _exhaustive(run, utility="ese_inverse"):
     prologue of ``sweep`` and ``oed``.
 
     With a batch cache, the (C, 5) statistics are kept in a sidecar next to
-    it, keyed on the batch key, the arity, ``rank_tol`` and the statistics
-    columns: everything the rows depend on.  A later run with the same key
+    it, keyed on the batch key, the arity, ``rank_tol``, the statistics
+    columns and the kernel version: everything the rows depend on.  A later run with the same key
     ranks the stored rows instead of running the kernels; any other
     sidecar, or one of another shape or with negative values, is
     recomputed and overwritten.
@@ -398,7 +398,7 @@ def _exhaustive(run, utility="ese_inverse"):
         return design.exhaustive_oed(space, batch, utility, rank_tol)
     sidecar = _statistics_path(run.cache_path)
     key = _sha256([_batch_key(run, run.model, run.box, run.seed), arity, float(rank_tol),
-                   criteria.STATISTICS])
+                   criteria.STATISTICS, geometry.KERNEL_VERSION])
     if sidecar.exists():
         try:
             (stats,) = sampling.load_arrays(sidecar, key, ["statistics"])

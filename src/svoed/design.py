@@ -87,8 +87,11 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
 def _chunks(n_items: int, n_samples: int):
     """Slices of at most _CHUNK_MATRICES // n_samples items (at least one).
 
-    The boundaries depend on the sizes alone, never on the thread count: a
-    kernel's last bits can move with the number of rows it is given.
+    Chunks bound the memory in flight.  Their boundaries move no bit of
+    :func:`batch_reciprocals`, which scores each matrix on its own, but
+    the stacked matrix products of :meth:`ExtensionBase.skewness` can round
+    differently with the number of rows they are given.  So the boundaries
+    depend on the sizes alone, never on the thread count.
     """
     size = max(1, _CHUNK_MATRICES // n_samples)
     return (slice(start, start + size) for start in range(0, n_items, size))
@@ -103,12 +106,14 @@ def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np
     """
     n_cand, arity = candidates.shape
     stats = np.empty((n_cand, 5))
+    by_row = batch.jacobians.transpose(1, 0, 2)  # (P, N, n)
 
     def score(part):
         block = candidates[part]
-        # (N, C, m, n) -> (C, N, m, n) so each candidate is contiguous.
-        stack = batch.jacobians[:, block, :].transpose(1, 0, 2, 3)
-        scal, skew = batch_reciprocals(stack.reshape(-1, arity, batch.n_params), rank_tol)
+        # One gather, laid out (m, C, N, n), viewed as the (C * N, m, n)
+        # stack without a copy; the kernel's batch-last copy is the only other.
+        rows = by_row[block.T].reshape(arity, -1, batch.n_params)
+        scal, skew = batch_reciprocals(rows.transpose(1, 0, 2), rank_tol)
         shape = (block.shape[0], batch.count)
         stats[part] = reciprocal_statistics(scal.reshape(shape), skew.reshape(shape))
 

@@ -10,16 +10,29 @@ parameter space:
 * the per-row redundancy of the map components (the "local skewness"),
   i.e. how far each row sticks out of the span of the others.
 
-:func:`batch_reciprocals` scores a whole stack from one QR factorization
-per matrix, and :class:`ExtensionBase` factors a fixed set of rows once and
+:func:`batch_reciprocals` scores a whole stack from one Householder QR of
+every J^T, and :class:`ExtensionBase` factors a fixed set of rows once and
 scores every one-row extension of it by rank-one updates of that factor.
 Both fall back to the singular-value formula for the matrices whose
 conditioning makes the QR route unreliable, so the rank cutoff means
 exactly what it means pointwise.  The pointwise definitions the tests
 check these kernels against live in ``tests/geometry_oracles.py``.
+
+The stacks hold up to millions of matrices of at most 9 x 9, and a LAPACK
+call per matrix costs more than the arithmetic it does.  So the QR works
+on a batch-last (n, m, N) copy of the stack: entry [i, j] of every
+matrix's J^T is one contiguous length-N vector, and each step of the
+factorization is one elementwise numpy operation over the whole stack.
+Every sum or product over the m or n axis is written out in order, term
+by term, so each matrix's :func:`batch_reciprocals` depend on that matrix
+alone: not on the stack length, its place in the stack, the chunking or the
+thread count.  :meth:`ExtensionBase.skewness` still uses stacked matrix
+products, whose rounding can move with the number of rows they are given.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +40,10 @@ import numpy as np
 # sigma_k <= RANK_TOL_DEFAULT * sigma_max.  Scale-free, and comfortably above
 # the backward error of LAPACK's SVD for the tiny matrices handled here.
 RANK_TOL_DEFAULT = 1e-12
+
+# The identity of the kernels' arithmetic.  Cached statistics are keyed on
+# it, so any change that moves a statistic's bits must raise it.
+KERNEL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +58,11 @@ RANK_TOL_DEFAULT = 1e-12
 #     ||j_k|| = ||column k of R||,
 #
 # and 1/SK = min_k ||j_k_perp|| / ||j_k|| needs one triangular inverse.
+#
+# Each matrix is first scaled by the power of two that brings its largest
+# entry into [0.5, 1), so no square or product over- or underflows.  The
+# scaling is exact: 1/SK does not change at all, and 1/SE is scaled back by
+# 2^(m e) for a matrix scaled by 2^-e.
 # ---------------------------------------------------------------------------
 
 # The QR route loses about cond(J) * eps of relative accuracy, and only the
@@ -70,22 +92,97 @@ def _cond_limit(rank_tol: float) -> float:
     return min(_COND_CEILING, 0.5 / rank_tol)
 
 
-def _triangular_inverse(R: np.ndarray) -> np.ndarray:
-    """Inverses of a (N, k, k) stack of upper-triangular matrices.
+def _exponents(A: np.ndarray) -> np.ndarray:
+    """e with max |entry| in [2^(e-1), 2^e) for each matrix of a batch-last
+    (n, m, N) stack; at least -1021, so that 2^-e is a finite double."""
+    top = np.maximum(A.max(axis=(0, 1)), -A.min(axis=(0, 1)))
+    return np.maximum(np.frexp(top)[1], -1021)
 
-    Back substitution vectorized over the stack.  A zero diagonal entry
-    gives inf or nan entries rather than an error; callers route those
-    matrices elsewhere through their condition bound.
+
+def _batch_last(S: np.ndarray) -> np.ndarray:
+    """The batch-last (n, m, N) copy of J^T for a (N, m, n) stack."""
+    A = np.empty(S.shape[::-1])
+    A[...] = S.transpose(2, 1, 0)
+    return A
+
+
+def _householder(A: np.ndarray) -> np.ndarray:
+    """Householder QR of a batch-last (n, m, N) stack, m <= n, in place.
+
+    Column k is reflected onto beta_k e_k by H_k = I - tau_k v_k v_k^T with
+    v_k[k] = 1 and beta_k = -sign(a_kk) ||a_k|| (Golub & Van Loan, Matrix
+    Computations, section 5.1; LAPACK's sign convention).  Afterwards the
+    upper triangle of A[:m] holds R, and A[k + 1:, k] the rest of v_k.
+    Returns the (m, N) array of tau.  A zero column leaves NaNs behind,
+    which callers route elsewhere through their rank test or bound.
     """
-    k = R.shape[-1]
-    X = np.zeros_like(R)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    n, m, _ = A.shape
+    tau = np.empty(A.shape[1:])
+    for k in range(m):
+        alpha = A[k, k].copy()
+        norm_sq = alpha * alpha
+        for i in range(k + 1, n):
+            norm_sq += A[i, k] * A[i, k]
+        beta = -np.copysign(np.sqrt(norm_sq), alpha)
+        tau[k] = (beta - alpha) / beta
+        A[k + 1 :, k] /= alpha - beta
+        A[k, k] = beta
+        if k + 1 < m:
+            w = A[k, k + 1 :].copy()  # v_k . a_j for the columns j > k
+            for i in range(k + 1, n):
+                w += A[i, k] * A[i, k + 1 :]
+            w *= tau[k]
+            A[k, k + 1 :] -= w
+            A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * w
+    return tau
+
+
+def _q_factor(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The (n, m, N) orthonormal factor Q = H_0 ... H_(m-1) I[:, :m] of a
+    stack factored by :func:`_householder`, accumulated backwards."""
+    n, m, N = A.shape
+    Q = np.zeros((n, m, N))
+    Q[range(m), range(m)] = 1.0
+    for k in range(m - 1, -1, -1):
+        w = Q[k, k:].copy()
+        for i in range(k + 1, n):
+            w += A[i, k] * Q[i, k:]
+        w *= tau[k]
+        Q[k, k:] -= w
+        Q[k + 1 :, k:] -= A[k + 1 :, k, None] * w
+    return Q
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverses of the upper triangles of a batch-last (k, k, N) stack.
+
+    Back substitution, row by row from the bottom; entries below the
+    diagonal are never read.  A zero diagonal entry gives inf or nan
+    entries rather than an error; callers route those matrices elsewhere
+    through their condition bound.
+    """
+    k = R.shape[0]
+    X = np.zeros(R.shape)
     for i in range(k - 1, -1, -1):
-        X[:, i, i] = 1.0 / diag[:, i]
-        for j in range(i + 1, k):
-            dot = np.einsum("nl,nl->n", R[:, i, i + 1 : j + 1], X[:, i + 1 : j + 1, j])
-            X[:, i, j] = -dot / diag[:, i]
+        X[i, i] = 1.0 / R[i, i]
+        if i + 1 < k:
+            dot = R[i, i + 1] * X[i + 1, i + 1 :]  # sum_l R[i, l] X[l, j], l = i+1 .. j
+            for l in range(i + 2, k):
+                dot[l - i - 1 :] += R[i, l] * X[l, l:]
+            X[i, i + 1 :] = -dot / R[i, i]
     return X
+
+
+def _norms_sq(R: np.ndarray, R_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, N) squared column norms of the upper triangles R and squared row
+    norms of R_inv, each summed in index order."""
+    k = R.shape[0]
+    col_sq = R[0] * R[0]
+    inv_row_sq = R_inv[:, 0] * R_inv[:, 0]
+    for i in range(1, k):
+        col_sq[i:] += R[i, i:] * R[i, i:]
+        inv_row_sq[: i + 1] += R_inv[: i + 1, i] * R_inv[: i + 1, i]
+    return col_sq, inv_row_sq
 
 
 def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,19 +194,22 @@ def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nda
     matrix is rank deficient under ``rank_tol``.  This is the reference
     formula, and the fallback of the QR kernels near the rank cutoff.
     """
-    n_mats, m, _ = S.shape
+    n_mats, m, n = S.shape
+    e = _exponents(S.transpose(2, 1, 0))
+    S = S * np.ldexp(1.0, -e)[:, None, None]
     sigma = np.linalg.svd(S, compute_uv=False)
     deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
-    full_prod = np.prod(sigma, axis=-1)
-    scal = np.where(deficient, 0.0, full_prod)
+    full_prod = reduce(np.multiply, sigma.T)
+    with np.errstate(over="ignore"):
+        scal = np.where(deficient, 0.0, np.ldexp(full_prod, m * e))
     if m == 1:
         return scal, np.where(deficient, 0.0, 1.0)
 
-    row_norms = np.linalg.norm(S, axis=2)
+    row_norms = np.sqrt(reduce(np.add, (S[..., i] * S[..., i] for i in range(n))))
     worst = np.zeros(n_mats)
     for k in range(m):
         minor = np.delete(S, k, axis=1)
-        minor_prod = np.prod(np.linalg.svd(minor, compute_uv=False), axis=-1)
+        minor_prod = reduce(np.multiply, np.linalg.svd(minor, compute_uv=False).T)
         np.maximum(worst, row_norms[:, k] * minor_prod, out=worst)
     ok = ~deficient & (worst > 0.0)
     skew = np.zeros(n_mats)
@@ -125,19 +225,23 @@ def batch_reciprocals(
     1/SE is the product of the singular values and 1/SK, in [0, 1], the
     smallest ||j_k_perp|| / ||j_k|| over rows (one for mutually orthogonal
     rows and for any nonzero single row).  Both are zero where the matrix
-    is rank deficient under ``rank_tol``.  One QR of J^T per matrix gives
-    both; matrices too ill-conditioned for it use the SVD formula.
+    is rank deficient under ``rank_tol``.  One Householder QR of every J^T
+    gives both; matrices too ill-conditioned for it use the SVD formula.
+    The stack may have any memory layout: it is copied batch-last once.
     """
     S = _as_stack(stack)
-    R = np.linalg.qr(S.transpose(0, 2, 1), mode="r")
+    m = S.shape[1]
+    A = _batch_last(S)
+    e = _exponents(A)
+    A *= np.ldexp(1.0, -e)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R_inv = _triangular_inverse(R)
-        col_sq = np.einsum("nij,nij->nj", R, R)  # ||j_k||^2
-        inv_row_sq = np.einsum("nij,nij->ni", R_inv, R_inv)  # 1 / ||j_k_perp||^2
-        bound_sq = col_sq.sum(axis=1) * inv_row_sq.sum(axis=1)
-        scal = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
-        skew = 1.0 / np.sqrt(np.max(col_sq * inv_row_sq, axis=1))
-    if S.shape[1] == 1:
+        _householder(A)
+        R = A[:m]
+        col_sq, inv_row_sq = _norms_sq(R, _triangular_inverse(R))
+        bound_sq = reduce(np.add, col_sq) * reduce(np.add, inv_row_sq)
+        scal = np.ldexp(np.abs(reduce(np.multiply, (R[k, k] for k in range(m)))), m * e)
+        skew = 1.0 / np.sqrt(np.max(col_sq * inv_row_sq, axis=0))
+    if m == 1:
         skew = np.ones_like(skew)
     fallback = ~(bound_sq < _cond_limit(rank_tol) ** 2)
     if fallback.any():
@@ -157,7 +261,9 @@ class ExtensionBase:
     so the new row scores s / ||j|| and row l of R'^-1 is row l of R^-1
     followed by -h_l / s, with h = R^-1 g.  A base that is already rank
     deficient scores zero with every row, since adding a row can only
-    lower sigma_min / sigma_max.
+    lower sigma_min / sigma_max.  Nothing is scaled here: a base or row
+    whose squares overflow, or underflow to zero, fails the condition
+    bound, so its pairs take the SVD formula, which scales.
     """
 
     def __init__(self, base, rank_tol: float = RANK_TOL_DEFAULT):
@@ -168,11 +274,16 @@ class ExtensionBase:
         self.base, self.rank_tol = B, rank_tol
         sigma = np.linalg.svd(B, compute_uv=False)
         self.deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
-        self.Q, R = np.linalg.qr(B.transpose(0, 2, 1))
+        A = _batch_last(B)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.R_inv = _triangular_inverse(R)
-            self.col_sq = np.einsum("nij,nij->nj", R, R)  # ||base row l||^2
-            self.inv_row_sq = np.einsum("nij,nij->ni", self.R_inv, self.R_inv)
+            tau = _householder(A)
+            R_inv = _triangular_inverse(A[:k])
+            col_sq, inv_row_sq = _norms_sq(A[:k], R_inv)  # ||base row l||^2 and its dual
+            Q = _q_factor(A, tau)
+        # Batch-first again for the stacked matrix products of skewness.
+        self.Q = np.ascontiguousarray(Q.transpose(2, 0, 1))
+        self.R_inv = np.ascontiguousarray(R_inv.transpose(2, 0, 1))
+        self.col_sq, self.inv_row_sq = col_sq.T.copy(), inv_row_sq.T.copy()
 
     def skewness(self, rows) -> np.ndarray:
         """1/SK of each base matrix extended by each of its candidate rows.

@@ -173,6 +173,37 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     assert len(scored) == 2 + 3 + 1  # the older-schema number also rescored its oed
 
 
+def test_statistics_of_an_older_kernel_are_recomputed(tmp_path, monkeypatch, caplog):
+    solves, loads = [], []
+    estimate, load = sampling.estimate_field_jacobians, sampling.load_batch
+    monkeypatch.setattr(sampling, "estimate_field_jacobians",
+                        lambda *a, **k: solves.append(1) or estimate(*a, **k))
+    monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
+    with monkeypatch.context() as older:
+        older.setattr(geometry, "KERNEL_VERSION", geometry.KERNEL_VERSION - 1)
+        assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6, arity=2)]) == 0
+    # Statistics that an older kernel could have written: valid in every
+    # respect but their key, so serving them would change the output.
+    sidecar = tmp_path / "cache" / "batch.stats.npz"
+    with np.load(sidecar) as data:
+        key, stats = str(data["key"]), data["statistics"]
+    sampling.save_arrays(sidecar, key, statistics=stats * (1.0 + 1e-9))
+    cold = cache_config(tmp_path, "sweep", 6, "cold", cache=False, arity=2)
+    assert cli.main(["sweep", "--config", cold]) == 0
+    assert (len(solves), len(loads)) == (2, 0)
+
+    scored = count_scoring(monkeypatch)
+    caplog_start = len(caplog.records)
+    for _ in range(2):  # recomputed with a warning, then served
+        assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6, arity=2)]) == 0
+        assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (
+            tmp_path / "cold" / "sweep.csv").read_bytes()
+    assert (len(solves), len(loads), len(scored)) == (2, 2, 1)
+    warned = [r.getMessage() for r in caplog.records[caplog_start:]]
+    assert len(warned) == 1 and "recomputing statistics cache" in warned[0]
+    assert "stored under another key" in warned[0]
+
+
 def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
     assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
     cache = tmp_path / "cache" / "batch.npz"

@@ -5,10 +5,11 @@ import criteria_oracles
 import design_oracles
 import numpy as np
 from geometry_oracles import local_skewness_oracle
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svoed import design, geometry as geo
+from svoed import design, geometry as geo, sampling
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -134,3 +135,73 @@ def test_pair_score_grid_matches_loop_oracle(size, data):
     assert np.array_equal(design.pair_score_grid(space, values, size),
                           design_oracles.pair_score_grid_loop(candidates, values, size),
                           equal_nan=True)
+
+
+def mixed_stack(rng, count, m, n):
+    """Random matrices of scales 2^-40 .. 2^40, every third one a hair from
+    rank deficient so that it takes the SVD route (for m >= 2)."""
+    stack = rng.uniform(-1.0, 1.0, size=(count, m, n))
+    if m >= 2:
+        near = stack[::3]
+        near[:, -1] = near[:, 0] + 1e-10 * rng.uniform(-1.0, 1.0, size=(len(near), n))
+    return stack * np.exp2(rng.integers(-40, 41, size=count))[:, None, None]
+
+
+@FEW
+@given(st.integers(1, 9), st.integers(0, 8), st.integers(1, 12), st.sampled_from([1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, count, threads,
+                                                                    seed):
+    rng = np.random.default_rng(seed)
+    m = max(1, n - drop)
+    stack = mixed_stack(rng, count, m, n)
+    alone = [geo.batch_reciprocals(stack[i : i + 1]) for i in range(count)]
+    # The same matrices at random places of a longer stack of others, scored
+    # in chunks of random sizes on ``threads`` threads, as a strided view.
+    others = mixed_stack(rng, int(rng.integers(0, 40)), m, n)
+    big = np.concatenate([stack, others])
+    order = rng.permutation(len(big))
+    big = np.asfortranarray(big[order])
+    where = np.argsort(order)[:count]
+    cuts = np.unique(np.concatenate([[0, len(big)], rng.integers(0, len(big), size=4)]))
+    scal, skew = np.empty(len(big)), np.empty(len(big))
+
+    def score(part):
+        scal[part], skew[part] = geo.batch_reciprocals(big[part])
+
+    sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
+                        threads=threads)
+    for i, at in enumerate(where):
+        assert scal[at].tobytes() == alone[i][0].tobytes()
+        assert skew[at].tobytes() == alone[i][1].tobytes()
+
+
+@pytest.mark.parametrize("k", [-560, -100, 100, 560])
+@pytest.mark.parametrize("m, n", [(1, 9), (2, 9), (3, 5), (4, 4)])
+def test_power_of_two_scaling_moves_only_the_scaling(k, m, n, monkeypatch):
+    rng = np.random.default_rng(41)
+    stack = mixed_stack(rng, 60, m, n) * 2.0**-40  # largest entries near 1
+    svd, svd_rows = geo._svd_reciprocals, []
+    monkeypatch.setattr(geo, "_svd_reciprocals",
+                        lambda S, tol: svd_rows.append(len(S)) or svd(S, tol))
+    for route in (geo.batch_reciprocals, lambda S: svd(S, geo.RANK_TOL_DEFAULT)):
+        scal, skew = route(stack)
+        scal_k, skew_k = route(stack * 2.0**k)
+        assert not np.isnan(skew_k).any()
+        assert skew_k.tobytes() == skew.tobytes()
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.ldexp(scal, k * m)
+        normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
+        assert scal_k[normal].tobytes() == want[normal].tobytes()
+    assert (sum(svd_rows) > 0) == (m > 1)  # the QR kernel used both routes
+
+
+@pytest.mark.parametrize("k", [-560, 560])
+def test_extensions_of_any_scale_are_scored(k):
+    # Squares under- or overflow at these scales; the SVD formula takes over.
+    rng = np.random.default_rng(43)
+    jacobians = mixed_stack(rng, 30, 8, 9) * 2.0**-40
+    base, rows = jacobians[:, :3], jacobians[:, 3:]
+    want = geo.ExtensionBase(base).skewness(rows)
+    got = geo.ExtensionBase(base * 2.0**k).skewness(rows * 2.0**k)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)

@@ -4,8 +4,8 @@ and the score-grid helpers."""
 import criteria_oracles
 import design_oracles
 import numpy as np
-from geometry_oracles import local_skewness_oracle
 import pytest
+from geometry_oracles import local_skewness_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

@@ -128,13 +128,19 @@ def _householder(A: np.ndarray) -> np.ndarray:
         A[k + 1 :, k] /= alpha - beta
         A[k, k] = beta
         if k + 1 < m:
-            w = A[k, k + 1 :].copy()  # v_k . a_j for the columns j > k
-            for i in range(k + 1, n):
-                w += A[i, k] * A[i, k + 1 :]
-            w *= tau[k]
-            A[k, k + 1 :] -= w
-            A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * w
+            _reflect(A, k, tau[k], A[:, k + 1 :])
     return tau
+
+
+def _reflect(A: np.ndarray, k: int, tau_k: np.ndarray, X: np.ndarray) -> None:
+    """X <- H_k X in place, for a batch-last (n, c, N) view X and the
+    reflector H_k that :func:`_householder` left in column k of A."""
+    w = X[k].copy()  # v_k . x_j for every column j of X
+    for i in range(k + 1, A.shape[0]):
+        w += A[i, k] * X[i]
+    w *= tau_k
+    X[k] -= w
+    X[k + 1 :] -= A[k + 1 :, k, None] * w
 
 
 def _q_factor(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -144,12 +150,7 @@ def _q_factor(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
     Q = np.zeros((n, m, N))
     Q[range(m), range(m)] = 1.0
     for k in range(m - 1, -1, -1):
-        w = Q[k, k:].copy()
-        for i in range(k + 1, n):
-            w += A[i, k] * Q[i, k:]
-        w *= tau[k]
-        Q[k, k:] -= w
-        Q[k + 1 :, k:] -= A[k + 1 :, k, None] * w
+        _reflect(A, k, tau[k], Q[:, k:])
     return Q
 
 

@@ -146,8 +146,8 @@ def _reflect(A: np.ndarray, k: int, tau_k: np.ndarray, X: np.ndarray) -> None:
 def _q_factor(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The (n, m, N) orthonormal factor Q = H_0 ... H_(m-1) I[:, :m] of a
     stack factored by :func:`_householder`, accumulated backwards."""
-    n, m, N = A.shape
-    Q = np.zeros((n, m, N))
+    m = A.shape[1]
+    Q = np.zeros(A.shape)
     Q[range(m), range(m)] = 1.0
     for k in range(m - 1, -1, -1):
         _reflect(A, k, tau[k], Q[:, k:])

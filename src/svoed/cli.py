@@ -20,7 +20,6 @@ once, in ``_SETTINGS``; a key its task or kind does not read exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -426,26 +425,29 @@ def _design_id(rows) -> str:
     return "-".join(map(str, rows))
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """CSV cells of one block of a column.  Floats are written as ``.17g``,
-    so identical inputs give identical files; each row of a 2-D column is
-    the :func:`_design_id` of its field rows; anything else goes through
-    ``str``."""
+def _cells(column: np.ndarray) -> list:
+    """One block of a column as Python values: each row of a 2-D column is
+    the :func:`_design_id` of its field rows."""
     if column.ndim == 2:
         return [_design_id(row) for row in column.tolist()]
-    if column.dtype.kind == "f":
-        return [f"{v:.17g}" for v in column.tolist()]
-    return [str(v) for v in column.tolist()]
+    return column.tolist()
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One CSV row per entry of the equal-length array ``columns``."""
+    """One CSV row per entry of the equal-length arrays ``columns``.
+
+    Floats are written as ``%.17g``, so identical inputs give identical
+    files, and anything else through ``%s``.  No cell needs quoting, so
+    each row is one ``%`` template: the bytes ``csv.writer`` would write.
+    """
+    template = ",".join("%.17g" if c.ndim == 1 and c.dtype.kind == "f" else "%s"
+                        for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            writer.writerows(zip(*(_cells(c[block]) for c in columns)))
+            fh.write("".join([template % row for row in zip(*(_cells(c[block])
+                                                               for c in columns))]))
 
 
 def run_sweep(run) -> list[str]:

@@ -27,8 +27,9 @@ def reciprocal_statistics(scaling: np.ndarray, skewness: np.ndarray) -> np.ndarr
     :data:`STATISTICS` columns: the mean 1/SE (>= 0, unbounded above), the
     mean 1/SK (in [0, 1], since pointwise skewness is never below one),
     their standard errors (ddof=1; zero for a single sample) and the number
-    of rank-deficient samples (1/SE == 0), which contribute zero to both
-    means.
+    of rank-deficient samples, which contribute zero to both means.  They
+    are counted where 1/SK is zero: 1/SK is scale-free, while 1/SE of a
+    full-rank matrix with tiny entries can underflow to zero.
     """
     n = scaling.shape[1]
     stats = np.zeros((scaling.shape[0], 5))
@@ -37,5 +38,5 @@ def reciprocal_statistics(scaling: np.ndarray, skewness: np.ndarray) -> np.ndarr
     if n > 1:
         stats[:, 2] = scaling.std(axis=1, ddof=1) / np.sqrt(n)
         stats[:, 3] = skewness.std(axis=1, ddof=1) / np.sqrt(n)
-    stats[:, 4] = np.count_nonzero(scaling == 0.0, axis=1)
+    stats[:, 4] = np.count_nonzero(skewness == 0.0, axis=1)
     return stats

@@ -16,7 +16,9 @@ outputs Q(lam) alone, which the caller computes.
 Both Gaussian densities here are plain numpy on a Cholesky factor: the
 kernel density whitens its samples once and evaluates query points in
 blocks, on every CPU the process may run on, elementwise, so its values
-depend neither on the block nor on the thread count.
+depend neither on the block nor on the thread count.  Each thread
+allocates one pair of block buffers per call and evaluates all of its
+blocks into them, so no block faults in fresh memory.
 
 The sample mean of r doubles as a diagnostic: it estimates the integral of
 the updated density and should be one.  A mean far from one means the
@@ -44,9 +46,9 @@ UNDERFLOW_FLOOR = 1e-300
 DIAGNOSTIC_TOL = 0.2
 
 # Bytes of the (query x sample) matrices a kernel density evaluates at a
-# time, summed over its threads: each thread's block takes as many query
-# points as fit in its share, so memory stays bounded whatever the number
-# of points and threads.
+# time, summed over its threads: each thread's pair of block buffers takes
+# as many query points as fit in its share, so memory stays bounded
+# whatever the number of points and threads.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -175,27 +177,35 @@ class KdeDensity(Density):
 
     def pdf(self, points) -> np.ndarray:
         queries = self._whiten(self._points(points))
-        values = np.empty(len(queries))
+        count = len(queries)
+        values = np.empty(count)
         threads = sampling.cpu_count()
-        rows = max(1, _BLOCK_BYTES // (8 * len(self.samples) * threads))
+        rows = max(1, min(count, _BLOCK_BYTES // (8 * len(self.samples) * threads)))
+        starts = range(0, count, rows)
+        threads = min(threads, len(starts))
 
-        def evaluate(block):
-            # -|x - p|^2 / 2 for every query x and sample p, one axis at a
-            # time.  Elementwise, not a matrix product: BLAS results vary
-            # with the block shape and the thread count, these do not.
-            exponent = np.subtract.outer(queries[block, 0], self._white[0])
-            exponent *= exponent
-            step = np.empty_like(exponent)
-            for axis in range(1, self.dim):
-                np.subtract.outer(queries[block, axis], self._white[axis], out=step)
-                step *= step
-                exponent += step
-            exponent *= -0.5
-            np.exp(exponent, out=exponent)
-            values[block] = np.einsum("ij,j->i", exponent, self.weights)
+        def evaluate(first):
+            # One pair of (query x sample) buffers per thread, reused by
+            # every block it takes: blocks first, first + threads, ...
+            exponent_rows = np.empty((rows, len(self.samples)))
+            step_rows = np.empty_like(exponent_rows)
+            for start in starts[first::threads]:
+                block = queries[start:start + rows]
+                exponent, step = exponent_rows[:len(block)], step_rows[:len(block)]
+                # -|x - p|^2 / 2 for every query x and sample p, one axis at
+                # a time.  Elementwise, not a matrix product: BLAS results
+                # vary with the block shape and the thread count, these do not.
+                np.subtract.outer(block[:, 0], self._white[0], out=exponent)
+                exponent *= exponent
+                for axis in range(1, self.dim):
+                    np.subtract.outer(block[:, axis], self._white[axis], out=step)
+                    step *= step
+                    exponent += step
+                exponent *= -0.5
+                np.exp(exponent, out=exponent)
+                values[start:start + len(block)] = np.einsum("ij,j->i", exponent, self.weights)
 
-        sampling.thread_map(evaluate, (slice(start, start + rows)
-                                       for start in range(0, len(queries), rows)), threads)
+        sampling.thread_map(evaluate, range(threads), threads)
         return values * self._norm
 
     def sample(self, rng, count) -> np.ndarray:

@@ -234,13 +234,16 @@ def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.
 
     The selected rows are factored once per sample for the whole round;
     each candidate is then a rank-one extension of that factor, scored in
-    chunks of candidate rows on :func:`sampling.thread_map`'s threads.
+    chunks of candidate rows on :func:`sampling.thread_map`'s threads.  A
+    selected row repeats a base row, so the kernel scores it zero outright.
     """
     base = ExtensionBase(batch.jacobians[:, list(selected), :], rank_tol)
     means = np.empty(rows.size)
 
     def score(part):
-        means[part] = base.skewness(batch.jacobians[:, rows[part], :]).mean(axis=0)
+        chunk = rows[part]
+        means[part] = base.skewness(batch.jacobians[:, chunk, :],
+                                    np.flatnonzero(np.isin(chunk, selected))).mean(axis=0)
 
     thread_map(score, _chunks(rows.size, batch.count))
     return means

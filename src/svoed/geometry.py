@@ -43,7 +43,8 @@ RANK_TOL_DEFAULT = 1e-12
 
 # The identity of the kernels' arithmetic.  Cached statistics are keyed on
 # it, so any change that moves a statistic's bits must raise it.
-KERNEL_VERSION = 2
+# Version 3: ``infinite_count`` counts the samples whose 1/SK is zero.
+KERNEL_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +287,16 @@ class ExtensionBase:
         self.R_inv = np.ascontiguousarray(R_inv.transpose(2, 0, 1))
         self.col_sq, self.inv_row_sq = col_sq.T.copy(), inv_row_sq.T.copy()
 
-    def skewness(self, rows) -> np.ndarray:
+    def skewness(self, rows, repeats=()) -> np.ndarray:
         """1/SK of each base matrix extended by each of its candidate rows.
 
         ``rows`` is a (N, C, n) stack; entry [i, c] of the (N, C) result is
         1/SK of base i with ``rows[i, c]`` appended as row k, as
         :func:`batch_reciprocals` would score it.  Pairs whose condition
-        bound is not safely small use the SVD formula, as there.
+        bound is not safely small use the SVD formula, as there.  The
+        positions c in ``repeats`` hold a row of the base in every sample:
+        they score exactly zero, the value of a repeated row, and never
+        take the SVD formula.
         """
         Q, col_sq, inv_row_sq = self.Q, self.col_sq, self.inv_row_sq
         J = np.asarray(rows, dtype=float)
@@ -312,7 +316,9 @@ class ExtensionBase:
                 inv_row_sq.sum(axis=1)[:, None] + h_over_s_sq.sum(axis=2) + 1.0 / s_sq
             )
         skew[self.deficient] = 0.0
+        skew[:, repeats] = 0.0
         fallback = ~(bound_sq < _cond_limit(self.rank_tol) ** 2) & ~self.deficient[:, None]
+        fallback[:, repeats] = False
         if fallback.any():
             i, c = np.nonzero(fallback)
             extended = np.concatenate([self.base[i], J[i, c][:, None, :]], axis=1)

@@ -781,3 +781,22 @@ def test_readme_json_examples_are_valid_configs():
         cfg = json.loads(block)
         cli._settings(cfg, cfg["task"])
         cli.build_model(cfg)
+
+
+def test_csv_writer_matches_csv_module(tmp_path, monkeypatch):
+    # The oracle formats every cell on its own and lets csv.writer join them.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+    floats = np.array([-0.0, 5e-324, 1e308, -1.5e-310, 0.1, 1.0 / 3.0, np.inf, 2.0**60])
+    ints = np.array([2**53 + 1, -(2**62), 0, 7, 2**63 - 1, -1, 3, 2**54 + 3], dtype=np.int64)
+    designs = np.arange(16).reshape(8, 2)[::-1]
+    labels = np.broadcast_to("volume", 8)
+    header = ["design_id", "value", "count", "hm_measure"]
+    cli._write_csv(tmp_path / "fast.csv", header, [designs, floats, ints, labels])
+
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for design_rows, value, count, label in zip(designs, floats, ints, labels):
+            writer.writerow(["-".join(map(str, design_rows)), f"{value:.17g}", str(count),
+                             str(label)])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

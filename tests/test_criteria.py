@@ -83,6 +83,18 @@ def test_duplicate_row_batch_scores_zero():
     assert rep.infinite_count == 30
 
 
+def test_infinite_count_is_scale_free():
+    # 1/SE of a full-rank (2, 9) matrix with entries near 1e-170 is below
+    # the smallest double, while 1/SK does not depend on the scale.
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(50, 2, 9)) * 1e-170
+    mats[:3, 1] = 2.0 * mats[:3, 0]  # three rank-deficient samples
+    rep = stack_report(mats)
+    assert rep.ese_inverse == 0.0
+    assert rep.esk_inverse > 0.0
+    assert rep.infinite_count == 3
+
+
 def test_utility_equals_reciprocal_harmonic_mean():
     # The reported utility is the mean of reciprocals, which is algebraically
     # the reciprocal of the harmonic mean of the local values.

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from svoed import design, models, sampling
+from svoed import design, geometry, models, sampling
 
 
 def constant_field_batch(rows, count=40, seed=0):
@@ -173,6 +173,34 @@ def test_greedy_trace_determinism():
     assert a.selected == b.selected
     for ra, rb in zip(a.rounds, b.rounds):
         assert np.array_equal(ra.scores, rb.scores)
+
+
+def test_greedy_scores_selected_rows_zero_without_the_svd(monkeypatch):
+    # Under rank_tol 0 a repeated row is not rank deficient to the SVD at
+    # round-off, so only the kernel's own zero keeps the promise above.
+    rng = np.random.default_rng(12)
+    count, field_size, n_params = 20, 30, 5
+    batch = sampling.FieldJacobianBatch(
+        sampling.SampleSet(rng.uniform(size=(count, n_params))),
+        rng.normal(size=(count, field_size)),
+        rng.normal(size=(count, field_size, n_params)))
+    fallbacks = []
+    svd_reciprocals = geometry._svd_reciprocals
+
+    def spy(stack, rank_tol):
+        fallbacks.append(stack.copy())
+        return svd_reciprocals(stack, rank_tol)
+
+    monkeypatch.setattr(geometry, "_svd_reciprocals", spy)
+    trace = design.greedy_oed(design.scalar_space(field_size), batch, m_target=4,
+                              tol=1e-12, rank_tol=0.0)
+    assert len(trace.selected) == 4
+    for k, rnd in enumerate(trace.rounds[1:], start=1):
+        assert np.all(rnd.scores[list(trace.selected[:k])] == 0.0)
+        assert np.all(np.delete(rnd.scores, trace.selected[:k]) > 0.0)
+    for stack in fallbacks:
+        last = stack[:, -1:, :]
+        assert not np.any(np.all(stack[:, :-1, :] == last, axis=2))
 
 
 def test_greedy_warns_when_target_exceeds_parameters():

@@ -167,3 +167,27 @@ def test_kde_threads_share_one_block_budget(monkeypatch):
             tracemalloc.stop()
     assert peaks[1] > 2 * dci._BLOCK_BYTES  # the matrices are traced at all
     assert peaks[3] <= peaks[1] + values.nbytes + 2 * 192 * 1024
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_kde_threads_each_allocate_one_pair_of_block_buffers(monkeypatch, threads):
+    # Every thread evaluates many blocks into the same two (query x sample)
+    # matrices, so the call allocates two of them per thread, not per block.
+    kde, queries = kde_case(queries=600)
+    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * len(kde.samples) * 3 * BLOCK_ROWS)
+    on_threads(monkeypatch, threads)
+    expected = kde.pdf(queries)
+    blocks = -(-len(queries) // (3 * BLOCK_ROWS // threads))
+    assert blocks >= 10 * threads
+
+    allocated = []
+    for name in ("empty", "empty_like"):
+        def counted(*args, _allocate=getattr(np, name), **kwargs):
+            array = _allocate(*args, **kwargs)
+            if array.ndim == 2 and array.shape[1] == len(kde.samples):
+                allocated.append(array.shape)
+            return array
+        monkeypatch.setattr(np, name, counted)
+    values = kde.pdf(queries)
+    assert len(allocated) == 2 * threads
+    assert values.tobytes() == expected.tobytes()

@@ -81,7 +81,6 @@ _TYPES = {"int": int, "number": (int, float), "string": str, "list": list, "obje
 _SCORING, _DCI = ("sweep", "oed", "greedy"), ("dci", "diag")
 _TASK_NAMES = _SCORING + _DCI
 _HEAT = ("heat_rod_1d", "heat_plate_2d")
-_MODEL_KINDS = _HEAT + ("synthetic",)
 _DENSITY_KINDS = ("gaussian", "uniform-box", "kde-from-samples")
 
 # Every key a run config may hold, declared once.  Its readers are tasks;
@@ -106,11 +105,10 @@ _SETTINGS = {
     "dci.bandwidth": _Setting("string", "silverman", ("silverman", "scott"), _DCI),
     "dci.observed": _Setting("object", {"kind": "gaussian", "mean": "model-midpoint",
                                         "cov": 0.15}, None, _DCI),
-    "model.kind": _Setting("string", _MISSING, _MODEL_KINDS, _MODEL_KINDS),
+    "model.kind": _Setting("string", _MISSING, _HEAT, _HEAT),
     "model.elements": _Setting("int", None, None, _HEAT),
     "model.time_steps": _Setting("int", None, None, _HEAT),
     "model.t_final": _Setting("number", None, None, _HEAT),
-    "model.name": _Setting("string", _MISSING, tuple(models.synthetic_maps()), ("synthetic",)),
     "kind": _Setting("string", _MISSING, _DENSITY_KINDS, _DENSITY_KINDS),
     "lower": _Setting("list", None, None, ("uniform-box",)),
     "upper": _Setting("list", None, None, ("uniform-box",)),
@@ -200,8 +198,6 @@ def build_model(cfg: dict, paper_scale: bool = False):
     kind = settings["model.kind"]
     if paper_scale and kind != "heat_plate_2d":
         raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
-    if kind == "synthetic":
-        return models.synthetic_maps()[settings["model.name"]]
     model, elements = ((models.HeatRod1D, "elements") if kind == "heat_rod_1d"
                        else (models.HeatPlate2D, "elements_per_axis"))
     given = {elements: 99 if paper_scale else settings["model.elements"],
@@ -213,13 +209,15 @@ def build_model(cfg: dict, paper_scale: bool = False):
 
 
 def _build_box(spec, model) -> sampling.ParameterBox:
-    """``sampling.box``, which must lie inside the model's parameter box."""
+    """``sampling.box``: exactly ``[lower, upper]``, inside the model's box."""
     admissible = model.parameter_box
     if spec is None:
         return admissible
+    if len(spec) != 2:
+        raise ConfigError(f"sampling.box: expected [lower, upper], got a list of {len(spec)}")
     try:
-        box = sampling.ParameterBox(spec[0], spec[1])
-    except (IndexError, TypeError, ValueError) as exc:
+        box = sampling.ParameterBox(*spec)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sampling.box: {exc}") from exc
     if (box.dim != admissible.dim or np.any(box.lower < admissible.lower)
             or np.any(box.upper > admissible.upper)):
@@ -282,13 +280,21 @@ def _batch_recipe(settings, model, box, seed) -> str:
     """SHA-256 of everything that determines the field batch."""
     recipe = {"count": settings["sampling.count"], "measure": _hm_measure(settings),
               "init": settings["sampling.init"]}
-    return _sha256(dict(recipe, model_id=model.model_id, t_final=getattr(model, "t_final", None),
+    return _sha256(dict(recipe, model_id=model.model_id, t_final=model.t_final,
                         seed=seed, box=[box.lower.tolist(), box.upper.tolist()]))
 
 
 def _batch_key(settings, model, box, seed) -> str:
     """The batch cache key: the recipe and the batch schema."""
     return _sha256([_batch_recipe(settings, model, box, seed), sampling.BATCH_SCHEMA_VERSION])
+
+
+def _refuse_unusable(path: Path, key: str, directory: bool) -> None:
+    """A ConfigError naming ``key`` unless ``path`` can be made as a
+    directory (``directory``) or a file: its nearest existing part decides."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() != (directory or existing != path):
+        raise ConfigError(f"{key}: {existing} is {'a' if existing.is_dir() else 'not a'} directory")
 
 
 class _Run(dict):
@@ -307,10 +313,13 @@ class _Run(dict):
         self.workers = args.workers
         cache = self.get("sampling.batch_cache")  # read by the scoring tasks only
         self.cache_path = None if cache is None else base_dir / cache
+        for path in () if cache is None else (self.cache_path, _statistics_path(self.cache_path)):
+            _refuse_unusable(path, "sampling.batch_cache", directory=False)
         self.seed = args.seed if args.seed is not None else self["sampling.seed"]
         if not args.out and self["output_dir"] is None:
             raise ConfigError("output_dir: missing required field (or pass --out)")
         self.outdir = Path(args.out) if args.out else base_dir / self["output_dir"]
+        _refuse_unusable(self.outdir, "--out" if args.out else "output_dir", directory=True)
         self.box = _build_box(self["sampling.box"], self.model)
         init = self["sampling.init"]
         self.density = build_density({"kind": "uniform-box"} if init is None else init,

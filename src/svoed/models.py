@@ -1,5 +1,4 @@
-"""Forward models: welded-rod and welded-plate transient heat conduction,
-plus analytic synthetic maps used as test fixtures.
+"""Forward models: welded-rod and welded-plate transient heat conduction.
 
 Both heat models solve
 
@@ -23,9 +22,10 @@ K_r assembled once per mesh.  Only the factorization of (M + dt/2 K) depends
 on lambda; M, K_r and the load vector are shared across evaluations, which
 is what makes tens of thousands of solves per design study affordable.
 
-``evaluate_with_jacobian`` also returns the exact derivative of the discrete
-final state with respect to every conductivity (tangent-linear, or forward
-sensitivity, time stepping).  Differentiating the step above by lambda_j
+The plate's ``evaluate_with_jacobian`` and the rod's ``evaluate_stacked``
+also return the exact derivative of the discrete final state with respect
+to every conductivity (tangent-linear, or forward sensitivity, time
+stepping).  Differentiating the step above by lambda_j
 gives, for v_j = du/dlambda_j,
 
     (M + dt/2 K) v_j_next = (M - dt/2 K) v_j - dt/2 K_j (u + u_next),
@@ -81,14 +81,14 @@ class ForwardModel:
 
     Subclasses set ``model_id``, ``n_params``, ``field_size`` and
     ``coordinates`` (one coordinate row per field value) and implement
-    ``evaluate``.  A subclass that can differentiate itself also defines
-    ``evaluate_with_jacobian(lam) -> (u, J)`` with J of shape
-    (field_size, n_params); a field-Jacobian batch needs it (or
-    ``evaluate_stacked``).  A subclass that can march many points at once
-    also defines ``evaluate_stacked(points, with_jacobian) -> (U, J)``,
-    U (N, field_size) and J (N, field_size, n_params) or None, raising
-    ``ModelEvaluationError`` with the row of the first inadmissible point;
-    :func:`sampling.evaluate_samples` then calls it once for all samples.
+    ``evaluate``.  A field-Jacobian batch needs the model's exact Jacobian,
+    through one of two entry points: ``evaluate_with_jacobian(lam) -> (u, J)``
+    at one point, J of shape (field_size, n_params), as the plate does; or
+    ``evaluate_stacked(points, with_jacobian) -> (U, J)`` at many points at
+    once, as the rod does, U (N, field_size) and J (N, field_size, n_params)
+    or None, raising ``ModelEvaluationError`` with the row of the first
+    inadmissible point; :func:`sampling.evaluate_samples` then calls it once
+    for all samples.
     Instances are immutable after construction and safe to evaluate
     concurrently at distinct parameter points.
     """
@@ -233,17 +233,12 @@ class HeatRod1D(ForwardModel):
     def evaluate(self, lam) -> np.ndarray:
         return self._march(_check_conductivities(lam, self.n_params)[None], False)[0][0]
 
-    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Final temperatures and their exact (P, 2) conductivity Jacobian."""
-        u, J = self._march(_check_conductivities(lam, self.n_params)[None], True)
-        return u[0], J[0]
-
     def evaluate_stacked(self, points, with_jacobian=False):
         """Final temperatures (N, P) at every row of ``points`` (N, 2) and,
         with ``with_jacobian``, their exact (N, P, 2) Jacobians, else None.
 
         Points are marched in chunks of a fixed size, set by a byte budget;
-        a point's result is bit-identical to its ``evaluate_with_jacobian``.
+        a point's result is bit-identical to its result in a chunk of one.
         The first point with a conductivity that is not finite and positive
         raises ModelEvaluationError naming its row, before any solve.
         """
@@ -423,73 +418,3 @@ class HeatPlate2D(ForwardModel):
 
         return _implicit_midpoint(lu.solve, B.__matmul__, couple, self.dt * self._load, V,
                                   self.time_steps, self.dt)
-
-
-class SyntheticModel(ForwardModel):
-    """Analytic map carrying its exact Jacobian, for oracle tests."""
-
-    def __init__(self, model_id, n_params, func, jacobian, box=None):
-        self.model_id = model_id
-        self.n_params = n_params
-        self._func = func
-        self._jacobian = jacobian
-        self.parameter_box = box or ParameterBox([0.0] * n_params, [1.0] * n_params)
-        probe = np.asarray(func(self.parameter_box.midpoint), dtype=float)
-        self.field_size = probe.size
-        self.coordinates = np.arange(self.field_size, dtype=float)
-
-    def evaluate(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got shape {lam.shape}")
-        return np.asarray(self._func(lam), dtype=float)
-
-    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Output and its exact (field_size, n_params) Jacobian."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.evaluate(lam), np.asarray(self._jacobian(lam), dtype=float)
-
-
-def linear_model(matrix, model_id: str = "linear", box=None) -> SyntheticModel:
-    """Q(lam) = A lam; the Jacobian is A everywhere."""
-    A = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return SyntheticModel(model_id, A.shape[1], lambda lam: A @ lam, lambda lam: A, box=box)
-
-
-def identity_model(n: int = 2, box=None) -> SyntheticModel:
-    return linear_model(np.eye(n), model_id=f"identity{n}", box=box)
-
-
-def quadratic_model() -> SyntheticModel:
-    """Q(lam) = (lam1^2, lam1 * lam2) with Jacobian [[2 lam1, 0], [lam2, lam1]]."""
-
-    def func(lam):
-        return np.array([lam[0] ** 2, lam[0] * lam[1]])
-
-    def jac(lam):
-        return np.array([[2.0 * lam[0], 0.0], [lam[1], lam[0]]])
-
-    return SyntheticModel("quadratic", 2, func, jac, box=ParameterBox([0.5, 0.5], [2.0, 2.0]))
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def rotated_linear_model(theta: float, matrix, model_id: str | None = None) -> SyntheticModel:
-    """Q(lam) = R(theta) A lam; criteria should not depend on theta."""
-    A = rotation_matrix(theta) @ np.atleast_2d(np.asarray(matrix, dtype=float))
-    return linear_model(A, model_id=model_id or f"rotated-linear-{theta:.3f}")
-
-
-def synthetic_maps() -> dict:
-    """Catalog of named analytic models usable from run configs."""
-    return {
-        "identity2": identity_model(2),
-        "identity3": identity_model(3),
-        "quadratic": quadratic_model(),
-        "anisotropic": linear_model(np.diag([2.0, 4.0]), model_id="anisotropic"),
-        "shear": linear_model([[1.0, 0.0], [1.0, 1.0]], model_id="shear"),
-        "rotated-anisotropic": rotated_linear_model(np.pi / 6.0, np.diag([2.0, 4.0])),
-    }

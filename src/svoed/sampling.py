@@ -5,9 +5,9 @@ parameter samples, the model output at every observable location together
 with its derivative with respect to every parameter.  Candidate designs are
 then priced by selecting rows out of this batch, so the model runs once per
 sample, not once per design.  A model that can differentiate itself
-(``evaluate_with_jacobian``: the heat models by tangent-linear time
-stepping, the synthetic maps analytically) gives exact Jacobians from one
-run per sample, and only such a model can make a batch.
+(``evaluate_with_jacobian`` or ``evaluate_stacked``: the heat models by
+tangent-linear time stepping) gives exact Jacobians from one run per
+sample, and only such a model can make a batch.
 
 Every loop over samples, for field batches and for data-consistent
 inversion alike, goes through :func:`evaluate_samples`.  A model with
@@ -141,10 +141,6 @@ class FieldJacobianBatch:
     @property
     def count(self) -> int:
         return self.outputs.shape[0]
-
-    @property
-    def field_size(self) -> int:
-        return self.outputs.shape[1]
 
     @property
     def n_params(self) -> int:

@@ -1,10 +1,13 @@
-"""Element-by-element reference for the vectorized plate assembly in
-``svoed.models.HeatPlate2D``; tests require the two to agree exactly."""
+"""Model oracles: an element-by-element reference for the vectorized plate
+assembly in ``svoed.models.HeatPlate2D``, which tests require to agree
+exactly, and small analytic maps whose exact Jacobians are known in closed
+form."""
 
 import numpy as np
 import scipy.sparse
 
-from svoed.models import _GAUSS_PTS
+from svoed.models import _GAUSS_PTS, ForwardModel
+from svoed.sampling import ParameterBox
 
 
 def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
@@ -77,3 +80,61 @@ def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
             (stiff_vals[mask], (rows[mask], cols[mask])), shape=shape
         ).tocsc())
     return mass, stiff, load
+
+
+class SyntheticModel(ForwardModel):
+    """Analytic map carrying its exact Jacobian, for oracle tests."""
+
+    def __init__(self, model_id, n_params, func, jacobian, box=None):
+        self.model_id = model_id
+        self.n_params = n_params
+        self._func = func
+        self._jacobian = jacobian
+        self.parameter_box = box or ParameterBox([0.0] * n_params, [1.0] * n_params)
+        probe = np.asarray(func(self.parameter_box.midpoint), dtype=float)
+        self.field_size = probe.size
+        self.coordinates = np.arange(self.field_size, dtype=float)
+
+    def evaluate(self, lam) -> np.ndarray:
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if lam.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got shape {lam.shape}")
+        return np.asarray(self._func(lam), dtype=float)
+
+    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Output and its exact (field_size, n_params) Jacobian."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        return self.evaluate(lam), np.asarray(self._jacobian(lam), dtype=float)
+
+
+def linear_model(matrix, model_id: str = "linear", box=None) -> SyntheticModel:
+    """Q(lam) = A lam; the Jacobian is A everywhere."""
+    A = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return SyntheticModel(model_id, A.shape[1], lambda lam: A @ lam, lambda lam: A, box=box)
+
+
+def identity_model(n: int = 2, box=None) -> SyntheticModel:
+    return linear_model(np.eye(n), model_id=f"identity{n}", box=box)
+
+
+def quadratic_model() -> SyntheticModel:
+    """Q(lam) = (lam1^2, lam1 * lam2) with Jacobian [[2 lam1, 0], [lam2, lam1]]."""
+
+    def func(lam):
+        return np.array([lam[0] ** 2, lam[0] * lam[1]])
+
+    def jac(lam):
+        return np.array([[2.0 * lam[0], 0.0], [lam[1], lam[0]]])
+
+    return SyntheticModel("quadratic", 2, func, jac, box=ParameterBox([0.5, 0.5], [2.0, 2.0]))
+
+
+def rotation_matrix(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotated_linear_model(theta: float, matrix, model_id: str | None = None) -> SyntheticModel:
+    """Q(lam) = R(theta) A lam; criteria should not depend on theta."""
+    A = rotation_matrix(theta) @ np.atleast_2d(np.asarray(matrix, dtype=float))
+    return linear_model(A, model_id=model_id or f"rotated-linear-{theta:.3f}")

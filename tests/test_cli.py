@@ -475,8 +475,7 @@ def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("model", [ROD, {"kind": "synthetic", "name": "shear"}],
-                         ids=["rod", "synthetic"])
+@pytest.mark.parametrize("model", [ROD], ids=["rod"])
 def test_paper_scale_off_the_plate_is_a_config_error_before_any_solve(model, tmp_path, capsys,
                                                                        monkeypatch):
     forbid_solves(monkeypatch)
@@ -485,6 +484,34 @@ def test_paper_scale_off_the_plate_is_a_config_error_before_any_solve(model, tmp
     assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
     assert "--paper-scale" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("taken, is_file, change, use_out, key", [
+    ("taken", True, {"output_dir": "taken"}, False, "output_dir"),
+    ("taken", True, {"output_dir": "taken/out"}, False, "output_dir"),
+    ("taken", True, {}, True, "--out"),
+    ("taken", False, {"sampling": {"count": 4, "batch_cache": "taken"}}, False,
+     "sampling.batch_cache"),
+    ("b.stats.npz", False, {"sampling": {"count": 4, "batch_cache": "b.npz"}}, False,
+     "sampling.batch_cache"),
+], ids=["output-dir-is-a-file", "output-dir-under-a-file", "out-is-a-file",
+        "batch-cache-is-a-directory", "statistics-sidecar-is-a-directory"])
+def test_unusable_output_path_is_a_config_error_before_any_solve(taken, is_file, change, use_out,
+                                                                 key, tmp_path, capsys,
+                                                                 monkeypatch):
+    forbid_solves(monkeypatch)
+    blocker = tmp_path / taken
+    if is_file:
+        blocker.write_text("kept")
+    else:
+        blocker.mkdir()
+    config = write_config(tmp_path, "sweep.json", dict(SWEEP, **change))
+    argv = ["sweep", "--config", config] + (["--out", str(blocker)] if use_out else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and f"{taken} is {'not a' if is_file else 'a'} directory" in err
+    assert not (tmp_path / "out").exists()
+    assert (blocker.read_text() == "kept") if is_file else not any(blocker.iterdir())
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -662,15 +689,18 @@ SWEEP = {"task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1}, "ou
     ("{not json", "not valid JSON"),
     ("[1, 2]", "root must be a JSON object"),
     (json.dumps(dict(SWEEP, task="oed")), "task: config says 'oed'"),
-    (json.dumps(dict(SWEEP, model={"kind": "synthetic", "name": "circle"})), "model.name"),
+    (json.dumps(dict(SWEEP, model={"kind": "synthetic"})),
+     "model.kind: must be one of ['heat_rod_1d', 'heat_plate_2d'], got 'synthetic'"),
     (json.dumps(dict(SWEEP, sampling={"seed": 1})), "sampling.count: missing"),
     (json.dumps({k: v for k, v in SWEEP.items() if k != "output_dir"}), "output_dir: missing"),
     (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": "x"})), "sampling.seed: expected int"),
     (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": -1})), "sampling.seed: must be >= 0"),
     (json.dumps(dict(SWEEP, sampling={"count": True})), "sampling.count: expected int"),
+    (json.dumps(dict(SWEEP, sampling={"count": 4, "box": [[0.01, 0.01], [0.2, 0.2], [9, 9]]})),
+     "sampling.box: expected [lower, upper], got a list of 3"),
 ], ids=["missing-file", "invalid-json", "root-not-object", "task-mismatch",
-        "unknown-synthetic", "missing-count", "missing-output-dir", "seed-string", "seed-negative",
-        "count-bool"])
+        "unknown-kind", "missing-count", "missing-output-dir", "seed-string", "seed-negative",
+        "count-bool", "box-three-rows"])
 def test_config_error_exits_2_before_any_solve(text, fragment, tmp_path, capsys, monkeypatch):
     forbid_solves(monkeypatch)
     path = tmp_path / "sweep.json"
@@ -689,8 +719,7 @@ TASK_CONFIGS = {
     "dci": {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
     "diag": {"task": "diag", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
 }
-MODEL_SPECS = {"heat_rod_1d": ROD, "heat_plate_2d": {"kind": "heat_plate_2d", "elements": 3},
-               "synthetic": {"kind": "synthetic", "name": "shear"}}
+MODEL_SPECS = {"heat_rod_1d": ROD, "heat_plate_2d": {"kind": "heat_plate_2d", "elements": 3}}
 DENSITY_SPECS = {"gaussian": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01},
                  "uniform-box": {"kind": "uniform-box"},
                  "kde-from-samples": {"kind": "kde-from-samples", "samples": KDE_SAMPLES}}
@@ -730,22 +759,24 @@ def test_misspelt_key_is_refused_before_any_solve(key, tmp_path, capsys, monkeyp
     assert f"did you mean {where}{key}?" in err
 
 
-@pytest.mark.parametrize("task, change, key, readers", [
-    ("sweep", {"model": dict(ROD, name="shear")}, "model.name", "synthetic"),
-    ("sweep", {"model": {"kind": "synthetic", "name": "shear", "elements": 4}},
-     "model.elements", "heat_rod_1d, heat_plate_2d"),
-    ("sweep", {"design": {"utility": "esk_inverse"}}, "design.utility", "oed"),
-    ("sweep", {"greedy": {"m_target": 2}}, "greedy.m_target", "greedy"),
-    ("dci", {"sampling": {"count": 50}}, "sampling.count", "sweep, oed, greedy"),
-], ids=["name-on-rod", "elements-on-synthetic", "utility-on-sweep", "greedy-on-sweep",
-        "count-on-dci"])
-def test_setting_of_another_reader_is_refused(task, change, key, readers, tmp_path, capsys,
+@pytest.mark.parametrize("task, change, message", [
+    # No kind reads model.name, so its hint is the nearest key, not its readers.
+    ("sweep", {"model": dict(ROD, name="shear")},
+     "model.name: not a setting of heat_rod_1d; did you mean model.kind?"),
+    ("dci", {"design": {"arity": 1}}, "design.arity: not a setting of dci; read only by sweep, oed"),
+    ("sweep", {"design": {"utility": "esk_inverse"}},
+     "design.utility: not a setting of sweep; read only by oed"),
+    ("sweep", {"greedy": {"m_target": 2}}, "greedy.m_target: not a setting of sweep; "
+     "read only by greedy"),
+    ("dci", {"sampling": {"count": 50}}, "sampling.count: not a setting of dci; "
+     "read only by sweep, oed, greedy"),
+], ids=["name-on-rod", "arity-on-dci", "utility-on-sweep", "greedy-on-sweep", "count-on-dci"])
+def test_setting_of_another_reader_is_refused(task, change, message, tmp_path, capsys,
                                                monkeypatch):
     forbid_solves(monkeypatch)
     config = write_config(tmp_path, "c.json", dict(TASK_CONFIGS[task], **change))
     assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{key}: not a setting of " in err and f"read only by {readers}" in err
+    assert message in capsys.readouterr().err
 
 
 def test_removed_density_settings_are_refused_before_any_solve(tmp_path, capsys, monkeypatch):

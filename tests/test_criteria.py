@@ -12,13 +12,14 @@ import pytest
 
 import criteria_oracles
 import geometry_oracles
-from svoed import cli, criteria, design, models, sampling
+import model_oracles
+from svoed import cli, criteria, design, sampling
 
 
 def report(batch):
     """The criteria.STATISTICS of the one design that observes every row,
     by column name."""
-    space = design.DesignSpace(candidates=[list(range(batch.field_size))])
+    space = design.DesignSpace(candidates=[list(range(batch.outputs.shape[1]))])
     row = design.exhaustive_oed(space, batch).reports[0]
     return SimpleNamespace(**dict(zip(criteria.STATISTICS, row)))
 
@@ -123,7 +124,7 @@ def test_esk_inverse_bounded_by_one():
 def test_monte_carlo_stability_when_doubling_samples():
     # Doubling the sample count moves the estimate by less than three of its
     # estimated standard errors (same nonlinear model, disjoint seeds).
-    quad = models.quadratic_model()
+    quad = model_oracles.quadratic_model()
     reps = []
     for count, seed in ((500, 1), (1000, 2)):
         s = sampling.draw_samples(quad.parameter_box, count, seed=seed)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import model_oracles
 from svoed import dci, models, sampling
 
 
@@ -230,7 +231,7 @@ def dci_solve(model, rows, init, observed, count, seed):
 
 
 def test_dci_solve_identity_weights_near_one():
-    ident = models.identity_model(2)
+    ident = model_oracles.identity_model(2)
     init = unit_gaussian()
     observed = unit_gaussian()  # observed equals the exact pushforward
     _, ens, accepted = dci_solve(ident, (0, 1), init, observed, 4000, seed=10)
@@ -243,7 +244,7 @@ def test_dci_solve_identity_weights_near_one():
 
 
 def test_dci_solve_determinism():
-    ident = models.identity_model(2)
+    ident = model_oracles.identity_model(2)
     init = unit_gaussian()
     observed = dci.GaussianDensity([0.1, 0.1], 0.25 * np.eye(2))
     a_points, a, a_accepted = dci_solve(ident, (0, 1), init, observed, 500, seed=11)

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from svoed import design, geometry, models, sampling
+import model_oracles
+from svoed import design, geometry, sampling
 
 
 def constant_field_batch(rows, count=40, seed=0):
     """Field batch for a linear model whose field Jacobian has the given rows."""
     A = np.atleast_2d(np.asarray(rows, dtype=float))
-    model = models.linear_model(A, model_id="fixture")
+    model = model_oracles.linear_model(A, model_id="fixture")
     box = sampling.ParameterBox([0.0] * A.shape[1], [1.0] * A.shape[1])
     samples = sampling.draw_samples(box, count, seed=seed)
     return sampling.estimate_field_jacobians(model, samples)

@@ -1,4 +1,4 @@
-"""Heat-model physics sanity and synthetic-map fixtures."""
+"""Heat-model physics sanity and the analytic oracle maps."""
 
 import tracemalloc
 
@@ -180,6 +180,12 @@ def sample_point(model, seed):
     return np.random.default_rng(seed).uniform(box.lower, box.upper)
 
 
+def exact_jacobian(model, lam):
+    """Output and Jacobian at ``lam``, by the route every field batch takes."""
+    u, J = sampling.evaluate_samples(model, lam[None], with_jacobian=True)
+    return u[0], J[0]
+
+
 def column_errors(J, ref):
     return np.linalg.norm(J - ref, axis=0) / np.linalg.norm(ref, axis=0)
 
@@ -188,7 +194,7 @@ def column_errors(J, ref):
 def test_exact_jacobian_outputs_equal_evaluate(model):
     for seed in range(3):
         lam = sample_point(model, seed)
-        u, J = model.evaluate_with_jacobian(lam)
+        u, J = exact_jacobian(model, lam)
         assert np.array_equal(u, model.evaluate(lam))
         assert J.shape == (model.field_size, model.n_params)
 
@@ -196,7 +202,7 @@ def test_exact_jacobian_outputs_equal_evaluate(model):
 @pytest.mark.parametrize("model", small_models(), ids=["rod", "plate-e6"])
 def test_exact_jacobian_matches_central_differences(model):
     lam = sample_point(model, 7)
-    _, J = model.evaluate_with_jacobian(lam)
+    _, J = exact_jacobian(model, lam)
     h = 1e-5
     ref = np.empty_like(J)
     for j in range(model.n_params):
@@ -210,7 +216,7 @@ def test_exact_jacobian_matches_central_differences(model):
 @pytest.mark.parametrize("model", small_models(), ids=["rod", "plate-e6"])
 def test_forward_differences_converge_to_exact_jacobian_at_first_order(model):
     lam = sample_point(model, 8)
-    u, J = model.evaluate_with_jacobian(lam)
+    u, J = exact_jacobian(model, lam)
     steps = [1e-3, 1e-4, 1e-5]
     errors = []
     for h in steps:
@@ -298,9 +304,9 @@ def test_rod_stack_is_bit_identical_across_chunk_sizes(rod, rod_points):
     assert np.array_equal(plain, U)
     for lam, u, jac in zip(points, U, J):
         assert np.array_equal(rod.evaluate(lam), u)
-        u_1, jac_1 = rod.evaluate_with_jacobian(lam)
-        assert np.array_equal(u_1, u)
-        assert np.array_equal(jac_1, jac)
+        u_1, jac_1 = rod.evaluate_stacked(lam[None], True)
+        assert np.array_equal(u_1[0], u)
+        assert np.array_equal(jac_1[0], jac)
 
 
 def test_rod_stack_agrees_with_the_cholesky_march(rod, rod_points):
@@ -346,18 +352,18 @@ def test_rod_stack_names_the_first_inadmissible_point(rod, rod_points):
         rod.evaluate_stacked(points[:, :1])
 
 
-# --- synthetic maps -------------------------------------------------------------
+# --- analytic oracle maps -------------------------------------------------------
 
 
 def test_quadratic_jacobian_by_hand():
-    quad = models.quadratic_model()
+    quad = model_oracles.quadratic_model()
     assert np.allclose(quad.evaluate_with_jacobian([1.0, 1.0])[1], [[2.0, 0.0], [1.0, 1.0]])
     assert np.allclose(quad.evaluate([2.0, 3.0]), [4.0, 6.0])
 
 
 def test_linear_model_jacobian_is_matrix():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lin = models.linear_model(A)
+    lin = model_oracles.linear_model(A)
     assert np.allclose(lin.evaluate_with_jacobian([0.3, 0.7])[1], A)
     assert np.allclose(lin.evaluate([1.0, 1.0]), A.sum(axis=1))
 
@@ -367,22 +373,14 @@ def test_rotation_family_leaves_criteria_unchanged():
     base = geometry_oracles.local_skewness_svd(A)
     for theta in (0.3, 1.1, 2.7):
         # Rotating the outputs preserves singular values, hence scaling.
-        _, J_out = models.rotated_linear_model(theta, A).evaluate_with_jacobian([0.0, 0.0])
+        _, J_out = model_oracles.rotated_linear_model(theta, A).evaluate_with_jacobian([0.0, 0.0])
         assert np.allclose(geometry_oracles.singular_values(J_out), base.singular_values)
         assert geometry_oracles.cross_section_measure(J_out) == pytest.approx(
             base.scaling, rel=1e-10)
         # Rotating the inputs additionally preserves the row geometry, so
         # the skewness is unchanged too.
-        J_in = A @ models.rotation_matrix(theta)
+        J_in = A @ model_oracles.rotation_matrix(theta)
         crit = geometry_oracles.local_skewness_svd(J_in)
         assert crit.skewness == pytest.approx(base.skewness, rel=1e-10)
         assert geometry_oracles.cross_section_measure(J_in) == pytest.approx(
             base.scaling, rel=1e-10)
-
-
-def test_catalog_models_evaluate():
-    catalog = models.synthetic_maps()
-    assert {"identity2", "quadratic", "anisotropic"} <= set(catalog)
-    for model in catalog.values():
-        out = model.evaluate(model.parameter_box.midpoint)
-        assert out.shape == (model.field_size,)

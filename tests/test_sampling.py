@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import geometry_oracles
+import model_oracles
 from svoed import design, geometry, models, sampling
 
 
@@ -148,7 +149,7 @@ def test_evaluate_samples_restricts_to_design_rows(model):
 
 
 def test_models_without_their_own_jacobian_are_refused():
-    model = CountingModel(models.quadratic_model())
+    model = CountingModel(model_oracles.quadratic_model())
     s = sampling.draw_samples(model.parameter_box, 4, seed=9)
     with pytest.raises(ValueError, match="no Jacobian"):
         sampling.estimate_field_jacobians(model, s)
@@ -223,8 +224,8 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
             return rod.evaluate(lam)[[p, q]]
 
         def evaluate_with_jacobian(self, lam):
-            u, jac = rod.evaluate_with_jacobian(lam)
-            return u[[p, q]], jac[[p, q]]
+            u, jac = rod.evaluate_stacked(lam[None], True)
+            return u[0, [p, q]], jac[0, [p, q]]
 
     restricted_batch = sampling.estimate_field_jacobians(Restricted(), batch.samples)
     # Same arithmetic on the same evaluations: identical, not merely close.

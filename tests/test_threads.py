@@ -73,7 +73,7 @@ def test_thread_map_raises_the_first_failure_in_item_order():
 
 def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch, small_chunks):
     batch = random_batch()
-    space = design.pair_space(batch.field_size)
+    space = design.pair_space(batch.outputs.shape[1])
     rows = []
     for threads in (1, 3):
         on_threads(monkeypatch, threads)
@@ -86,7 +86,7 @@ def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):
     traces = []
     for threads in (1, 3):
         on_threads(monkeypatch, threads)
-        traces.append(design.greedy_oed(design.scalar_space(batch.field_size), batch,
+        traces.append(design.greedy_oed(design.scalar_space(batch.outputs.shape[1]), batch,
                                         m_target=4, tol=1e-12))
     one, three = traces
     assert one.selected == three.selected and len(one.selected) == 4

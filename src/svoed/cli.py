@@ -599,12 +599,17 @@ def run_dci(run) -> list[str]:
     accepted = dci.rejection_sample(ensemble.weights, seed + 1)
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
     header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
+    # The grid can still fail (a weighted ensemble that spans a line), so it
+    # is computed before any file is written: a failed run leaves none.
+    grid = None
+    if run.model.n_params == 2:
+        grid = dci.updated_density_grid(points, ensemble.weights, run.box)
     _write_csv(run.outdir / "ensemble.csv", header, [
         *points.T, *qoi.T, ensemble.weights, accepted.astype(np.int64)])
     _write_json(run.outdir / "dci_summary.json", _dci_report(run, rows, ensemble, accepted))
     outputs = ["ensemble.csv", "dci_summary.json"]
-    if run.model.n_params == 2:
-        x, y, values = dci.updated_density_grid(points, ensemble.weights, run.box)
+    if grid is not None:
+        x, y, values = grid
         _write_csv(run.outdir / "updated_density.csv", ["lambda_1", "lambda_2", "density"],
                    [np.repeat(x, y.size), np.tile(y, x.size), values.ravel()])
         outputs.append("updated_density.csv")
@@ -645,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threads for model solves (default: serial, since solves "
                             "contend on threads); criterion kernels and kernel densities "
                             "always use every CPU the process may run on (taskset limits "
-                            "them), with the 4 MiB density block shared among them")
+                            "them), each thread holding at most one density block "
+                            "of sampling.BLOCK_BYTES")
         p.add_argument("--paper-scale", action="store_true",
                        help="full-resolution settings for the 2-D plate model")
     return parser

@@ -17,8 +17,10 @@ Both Gaussian densities here are plain numpy on a Cholesky factor: the
 kernel density whitens its samples once and evaluates query points in
 blocks, on every CPU the process may run on, elementwise, so its values
 depend neither on the block nor on the thread count.  Each thread
-allocates one pair of block buffers per call and evaluates all of its
-blocks into them, so no block faults in fresh memory.
+allocates one pair of block buffers per call, which together fit in
+``sampling.BLOCK_BYTES``, and evaluates all of its blocks into them, so no
+block faults in fresh memory.  Block boundaries depend on the sizes alone,
+and the memory in flight is the thread count times ``BLOCK_BYTES``.
 
 The sample mean of r doubles as a diagnostic: it estimates the integral of
 the updated density and should be one.  A mean far from one means the
@@ -44,12 +46,6 @@ UNDERFLOW_FLOOR = 1e-300
 # purpose: kernel-density bias and Monte Carlo noise live well below it,
 # genuine support mismatches far above.
 DIAGNOSTIC_TOL = 0.2
-
-# Bytes of the (query x sample) matrices a kernel density evaluates at a
-# time, summed over its threads: each thread's pair of block buffers takes
-# as many query points as fit in its share, so memory stays bounded
-# whatever the number of points and threads.
-_BLOCK_BYTES = 1 << 22
 
 
 class PredictabilityWarning(UserWarning):
@@ -179,10 +175,10 @@ class KdeDensity(Density):
         queries = self._whiten(self._points(points))
         count = len(queries)
         values = np.empty(count)
-        threads = sampling.cpu_count()
-        rows = max(1, min(count, _BLOCK_BYTES // (8 * len(self.samples) * threads)))
+        # Each thread's pair of (query x sample) buffers fits in BLOCK_BYTES.
+        rows = max(1, min(count, sampling.BLOCK_BYTES // (16 * len(self.samples))))
         starts = range(0, count, rows)
-        threads = min(threads, len(starts))
+        threads = min(sampling.cpu_count(), len(starts))
 
         def evaluate(first):
             # One pair of (query x sample) buffers per thread, reused by

@@ -64,14 +64,10 @@ import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .sampling import ModelEvaluationError, ParameterBox
+from .sampling import BLOCK_BYTES, ModelEvaluationError, ParameterBox
 
 # Inverse-square-root of 3: offsets of the two-point Gauss rule on (0, 1).
 _GAUSS_PTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-
-# Bytes of rod bands and columns held per chunk: a chunk takes as many
-# points as fit, so memory stays bounded whatever the point count.
-_STACK_BYTES = 1 << 22
 
 _BAD_CONDUCTIVITIES = "conductivities must be finite and positive"
 
@@ -227,8 +223,10 @@ class HeatRod1D(ForwardModel):
         # Per point, a chunk holds the bands of dt/2 K, A, B and the factor,
         # the n region bands of the couplings, the state and n sensitivity
         # columns and their step temporaries: about 30 columns of P floats.
+        # A chunk takes as many points as fit in BLOCK_BYTES, so memory stays
+        # bounded whatever the point count.
         point_bytes = 32 * nodes.nbytes
-        self._chunk = max(1, _STACK_BYTES // point_bytes)
+        self._chunk = max(1, BLOCK_BYTES // point_bytes)
 
     def evaluate(self, lam) -> np.ndarray:
         return self._march(_check_conductivities(lam, self.n_params)[None], False)[0][0]

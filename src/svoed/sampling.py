@@ -31,6 +31,13 @@ import numpy as np
 # Schema 6: one key covers the recipe and the schema; no JSON header.
 BATCH_SCHEMA_VERSION = 6
 
+# Bytes of working set that one thread of a blocked loop may hold: the
+# kernel density's pair of block buffers, a rod chunk's bands and columns.
+# Sized to fit one core's L2 cache.  A loop takes as many rows or points as
+# fit, so its block boundaries depend on the problem's sizes alone and the
+# memory in flight is at most the thread count times this.
+BLOCK_BYTES = 1 << 20
+
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
 

@@ -322,6 +322,18 @@ def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_failed_density_grid_leaves_no_output(tmp_path, capsys):
+    # Two samples span a line in the parameter plane, so the kernel
+    # covariance of the updated density grid is singular.
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 1},
+        "dci": {"sensors": [0.0, 1.0], "count": 2, "seed": 3}, "output_dir": "out"})
+    with pytest.warns(dci.PredictabilityWarning):
+        assert cli.main(["dci", "--config", config]) == cli.EXIT_NUMERICAL
+    assert "not positive definite" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def ensemble_columns(outdir, prefix="lambda_") -> np.ndarray:
     """The columns of a ``dci`` run's ``ensemble.csv`` whose names start
     with ``prefix``, one row per sample."""

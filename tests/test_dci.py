@@ -100,7 +100,7 @@ def test_kde_blocks_do_not_change_the_values(monkeypatch):
     monkeypatch.setattr(sampling, "cpu_count", lambda: 1)  # one block of `rows` at a time
     values = []
     for rows in (1, 7, len(queries)):
-        monkeypatch.setattr(dci, "_BLOCK_BYTES", rows * 8 * len(samples))
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 16 * len(samples))
         values.append(kde.pdf(queries))
     assert all(np.array_equal(v, values[-1]) for v in values)
 

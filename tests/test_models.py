@@ -327,7 +327,7 @@ def test_rod_stack_memory_is_bounded_by_the_chunk_budget(rod):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= output_bytes + 2 * models._STACK_BYTES
+    assert peak <= output_bytes + 2 * sampling.BLOCK_BYTES
 
 
 def test_rod_march_refuses_a_system_that_is_not_positive_definite(rod):

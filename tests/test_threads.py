@@ -95,10 +95,14 @@ def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):
         assert a.scores.tobytes() == b.scores.tobytes()
 
 
+def block_rows(monkeypatch, samples):
+    """Set BLOCK_BYTES to one pair of BLOCK_ROWS-row kernel-density buffers."""
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 16 * samples * BLOCK_ROWS)
+
+
 def test_kde_pdf_does_not_depend_on_the_thread_count(monkeypatch):
     kde, queries = kde_case()
-    # BLOCK_ROWS query rows per block on three threads, three times that on one.
-    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * len(kde.samples) * 3 * BLOCK_ROWS)
+    block_rows(monkeypatch, len(kde.samples))
     values = []
     for threads in (1, 3):
         on_threads(monkeypatch, threads)
@@ -131,7 +135,7 @@ def output_bytes(outdir):
 @pytest.mark.parametrize("task", sorted(CLI_CASES))
 def test_cli_outputs_do_not_depend_on_the_thread_count(task, tmp_path, monkeypatch,
                                                       small_chunks):
-    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * 300 * 3 * BLOCK_ROWS)
+    block_rows(monkeypatch, 300)
     outputs = []
     for threads in (1, 3):
         on_threads(monkeypatch, threads)
@@ -143,18 +147,45 @@ def test_cli_outputs_do_not_depend_on_the_thread_count(task, tmp_path, monkeypat
 def test_cli_leaves_no_thread_running(task, tmp_path, monkeypatch, small_chunks):
     # A pool left behind would keep the process, or the benchmark study, alive.
     on_threads(monkeypatch, 3)
-    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * 300 * 3 * BLOCK_ROWS)
+    block_rows(monkeypatch, 300)
     before = threading.active_count()
     run_cli(tmp_path, task, "out")
     assert threading.active_count() == before
 
 
-def test_kde_threads_share_one_block_budget(monkeypatch):
-    # Each thread takes its share of _BLOCK_BYTES, so three threads hold no
-    # more (query x sample) matrices at once than one thread does: 8 MiB,
-    # two matrices of 4 MiB.  Slack: 192 KiB for each extra thread, whose
-    # broadcasting ufunc calls allocate their own iterator buffers (8192
-    # elements per operand) whatever the block size.
+def spy_block_buffers(monkeypatch, samples) -> list:
+    """Shapes of the (query x sample) matrices numpy allocates from now on."""
+    allocated = []
+    for name in ("empty", "empty_like"):
+        def spied(*args, _allocate=getattr(np, name), **kwargs):
+            array = _allocate(*args, **kwargs)
+            if array.ndim == 2 and array.shape[1] == samples:
+                allocated.append(array.shape)
+            return array
+        monkeypatch.setattr(np, name, spied)
+    return allocated
+
+
+def test_kde_block_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    # Every thread's pair of buffers takes the rows that fit in
+    # BLOCK_BYTES, so more threads hold more memory, not smaller blocks.
+    kde, queries = kde_case(count=2000, queries=3000)
+    allocated = spy_block_buffers(monkeypatch, len(kde.samples))
+    rows = {}
+    for threads in (1, 3, 8):
+        on_threads(monkeypatch, threads)
+        allocated.clear()
+        kde.pdf(queries)
+        rows[threads] = {shape[0] for shape in allocated}
+    assert rows[1] == rows[3] == rows[8] and len(rows[1]) == 1
+    assert 2 * rows[1].pop() * 8 * len(kde.samples) <= sampling.BLOCK_BYTES
+
+
+def test_kde_memory_is_bounded_per_thread(monkeypatch):
+    # Each of T threads holds at most BLOCK_BYTES of (query x sample)
+    # matrices.  Slack: 192 KiB per thread, whose broadcasting ufunc calls
+    # allocate their own iterator buffers (8192 elements per operand)
+    # whatever the block size.
     kde, queries = kde_case(count=2000, queries=3000)
     peaks = {}
     for threads in (1, 3):
@@ -165,8 +196,8 @@ def test_kde_threads_share_one_block_budget(monkeypatch):
             peaks[threads] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] > 2 * dci._BLOCK_BYTES  # the matrices are traced at all
-    assert peaks[3] <= peaks[1] + values.nbytes + 2 * 192 * 1024
+        assert peaks[threads] <= threads * (sampling.BLOCK_BYTES + 192 * 1024) + values.nbytes
+    assert peaks[1] > 0.9 * sampling.BLOCK_BYTES  # the matrices are traced at all
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -174,20 +205,12 @@ def test_kde_threads_each_allocate_one_pair_of_block_buffers(monkeypatch, thread
     # Every thread evaluates many blocks into the same two (query x sample)
     # matrices, so the call allocates two of them per thread, not per block.
     kde, queries = kde_case(queries=600)
-    monkeypatch.setattr(dci, "_BLOCK_BYTES", 8 * len(kde.samples) * 3 * BLOCK_ROWS)
+    block_rows(monkeypatch, len(kde.samples))
     on_threads(monkeypatch, threads)
     expected = kde.pdf(queries)
-    blocks = -(-len(queries) // (3 * BLOCK_ROWS // threads))
-    assert blocks >= 10 * threads
+    assert -(-len(queries) // BLOCK_ROWS) >= 10 * threads
 
-    allocated = []
-    for name in ("empty", "empty_like"):
-        def counted(*args, _allocate=getattr(np, name), **kwargs):
-            array = _allocate(*args, **kwargs)
-            if array.ndim == 2 and array.shape[1] == len(kde.samples):
-                allocated.append(array.shape)
-            return array
-        monkeypatch.setattr(np, name, counted)
+    allocated = spy_block_buffers(monkeypatch, len(kde.samples))
     values = kde.pdf(queries)
     assert len(allocated) == 2 * threads
     assert values.tobytes() == expected.tobytes()

@@ -5,8 +5,8 @@ Subcommands:
 * ``sweep``  - score every candidate design and emit one CSV row each
 * ``oed``    - sweep plus a utility ranking and argmax summary
 * ``greedy`` - sequential design; emits the full per-round trace
-* ``dci``    - solve the inverse problem for one design
-* ``diag``   - predictability diagnostic only (no rejection sampling)
+* ``dci``    - solve the inverse problem for one design and judge its
+  predictability
 
 Every run is driven by a single JSON config (paths inside it are resolved
 relative to the config file) and writes a manifest echoing the resolved
@@ -25,7 +25,6 @@ import json
 import logging
 import sys
 import time
-import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -78,7 +77,7 @@ class ConfigError(Exception):
 _Setting = namedtuple("_Setting", "type default allowed readers")
 _TYPES = {"int": int, "number": (int, float), "string": str, "list": list, "object": dict}
 
-_SCORING, _DCI = ("sweep", "oed", "greedy"), ("dci", "diag")
+_SCORING, _DCI = ("sweep", "oed", "greedy"), ("dci",)
 _TASK_NAMES = _SCORING + _DCI
 _HEAT = ("heat_rod_1d", "heat_plate_2d")
 _DENSITY_KINDS = ("gaussian", "uniform-box", "kde-from-samples")
@@ -420,10 +419,6 @@ def _exhaustive(run, utility="ese_inverse"):
     return result
 
 
-def _coordinate_rows(model, rows) -> list:
-    return model.coordinates.reshape(model.field_size, -1)[list(rows)].tolist()
-
-
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -505,28 +500,13 @@ def run_oed(run) -> list[str]:
 
 
 def run_greedy(run) -> list[str]:
-    tol = run["tolerances.greedy_tol"]
     space, batch = _scoring_inputs(run, arity=1)
-    trace = design.greedy_oed(space, batch, m_target=run["greedy.m_target"], tol=tol,
+    trace = design.greedy_oed(space, batch, m_target=run["greedy.m_target"],
+                              tol=run["tolerances.greedy_tol"],
                               rank_tol=run["tolerances.rank_tol"])
-    coords = space.index_geometry
-    design.trace_to_json(trace, run.outdir / "greedy_trace.json", coordinates=coords)
-    outputs = ["greedy_trace.json", "greedy_summary.json"]
-    header = ["candidate"] + [f"c{i}" for i in range(coords.shape[1])]
-    for rnd in trace.rounds:
-        name = f"greedy_round_{rnd.round_index:02d}.csv"
-        _write_csv(run.outdir / name, header + [rnd.utility],
-                   [np.arange(len(space)), *coords.T, rnd.scores])
-        outputs.append(name)
-    _write_json(run.outdir / "greedy_summary.json", {
-        "schema_version": 1,
-        "selected_rows": list(trace.selected),
-        "selected_coordinates": _coordinate_rows(run.model, trace.selected),
-        "stop_reason": trace.stop_reason,
-        "rounds_run": len(trace.rounds),
-        "tol": tol,
-    })
-    return outputs
+    design.trace_to_json(trace, run.outdir / "greedy_trace.json",
+                         coordinates=space.index_geometry)
+    return ["greedy_trace.json"]
 
 
 def _dci_ensemble(run):
@@ -571,26 +551,22 @@ def _dci_ensemble(run):
     return rows, points, qoi, dci.update_weights(qoi, observed, predicted), seed
 
 
-def _dci_report(run, rows, ensemble, accepted=None) -> dict:
-    """``dci_summary.json`` with the ``accepted`` mask, ``diagnostics.json``
-    without it: the same statistics of ``ensemble``, then the design, then
-    the design's coordinates or the predictability verdict."""
-    report = {
+def _dci_report(model, rows, ensemble, accepted) -> dict:
+    """``dci_summary.json``: the statistics of ``ensemble`` and its
+    ``accepted`` mask, the design, and the predictability verdict."""
+    return {
         "schema_version": 1,
         "sample_count": ensemble.weights.size,
         "mean_ratio": ensemble.mean_ratio,
         "stderr": ensemble.stderr,
-        "acceptance_rate": None if accepted is None else float(np.mean(accepted)),
+        "acceptance_rate": float(np.mean(accepted)),
         # The largest ratio: the constant the rejection sampler divides by.
         "C_estimate": float(ensemble.weights.max()),
         "excluded_count": int(np.sum(ensemble.excluded)),
         "design_rows": list(rows),
+        "design_coordinates": model.coordinates.reshape(model.field_size, -1)[list(rows)].tolist(),
+        "predictability_ok": bool(abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL),
     }
-    if accepted is None:
-        report["predictability_ok"] = bool(abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL)
-    else:
-        report["design_coordinates"] = _coordinate_rows(run.model, rows)
-    return report
 
 
 def run_dci(run) -> list[str]:
@@ -606,7 +582,8 @@ def run_dci(run) -> list[str]:
         grid = dci.updated_density_grid(points, ensemble.weights, run.box)
     _write_csv(run.outdir / "ensemble.csv", header, [
         *points.T, *qoi.T, ensemble.weights, accepted.astype(np.int64)])
-    _write_json(run.outdir / "dci_summary.json", _dci_report(run, rows, ensemble, accepted))
+    _write_json(run.outdir / "dci_summary.json",
+                _dci_report(run.model, rows, ensemble, accepted))
     outputs = ["ensemble.csv", "dci_summary.json"]
     if grid is not None:
         x, y, values = grid
@@ -616,21 +593,12 @@ def run_dci(run) -> list[str]:
     return outputs
 
 
-def run_diag(run) -> list[str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", dci.PredictabilityWarning)
-        rows, _, _, ensemble, _ = _dci_ensemble(run)
-    _write_json(run.outdir / "diagnostics.json", _dci_report(run, rows, ensemble))
-    return ["diagnostics.json"]
-
-
 # Each subcommand's runner and help.
 _TASKS = {
     "sweep": (run_sweep, "score every candidate design"),
     "oed": (run_oed, "rank designs by a utility and report the argmax"),
     "greedy": (run_greedy, "sequential component-by-component design"),
     "dci": (run_dci, "solve the inverse problem for one design"),
-    "diag": (run_diag, "predictability diagnostic for one design"),
 }
 
 
@@ -648,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
                        help="threads for model solves (default: serial, since solves "
-                            "contend on threads); criterion kernels and kernel densities "
+                            "contend on threads; the rod's stacked march ignores it); "
+                            "criterion kernels and kernel densities "
                             "always use every CPU the process may run on (taskset limits "
                             "them), each thread holding at most one density block "
                             "of sampling.BLOCK_BYTES")

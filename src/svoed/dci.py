@@ -42,9 +42,9 @@ from . import sampling
 # predicted density has no support worth the name.
 UNDERFLOW_FLOOR = 1e-300
 
-# |mean ratio - 1| beyond this trips the predictability warning.  Loose on
-# purpose: kernel-density bias and Monte Carlo noise live well below it,
-# genuine support mismatches far above.
+# |mean ratio - 1| beyond this warns, and the report's predictability_ok is
+# false.  Loose on purpose: kernel-density bias and Monte Carlo noise live
+# well below it, genuine support mismatches far above.
 DIAGNOSTIC_TOL = 0.2
 
 

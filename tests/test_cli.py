@@ -20,27 +20,28 @@ def write_config(tmp_path, name, doc):
     return str(path)
 
 
-def test_greedy_writes_trace_summary_rounds_and_manifest(tmp_path):
+def test_greedy_writes_one_trace_and_the_manifest(tmp_path):
     config = write_config(tmp_path, "greedy.json", {
         "task": "greedy", "model": ROD, "sampling": {"count": 6, "seed": 3},
         "greedy": {"m_target": 2}, "output_dir": "out"})
     assert cli.main(["greedy", "--config", config]) == cli.EXIT_OK
 
     out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["greedy_trace.json", "manifest.json"]
     trace = json.loads((out / "greedy_trace.json").read_text())
-    summary = json.loads((out / "greedy_summary.json").read_text())
     manifest = json.loads((out / "manifest.json").read_text())
-    assert summary["selected_rows"] == trace["selected"]
-    assert summary["rounds_run"] == len(trace["rounds"]) == 2
     assert manifest["task"] == "greedy"
-    assert manifest["outputs"] == sorted(["greedy_trace.json", "greedy_summary.json",
-                                          "greedy_round_01.csv", "greedy_round_02.csv"])
+    assert manifest["outputs"] == ["greedy_trace.json"]
+    assert (trace["stop_reason"], trace["tol"]) == ("reached_m", 1e-3)
+    assert [rnd["round"] for rnd in trace["rounds"]] == [1, 2]
+    assert [rnd["chosen"] for rnd in trace["rounds"]] == trace["selected"]
     for rnd in trace["rounds"]:
-        with open(out / f"greedy_round_{rnd['round']:02d}.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["candidate", "c0", rnd["utility"]]
-        assert len(rows) == 1 + ROD["elements"] + 1
-        assert [float(r[-1]) for r in rows[1:]] == rnd["scores"]
+        assert len(rnd["scores"]) == ROD["elements"] + 1
+        assert rnd["scores"][rnd["chosen"]] == rnd["chosen_utility"] == max(rnd["scores"])
+    # The sensor coordinates of the design are candidate_coordinates[selected].
+    rod = cli.build_model({"model": ROD})
+    assert ([trace["candidate_coordinates"][row] for row in trace["selected"]]
+            == [[rod.coordinates[row]] for row in trace["selected"]])
 
 
 def test_paper_scale_builds_the_99_element_plate():
@@ -306,12 +307,16 @@ def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch, caplog):
     assert len(scored) == 1
 
 
-def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    # The rod marches every point with its conductivities negated, so it
-    # refuses the first sample of the DCI ensemble.
+def negate_the_rod_points(monkeypatch):
+    """March every rod point with its conductivities negated, so the rod
+    refuses the first sample of any batch or ensemble."""
     march = models.HeatRod1D.evaluate_stacked
     monkeypatch.setattr(models.HeatRod1D, "evaluate_stacked",
                         lambda self, points, *args: march(self, -points, *args))
+
+
+def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    negate_the_rod_points(monkeypatch)
     config = write_config(tmp_path, "dci.json", {
         "task": "dci", "model": ROD, "sampling": {"seed": 1},
         "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
@@ -320,6 +325,15 @@ def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     assert "model evaluation failed at sample 0" in err
     assert "conductivities must be finite and positive" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_failed_batch_sample_leaves_no_cache_and_no_manifest(tmp_path, capsys, monkeypatch):
+    negate_the_rod_points(monkeypatch)
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == cli.EXIT_NUMERICAL
+    assert "model evaluation failed at sample 0" in capsys.readouterr().err
+    assert not (tmp_path / "oed" / "manifest.json").exists()
+    cache = tmp_path / "cache" / "batch.npz"
+    assert not cache.exists() and not cli._statistics_path(cache).exists()
 
 
 def test_failed_density_grid_leaves_no_output(tmp_path, capsys):
@@ -439,13 +453,12 @@ def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsy
     (name, value), = setting.items()
     sampling_section, dci_section, key = (({"init": value}, {}, "sampling.init.bandwidth")
                                           if name == "init" else ({}, setting, f"dci.{name}"))
-    for task in ("dci", "diag"):
-        config = write_config(tmp_path, f"{task}.json", {
-            "task": task, "model": ROD, "sampling": {"seed": 2, **sampling_section},
-            "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
-        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 2, **sampling_section},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bandwidth", [0.3, "foo"], ids=["number", "name"])
@@ -591,13 +604,12 @@ def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
     # DCI draws its points before its first solve.
     forbid_solves(monkeypatch)
-    for task in ("dci", "diag"):
-        config = write_config(tmp_path, f"{task}.json", {
-            "task": task, "model": ROD, "sampling": {"init": init},
-            "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
-        assert cli.main([task, "--config", config]) == cli.EXIT_CONFIG
-        assert "almost no mass" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"init": init},
+        "dci": {"sensors": [0.0, 1.0], "count": 50}, "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
+    assert "almost no mass" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_init_density_with_mass_in_the_box_fills_the_sample():
@@ -631,10 +643,10 @@ def test_uniform_box_with_one_bound_is_a_config_error(given, missing, tmp_path, 
         capsys.readouterr().err)
 
 
-def dci_config(tmp_path, task):
-    return write_config(tmp_path, f"{task}.json", {
-        "task": task, "model": ROD, "sampling": {"seed": 2},
-        "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9}, "output_dir": task})
+def dci_config(tmp_path, **settings):
+    return write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "sampling": {"seed": 2},
+        "dci": {"sensors": [0.0, 1.0], "count": 300, "seed": 9, **settings}, "output_dir": "dci"})
 
 
 def output_bytes(outdir):
@@ -644,43 +656,68 @@ def output_bytes(outdir):
     return files, manifest
 
 
-def test_dci_and_diag_on_the_rod(tmp_path):
-    expected = {"dci": {"ensemble.csv", "dci_summary.json", "updated_density.csv"},
-                "diag": {"diagnostics.json"}}
-    for task, outputs in expected.items():
-        config = dci_config(tmp_path, task)
-        assert cli.main([task, "--config", config]) == cli.EXIT_OK
-        outdir = tmp_path / task
-        assert {p.name for p in outdir.iterdir()} == outputs | {"manifest.json"}
-        assert json.loads((outdir / "manifest.json").read_text())["outputs"] == sorted(outputs)
-        first = output_bytes(outdir)
-        assert cli.main([task, "--config", config]) == cli.EXIT_OK
-        assert output_bytes(outdir) == first
+def test_dci_on_the_rod(tmp_path):
+    outputs = ["dci_summary.json", "ensemble.csv", "updated_density.csv"]
+    config = dci_config(tmp_path)
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    outdir = tmp_path / "dci"
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(outputs + ["manifest.json"])
+    assert json.loads((outdir / "manifest.json").read_text())["outputs"] == outputs
+    first = output_bytes(outdir)
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    assert output_bytes(outdir) == first
 
-    summary = json.loads((tmp_path / "dci" / "dci_summary.json").read_text())
-    diagnostics = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
-    assert summary["sample_count"] == diagnostics["sample_count"] == 300
-    assert diagnostics["mean_ratio"] == summary["mean_ratio"]
-    assert diagnostics["design_rows"] == summary["design_rows"] == [0, ROD["elements"]]
+    summary = json.loads((outdir / "dci_summary.json").read_text())
+    assert summary["sample_count"] == 300
+    assert summary["design_rows"] == [0, ROD["elements"]]
+    assert summary["design_coordinates"] == [[0.0], [1.0]]
     assert 0.0 < summary["acceptance_rate"] <= 1.0
+    assert abs(summary["mean_ratio"] - 1.0) <= dci.DIAGNOSTIC_TOL
+    assert summary["predictability_ok"] is True
+
+
+def test_dci_reports_an_unpredictable_design(tmp_path):
+    # Observed outputs 2.0 above any the initial density predicts: the mean
+    # ratio falls far below 1, and the run still writes its report.
+    rod = cli.build_model({"model": ROD})
+    mean = rod.evaluate(rod.parameter_box.midpoint)[[0, ROD["elements"]]] + 2.0
+    config = dci_config(tmp_path, observed={"kind": "gaussian", "mean": mean.tolist(),
+                                            "cov": 0.15})
+    with pytest.warns(dci.PredictabilityWarning) as warned:
+        assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    assert len(warned) == 1
+    summary = json.loads((tmp_path / "dci" / "dci_summary.json").read_text())
+    assert abs(summary["mean_ratio"] - 1.0) > dci.DIAGNOSTIC_TOL
+    assert summary["predictability_ok"] is False
+
+
+def test_diag_is_not_a_subcommand(tmp_path, capsys, monkeypatch):
+    # dci_summary.json carries the predictability verdict diag once wrote.
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "diag.json", dict(TASK_CONFIGS["dci"], task="diag"))
+    with pytest.raises(SystemExit) as parsed:
+        cli.main(["diag", "--config", config])
+    assert parsed.value.code == cli.EXIT_CONFIG
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
+    assert "task: config says 'diag'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
-def test_dci_and_diag_on_worker_threads_match_serial(tmp_path, monkeypatch):
+def test_dci_on_worker_threads_matches_serial(tmp_path, monkeypatch):
     pools, evaluate = [], sampling.evaluate_samples
     monkeypatch.setattr(sampling, "evaluate_samples",
                         lambda *a, **k: pools.append(k.get("workers")) or evaluate(*a, **k))
-    for task in ("dci", "diag"):
-        config = write_config(tmp_path, f"{task}.json", {
-            "task": task, "model": {"kind": "heat_plate_2d", "elements": 6, "time_steps": 8},
-            "sampling": {"seed": 4},
-            "dci": {"sensors": [[0.5, 0.5], [0.2, 0.8]], "count": 60, "seed": 3},
-            "output_dir": task})
-        assert cli.main([task, "--config", config]) == cli.EXIT_OK
-        serial = output_bytes(tmp_path / task)[0]
-        assert cli.main([task, "--config", config, "--workers", "2"]) == cli.EXIT_OK
-        assert output_bytes(tmp_path / task)[0] == serial
-    assert pools == [None, 2, None, 2]
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": {"kind": "heat_plate_2d", "elements": 6, "time_steps": 8},
+        "sampling": {"seed": 4},
+        "dci": {"sensors": [[0.5, 0.5], [0.2, 0.8]], "count": 60, "seed": 3},
+        "output_dir": "dci"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_OK
+    serial = output_bytes(tmp_path / "dci")[0]
+    assert cli.main(["dci", "--config", config, "--workers", "2"]) == cli.EXIT_OK
+    assert output_bytes(tmp_path / "dci")[0] == serial
+    assert pools == [None, 2]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -729,7 +766,6 @@ TASK_CONFIGS = {
     "sweep": SWEEP, "oed": dict(SWEEP, task="oed"),
     "greedy": dict(SWEEP, task="greedy", greedy={"m_target": 2}),
     "dci": {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
-    "diag": {"task": "diag", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
 }
 MODEL_SPECS = {"heat_rod_1d": ROD, "heat_plate_2d": {"kind": "heat_plate_2d", "elements": 3}}
 DENSITY_SPECS = {"gaussian": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01},

@@ -58,6 +58,12 @@ _MAX_KERNEL_MATRICES = 4 * 10**7
 # 6000 (4.3 GB).
 _MAX_BATCH_BYTES = 4 * 2**30
 
+# A DCI run is refused, before any solve, when ``dci.count`` exceeds this.
+# The predicted kernel density is evaluated at every sample over every
+# sample, count**2 pairs: about 15.25M pairs in 55 ms on a 2-vCPU host with
+# two threads, so the 1e10 pairs of 1e5 samples take about 36 s.
+_MAX_DCI_COUNT = 10**5
+
 # CSV rows are formatted this many at a time, so a file of millions of
 # rows never holds all its cells as strings at once.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -191,18 +197,19 @@ def load_config(path: Path) -> dict:
 
 
 def build_model(cfg: dict, paper_scale: bool = False):
-    """The model of ``cfg["model"]``.  Only the keys given reach its
-    constructor, so an absent one takes the model's own default."""
+    """The model of ``cfg["model"]``, whose ``model.*`` keys are its
+    constructor's keywords.  Only the keys given reach the constructor, so
+    an absent one takes the model's own default."""
     settings = _read(_flatten({"model": cfg.get("model", {})}), "model.kind")
-    kind = settings["model.kind"]
-    if paper_scale and kind != "heat_plate_2d":
-        raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
-    model, elements = ((models.HeatRod1D, "elements") if kind == "heat_rod_1d"
-                       else (models.HeatPlate2D, "elements_per_axis"))
-    given = {elements: 99 if paper_scale else settings["model.elements"],
-             "time_steps": settings["model.time_steps"], "t_final": settings["model.t_final"]}
+    kind = settings.pop("model.kind")
+    if paper_scale:
+        if kind != "heat_plate_2d":
+            raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
+        settings["model.elements"] = 99
+    model = models.HeatRod1D if kind == "heat_rod_1d" else models.HeatPlate2D
     try:
-        return model(**{name: value for name, value in given.items() if value is not None})
+        return model(**{key.removeprefix("model."): value for key, value in settings.items()
+                        if value is not None})
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -520,7 +527,10 @@ def _dci_ensemble(run):
     call, on ``--workers`` threads, so a failed sample is named; their kernel
     density is the predicted density the weights divide by.
     """
-    model, box, sensors = run.model, run.box, run["dci.sensors"]
+    model, box, sensors, count = run.model, run.box, run["dci.sensors"], run["dci.count"]
+    if count > _MAX_DCI_COUNT:
+        raise ConfigError(f"dci.count: {count} samples make {count}**2 kernel-density pairs, "
+                          f"more than the {_MAX_DCI_COUNT}**2 this tool evaluates in one run")
     try:
         rows = tuple(model.nearest_field_index(s) for s in sensors)
     except (TypeError, ValueError) as exc:
@@ -541,7 +551,7 @@ def _dci_ensemble(run):
         raise ConfigError(f"dci.observed: a density on {observed.dim} outputs for "
                           f"{len(rows)} sensors")
     seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
-    points = _draw_initial(run.density, box, run["dci.count"], seed)
+    points = _draw_initial(run.density, box, count, seed)
     run.outdir.mkdir(parents=True, exist_ok=True)
     if midpoint:
         observed = build_density(
@@ -551,7 +561,7 @@ def _dci_ensemble(run):
     return rows, points, qoi, dci.update_weights(qoi, observed, predicted), seed
 
 
-def _dci_report(model, rows, ensemble, accepted) -> dict:
+def _dci_report(model, rows, ensemble: dci.WeightedEnsemble, accepted) -> dict:
     """``dci_summary.json``: the statistics of ``ensemble`` and its
     ``accepted`` mask, the design, and the predictability verdict."""
     return {
@@ -615,8 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="threads for model solves (default: serial, since solves "
-                            "contend on threads; the rod's stacked march ignores it); "
+                       help="threads for model solves, at most one per CPU (default: "
+                            "serial, since solves contend on threads; the rod's stacked "
+                            "march ignores it); "
                             "criterion kernels and kernel densities "
                             "always use every CPU the process may run on (taskset limits "
                             "them), each thread holding at most one density block "

@@ -5,10 +5,13 @@ Both heat models solve
     rho * c * du/dt = div(kappa * grad u) + S,   insulated boundary,
     u = 0 at t = 0,
 
-with a fixed Gaussian source centred in the domain and a piecewise-constant
-conductivity field whose pieces are the uncertain parameters.  ``evaluate``
-returns the nodal temperatures at the final time; observation "sensors" are
-mesh nodes, indexed by position through ``coordinates``.
+with a fixed Gaussian source S centred in the domain and a piecewise-constant
+conductivity field whose pieces are the uncertain parameters.  The heat
+capacity rho * c and the source are the same in every run, so they are
+module constants; a model takes only its element count, its time step
+count and its final time, the ``model.*`` keys of a run config.
+``evaluate`` returns the nodal temperatures at the final time; observation
+"sensors" are mesh nodes, indexed by position through ``coordinates``.
 
 Discretization: piecewise (bi)linear finite elements on a uniform mesh and
 implicit-midpoint time stepping,
@@ -44,8 +47,10 @@ interchanges, and the symmetric ordering keeps the factors sparse: about
 ordering.
 
 The rod is small (41 nodes by default) and is evaluated thousands of
-times per study, so it marches many parameter points at once.  Its A is a
-symmetric positive definite tridiagonal matrix, and
+times per study, so it marches many parameter points at once.  Its M and
+K_r are assembled as bands straight from the element loop, O(P) floats
+for P nodes, never as dense matrices.  Its A is a symmetric positive
+definite tridiagonal matrix, and
 ``HeatRod1D.evaluate_stacked`` treats a chunk of C points as one
 block-diagonal tridiagonal system of C * P rows, with a zero off-diagonal
 entry between two points.  LAPACK's tridiagonal LDL^T (``dpttrf``) factors
@@ -70,6 +75,12 @@ from .sampling import BLOCK_BYTES, ModelEvaluationError, ParameterBox
 _GAUSS_PTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 _BAD_CONDUCTIVITIES = "conductivities must be finite and positive"
+
+# Heat capacity per unit volume, rho * c = 1.5 * 1.5, and the
+# amplitude and width of the Gaussian source, of both heat models.
+_RHO_C = 2.25
+_SOURCE_AMPLITUDE = 50.0
+_SOURCE_WIDTH = 0.05
 
 
 class ForwardModel:
@@ -141,6 +152,11 @@ def _three_band_product(diag, upper, w):
     return out
 
 
+def _source(squared_distance):
+    """The heat source at points this squared distance from the centre."""
+    return _SOURCE_AMPLITUDE * np.exp(-squared_distance / _SOURCE_WIDTH)
+
+
 def _check_conductivities(lam, n_params):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (n_params,):
@@ -150,7 +166,22 @@ def _check_conductivities(lam, n_params):
     return lam
 
 
-class HeatRod1D(ForwardModel):
+class _HeatModel(ForwardModel):
+    """What both heat models share: the id, the time grid, and a box of
+    conductivities in [0.01, 0.2]."""
+
+    def __init__(self, kind, elements, time_steps, t_final, n_params):
+        if time_steps < 1 or t_final <= 0:
+            raise ValueError("need time_steps >= 1 and t_final > 0")
+        self.model_id = f"heat-{kind}-e{elements}-s{time_steps}"
+        self.n_params = n_params
+        self.time_steps = time_steps
+        self.t_final = float(t_final)
+        self.dt = self.t_final / time_steps
+        self.parameter_box = ParameterBox([0.01] * n_params, [0.2] * n_params)
+
+
+class HeatRod1D(_HeatModel):
     """Unit rod welded from two halves, heated at the middle.
 
     Parameters are the conductivities of the left (x < 0.5) and right
@@ -158,68 +189,39 @@ class HeatRod1D(ForwardModel):
     exactly on the weld.
     """
 
-    def __init__(
-        self,
-        elements: int = 40,
-        time_steps: int = 20,
-        t_final: float = 1.0,
-        density: float = 1.5,
-        heat_capacity: float = 1.5,
-        source_amplitude: float = 50.0,
-        source_width: float = 0.05,
-    ):
+    def __init__(self, elements: int = 40, time_steps: int = 20, t_final: float = 1.0):
         if elements < 2 or elements % 2:
             raise ValueError("elements must be even and >= 2 so a node sits on the weld")
-        if time_steps < 1 or t_final <= 0:
-            raise ValueError("need time_steps >= 1 and t_final > 0")
-        if density <= 0 or heat_capacity <= 0:
-            raise ValueError("density and heat capacity must be positive")
-
-        self.model_id = f"heat-rod-1d-e{elements}-s{time_steps}"
-        self.n_params = 2
-        self.time_steps = time_steps
-        self.t_final = float(t_final)
-        self.dt = self.t_final / time_steps
-        self.parameter_box = ParameterBox([0.01, 0.01], [0.2, 0.2])
+        super().__init__("rod-1d", elements, time_steps, t_final, n_params=2)
 
         nodes = np.linspace(0.0, 1.0, elements + 1)
         self.coordinates = nodes
         self.field_size = nodes.size
         h = 1.0 / elements
 
-        rho_c = density * heat_capacity
-        mass = np.zeros((self.field_size, self.field_size))
-        stiff = [np.zeros_like(mass), np.zeros_like(mass)]
-        load = np.zeros(self.field_size)
-
-        m_local = rho_c * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        m_local = _RHO_C * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
         k_local = 1.0 / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        # The tridiagonal matrices as bands: the diagonal, and the
+        # superdiagonal ending in the zero entry that couples a point to the
+        # next one in a stacked system.  Element e joins nodes e and e + 1;
+        # no node sums more than two element entries, so the order of the
+        # sums does not matter.
+        self._mass_bands = np.zeros((2, self.field_size))
+        self._stiff_bands = np.zeros((2, 2, self.field_size))
+        left = np.arange(elements // 2)
+        for bands, local, e in ((self._mass_bands, m_local, np.arange(elements)),
+                                (self._stiff_bands[0], k_local, left),
+                                (self._stiff_bands[1], k_local, left + elements // 2)):
+            bands[0, e] += local[0, 0]
+            bands[0, e + 1] += local[1, 1]
+            bands[1, e] = local[0, 1]
 
-        def source(x):
-            return source_amplitude * np.exp(-((0.5 - x) ** 2) / source_width)
-
+        self._load = np.zeros(self.field_size)
         for e in range(elements):
-            idx = [e, e + 1]
-            region = 0 if 0.5 * (nodes[e] + nodes[e + 1]) < 0.5 else 1
-            mass[np.ix_(idx, idx)] += m_local
-            stiff[region][np.ix_(idx, idx)] += k_local
             for t in _GAUSS_PTS:
-                x = nodes[e] + t * h
-                w = 0.5 * h
-                load[e] += w * source(x) * (1.0 - t)
-                load[e + 1] += w * source(x) * t
-
-        self._mass = mass
-        self._stiff_regions = np.array(stiff)
-        self._load = load
-
-        def bands(matrix):
-            # Diagonal, and superdiagonal ending in the zero entry that
-            # couples a point to the next one in a stacked system.
-            return np.stack([np.diagonal(matrix), np.append(np.diagonal(matrix, 1), 0.0)])
-
-        self._mass_bands = bands(mass)
-        self._stiff_bands = np.stack([bands(K_r) for K_r in stiff])
+                weighted = 0.5 * h * _source((0.5 - (nodes[e] + t * h)) ** 2)
+                self._load[e] += weighted * (1.0 - t)
+                self._load[e + 1] += weighted * t
         # Per point, a chunk holds the bands of dt/2 K, A, B and the factor,
         # the n region bands of the couplings, the state and n sensitivity
         # columns and their step temporaries: about 30 columns of P floats.
@@ -295,47 +297,28 @@ class HeatRod1D(ForwardModel):
                 None if V is None else V.reshape(-1, self.field_size, self.n_params))
 
 
-class HeatPlate2D(ForwardModel):
+class HeatPlate2D(_HeatModel):
     """Unit plate welded from nine square plates in a 3 x 3 layout.
 
     Parameters are the nine plate conductivities, numbered row-major from
-    the bottom-left plate.  ``elements_per_axis`` must be a multiple of 3
+    the bottom-left plate.  ``elements``, the element count per axis, must
+    be a multiple of 3
     so the plate seams align with element boundaries.  Nodes are indexed
     row-major by y then x; ``coordinates`` is (P, 2).
     """
 
-    def __init__(
-        self,
-        elements_per_axis: int = 30,
-        time_steps: int = 40,
-        t_final: float = 2.0,
-        density: float = 1.5,
-        heat_capacity: float = 1.5,
-        source_amplitude: float = 50.0,
-        source_width: float = 0.05,
-    ):
-        if elements_per_axis < 3 or elements_per_axis % 3:
-            raise ValueError("elements_per_axis must be a positive multiple of 3")
-        if time_steps < 1 or t_final <= 0:
-            raise ValueError("need time_steps >= 1 and t_final > 0")
-        if density <= 0 or heat_capacity <= 0:
-            raise ValueError("density and heat capacity must be positive")
+    def __init__(self, elements: int = 30, time_steps: int = 40, t_final: float = 2.0):
+        if elements < 3 or elements % 3:
+            raise ValueError("elements must be a positive multiple of 3")
+        super().__init__("plate-2d", elements, time_steps, t_final, n_params=9)
 
-        self.model_id = f"heat-plate-2d-e{elements_per_axis}-s{time_steps}"
-        self.n_params = 9
-        self.time_steps = time_steps
-        self.t_final = float(t_final)
-        self.dt = self.t_final / time_steps
-        self.parameter_box = ParameterBox([0.01] * 9, [0.2] * 9)
-
-        n_axis = elements_per_axis + 1
+        n_axis = elements + 1
         axis = np.linspace(0.0, 1.0, n_axis)
         xx, yy = np.meshgrid(axis, axis, indexing="xy")  # row-major by y
         self.coordinates = np.column_stack([xx.ravel(), yy.ravel()])
         self.field_size = n_axis * n_axis
-        h = 1.0 / elements_per_axis
+        h = 1.0 / elements
 
-        rho_c = density * heat_capacity
         # Bilinear square element, nodes counterclockwise (00, 10, 11, 01).
         k_local = (1.0 / 6.0) * np.array(
             [
@@ -345,7 +328,7 @@ class HeatPlate2D(ForwardModel):
                 [-1.0, -2.0, -1.0, 4.0],
             ]
         )
-        m_local = (rho_c * h * h / 36.0) * np.array(
+        m_local = (_RHO_C * h * h / 36.0) * np.array(
             [
                 [4.0, 2.0, 1.0, 2.0],
                 [2.0, 4.0, 2.0, 1.0],
@@ -354,13 +337,10 @@ class HeatPlate2D(ForwardModel):
             ]
         )
 
-        def source(x, y):
-            return source_amplitude * np.exp(-((0.5 - x) ** 2 + (0.5 - y) ** 2) / source_width)
-
-        # Element e = ey * elements_per_axis + ex.  The (E, 16) triplets and
-        # the (E, 2, 2, 4) load terms (element, Gauss point, node) are summed
-        # into shared nodes in that order, as an element-by-element loop would.
-        ey, ex = np.divmod(np.arange(elements_per_axis ** 2), elements_per_axis)
+        # Element e = ey * elements + ex.  The (E, 16) triplets and the
+        # (E, 2, 2, 4) load terms (element, Gauss point, node) are summed into
+        # shared nodes in that order, as an element-by-element loop would.
+        ey, ex = np.divmod(np.arange(elements ** 2), elements)
         n00 = ey * n_axis + ex
         conn = np.column_stack([n00, n00 + 1, n00 + n_axis + 1, n00 + n_axis])
         rows = np.repeat(conn, 4, axis=1).ravel()
@@ -372,7 +352,7 @@ class HeatPlate2D(ForwardModel):
         x = ex[:, None, None] * h + ta * h
         y = ey[:, None, None] * h + tb * h
         shapes = np.stack([(1 - ta) * (1 - tb), ta * (1 - tb), ta * tb, (1 - ta) * tb], axis=-1)
-        terms = (0.25 * h * h * source(x, y))[..., None] * shapes
+        terms = (0.25 * h * h * _source((0.5 - x) ** 2 + (0.5 - y) ** 2))[..., None] * shapes
         load = np.zeros(self.field_size)
         np.add.at(load, np.broadcast_to(conn[:, None, None, :], terms.shape), terms)
 

@@ -52,8 +52,9 @@ def cpu_count() -> int:
 
 
 def thread_map(fn, items, threads: int | None = None) -> None:
-    """Call ``fn`` on every item of ``items``, on ``threads`` threads
-    (default: :func:`cpu_count`); a single item or thread runs inline.
+    """Call ``fn`` on every item of ``items``, on ``threads`` threads but
+    never more than :func:`cpu_count` (the default); a single item or thread
+    runs inline.
 
     ``fn`` writes each result into its own preallocated slice, so results
     depend neither on the thread count nor on the completion order.  The
@@ -61,7 +62,8 @@ def thread_map(fn, items, threads: int | None = None) -> None:
     item order, re-raises its exception here.
     """
     items = list(items)
-    threads = min(len(items), cpu_count() if threads is None else threads)
+    cpus = cpu_count()
+    threads = min(len(items), cpus, cpus if threads is None else threads)
     if threads <= 1:
         for item in items:
             fn(item)
@@ -182,8 +184,8 @@ def evaluate_samples(
     for the exact Jacobian.  With ``with_jacobian``, a model that has
     neither ``evaluate_stacked`` nor ``evaluate_with_jacobian`` is refused
     with ValueError before any call.  ``workers`` > 1 runs the tasks on
-    that many threads of :func:`thread_map` (the model must be safe to call
-    concurrently); the default is serial.
+    that many threads of :func:`thread_map`, at most one per CPU (the model
+    must be safe to call concurrently); the default is serial.
     A raise inside the model, or a non-finite output or Jacobian, becomes a
     ModelEvaluationError naming the sample.
     """

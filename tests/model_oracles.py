@@ -1,23 +1,51 @@
-"""Model oracles: an element-by-element reference for the vectorized plate
-assembly in ``svoed.models.HeatPlate2D``, which tests require to agree
-exactly, and small analytic maps whose exact Jacobians are known in closed
-form."""
+"""Model oracles: element-by-element references for the heat-model
+assembly in ``svoed.models``, which tests require to agree exactly, and
+small analytic maps whose exact Jacobians are known in closed form."""
 
 import numpy as np
 import scipy.sparse
 
-from svoed.models import _GAUSS_PTS, ForwardModel
+from svoed import models
+from svoed.models import _GAUSS_PTS, _RHO_C, ForwardModel
 from svoed.sampling import ParameterBox
 
 
-def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
-                        source_amplitude=50.0, source_width=0.05):
+def source(squared_distance):
+    """The heat source at points this squared distance from the centre."""
+    return models._SOURCE_AMPLITUDE * np.exp(-squared_distance / models._SOURCE_WIDTH)
+
+
+def rod_assembly_loop(elements):
+    """Dense mass matrix, the two unit-conductivity half-rod stiffness
+    matrices (2, P, P) and the load vector of the welded rod, one element
+    at a time."""
+    nodes = np.linspace(0.0, 1.0, elements + 1)
+    size = nodes.size
+    h = 1.0 / elements
+    mass = np.zeros((size, size))
+    stiff = np.zeros((2, size, size))
+    load = np.zeros(size)
+    m_local = _RHO_C * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    k_local = 1.0 / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for e in range(elements):
+        idx = [e, e + 1]
+        region = 0 if 0.5 * (nodes[e] + nodes[e + 1]) < 0.5 else 1
+        mass[np.ix_(idx, idx)] += m_local
+        stiff[region][np.ix_(idx, idx)] += k_local
+        for t in _GAUSS_PTS:
+            x = nodes[e] + t * h
+            w = 0.5 * h
+            load[e] += w * source((0.5 - x) ** 2) * (1.0 - t)
+            load[e + 1] += w * source((0.5 - x) ** 2) * t
+    return mass, stiff, load
+
+
+def plate_assembly_loop(elements):
     """Mass matrix, the nine unit-conductivity region stiffness matrices
     (CSC) and the load vector of the welded plate, one element at a time."""
-    n_axis = elements_per_axis + 1
+    n_axis = elements + 1
     size = n_axis * n_axis
-    h = 1.0 / elements_per_axis
-    rho_c = density * heat_capacity
+    h = 1.0 / elements
     # Bilinear square element, nodes counterclockwise (00, 10, 11, 01).
     k_local = (1.0 / 6.0) * np.array(
         [
@@ -27,7 +55,7 @@ def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
             [-1.0, -2.0, -1.0, 4.0],
         ]
     )
-    m_local = (rho_c * h * h / 36.0) * np.array(
+    m_local = (_RHO_C * h * h / 36.0) * np.array(
         [
             [4.0, 2.0, 1.0, 2.0],
             [2.0, 4.0, 2.0, 1.0],
@@ -36,10 +64,7 @@ def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
         ]
     )
 
-    def source(x, y):
-        return source_amplitude * np.exp(-((0.5 - x) ** 2 + (0.5 - y) ** 2) / source_width)
-
-    n_elems = elements_per_axis * elements_per_axis
+    n_elems = elements * elements
     rows = np.empty(16 * n_elems, dtype=np.int64)
     cols = np.empty_like(rows)
     mass_vals = np.empty(16 * n_elems)
@@ -48,8 +73,8 @@ def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
     load = np.zeros(size)
 
     e = 0
-    for ey in range(elements_per_axis):
-        for ex in range(elements_per_axis):
+    for ey in range(elements):
+        for ex in range(elements):
             n00 = ey * n_axis + ex
             conn = np.array([n00, n00 + 1, n00 + n_axis + 1, n00 + n_axis])
             xc = (ex + 0.5) * h
@@ -68,7 +93,7 @@ def plate_assembly_loop(elements_per_axis, density=1.5, heat_capacity=1.5,
                     shapes = np.array(
                         [(1 - ta) * (1 - tb), ta * (1 - tb), ta * tb, (1 - ta) * tb]
                     )
-                    load[conn] += w * source(x, y) * shapes
+                    load[conn] += w * source((0.5 - x) ** 2 + (0.5 - y) ** 2) * shapes
             e += 1
 
     shape = (size, size)

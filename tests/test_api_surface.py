@@ -6,19 +6,17 @@ A public function, class or constant that only tests call is a second code
 path to maintain, so each one must be referenced somewhere in ``src/`` or
 ``benchmark/`` outside its own definition.  References are identifiers and
 attribute names; a name used only inside its own body does not count.
-An attribute (``self.X = ...`` or a class-body field) must be read as
-``something.X`` somewhere in ``src/`` or ``benchmark/``; attributes are
-matched by name alone, so one read covers every class that sets ``X``.
 
-A public method or property must be read as ``something.X`` outside its own
-body, and is keyed on its owning class: the topmost ``svoed`` class in its
-hierarchy that holds ``X``, so a read of a base's method covers every
-override of it.  Where a class outside that hierarchy holds ``X`` too
-(every model sets ``n_params``; ``FieldJacobianBatch`` defines it as a
-property), a read counts only when its receiver is known to be of the
-hierarchy: ``self`` in one of its classes, the class itself, a parameter
-annotated with it, or a local bound to a call of it or of a function
-annotated to return it.
+An attribute (``self.X = ...`` or a class-body field), a public method or
+a property must be read as ``something.X`` in ``src/`` or ``benchmark/``,
+a method or property outside its own body.  Each is keyed on its owning
+class: the topmost ``svoed`` class in its hierarchy that holds ``X``, so a
+read of a base's member covers every override of it.  Where a class outside
+that hierarchy holds ``X`` too (every model sets ``n_params``;
+``FieldJacobianBatch`` defines it as a property), a read counts only when
+its receiver is known to be of the hierarchy: ``self`` in one of its
+classes, the class itself, a parameter annotated with it, or a local bound
+to a call of it or of a function annotated to return it.
 """
 
 import ast
@@ -86,18 +84,6 @@ def set_attributes(cls) -> set[str]:
     return names
 
 
-def test_every_attribute_is_read():
-    read = {node.attr for path in USERS for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = []
-    for path in MODULES:
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef):
-                unread += [f"{cls.name}.{name}" for name in sorted(set_attributes(cls))
-                           if name not in read and f"{cls.name}.{name}" not in ALLOWED_ATTRIBUTES]
-    assert unread == []
-
-
 def public_methods(cls) -> dict:
     """``cls``'s public methods and properties by name."""
     return {s.name: s for s in cls.body
@@ -144,7 +130,9 @@ def attribute_reads(tree, classes, returns) -> list:
     return reads
 
 
-def test_every_public_method_and_property_is_read():
+def unread_members(members) -> list[str]:
+    """``Class.member`` for every member that ``members(cls)`` names in a
+    ``svoed`` class and that no read reaches, by the owner rule above."""
     trees = {path: ast.parse(path.read_text()) for path in USERS}
     classes = {cls.name: cls for path in MODULES for cls in ast.walk(trees[path])
                if isinstance(cls, ast.ClassDef)}
@@ -160,13 +148,13 @@ def test_every_public_method_and_property_is_read():
         return member in public_methods(classes[name]) or member in set_attributes(classes[name])
 
     def root(name, member) -> str:
-        above = [b for b in bases[name] if holds(b, member)]
+        above = [b for b in bases[name] if any(holds(c, member) for c in ancestry(b))]
         return root(above[0], member) if above else name
 
     reads = [read for path in USERS for read in attribute_reads(trees[path], classes, returns)]
     unread = []
     for name, cls in classes.items():
-        for member in public_methods(cls):
+        for member in sorted(members(cls)):
             family = {c for c in classes if holds(c, member) and root(c, member) == root(name, member)}
             shared = any(holds(c, member) for c in classes if c not in family)
             bodies = {public_methods(classes[c]).get(member) for c in family}
@@ -176,4 +164,13 @@ def test_every_public_method_and_property_is_read():
                                     for c in family))
                        for attr, receiver, scopes in reads):
                 unread.append(f"{name}.{member}")
-    assert unread == []
+    return unread
+
+
+def test_every_attribute_is_read():
+    assert [name for name in unread_members(set_attributes)
+            if name not in ALLOWED_ATTRIBUTES] == []
+
+
+def test_every_public_method_and_property_is_read():
+    assert unread_members(public_methods) == []

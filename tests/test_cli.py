@@ -500,6 +500,18 @@ def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_dci_count_over_the_kernel_density_budget_is_refused_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # 1e10 samples would take 160 GB of points and 1e20 kernel-density pairs.
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "dci.json", {
+        "task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0], "count": 10**10},
+        "output_dir": "out"})
+    assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
+    assert "dci.count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("model", [ROD], ids=["rod"])
 def test_paper_scale_off_the_plate_is_a_config_error_before_any_solve(model, tmp_path, capsys,
                                                                        monkeypatch):

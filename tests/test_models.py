@@ -19,9 +19,9 @@ def rod():
     return models.HeatRod1D()
 
 
-def total_heat(model, u):
+def total_heat(mass, u):
     """Discrete heat content: the integral of rho c u."""
-    return float(np.sum(model._mass @ u))
+    return float(np.sum(mass @ u))
 
 
 def heat_supplied(model):
@@ -32,8 +32,9 @@ def heat_supplied(model):
 # --- 1-D rod --------------------------------------------------------------------
 
 
-def test_rod_zero_source_stays_cold():
-    silent = models.HeatRod1D(source_amplitude=0.0)
+def test_rod_zero_source_stays_cold(monkeypatch):
+    monkeypatch.setattr(models, "_SOURCE_AMPLITUDE", 0.0)
+    silent = models.HeatRod1D()
     assert np.allclose(silent.evaluate([0.05, 0.05]), 0.0)
 
 
@@ -83,7 +84,8 @@ def test_rod_discrete_heat_balance(rod):
     # step, exactly, because the stiffness matrix annihilates constants.
     lam = [0.07, 0.14]
     u = rod.evaluate(lam)
-    assert total_heat(rod, u) == pytest.approx(heat_supplied(rod), rel=1e-10)
+    mass, _, _ = model_oracles.rod_assembly_loop(rod.field_size - 1)
+    assert total_heat(mass, u) == pytest.approx(heat_supplied(rod), rel=1e-10)
 
 
 def test_rod_bounded_sensitivity_to_conductivity(rod):
@@ -101,16 +103,42 @@ def test_rod_rejects_bad_parameters(rod):
         models.HeatRod1D(elements=41)  # no node on the weld
 
 
+@pytest.mark.parametrize("elements", [2, 10, 40, 400])
+def test_rod_assembly_equals_the_element_loop(elements):
+    rod = models.HeatRod1D(elements=elements)
+    mass, stiff, load = model_oracles.rod_assembly_loop(elements)
+
+    def bands(matrix):
+        return np.stack([np.diagonal(matrix), np.append(np.diagonal(matrix, 1), 0.0)])
+
+    assert np.array_equal(rod._mass_bands, bands(mass))
+    assert np.array_equal(rod._stiff_bands, np.stack([bands(K_r) for K_r in stiff]))
+    assert np.array_equal(rod._load, load)
+
+
+def test_rod_build_holds_no_dense_matrix():
+    # Dense 2001 x 2001 mass and stiffness matrices would take 96 MB; the
+    # bands take 64 kB.
+    tracemalloc.start()
+    try:
+        models.HeatRod1D(elements=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # --- 2-D plate ------------------------------------------------------------------
 
 
-def test_plate_zero_source_stays_cold():
-    silent = models.HeatPlate2D(elements_per_axis=6, source_amplitude=0.0)
+def test_plate_zero_source_stays_cold(monkeypatch):
+    monkeypatch.setattr(models, "_SOURCE_AMPLITUDE", 0.0)
+    silent = models.HeatPlate2D(elements=6)
     assert np.allclose(silent.evaluate([0.05] * 9), 0.0)
 
 
 def test_plate_symmetry_with_uniform_conductivity():
-    plate = models.HeatPlate2D(elements_per_axis=12)
+    plate = models.HeatPlate2D(elements=12)
     n = 13
     u = plate.evaluate([0.08] * 9).reshape(n, n)
     assert np.abs(u - u.T).max() < 1e-8          # x <-> y
@@ -124,7 +152,7 @@ def test_plate_self_convergence_under_refinement():
     lam = [0.05, 0.12, 0.03, 0.18, 0.08, 0.02, 0.15, 0.06, 0.11]
     centers = []
     for elems in (12, 24, 48):
-        plate = models.HeatPlate2D(elements_per_axis=elems)
+        plate = models.HeatPlate2D(elements=elems)
         u = plate.evaluate(lam)
         centers.append(u[plate.nearest_field_index([0.5, 0.5])])
     e1 = abs(centers[0] - centers[1])
@@ -135,31 +163,31 @@ def test_plate_self_convergence_under_refinement():
 
 
 def test_plate_heat_balance():
-    plate = models.HeatPlate2D(elements_per_axis=9, time_steps=10)
+    plate = models.HeatPlate2D(elements=9, time_steps=10)
     u = plate.evaluate([0.05] * 9)
-    assert total_heat(plate, u) == pytest.approx(heat_supplied(plate), rel=1e-10)
+    assert total_heat(plate._mass, u) == pytest.approx(heat_supplied(plate), rel=1e-10)
 
 
 def test_plate_regions_align_with_seams():
     # A node inside one plate couples only through that plate's stiffness.
-    plate = models.HeatPlate2D(elements_per_axis=6)
+    plate = models.HeatPlate2D(elements=6)
     for point, region in (([0.0, 0.0], 0), ([0.5, 0.5], 4), ([1.0, 1.0], 8), ([1.0, 0.0], 2)):
         node = plate.nearest_field_index(point)
         coupled = [r for r, K in enumerate(plate._stiff_regions) if K[node, node] != 0.0]
         assert coupled == [region]
     with pytest.raises(ValueError):
-        models.HeatPlate2D(elements_per_axis=10)  # seams off the element grid
+        models.HeatPlate2D(elements=10)  # seams off the element grid
 
 
 def test_plate_heating_strongest_at_center():
-    plate = models.HeatPlate2D(elements_per_axis=12)
+    plate = models.HeatPlate2D(elements=12)
     u = plate.evaluate([0.03] * 9)
     assert np.argmax(u) == plate.nearest_field_index([0.5, 0.5])
 
 
 @pytest.mark.parametrize("elements", [3, 6, 9, 30])
 def test_plate_assembly_equals_the_element_loop(elements):
-    plate = models.HeatPlate2D(elements_per_axis=elements)
+    plate = models.HeatPlate2D(elements=elements)
     mass, stiff, load = model_oracles.plate_assembly_loop(elements)
     assert np.array_equal(plate._mass.toarray(), mass.toarray())
     assert len(plate._stiff_regions) == len(stiff) == 9
@@ -172,7 +200,7 @@ def test_plate_assembly_equals_the_element_loop(elements):
 
 
 def small_models():
-    return [models.HeatRod1D(), models.HeatPlate2D(elements_per_axis=6, time_steps=5)]
+    return [models.HeatRod1D(), models.HeatPlate2D(elements=6, time_steps=5)]
 
 
 def sample_point(model, seed):
@@ -250,7 +278,7 @@ def default_ordering_reference(plate, lam):
 
 @pytest.mark.parametrize("elements", [6, 12])
 def test_plate_factorization_agrees_with_the_default_ordering(elements):
-    plate = models.HeatPlate2D(elements_per_axis=elements)
+    plate = models.HeatPlate2D(elements=elements)
     box = plate.parameter_box
     alternating = np.where(np.arange(9) % 2, box.upper, box.lower)
     points = [box.lower, box.upper, alternating, box.midpoint, sample_point(plate, 4)]
@@ -265,17 +293,19 @@ def test_plate_factorization_agrees_with_the_default_ordering(elements):
 
 
 def cho_reference(rod, lam):
-    """The rod's former march: one Cholesky factorization per point, then
-    per step one solve for the state and one for both sensitivities."""
-    K = lam[0] * rod._stiff_regions[0] + lam[1] * rod._stiff_regions[1]
-    A = rod._mass + 0.5 * rod.dt * K
-    B = rod._mass - 0.5 * rod.dt * K
+    """The rod's former march on the dense matrices of the element loop:
+    one Cholesky factorization per point, then per step one solve for the
+    state and one for both sensitivities."""
+    mass, stiff, _ = model_oracles.rod_assembly_loop(rod.field_size - 1)
+    K = lam[0] * stiff[0] + lam[1] * stiff[1]
+    A = mass + 0.5 * rod.dt * K
+    B = mass - 0.5 * rod.dt * K
     factor = scipy.linalg.cho_factor(A)
     u = np.zeros(rod.field_size)
     V = np.zeros((rod.field_size, 2))
     for _ in range(rod.time_steps):
         u_next = scipy.linalg.cho_solve(factor, B @ u + rod.dt * rod._load)
-        coupling = np.column_stack([K_j @ (u + u_next) for K_j in rod._stiff_regions])
+        coupling = np.column_stack([K_j @ (u + u_next) for K_j in stiff])
         V = scipy.linalg.cho_solve(factor, B @ V - 0.5 * rod.dt * coupling)
         u = u_next
     return u, V

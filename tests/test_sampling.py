@@ -137,7 +137,7 @@ def test_bad_point_in_the_middle_of_a_rod_chunk_names_its_sample():
 
 @pytest.mark.parametrize("model", [
     models.HeatRod1D(elements=10, time_steps=5),
-    models.HeatPlate2D(elements_per_axis=3, time_steps=5),
+    models.HeatPlate2D(elements=3, time_steps=5),
 ], ids=["rod", "per-sample"])
 def test_evaluate_samples_restricts_to_design_rows(model):
     points = sampling.draw_samples(model.parameter_box, 5, seed=2).points
@@ -159,7 +159,7 @@ def test_models_without_their_own_jacobian_are_refused():
 
 
 def test_exact_threaded_matches_serial():
-    plate = models.HeatPlate2D(elements_per_axis=6, time_steps=5)
+    plate = models.HeatPlate2D(elements=6, time_steps=5)
     s = sampling.draw_samples(plate.parameter_box, 6, seed=4)
     serial = sampling.estimate_field_jacobians(plate, s)
     threaded = sampling.estimate_field_jacobians(plate, s, workers=2)
@@ -170,7 +170,7 @@ def test_exact_threaded_matches_serial():
 def test_per_sample_batch_is_held_once():
     # Each sample is written into the preallocated batch arrays; collecting
     # the samples first and stacking them would peak near twice the batch.
-    plate = models.HeatPlate2D(elements_per_axis=21, time_steps=8)
+    plate = models.HeatPlate2D(elements=21, time_steps=8)
     s = sampling.draw_samples(plate.parameter_box, 40, seed=0)
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ depend on the thread count, no thread left running, and bounded memory."""
 
 import json
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,8 @@ def kde_case(count=300, queries=200, seed=31):
             rng.normal(size=(queries, 2)))
 
 
-def test_thread_map_runs_items_concurrently_and_joins():
+def test_thread_map_runs_items_concurrently_and_joins(monkeypatch):
+    on_threads(monkeypatch, 3)
     barrier = threading.Barrier(3, timeout=30)
     seen = np.zeros(3)
 
@@ -53,6 +55,14 @@ def test_thread_map_runs_items_concurrently_and_joins():
     sampling.thread_map(fn, range(3), threads=3)
     assert seen.tolist() == [1, 2, 3]
     assert threading.active_count() == before
+
+
+def test_thread_map_starts_at_most_one_thread_per_cpu(monkeypatch):
+    on_threads(monkeypatch, 2)
+    idents = set()
+    sampling.thread_map(lambda i: idents.add(threading.get_ident()) or time.sleep(0.01),
+                        range(16), threads=8)
+    assert 1 <= len(idents) <= 2
 
 
 def test_thread_map_runs_one_item_or_thread_inline():

@@ -183,13 +183,21 @@ def _settings(cfg: dict, task: str, paper_scale: bool = False) -> dict:
     return _read(flat, "task")
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float, refusing the NaN, Infinity, -Infinity and
+    overflowing numbers (1e999) that Python's parser admits."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path: Path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _finite's
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

@@ -89,6 +89,8 @@ class GaussianDensity(Density):
         self.dim = self.mean.size
         if cov.shape != (self.dim, self.dim):
             raise ValueError(f"covariance of shape {cov.shape} for a mean of length {self.dim}")
+        if not np.array_equal(cov, cov.T):
+            raise ValueError(f"covariance {cov.tolist()} is not symmetric")
         self.cov = cov
         # Raises LinAlgError, a ValueError, on a non-SPD covariance.
         self._factor = scipy.linalg.cholesky(cov, lower=True)

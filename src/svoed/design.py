@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -87,11 +88,8 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
 def _chunks(n_items: int, n_samples: int):
     """Slices of at most _CHUNK_MATRICES // n_samples items (at least one).
 
-    Chunks bound the memory in flight.  Their boundaries move no bit of
-    :func:`batch_reciprocals`, which scores each matrix on its own, but
-    the stacked matrix products of :meth:`ExtensionBase.skewness` can round
-    differently with the number of rows they are given.  So the boundaries
-    depend on the sizes alone, never on the thread count.
+    Chunks bound the memory in flight.  Their boundaries move no bit of a
+    result, since both kernels score each matrix on its own.
     """
     size = max(1, _CHUNK_MATRICES // n_samples)
     return (slice(start, start + size) for start in range(0, n_items, size))
@@ -236,14 +234,15 @@ def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.
     each candidate is then a rank-one extension of that factor, scored in
     chunks of candidate rows on :func:`sampling.thread_map`'s threads.  A
     selected row repeats a base row, so the kernel scores it zero outright.
+    Each mean sums its samples in order, whatever the chunk's size.
     """
     base = ExtensionBase(batch.jacobians[:, list(selected), :], rank_tol)
     means = np.empty(rows.size)
 
     def score(part):
         chunk = rows[part]
-        means[part] = base.skewness(batch.jacobians[:, chunk, :],
-                                    np.flatnonzero(np.isin(chunk, selected))).mean(axis=0)
+        skew = base.skewness(batch.jacobians[:, chunk, :], np.flatnonzero(np.isin(chunk, selected)))
+        means[part] = reduce(np.add, skew) / batch.count
 
     thread_map(score, _chunks(rows.size, batch.count))
     return means

@@ -12,7 +12,8 @@ parameter space:
 
 :func:`batch_reciprocals` scores a whole stack from one Householder QR of
 every J^T, and :class:`ExtensionBase` factors a fixed set of rows once and
-scores every one-row extension of it by rank-one updates of that factor.
+scores every one-row extension of it by applying that factor's reflectors
+to the new row.
 Both fall back to the singular-value formula for the matrices whose
 conditioning makes the QR route unreliable, so the rank cutoff means
 exactly what it means pointwise.  The pointwise definitions the tests
@@ -24,10 +25,8 @@ on a batch-last (n, m, N) copy of the stack: entry [i, j] of every
 matrix's J^T is one contiguous length-N vector, and each step of the
 factorization is one elementwise numpy operation over the whole stack.
 Every sum or product over the m or n axis is written out in order, term
-by term, so each matrix's :func:`batch_reciprocals` depend on that matrix
-alone: not on the stack length, its place in the stack, the chunking or the
-thread count.  :meth:`ExtensionBase.skewness` still uses stacked matrix
-products, whose rounding can move with the number of rows they are given.
+by term, so each score depends on its own matrix alone: not on the stack
+length, its place in the stack, the chunking or the thread count.
 """
 
 from __future__ import annotations
@@ -144,17 +143,6 @@ def _reflect(A: np.ndarray, k: int, tau_k: np.ndarray, X: np.ndarray) -> None:
     X[k + 1 :] -= A[k + 1 :, k, None] * w
 
 
-def _q_factor(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The (n, m, N) orthonormal factor Q = H_0 ... H_(m-1) I[:, :m] of a
-    stack factored by :func:`_householder`, accumulated backwards."""
-    m = A.shape[1]
-    Q = np.zeros(A.shape)
-    Q[range(m), range(m)] = 1.0
-    for k in range(m - 1, -1, -1):
-        _reflect(A, k, tau[k], Q[:, k:])
-    return Q
-
-
 def _triangular_inverse(R: np.ndarray) -> np.ndarray:
     """Inverses of the upper triangles of a batch-last (k, k, N) stack.
 
@@ -255,17 +243,18 @@ class ExtensionBase:
     """A (N, k, n) stack of base matrices, k < n, factored once so that
     :meth:`skewness` can score any number of one-row extensions of it.
 
-    Each base is factored as base^T = Q R, and a row j extends the factor by
-    one column:
-
-        R' = [[R, g], [0, s]],   g = Q^T j,   s = ||j - Q g||,
-
-    so the new row scores s / ||j|| and row l of R'^-1 is row l of R^-1
-    followed by -h_l / s, with h = R^-1 g.  A base that is already rank
-    deficient scores zero with every row, since adding a row can only
-    lower sigma_min / sigma_max.  Nothing is scaled here: a base or row
-    whose squares overflow, or underflow to zero, fails the condition
-    bound, so its pairs take the SVD formula, which scales.
+    Only what :func:`_householder` leaves of each base^T is kept: R and the
+    k reflectors H_0 .. H_(k-1), never Q.  They take a new row j to
+    x = H_(k-1) ... H_0 j, whose head g = x[:k] is Q^T j and whose tail is
+    the part of j outside the base's row space, of norm s = ||x[k:]||
+    (Golub & Van Loan, Matrix Computations, sections 5.1-5.2).  So the row
+    extends the factor to R' = [[R, g], [0, s]]: it scores s / ||j||, and
+    row l of R'^-1 is row l of R^-1 followed by -h_l / s, with h = R^-1 g.
+    Every sum is written out in index order, as in :func:`batch_reciprocals`.
+    A base that is already rank deficient scores zero with every row, since
+    adding a row can only lower sigma_min / sigma_max.  Nothing is scaled
+    here: a base or row whose squares overflow, or underflow to zero, fails
+    the condition bound, so its pairs take the SVD formula, which scales.
     """
 
     def __init__(self, base, rank_tol: float = RANK_TOL_DEFAULT):
@@ -276,16 +265,12 @@ class ExtensionBase:
         self.base, self.rank_tol = B, rank_tol
         sigma = np.linalg.svd(B, compute_uv=False)
         self.deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
-        A = _batch_last(B)
+        self.factor = _batch_last(B)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tau = _householder(A)
-            R_inv = _triangular_inverse(A[:k])
-            col_sq, inv_row_sq = _norms_sq(A[:k], R_inv)  # ||base row l||^2 and its dual
-            Q = _q_factor(A, tau)
-        # Batch-first again for the stacked matrix products of skewness.
-        self.Q = np.ascontiguousarray(Q.transpose(2, 0, 1))
-        self.R_inv = np.ascontiguousarray(R_inv.transpose(2, 0, 1))
-        self.col_sq, self.inv_row_sq = col_sq.T.copy(), inv_row_sq.T.copy()
+            self.tau = _householder(self.factor)
+            self.R_inv = _triangular_inverse(self.factor[:k])
+            # ||base row l||^2 and its dual, each (k, N).
+            self.col_sq, self.inv_row_sq = _norms_sq(self.factor[:k], self.R_inv)
 
     def skewness(self, rows, repeats=()) -> np.ndarray:
         """1/SK of each base matrix extended by each of its candidate rows.
@@ -298,26 +283,31 @@ class ExtensionBase:
         they score exactly zero, the value of a repeated row, and never
         take the SVD formula.
         """
-        Q, col_sq, inv_row_sq = self.Q, self.col_sq, self.inv_row_sq
+        A, R_inv, col_sq, inv_row_sq = self.factor, self.R_inv, self.col_sq, self.inv_row_sq
         J = np.asarray(rows, dtype=float)
-        n_mats, _, n = self.base.shape
+        n_mats, k, n = self.base.shape
         if J.ndim != 3 or J.shape[0] != n_mats or J.shape[2] != n:
             raise ValueError(f"expected a ({n_mats}, C, {n}) row stack, got shape {J.shape}")
+        X = _batch_last(J)  # (n, C, N)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = J @ Q  # (N, C, k)
-            resid = J - g @ Q.transpose(0, 2, 1)
-            s_sq = np.einsum("ncj,ncj->nc", resid, resid)
-            row_sq = np.einsum("ncj,ncj->nc", J, J)
-            h_over_s_sq = (g @ self.R_inv.transpose(0, 2, 1)) ** 2 / s_sq[..., None]
-            old_rows = col_sq[:, None, :] * (inv_row_sq[:, None, :] + h_over_s_sq)
-            worst_sq = np.maximum(old_rows.max(axis=2), row_sq / s_sq)
-            skew = 1.0 / np.sqrt(worst_sq)
-            bound_sq = (col_sq.sum(axis=1)[:, None] + row_sq) * (
-                inv_row_sq.sum(axis=1)[:, None] + h_over_s_sq.sum(axis=2) + 1.0 / s_sq
+            row_sq = reduce(np.add, (x * x for x in X))
+            for i in range(k):
+                _reflect(A, i, self.tau[i], X)
+            s_sq = reduce(np.add, (x * x for x in X[k:]))
+            h = np.empty(X[:k].shape)  # h_l = sum_(i >= l) R_inv[l, i] g_i
+            for i in range(k):
+                h[:i] += R_inv[:i, i, None] * X[i]
+                h[i] = R_inv[i, i] * X[i]
+            h_over_s_sq = h * h / s_sq
+            old_rows = col_sq[:, None] * (inv_row_sq[:, None] + h_over_s_sq)
+            worst_sq = reduce(np.maximum, old_rows, row_sq / s_sq)
+            skew = (1.0 / np.sqrt(worst_sq)).T
+            bound_sq = (reduce(np.add, col_sq) + row_sq) * (
+                reduce(np.add, inv_row_sq) + reduce(np.add, h_over_s_sq) + 1.0 / s_sq
             )
         skew[self.deficient] = 0.0
         skew[:, repeats] = 0.0
-        fallback = ~(bound_sq < _cond_limit(self.rank_tol) ** 2) & ~self.deficient[:, None]
+        fallback = ~(bound_sq.T < _cond_limit(self.rank_tol) ** 2) & ~self.deficient[:, None]
         fallback[:, repeats] = False
         if fallback.any():
             i, c = np.nonzero(fallback)

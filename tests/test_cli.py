@@ -430,6 +430,8 @@ def test_unsupported_arity_is_a_config_error_before_any_solve(tmp_path, capsys, 
 
 
 KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
+# Symmetric positive definite in its lower triangle alone.
+ASYMMETRIC = [[0.1, 9.0], [0.0, 0.1]]
 
 
 @pytest.mark.parametrize("setting", [
@@ -442,17 +444,22 @@ KDE_SAMPLES = [[0.05, 0.05], [0.1, 0.12], [0.15, 0.08]]
     {"sensors": [[0.5, 0.5], [1.0, 1.0]]}, {"sensors": ["a", 1.0]}, {"sensors": [None, 1.0]},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": 0.3}},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": "foo"}},
+    {"observed": {"kind": "gaussian", "mean": [1.0, 2.0], "cov": ASYMMETRIC}},
+    {"init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": ASYMMETRIC}},
 ], ids=["bandwidth", "count", "count-1", "count-0", "seed", "seed-negative", "observed",
         "observed-mean", "observed-dimension", "sensors", "sensors-duplicate",
         "sensors-dimension", "sensors-string", "sensors-null", "init-bandwidth-number",
-        "init-bandwidth-name"])
+        "init-bandwidth-name", "observed-cov-asymmetric", "init-cov-asymmetric"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     # The initial density is sampling.init, read by every task.
     forbid_solves(monkeypatch)
     (name, value), = setting.items()
-    sampling_section, dci_section, key = (({"init": value}, {}, "sampling.init.bandwidth")
-                                          if name == "init" else ({}, setting, f"dci.{name}"))
+    if name == "init":
+        key = "sampling.init.bandwidth" if "bandwidth" in value else "sampling.init"
+        sampling_section, dci_section = {"init": value}, {}
+    else:
+        key, sampling_section, dci_section = f"dci.{name}", {}, setting
     config = write_config(tmp_path, "dci.json", {
         "task": "dci", "model": ROD, "sampling": {"seed": 2, **sampling_section},
         "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
@@ -745,29 +752,54 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 SWEEP = {"task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1}, "output_dir": "out"}
 
 
-@pytest.mark.parametrize("text, fragment", [
-    (None, "config file not found"),
-    ("{not json", "not valid JSON"),
-    ("[1, 2]", "root must be a JSON object"),
-    (json.dumps(dict(SWEEP, task="oed")), "task: config says 'oed'"),
-    (json.dumps(dict(SWEEP, model={"kind": "synthetic"})),
+INF, NAN = float("inf"), float("nan")  # json.dumps writes Infinity and NaN
+DCI = {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"}
+
+
+@pytest.mark.parametrize("command, text, fragment", [
+    ("sweep", None, "config file not found"),
+    ("sweep", "{not json", "not valid JSON"),
+    ("sweep", "[1, 2]", "root must be a JSON object"),
+    ("sweep", json.dumps(dict(SWEEP, task="oed")), "task: config says 'oed'"),
+    ("sweep", json.dumps(dict(SWEEP, model={"kind": "synthetic"})),
      "model.kind: must be one of ['heat_rod_1d', 'heat_plate_2d'], got 'synthetic'"),
-    (json.dumps(dict(SWEEP, sampling={"seed": 1})), "sampling.count: missing"),
-    (json.dumps({k: v for k, v in SWEEP.items() if k != "output_dir"}), "output_dir: missing"),
-    (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": "x"})), "sampling.seed: expected int"),
-    (json.dumps(dict(SWEEP, sampling={"count": 4, "seed": -1})), "sampling.seed: must be >= 0"),
-    (json.dumps(dict(SWEEP, sampling={"count": True})), "sampling.count: expected int"),
-    (json.dumps(dict(SWEEP, sampling={"count": 4, "box": [[0.01, 0.01], [0.2, 0.2], [9, 9]]})),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"seed": 1})), "sampling.count: missing"),
+    ("sweep", json.dumps({k: v for k, v in SWEEP.items() if k != "output_dir"}),
+     "output_dir: missing"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4, "seed": "x"})),
+     "sampling.seed: expected int"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4, "seed": -1})),
+     "sampling.seed: must be >= 0"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": True})), "sampling.count: expected int"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4,
+                                                "box": [[0.01, 0.01], [0.2, 0.2], [9, 9]]})),
      "sampling.box: expected [lower, upper], got a list of 3"),
+    ("sweep", json.dumps(dict(SWEEP, model=dict(ROD, t_final=INF))),
+     "not valid JSON: Infinity is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, model=dict(ROD, t_final=NAN))),
+     "not valid JSON: NaN is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, model=dict(ROD, t_final=1.0))).replace("1.0", "1e999"),
+     "not valid JSON: 1e999 is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4, "init": {
+        "kind": "uniform-box", "lower": [0.01, 0.01], "upper": [0.1, INF]}})),
+     "not valid JSON: Infinity is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4, "init": {
+        "kind": "gaussian", "mean": [NAN, 0.1], "cov": 0.01}})),
+     "not valid JSON: NaN is not a finite number"),
+    ("dci", json.dumps(dict(DCI, dci={"sensors": [0.0, 1.0], "observed": {
+        "kind": "uniform-box", "lower": [-INF, 0.0], "upper": [1.0, 1.0]}})),
+     "not valid JSON: -Infinity is not a finite number"),
 ], ids=["missing-file", "invalid-json", "root-not-object", "task-mismatch",
         "unknown-kind", "missing-count", "missing-output-dir", "seed-string", "seed-negative",
-        "count-bool", "box-three-rows"])
-def test_config_error_exits_2_before_any_solve(text, fragment, tmp_path, capsys, monkeypatch):
+        "count-bool", "box-three-rows", "t-final-infinity", "t-final-nan", "t-final-overflow",
+        "init-box-infinity", "init-mean-nan", "dci-observed-minus-infinity"])
+def test_config_error_exits_2_before_any_solve(command, text, fragment, tmp_path, capsys,
+                                               monkeypatch):
     forbid_solves(monkeypatch)
-    path = tmp_path / "sweep.json"
+    path = tmp_path / f"{command}.json"
     if text is not None:
         path.write_text(text)
-    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -777,7 +809,7 @@ def test_config_error_exits_2_before_any_solve(text, fragment, tmp_path, capsys,
 TASK_CONFIGS = {
     "sweep": SWEEP, "oed": dict(SWEEP, task="oed"),
     "greedy": dict(SWEEP, task="greedy", greedy={"m_target": 2}),
-    "dci": {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"},
+    "dci": DCI,
 }
 MODEL_SPECS = {"heat_rod_1d": ROD, "heat_plate_2d": {"kind": "heat_plate_2d", "elements": 3}}
 DENSITY_SPECS = {"gaussian": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01},

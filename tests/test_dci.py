@@ -35,6 +35,8 @@ def test_gaussian_density_rejects_bad_covariance():
         dci.GaussianDensity([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # not PSD
     with pytest.raises(ValueError, match="shape"):
         dci.GaussianDensity([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):  # Cholesky reads one triangle
+        dci.GaussianDensity([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_uniform_box_density():

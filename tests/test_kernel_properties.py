@@ -176,6 +176,35 @@ def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, coun
         assert skew[at].tobytes() == alone[i][1].tobytes()
 
 
+@FEW
+@given(st.integers(2, 9), st.integers(0, 7), st.integers(1, 6), st.integers(1, 12),
+       st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+def test_each_extension_scores_the_same_alone_anywhere_and_on_threads(n, drop, count, size,
+                                                                       threads, seed):
+    rng = np.random.default_rng(seed)
+    k = max(1, n - 1 - drop)
+    # The candidate rows, then others; the last row of every third sample
+    # is a hair from base row 0, so that pair takes the SVD route.
+    jacobians = mixed_stack(rng, count, k + size + int(rng.integers(0, 40)), n)
+    base = geo.ExtensionBase(jacobians[:, :k])
+    alone = [base.skewness(jacobians[:, k + c : k + c + 1]) for c in range(size)]
+    # The same rows at random places among the others, scored in chunks of
+    # random sizes on ``threads`` threads, as a strided view.
+    order = rng.permutation(jacobians.shape[1] - k)
+    rows = np.asfortranarray(jacobians[:, k:][:, order])
+    where = np.argsort(order)[:size]
+    cuts = np.unique(np.concatenate([[0, len(order)], rng.integers(0, len(order), size=4)]))
+    skew = np.empty((count, len(order)))
+
+    def score(part):
+        skew[:, part] = base.skewness(rows[:, part])
+
+    sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
+                        threads=threads)
+    for c, at in enumerate(where):
+        assert skew[:, at].tobytes() == alone[c][:, 0].tobytes()
+
+
 @pytest.mark.parametrize("k", [-560, -100, 100, 560])
 @pytest.mark.parametrize("m, n", [(1, 9), (2, 9), (3, 5), (4, 4)])
 def test_power_of_two_scaling_moves_only_the_scaling(k, m, n, monkeypatch):

@@ -105,6 +105,19 @@ def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):
         assert a.scores.tobytes() == b.scores.tobytes()
 
 
+@pytest.mark.parametrize("chunk_matrices", [CHUNK_MATRICES, 60])
+def test_greedy_scores_do_not_depend_on_the_chunk_size(monkeypatch, chunk_matrices):
+    # 40 rows of 20 samples: chunks of 2 rows, or of 3 and a last one of 1.
+    batch = random_batch(n_params=9)
+    space = design.scalar_space(batch.outputs.shape[1])
+    whole = design.greedy_oed(space, batch, m_target=4, tol=1e-12)
+    monkeypatch.setattr(design, "_CHUNK_MATRICES", chunk_matrices)
+    chunked = design.greedy_oed(space, batch, m_target=4, tol=1e-12)
+    assert chunked.selected == whole.selected and len(whole.selected) == 4
+    for a, b in zip(whole.rounds, chunked.rounds, strict=True):
+        assert a.scores.tobytes() == b.scores.tobytes()
+
+
 def block_rows(monkeypatch, samples):
     """Set BLOCK_BYTES to one pair of BLOCK_ROWS-row kernel-density buffers."""
     monkeypatch.setattr(sampling, "BLOCK_BYTES", 16 * samples * BLOCK_ROWS)

@@ -183,18 +183,20 @@ def _settings(cfg: dict, task: str, paper_scale: bool = False) -> dict:
     return _read(flat, "task")
 
 
-def _finite(text: str) -> float:
-    """A JSON number as a float, refusing the NaN, Infinity, -Infinity and
-    overflowing numbers (1e999) that Python's parser admits."""
-    if not np.isfinite(value := float(text)):
+def _finite(text: str, kind=float):
+    """A JSON number as ``kind``, refusing the NaN, Infinity, -Infinity and
+    numbers too large for a double (1e999, or a 1 and 400 zeros) that
+    Python's parser admits."""
+    if not np.isfinite(float(text)):
         raise ValueError(f"{text} is not a finite number")
-    return value
+    return kind(text)
 
 
 def load_config(path: Path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            parse_int=lambda text: _finite(text, int))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _finite's
@@ -633,9 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="threads for model solves, at most one per CPU (default: "
-                            "serial, since solves contend on threads; the rod's stacked "
-                            "march ignores it); "
+                       help="threads for model solves, which run in blocks of points, "
+                            "at most one thread per CPU (default: serial, since solves "
+                            "contend on threads and the rod's hold the GIL); "
                             "criterion kernels and kernel densities "
                             "always use every CPU the process may run on (taskset limits "
                             "them), each thread holding at most one density block "

@@ -10,8 +10,10 @@ conductivity field whose pieces are the uncertain parameters.  The heat
 capacity rho * c and the source are the same in every run, so they are
 module constants; a model takes only its element count, its time step
 count and its final time, the ``model.*`` keys of a run config.
-``evaluate`` returns the nodal temperatures at the final time; observation
-"sensors" are mesh nodes, indexed by position through ``coordinates``.
+Every model has one entry point, ``evaluate_stacked``, which gives the
+nodal temperatures at the final time for a block of parameter points
+(``evaluate`` is a block of one); observation "sensors" are mesh nodes,
+indexed by position through ``coordinates``.
 
 Discretization: piecewise (bi)linear finite elements on a uniform mesh and
 implicit-midpoint time stepping,
@@ -25,11 +27,10 @@ K_r assembled once per mesh.  Only the factorization of (M + dt/2 K) depends
 on lambda; M, K_r and the load vector are shared across evaluations, which
 is what makes tens of thousands of solves per design study affordable.
 
-The plate's ``evaluate_with_jacobian`` and the rod's ``evaluate_stacked``
-also return the exact derivative of the discrete final state with respect
-to every conductivity (tangent-linear, or forward sensitivity, time
-stepping).  Differentiating the step above by lambda_j
-gives, for v_j = du/dlambda_j,
+Asked for it, ``evaluate_stacked`` also returns the exact derivative of
+the discrete final state with respect to every conductivity
+(tangent-linear, or forward sensitivity, time stepping).  Differentiating
+the step above by lambda_j gives, for v_j = du/dlambda_j,
 
     (M + dt/2 K) v_j_next = (M - dt/2 K) v_j - dt/2 K_j (u + u_next),
 
@@ -37,7 +38,7 @@ the same two matrices, so the one factorization per parameter point serves
 the state and all n sensitivities.  Each step solves once for u_next and
 once for the n sensitivity columns together.
 
-The plate's one factorization per sample is SuperLU's sparse LU of
+The plate's one factorization per point is SuperLU's sparse LU of
 A = M + dt/2 K in symmetric mode: one minimum-degree ordering of the
 pattern of A + A^T for rows and columns alike, and diagonal pivots.  A is
 symmetric positive definite (M is, each K_r is positive semidefinite and
@@ -47,19 +48,18 @@ interchanges, and the symmetric ordering keeps the factors sparse: about
 ordering.
 
 The rod is small (41 nodes by default) and is evaluated thousands of
-times per study, so it marches many parameter points at once.  Its M and
-K_r are assembled as bands straight from the element loop, O(P) floats
-for P nodes, never as dense matrices.  Its A is a symmetric positive
-definite tridiagonal matrix, and
-``HeatRod1D.evaluate_stacked`` treats a chunk of C points as one
-block-diagonal tridiagonal system of C * P rows, with a zero off-diagonal
+times per study, so its blocks hold as many parameter points as fit in
+``sampling.BLOCK_BYTES``.  Its M and K_r are assembled as bands straight
+from the element loop, O(P) floats for P nodes, never as dense matrices.
+Its A is a symmetric positive definite tridiagonal matrix, and
+``HeatRod1D.evaluate_stacked`` treats a block of B points as one
+block-diagonal tridiagonal system of B * P rows, with a zero off-diagonal
 entry between two points.  LAPACK's tridiagonal LDL^T (``dpttrf``) factors
 it once, ``dpttrs`` solves each step at O(P) cost per column and point,
 and B and the couplings K_j w are three-band products.  A zero coupling
 leaves each point's factor and solve as if the point were alone, and
 ``dpttrs`` solves every right-hand column on its own, so a point's result
-depends neither on its chunk nor on the BLAS threads; ``evaluate`` is a
-chunk of one.
+depends neither on its block nor on the BLAS threads.
 """
 
 from __future__ import annotations
@@ -87,15 +87,13 @@ class ForwardModel:
     """Deterministic map from parameters to an observable field.
 
     Subclasses set ``model_id``, ``n_params``, ``field_size`` and
-    ``coordinates`` (one coordinate row per field value) and implement
-    ``evaluate``.  A field-Jacobian batch needs the model's exact Jacobian,
-    through one of two entry points: ``evaluate_with_jacobian(lam) -> (u, J)``
-    at one point, J of shape (field_size, n_params), as the plate does; or
-    ``evaluate_stacked(points, with_jacobian) -> (U, J)`` at many points at
-    once, as the rod does, U (N, field_size) and J (N, field_size, n_params)
-    or None, raising ``ModelEvaluationError`` with the row of the first
-    inadmissible point; :func:`sampling.evaluate_samples` then calls it once
-    for all samples.
+    ``coordinates`` (one coordinate row per field value) and implement the
+    one entry point ``evaluate_stacked(points, with_jacobian) -> (U, J)``:
+    at a block of at most ``block_points`` rows of ``points`` (B, n), the
+    outputs U (B, field_size) and, with ``with_jacobian``, their exact
+    Jacobians J (B, field_size, n), else None.  It may raise
+    ``ModelEvaluationError`` naming a row of the block, which
+    :func:`sampling.evaluate_samples` turns into the caller's sample.
     Instances are immutable after construction and safe to evaluate
     concurrently at distinct parameter points.
     """
@@ -103,11 +101,20 @@ class ForwardModel:
     model_id: str = "forward-model"
     n_params: int = 0
     field_size: int = 0
+    block_points: int = 1
     coordinates: np.ndarray
     parameter_box: ParameterBox
 
-    def evaluate(self, lam) -> np.ndarray:
+    def evaluate_stacked(self, points, with_jacobian=False):
         raise NotImplementedError
+
+    def evaluate(self, lam) -> np.ndarray:
+        """The outputs at one point, as a block of one; ValueError for a
+        point of the wrong shape or one the model refuses."""
+        try:
+            return self.evaluate_stacked(np.atleast_1d(np.asarray(lam, dtype=float))[None])[0][0]
+        except ModelEvaluationError as exc:
+            raise ValueError(exc.cause) from None
 
     def nearest_field_index(self, coordinate) -> int:
         """Index of the observable location closest to ``coordinate``;
@@ -157,15 +164,6 @@ def _source(squared_distance):
     return _SOURCE_AMPLITUDE * np.exp(-squared_distance / _SOURCE_WIDTH)
 
 
-def _check_conductivities(lam, n_params):
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (n_params,):
-        raise ValueError(f"expected {n_params} conductivities, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError(_BAD_CONDUCTIVITIES)
-    return lam
-
-
 class _HeatModel(ForwardModel):
     """What both heat models share: the id, the time grid, and a box of
     conductivities in [0.01, 0.2]."""
@@ -179,6 +177,19 @@ class _HeatModel(ForwardModel):
         self.t_final = float(t_final)
         self.dt = self.t_final / time_steps
         self.parameter_box = ParameterBox([0.01] * n_params, [0.2] * n_params)
+
+    def _conductivities(self, points):
+        """``points`` as a float (B, n) array.  ValueError for another shape;
+        ModelEvaluationError naming the first row whose conductivities are
+        not all finite and positive, before any solve."""
+        lam = np.asarray(points, dtype=float)
+        if lam.ndim != 2 or lam.shape[1] != self.n_params:
+            raise ValueError(f"expected points of shape (N, {self.n_params}), got {lam.shape}")
+        admissible = np.all(np.isfinite(lam) & (lam > 0.0), axis=1)
+        if not admissible.all():
+            i = int(np.argmin(admissible))
+            raise ModelEvaluationError(i, lam[i], _BAD_CONDUCTIVITIES)
+        return lam
 
 
 class HeatRod1D(_HeatModel):
@@ -222,51 +233,24 @@ class HeatRod1D(_HeatModel):
                 weighted = 0.5 * h * _source((0.5 - (nodes[e] + t * h)) ** 2)
                 self._load[e] += weighted * (1.0 - t)
                 self._load[e + 1] += weighted * t
-        # Per point, a chunk holds the bands of dt/2 K, A, B and the factor,
+        # Per point, a block holds the bands of dt/2 K, A, B and the factor,
         # the n region bands of the couplings, the state and n sensitivity
         # columns and their step temporaries: about 30 columns of P floats.
-        # A chunk takes as many points as fit in BLOCK_BYTES, so memory stays
+        # A block takes as many points as fit in BLOCK_BYTES, so memory stays
         # bounded whatever the point count.
-        point_bytes = 32 * nodes.nbytes
-        self._chunk = max(1, BLOCK_BYTES // point_bytes)
-
-    def evaluate(self, lam) -> np.ndarray:
-        return self._march(_check_conductivities(lam, self.n_params)[None], False)[0][0]
+        self.block_points = max(1, BLOCK_BYTES // (32 * nodes.nbytes))
 
     def evaluate_stacked(self, points, with_jacobian=False):
-        """Final temperatures (N, P) at every row of ``points`` (N, 2) and,
-        with ``with_jacobian``, their exact (N, P, 2) Jacobians, else None.
+        """Final temperatures (B, P) at every row of ``points`` (B, 2) and,
+        with ``with_jacobian``, their exact (B, P, 2) Jacobians, else None.
 
-        Points are marched in chunks of a fixed size, set by a byte budget;
-        a point's result is bit-identical to its result in a chunk of one.
-        The first point with a conductivity that is not finite and positive
-        raises ModelEvaluationError naming its row, before any solve.
+        The block is one block-diagonal system of B * P rows whose off band
+        is zero between two points, so a point's result is bit-identical to
+        its result in a block of one.  It is factored once, and states are
+        (B * P, 1) columns so that one three-band product and one ``dpttrs``
+        call serve states and (B * P, n) sensitivity blocks alike.
         """
-        lam = np.asarray(points, dtype=float)
-        if lam.ndim != 2 or lam.shape[1] != self.n_params:
-            raise ValueError(f"expected points of shape (N, {self.n_params}), got {lam.shape}")
-        admissible = np.all(np.isfinite(lam) & (lam > 0.0), axis=1)
-        if not admissible.all():
-            i = int(np.argmin(admissible))
-            raise ModelEvaluationError(i, lam[i], _BAD_CONDUCTIVITIES)
-        outputs = np.empty((lam.shape[0], self.field_size))
-        jacobians = np.empty(outputs.shape + (self.n_params,)) if with_jacobian else None
-        for start in range(0, lam.shape[0], self._chunk):
-            part = slice(start, start + self._chunk)
-            outputs[part], J = self._march(lam[part], with_jacobian, start)
-            if with_jacobian:
-                jacobians[part] = J
-        return outputs, jacobians
-
-    def _march(self, lam, with_jacobian, first=0):
-        """March a chunk of admissible conductivities (C, 2) at once; row c
-        is sample ``first + c`` of the caller's points.
-
-        The chunk is one block-diagonal system of C * P rows whose off band
-        is zero between two points.  It is factored once, and states are
-        (C * P, 1) columns so that one three-band product and one ``dpttrs``
-        call serve states and (C * P, n) sensitivity blocks alike.
-        """
+        lam = self._conductivities(points)
         size = lam.shape[0] * self.field_size
         half_dt_K = (0.5 * self.dt) * (lam[:, :, None, None] * self._stiff_bands).sum(axis=1)
         A = (self._mass_bands + half_dt_K).swapaxes(0, 1).reshape(2, size)
@@ -274,7 +258,7 @@ class HeatRod1D(_HeatModel):
         factor_d, factor_e, info = scipy.linalg.lapack.dpttrf(A[0], A[1, :-1])
         if info:
             row = (info - 1) // self.field_size
-            raise ModelEvaluationError(first + row, lam[row],
+            raise ModelEvaluationError(row, lam[row],
                                        f"M + dt/2 K is not positive definite (dpttrf info {info})")
 
         def solve(rhs):
@@ -371,28 +355,28 @@ class HeatPlate2D(_HeatModel):
         self._stiff_stack = scipy.sparse.vstack(self._stiff_regions).tocsr()
         self._load = load
 
-    def evaluate(self, lam) -> np.ndarray:
-        return self._march(lam, with_jacobian=False)[0]
-
-    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Final temperatures and their exact (P, 9) conductivity Jacobian."""
-        return self._march(lam, with_jacobian=True)
-
-    def _march(self, lam, with_jacobian):
-        lam = _check_conductivities(lam, self.n_params)
-        K = lam[0] * self._stiff_regions[0]
-        for r in range(1, 9):
-            K = K + lam[r] * self._stiff_regions[r]
-        A = (self._mass + 0.5 * self.dt * K).tocsc()
-        B = (self._mass - 0.5 * self.dt * K).tocsr()
-        # A is SPD: a symmetric fill-reducing ordering, diagonal pivots.
-        lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
+    def evaluate_stacked(self, points, with_jacobian=False):
+        """Final temperatures (B, P) at every row of ``points`` (B, 9) and,
+        with ``with_jacobian``, their exact (B, P, 9) Jacobians, else None.
+        Each point is factored and marched on its own."""
         size, n_params = self.field_size, self.n_params
-        V = np.zeros((size, n_params)) if with_jacobian else None
 
         def couple(w):
             return (self._stiff_stack @ w).reshape(n_params, size).T
 
-        return _implicit_midpoint(lu.solve, B.__matmul__, couple, self.dt * self._load, V,
-                                  self.time_steps, self.dt)
+        states, sensitivities = [], []
+        for lam in self._conductivities(points):
+            K = lam[0] * self._stiff_regions[0]
+            for r in range(1, 9):
+                K = K + lam[r] * self._stiff_regions[r]
+            A = (self._mass + 0.5 * self.dt * K).tocsc()
+            B = (self._mass - 0.5 * self.dt * K).tocsr()
+            # A is SPD: a symmetric fill-reducing ordering, diagonal pivots.
+            lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+            V = np.zeros((size, n_params)) if with_jacobian else None
+            u, V = _implicit_midpoint(lu.solve, B.__matmul__, couple, self.dt * self._load, V,
+                                      self.time_steps, self.dt)
+            states.append(u)
+            sensitivities.append(V)
+        return np.array(states), np.array(sensitivities) if with_jacobian else None

@@ -4,16 +4,15 @@ The expensive object in a design study is the *field* Jacobian batch: for N
 parameter samples, the model output at every observable location together
 with its derivative with respect to every parameter.  Candidate designs are
 then priced by selecting rows out of this batch, so the model runs once per
-sample, not once per design.  A model that can differentiate itself
-(``evaluate_with_jacobian`` or ``evaluate_stacked``: the heat models by
-tangent-linear time stepping) gives exact Jacobians from one run per
-sample, and only such a model can make a batch.
+sample, not once per design.  Every model differentiates itself (the heat
+models by tangent-linear time stepping), so one run per sample gives exact
+Jacobians.
 
 Every loop over samples, for field batches and for data-consistent
-inversion alike, goes through :func:`evaluate_samples`.  A model with
-``evaluate_stacked`` (the rod) marches all samples in fixed-size chunks in
-one call; any other model runs one task per sample, on threads when asked.
-:func:`thread_map` runs those tasks, and the chunks of the design kernels
+inversion alike, goes through :func:`evaluate_samples`.  It splits the
+samples into blocks of ``model.block_points`` and runs one
+``model.evaluate_stacked`` call per block, on ``--workers`` threads.
+:func:`thread_map` runs those blocks, and the chunks of the design kernels
 and kernel densities, which take every CPU the process may run on.
 """
 
@@ -32,7 +31,7 @@ import numpy as np
 BATCH_SCHEMA_VERSION = 6
 
 # Bytes of working set that one thread of a blocked loop may hold: the
-# kernel density's pair of block buffers, a rod chunk's bands and columns.
+# kernel density's pair of block buffers, a rod block's bands and columns.
 # Sized to fit one core's L2 cache.  A loop takes as many rows or points as
 # fit, so its block boundaries depend on the problem's sizes alone and the
 # memory in flight is at most the thread count times this.
@@ -129,6 +128,7 @@ class ModelEvaluationError(RuntimeError):
     def __init__(self, sample_index: int, parameters, cause: str):
         self.sample_index = sample_index
         self.parameters = np.asarray(parameters, dtype=float)
+        self.cause = cause
         super().__init__(
             f"model evaluation failed at sample {sample_index}, "
             f"parameters {self.parameters.tolist()}: {cause}"
@@ -178,54 +178,40 @@ def evaluate_samples(
 
     Returns ``(outputs, jacobians)``: outputs (N, R) and jacobians
     (N, R, n), or None without ``with_jacobian``, where R counts ``rows``
-    (observable indices; None keeps the whole field).  A model with
-    ``evaluate_stacked`` is called once for all points.  Any other model
-    runs one task per sample: ``evaluate``, or ``evaluate_with_jacobian``
-    for the exact Jacobian.  With ``with_jacobian``, a model that has
-    neither ``evaluate_stacked`` nor ``evaluate_with_jacobian`` is refused
-    with ValueError before any call.  ``workers`` > 1 runs the tasks on
-    that many threads of :func:`thread_map`, at most one per CPU (the model
-    must be safe to call concurrently); the default is serial.
-    A raise inside the model, or a non-finite output or Jacobian, becomes a
-    ModelEvaluationError naming the sample.
+    (observable indices; None keeps the whole field).  The points are split
+    into blocks of ``model.block_points``, and :func:`thread_map` runs one
+    ``model.evaluate_stacked`` call per block on ``workers`` threads, at
+    most one per CPU (the model must be safe to call concurrently); the
+    default is serial.  Each block is written into the preallocated
+    results, so they depend on neither the thread count nor the order.
+    A model's ModelEvaluationError names the sample its row is; any other
+    raise inside the model names the block's first sample, and a non-finite
+    output or Jacobian names its own.
     """
     points = np.asarray(points, dtype=float)
     n_samples, n_params = points.shape
     take = slice(None) if rows is None else [int(r) for r in rows]
-
-    if hasattr(model, "evaluate_stacked"):
-        outputs, jacobians = model.evaluate_stacked(points, with_jacobian)
-        outputs = outputs[:, take]
-        if with_jacobian:
-            jacobians = jacobians[:, take]
-        _require_finite(points, 0, outputs, jacobians)
-        return outputs, jacobians
-
-    if with_jacobian and not hasattr(model, "evaluate_with_jacobian"):
-        raise ValueError(f"{type(model).__name__} gives no Jacobian: a batch needs "
-                         "evaluate_with_jacobian or evaluate_stacked")
     # Preallocated, so the batch is never held twice.
     size = model.field_size if rows is None else len(take)
     outputs = np.empty((n_samples, size))
     jacobians = np.empty((n_samples, size, n_params)) if with_jacobian else None
 
-    def one_sample(i):
-        lam = points[i]
+    def one_block(first):
+        block = slice(first, first + model.block_points)
         try:
-            if with_jacobian:
-                base, jac = (np.asarray(a, dtype=float)
-                             for a in model.evaluate_with_jacobian(lam))
-            else:
-                base, jac = np.asarray(model.evaluate(lam), dtype=float), None
-        except Exception as exc:  # propagate with the offending sample attached
-            raise ModelEvaluationError(i, lam, repr(exc)) from exc
-        outputs[i] = base[take]
+            U, J = model.evaluate_stacked(points[block], with_jacobian)
+        except ModelEvaluationError as exc:
+            i = first + exc.sample_index
+            raise ModelEvaluationError(i, points[i], exc.cause) from exc
+        except Exception as exc:  # named by the block's first sample
+            raise ModelEvaluationError(first, points[first], repr(exc)) from exc
+        outputs[block] = U[:, take]
         if with_jacobian:
-            jacobians[i] = jac[take]
-        _require_finite(points, i, outputs[i : i + 1],
-                        None if jacobians is None else jacobians[i : i + 1])
+            jacobians[block] = J[:, take]
+        _require_finite(points, first, outputs[block],
+                        None if jacobians is None else jacobians[block])
 
-    thread_map(one_sample, range(n_samples), threads=workers or 1)
+    thread_map(one_block, range(0, n_samples, model.block_points), threads=workers or 1)
     return outputs, jacobians
 
 
@@ -234,11 +220,9 @@ def estimate_field_jacobians(
     samples: SampleSet,
     workers: int | None = None,
 ) -> FieldJacobianBatch:
-    """Exact Jacobians of the full observable field at every sample, from
-    the model's ``evaluate_with_jacobian`` (or ``evaluate_stacked``); see
-    :func:`evaluate_samples` for the evaluation, the ``workers`` pool, the
-    refusal of any other model and the ModelEvaluationError naming a
-    failed sample.
+    """Exact Jacobians of the full observable field at every sample; see
+    :func:`evaluate_samples` for the blocks, the ``workers`` threads and
+    the ModelEvaluationError naming a failed sample.
     """
     outputs, jacobians = evaluate_samples(model, samples.points, with_jacobian=True,
                                           workers=workers)

@@ -120,16 +120,13 @@ class SyntheticModel(ForwardModel):
         self.field_size = probe.size
         self.coordinates = np.arange(self.field_size, dtype=float)
 
-    def evaluate(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got shape {lam.shape}")
-        return np.asarray(self._func(lam), dtype=float)
-
-    def evaluate_with_jacobian(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Output and its exact (field_size, n_params) Jacobian."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.evaluate(lam), np.asarray(self._jacobian(lam), dtype=float)
+    def evaluate_stacked(self, points, with_jacobian=False):
+        """Outputs (B, field_size) and their exact (B, field_size, n_params)
+        Jacobians, or None, at every row of ``points``."""
+        outputs = np.array([self._func(p) for p in points], dtype=float)
+        if not with_jacobian:
+            return outputs, None
+        return outputs, np.array([self._jacobian(p) for p in points], dtype=float)
 
 
 def linear_model(matrix, model_id: str = "linear", box=None) -> SyntheticModel:

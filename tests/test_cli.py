@@ -308,11 +308,12 @@ def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch, caplog):
 
 
 def negate_the_rod_points(monkeypatch):
-    """March every rod point with its conductivities negated, so the rod
+    """Evaluate every sample with its conductivities negated, so the rod
     refuses the first sample of any batch or ensemble."""
-    march = models.HeatRod1D.evaluate_stacked
-    monkeypatch.setattr(models.HeatRod1D, "evaluate_stacked",
-                        lambda self, points, *args: march(self, -points, *args))
+    evaluate = sampling.evaluate_samples
+    monkeypatch.setattr(sampling, "evaluate_samples",
+                        lambda model, points, *args, **kwargs:
+                        evaluate(model, -points, *args, **kwargs))
 
 
 def test_model_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -413,8 +414,8 @@ def test_box_outside_the_model_box_is_a_config_error(tmp_path, capsys, monkeypat
 
 def forbid_solves(monkeypatch):
     """Make every model solve, and building a design space, fail loudly."""
-    for owner, name in ((sampling, "evaluate_samples"), (models.HeatRod1D, "_march"),
-                        (models.HeatPlate2D, "_march"), (design, "scalar_space"),
+    for owner, name in ((sampling, "evaluate_samples"), (models.HeatRod1D, "evaluate_stacked"),
+                        (models.HeatPlate2D, "evaluate_stacked"), (design, "scalar_space"),
                         (design, "pair_space")):
         monkeypatch.setattr(owner, name, None)
 
@@ -753,6 +754,7 @@ SWEEP = {"task": "sweep", "model": ROD, "sampling": {"count": 4, "seed": 1}, "ou
 
 
 INF, NAN = float("inf"), float("nan")  # json.dumps writes Infinity and NaN
+BIG = 10 ** 400  # an integer literal too large for a double
 DCI = {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir": "out"}
 
 
@@ -789,10 +791,17 @@ DCI = {"task": "dci", "model": ROD, "dci": {"sensors": [0.0, 1.0]}, "output_dir"
     ("dci", json.dumps(dict(DCI, dci={"sensors": [0.0, 1.0], "observed": {
         "kind": "uniform-box", "lower": [-INF, 0.0], "upper": [1.0, 1.0]}})),
      "not valid JSON: -Infinity is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, model=dict(ROD, t_final=BIG))),
+     f"not valid JSON: {BIG} is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, model=dict(ROD, time_steps=BIG))),
+     f"not valid JSON: {BIG} is not a finite number"),
+    ("sweep", json.dumps(dict(SWEEP, sampling={"count": 4, "box": [[0.01, 0.01], [0.2, BIG]]})),
+     f"not valid JSON: {BIG} is not a finite number"),
 ], ids=["missing-file", "invalid-json", "root-not-object", "task-mismatch",
         "unknown-kind", "missing-count", "missing-output-dir", "seed-string", "seed-negative",
         "count-bool", "box-three-rows", "t-final-infinity", "t-final-nan", "t-final-overflow",
-        "init-box-infinity", "init-mean-nan", "dci-observed-minus-infinity"])
+        "init-box-infinity", "init-mean-nan", "dci-observed-minus-infinity",
+        "t-final-huge-int", "time-steps-huge-int", "box-huge-int"])
 def test_config_error_exits_2_before_any_solve(command, text, fragment, tmp_path, capsys,
                                                monkeypatch):
     forbid_solves(monkeypatch)

@@ -210,7 +210,8 @@ def sample_point(model, seed):
 
 def exact_jacobian(model, lam):
     """Output and Jacobian at ``lam``, by the route every field batch takes."""
-    u, J = sampling.evaluate_samples(model, lam[None], with_jacobian=True)
+    u, J = sampling.evaluate_samples(model, np.asarray(lam, dtype=float)[None],
+                                     with_jacobian=True)
     return u[0], J[0]
 
 
@@ -283,7 +284,7 @@ def test_plate_factorization_agrees_with_the_default_ordering(elements):
     alternating = np.where(np.arange(9) % 2, box.upper, box.lower)
     points = [box.lower, box.upper, alternating, box.midpoint, sample_point(plate, 4)]
     for lam in points:
-        u, J = plate.evaluate_with_jacobian(lam)
+        u, J = exact_jacobian(plate, lam)
         u_ref, J_ref = default_ordering_reference(plate, lam)
         assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
         assert column_errors(J, J_ref).max() <= 1e-12
@@ -318,25 +319,21 @@ def rod_points(rod):
 
 
 def test_rod_stack_is_bit_identical_across_chunk_sizes(rod, rod_points):
-    # The box corners, the softest and the stiffest rod, share one chunk but at size 1.
+    # The box corners, the softest and the stiffest rod, share one block but at size 1.
     box = rod.parameter_box
     points = np.vstack([box.lower, box.upper, rod_points])
-    assert rod._chunk >= len(points)  # one chunk of N
+    assert rod.block_points >= len(points)  # one block of N
     U, J = rod.evaluate_stacked(points, with_jacobian=True)
     for size in (1, 7):
-        chunked = models.HeatRod1D()
-        chunked._chunk = size
-        U_c, J_c = chunked.evaluate_stacked(points, with_jacobian=True)
-        assert np.array_equal(U_c, U)
-        assert np.array_equal(J_c, J)
+        blocks = [rod.evaluate_stacked(points[i:i + size], True)
+                  for i in range(0, len(points), size)]
+        assert np.array_equal(np.vstack([u for u, _ in blocks]), U)
+        assert np.array_equal(np.vstack([jac for _, jac in blocks]), J)
     plain, none = rod.evaluate_stacked(points)
     assert none is None
     assert np.array_equal(plain, U)
-    for lam, u, jac in zip(points, U, J):
+    for lam, u in zip(points, U):
         assert np.array_equal(rod.evaluate(lam), u)
-        u_1, jac_1 = rod.evaluate_stacked(lam[None], True)
-        assert np.array_equal(u_1[0], u)
-        assert np.array_equal(jac_1[0], jac)
 
 
 def test_rod_stack_agrees_with_the_cholesky_march(rod, rod_points):
@@ -353,21 +350,27 @@ def test_rod_stack_memory_is_bounded_by_the_chunk_budget(rod):
     output_bytes = points.shape[0] * rod.field_size * (1 + rod.n_params) * 8
     tracemalloc.start()
     try:
-        rod.evaluate_stacked(points, with_jacobian=True)
+        sampling.evaluate_samples(rod, points, with_jacobian=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= output_bytes + 2 * sampling.BLOCK_BYTES
 
 
-def test_rod_march_refuses_a_system_that_is_not_positive_definite(rod):
+def test_rod_march_refuses_a_system_that_is_not_positive_definite(monkeypatch):
     # Admissible conductivities always give an SPD system; a negative one,
-    # past the admissibility check, gives a negative pivot in the second point.
-    lam = np.array([[0.1, 0.1], [-50.0, 0.1], [0.1, 0.1]])
+    # past the admissibility check, gives a negative pivot in row 4 of the
+    # block of 7 that starts at sample 7.
+    rod = models.HeatRod1D(elements=10, time_steps=5)
+    rod.block_points = 7
+    monkeypatch.setattr(models.HeatRod1D, "_conductivities",
+                        lambda self, points: np.asarray(points, dtype=float))
+    points = np.full((20, 2), 0.1)
+    points[11, 0] = -50.0
     with pytest.raises(sampling.ModelEvaluationError, match="not positive definite") as err:
-        rod._march(lam, False, first=10)
+        sampling.evaluate_samples(rod, points)
     assert err.value.sample_index == 11
-    assert np.array_equal(err.value.parameters, lam[1])
+    assert np.array_equal(err.value.parameters, points[11])
 
 
 def test_rod_stack_names_the_first_inadmissible_point(rod, rod_points):
@@ -387,14 +390,14 @@ def test_rod_stack_names_the_first_inadmissible_point(rod, rod_points):
 
 def test_quadratic_jacobian_by_hand():
     quad = model_oracles.quadratic_model()
-    assert np.allclose(quad.evaluate_with_jacobian([1.0, 1.0])[1], [[2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(exact_jacobian(quad, [1.0, 1.0])[1], [[2.0, 0.0], [1.0, 1.0]])
     assert np.allclose(quad.evaluate([2.0, 3.0]), [4.0, 6.0])
 
 
 def test_linear_model_jacobian_is_matrix():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     lin = model_oracles.linear_model(A)
-    assert np.allclose(lin.evaluate_with_jacobian([0.3, 0.7])[1], A)
+    assert np.allclose(exact_jacobian(lin, [0.3, 0.7])[1], A)
     assert np.allclose(lin.evaluate([1.0, 1.0]), A.sum(axis=1))
 
 
@@ -403,7 +406,7 @@ def test_rotation_family_leaves_criteria_unchanged():
     base = geometry_oracles.local_skewness_svd(A)
     for theta in (0.3, 1.1, 2.7):
         # Rotating the outputs preserves singular values, hence scaling.
-        _, J_out = model_oracles.rotated_linear_model(theta, A).evaluate_with_jacobian([0.0, 0.0])
+        _, J_out = exact_jacobian(model_oracles.rotated_linear_model(theta, A), [0.0, 0.0])
         assert np.allclose(geometry_oracles.singular_values(J_out), base.singular_values)
         assert geometry_oracles.cross_section_measure(J_out) == pytest.approx(
             base.scaling, rel=1e-10)

@@ -5,57 +5,52 @@ import zipfile
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import geometry_oracles
-import model_oracles
 from svoed import design, geometry, models, sampling
 
 
 class CountingModel(models.ForwardModel):
-    """Wraps another model, exposing only ``evaluate``, and counts its calls."""
+    """Wraps another model in blocks of ``block_points``, and records the
+    size of every block it is called on."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, block_points):
         self.inner = inner
         self.model_id = inner.model_id
         self.n_params = inner.n_params
         self.field_size = inner.field_size
         self.coordinates = inner.coordinates
         self.parameter_box = inner.parameter_box
-        self.calls = 0
+        self.block_points = block_points
+        self.blocks = []
 
-    def evaluate(self, lam):
-        self.calls += 1
-        return self.inner.evaluate(lam)
+    def evaluate_stacked(self, points, with_jacobian=False):
+        self.blocks.append(len(points))
+        return self.inner.evaluate_stacked(points, with_jacobian)
 
 
 class FailingModel(models.ForwardModel):
+    """The sum of the parameters, with a unit Jacobian that is NaN at
+    ``nan_at``; a RuntimeError at ``fail_at``."""
+
     model_id = "failing"
     n_params = 2
     field_size = 1
 
-    def __init__(self, fail_at):
+    def __init__(self, fail_at, nan_at=None):
         self.fail_at = np.asarray(fail_at, dtype=float)
+        self.nan_at = None if nan_at is None else np.asarray(nan_at, dtype=float)
         self.coordinates = np.zeros(1)
         self.parameter_box = sampling.ParameterBox([0, 0], [1, 1])
 
-    def evaluate(self, lam):
-        if np.allclose(lam, self.fail_at):
+    def evaluate_stacked(self, points, with_jacobian=False):
+        if any(np.allclose(lam, self.fail_at) for lam in points):
             raise RuntimeError("boom")
-        return np.atleast_1d(np.sum(lam))
-
-
-class ExactModel(FailingModel):
-    """FailingModel with its own Jacobian, which is NaN at ``nan_at``."""
-
-    def __init__(self, fail_at, nan_at=None):
-        super().__init__(fail_at)
-        self.nan_at = None if nan_at is None else np.asarray(nan_at, dtype=float)
-
-    def evaluate_with_jacobian(self, lam):
-        jac = np.ones((1, 2))
-        if self.nan_at is not None and np.allclose(lam, self.nan_at):
-            jac[0, 1] = np.nan
-        return self.evaluate(lam), jac
+        jac = np.ones((len(points), 1, 2))
+        if self.nan_at is not None:
+            jac[[np.allclose(lam, self.nan_at) for lam in points], 0, 1] = np.nan
+        return points.sum(axis=1)[:, None], jac if with_jacobian else None
 
 
 def unit_box(n=2):
@@ -113,18 +108,18 @@ def test_evaluation_failure_reports_sample_and_parameters():
 def test_exact_jacobian_failure_reports_sample_and_parameters():
     s = sampling.draw_samples(unit_box(), 5, seed=9)
     with pytest.raises(sampling.ModelEvaluationError) as err:
-        sampling.estimate_field_jacobians(ExactModel(s.points[3]), s)
+        sampling.estimate_field_jacobians(FailingModel(s.points[3]), s)
     assert err.value.sample_index == 3
     assert np.allclose(err.value.parameters, s.points[3])
 
     with pytest.raises(sampling.ModelEvaluationError, match="non-finite") as err:
-        sampling.estimate_field_jacobians(ExactModel([2.0, 2.0], nan_at=s.points[1]), s)
+        sampling.estimate_field_jacobians(FailingModel([2.0, 2.0], nan_at=s.points[1]), s)
     assert err.value.sample_index == 1
 
 
 def test_bad_point_in_the_middle_of_a_rod_chunk_names_its_sample():
     rod = models.HeatRod1D(elements=10, time_steps=5)
-    rod._chunk = 7
+    rod.block_points = 7
     s = sampling.draw_samples(rod.parameter_box, 20, seed=3)
     s.points[9] = [0.05, 0.0]
     for call in (lambda: sampling.estimate_field_jacobians(rod, s),
@@ -133,6 +128,34 @@ def test_bad_point_in_the_middle_of_a_rod_chunk_names_its_sample():
             call()
         assert err.value.sample_index == 9
         assert np.array_equal(err.value.parameters, s.points[9])
+
+
+def test_plate_block_whose_march_raises_names_its_sample(monkeypatch):
+    plate = models.HeatPlate2D(elements=3, time_steps=5)
+    s = sampling.draw_samples(plate.parameter_box, 5, seed=8)
+    splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def fourth_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", fourth_fails)
+    with pytest.raises(sampling.ModelEvaluationError, match="exactly singular") as err:
+        sampling.estimate_field_jacobians(plate, s)
+    assert err.value.sample_index == 3
+    assert np.array_equal(err.value.parameters, s.points[3])
+
+
+@pytest.mark.parametrize("block_points", [1, 3, 5, 8])
+def test_evaluate_samples_calls_the_model_once_per_block(block_points):
+    model = CountingModel(models.HeatRod1D(elements=10, time_steps=5), block_points)
+    points = sampling.draw_samples(model.parameter_box, 5, seed=1).points
+    outputs, _ = sampling.evaluate_samples(model, points)
+    assert model.blocks == [min(block_points, 5 - first) for first in range(0, 5, block_points)]
+    assert np.array_equal(outputs, model.inner.evaluate_stacked(points)[0])
 
 
 @pytest.mark.parametrize("model", [
@@ -146,25 +169,6 @@ def test_evaluate_samples_restricts_to_design_rows(model):
     assert none is None
     assert np.array_equal(rows, field[:, [10, 0, 10]])
     assert jac.shape == (5, model.field_size, model.n_params)
-
-
-def test_models_without_their_own_jacobian_are_refused():
-    model = CountingModel(model_oracles.quadratic_model())
-    s = sampling.draw_samples(model.parameter_box, 4, seed=9)
-    with pytest.raises(ValueError, match="no Jacobian"):
-        sampling.estimate_field_jacobians(model, s)
-    with pytest.raises(ValueError, match="no Jacobian"):
-        sampling.evaluate_samples(model, s.points, with_jacobian=True)
-    assert model.calls == 0
-
-
-def test_exact_threaded_matches_serial():
-    plate = models.HeatPlate2D(elements=6, time_steps=5)
-    s = sampling.draw_samples(plate.parameter_box, 6, seed=4)
-    serial = sampling.estimate_field_jacobians(plate, s)
-    threaded = sampling.estimate_field_jacobians(plate, s, workers=2)
-    assert np.array_equal(serial.jacobians, threaded.jacobians)
-    assert np.array_equal(serial.outputs, threaded.outputs)
 
 
 def test_per_sample_batch_is_held_once():
@@ -220,12 +224,9 @@ def test_assemble_matches_restricted_model_fd(rod_batch_small):
         coordinates = np.array([0.0, 1.0])
         parameter_box = rod.parameter_box
 
-        def evaluate(self, lam):
-            return rod.evaluate(lam)[[p, q]]
-
-        def evaluate_with_jacobian(self, lam):
-            u, jac = rod.evaluate_stacked(lam[None], True)
-            return u[0, [p, q]], jac[0, [p, q]]
+        def evaluate_stacked(self, points, with_jacobian=False):
+            U, J = rod.evaluate_stacked(points, with_jacobian)
+            return U[:, [p, q]], J[:, [p, q]]
 
     restricted_batch = sampling.estimate_field_jacobians(Restricted(), batch.samples)
     # Same arithmetic on the same evaluations: identical, not merely close.

@@ -1,5 +1,6 @@
-"""The thread map behind the kernels and kernel densities: results that do not
-depend on the thread count, no thread left running, and bounded memory."""
+"""The thread map behind the model solves, kernels and kernel densities:
+results that do not depend on the thread count, no thread left running, and
+bounded memory."""
 
 import json
 import threading
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svoed import cli, dci, design, sampling
+from svoed import cli, dci, design, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -79,6 +80,32 @@ def test_thread_map_raises_the_first_failure_in_item_order():
 
     with pytest.raises(RuntimeError, match="item 2"):
         sampling.thread_map(fn, range(8), threads=3)
+
+
+def solved_bytes(model, points, workers):
+    outputs, jacobians = sampling.evaluate_samples(model, points, with_jacobian=True,
+                                                   workers=workers)
+    return outputs.tobytes(), jacobians.tobytes()
+
+
+def test_rod_samples_do_not_depend_on_the_block_size_or_thread_count(monkeypatch):
+    on_threads(monkeypatch, 2)
+    rod = models.HeatRod1D()
+    points = sampling.draw_samples(rod.parameter_box, 250, seed=12).points
+    assert len(points) > 2 * rod.block_points  # three blocks at the default size
+    expected = solved_bytes(rod, points, 1)
+    for block_points in (1, 7, rod.block_points):
+        blocked = models.HeatRod1D()
+        blocked.block_points = block_points
+        for workers in (1, 2):
+            assert solved_bytes(blocked, points, workers) == expected
+
+
+def test_plate_samples_do_not_depend_on_the_thread_count(monkeypatch):
+    on_threads(monkeypatch, 2)
+    plate = models.HeatPlate2D(elements=6, time_steps=5)
+    points = sampling.draw_samples(plate.parameter_box, 6, seed=4).points
+    assert solved_bytes(plate, points, 2) == solved_bytes(plate, points, 1)
 
 
 def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch, small_chunks):

@@ -9,11 +9,13 @@ Subcommands:
   predictability
 
 Every run is driven by a single JSON config (paths inside it are resolved
-relative to the config file) and writes a manifest echoing the resolved
-config, its content hash and the seeds, so reruns are reproducible and
-diffable.  Exit codes: 0 success, 2 config error, 3 numerical failure.
-Settings are checked before the first model solve, so a config error
-exits 2 without solving anything.  Every key a config may hold is declared
+relative to the config file) and writes a manifest echoing the config as
+read, without defaults or options (the seed used is ``seed_used``), and its
+content hash, so reruns are reproducible and diffable.  Exit codes: 0
+success, 2 config error, 3 numerical failure.  Every task starts from one
+prologue, ``_Run``, which checks every setting before it draws the samples
+and makes the output directory, so a config error exits 2 without solving
+anything.  Every key a config may hold is declared
 once, in ``_SETTINGS``; a key its task or kind does not read exits 2.
 """
 
@@ -36,12 +38,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-MANIFEST_SCHEMA_VERSION = 1
-
-# Drawing from the initial density gives up after this many rounds of
-# ``count`` draws, so a density with less than about 1/1000 of its mass in
-# the box is reported instead of looping forever.
-_MAX_DRAW_ROUNDS = 1000
+# Schema 2: no ``paper_scale`` key.
+MANIFEST_SCHEMA_VERSION = 2
 
 # Exhaustive scoring is refused, before any solve and before the space is
 # built, when candidates x samples exceeds this many kernel matrices.  On a
@@ -57,6 +55,12 @@ _MAX_KERNEL_MATRICES = 4 * 10**7
 # host.  It admits the e99 plate at 1000 samples (720 MB) and refuses it at
 # 6000 (4.3 GB).
 _MAX_BATCH_BYTES = 4 * 2**30
+
+# Peak bytes per element while a model is built, as tracemalloc saw them
+# (plate: 1491-1499 at 99 to 297 elements per axis; rod: 88 at 1e5 and 1e6),
+# and the axes ``model.elements`` counts along.  A mesh over _MAX_BATCH_BYTES
+# (a plate of 1700 elements per axis, a rod of 5e7) is refused unbuilt.
+_BUILD_BYTES = {"heat_rod_1d": (88, 1), "heat_plate_2d": (1500, 2)}
 
 # A DCI run is refused, before any solve, when ``dci.count`` exceeds this.
 # The predicted kernel density is evaluated at every sample over every
@@ -172,14 +176,12 @@ def _read(flat: dict, kind_key: str, where: str = "") -> dict:
             for key, setting in read.items()}
 
 
-def _settings(cfg: dict, task: str, paper_scale: bool = False) -> dict:
+def _settings(cfg: dict, task: str) -> dict:
     """Every setting ``task`` reads outside the ``model`` section."""
     flat = _flatten({name: value for name, value in cfg.items() if name != "model"})
     if flat.setdefault("task", task) != task:
         raise ConfigError(
             f"task: config says {flat['task']!r} but the {task!r} subcommand was invoked")
-    if paper_scale and task in _SCORING:
-        flat["sampling.count"] = 1000
     return _read(flat, "task")
 
 
@@ -206,16 +208,19 @@ def load_config(path: Path) -> dict:
     return cfg
 
 
-def build_model(cfg: dict, paper_scale: bool = False):
+def build_model(cfg: dict):
     """The model of ``cfg["model"]``, whose ``model.*`` keys are its
     constructor's keywords.  Only the keys given reach the constructor, so
-    an absent one takes the model's own default."""
+    an absent one takes the model's own default.  A mesh too large to
+    build is refused first."""
     settings = _read(_flatten({"model": cfg.get("model", {})}), "model.kind")
     kind = settings.pop("model.kind")
-    if paper_scale:
-        if kind != "heat_plate_2d":
-            raise ConfigError(f"--paper-scale: only heat_plate_2d has a paper scale, not {kind}")
-        settings["model.elements"] = 99
+    per_element, axes = _BUILD_BYTES[kind]
+    build_bytes = per_element * max(settings["model.elements"] or 0, 0) ** axes
+    if build_bytes > _MAX_BATCH_BYTES:
+        raise ConfigError(f"model.elements: {settings['model.elements']} per axis take about "
+                          f"{build_bytes} bytes to build, more than the {_MAX_BATCH_BYTES} "
+                          "bytes this tool holds in one run")
     model = models.HeatRod1D if kind == "heat_rod_1d" else models.HeatPlate2D
     try:
         return model(**{key.removeprefix("model."): value for key, value in settings.items()
@@ -263,26 +268,6 @@ def build_density(spec: dict, field_path: str, default_box=None) -> dci.Density:
         raise ConfigError(f"{field_path}: {exc}") from exc
 
 
-def _draw_initial(density, box, count, seed) -> np.ndarray:
-    """``count`` points drawn from the initial ``density`` with ``seed``,
-    those outside ``box`` rejected: the points of every task."""
-    rng = np.random.default_rng(seed)
-    points = np.empty((count, box.dim))
-    filled = 0
-    for _ in range(_MAX_DRAW_ROUNDS):
-        block = density.sample(rng, count)
-        keep = block[box.contains(block)]
-        take = min(count - filled, keep.shape[0])
-        points[filled : filled + take] = keep[:take]
-        filled += take
-        if filled == count:
-            return points
-    raise ConfigError(
-        f"sampling.init: only {filled} of {_MAX_DRAW_ROUNDS * count} draws fell in the "
-        f"box, {count} needed; the init density has almost no mass there"
-    )
-
-
 def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -314,18 +299,18 @@ def _refuse_unusable(path: Path, key: str, directory: bool) -> None:
 
 
 class _Run(dict):
-    """One run: its settings by dotted key, and the model, box, initial
-    density, seed and output directory every task starts from, all checked
-    before any solve.  The task's prologue makes the output directory once
-    its own checks have passed too, so a config error leaves none behind."""
+    """One run: its settings by dotted key, and everything its task starts
+    from.  It runs the checks every task shares, then the task's own, then
+    draws ``samples`` from the initial density, and only then makes the
+    output directory: a config error costs no solve and leaves no directory."""
 
     def __init__(self, cfg: dict, args, base_dir: Path):
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-        super().__init__(_settings(cfg, args.command, args.paper_scale))
-        self.model = build_model(cfg, paper_scale=args.paper_scale)
+        super().__init__(_settings(cfg, args.command))
+        self.model = build_model(cfg)
         self.workers = args.workers
         cache = self.get("sampling.batch_cache")  # read by the scoring tasks only
         self.cache_path = None if cache is None else base_dir / cache
@@ -343,6 +328,66 @@ class _Run(dict):
         if self.density.dim != self.box.dim:
             raise ConfigError(f"sampling.init: a density on {self.density.dim} parameters for "
                               f"a model of {self.box.dim}")
+        count, self.draw_seed = (self._scoring_checks() if args.command in _SCORING
+                                 else self._dci_checks())
+        try:
+            self.samples = sampling.draw_samples(self.box, count, self.draw_seed, self.density)
+        except ValueError as exc:
+            raise ConfigError(f"sampling.init: {exc}") from None
+        self.outdir.mkdir(parents=True, exist_ok=True)
+
+    def _scoring_checks(self):
+        """The sample count and seed of a scoring task, once its batch and
+        its exhaustive design space (of scalars, for ``greedy``) are within
+        budget.  Sets ``space``, which is refused before it is built."""
+        count, model = self["sampling.count"], self.model
+        size, arity = model.field_size, self.get("design.arity", 1)
+        batch_bytes = count * size * model.n_params * 8
+        if batch_bytes > _MAX_BATCH_BYTES:
+            raise ConfigError(
+                f"sampling.count: {count} samples of {size} field values "
+                f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
+                f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
+        candidates = size if arity == 1 else size * (size - 1) // 2
+        if candidates * count > _MAX_KERNEL_MATRICES:
+            raise ConfigError(
+                f"design.arity: {candidates} candidates over the sample make "
+                f"{candidates * count} kernel matrices, more than the {_MAX_KERNEL_MATRICES} "
+                "this tool scores in one run; use 'svoed greedy' or design.arity: 1")
+        space = design.scalar_space if arity == 1 else design.pair_space
+        self.space = space(size, coordinates=model.coordinates)
+        return count, self.seed
+
+    def _dci_checks(self):
+        """``dci.count`` and the DCI seed, once the count, the sensors and
+        the observed density pass.  Sets ``rows``, the design's field rows,
+        and ``observed``, the observed density, or None for one centred on
+        the outputs at the box midpoint, which :func:`run_dci` solves."""
+        model, sensors, count = self.model, self["dci.sensors"], self["dci.count"]
+        if count > _MAX_DCI_COUNT:
+            raise ConfigError(f"dci.count: {count} samples make {count}**2 kernel-density pairs, "
+                              f"more than the {_MAX_DCI_COUNT}**2 this tool evaluates in one run")
+        try:
+            self.rows = [model.nearest_field_index(s) for s in sensors]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dci.sensors: {exc}") from exc
+        if len(set(self.rows)) < len(self.rows):
+            # Two equal output rows make the predicted kernel density singular.
+            raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {self.rows}, "
+                              "and each row may be observed only once")
+        if len(self.rows) > model.n_params:
+            raise ConfigError(f"dci.sensors: {len(self.rows)} sensors, more than the model's "
+                              f"{model.n_params} parameters")
+        spec = self["dci.observed"]
+        midpoint = spec.get("kind") == "gaussian" and spec.get("mean") == "model-midpoint"
+        # A midpoint mean is checked as zeros of the right length.
+        observed = build_density(dict(spec, mean=[0.0] * len(self.rows)) if midpoint else spec,
+                                 "dci.observed")
+        if observed.dim != len(self.rows):
+            raise ConfigError(f"dci.observed: a density on {observed.dim} outputs for "
+                              f"{len(self.rows)} sensors")
+        self.observed = None if midpoint else observed
+        return count, self.seed if self["dci.seed"] is None else self["dci.seed"]
 
 
 def _statistics_path(cache_path: Path) -> Path:
@@ -350,11 +395,10 @@ def _statistics_path(cache_path: Path) -> Path:
     return cache_path.with_suffix(".stats.npz")
 
 
-def _field_batch(run, points) -> sampling.FieldJacobianBatch:
+def _field_batch(run: _Run) -> sampling.FieldJacobianBatch:
     """The field batch, from ``sampling.batch_cache`` when it holds this
-    recipe's, else solved at ``points``, the run's draws from the initial
-    density.  Writing a batch drops its statistics sidecar, so the sidecar
-    never outlives its batch."""
+    recipe's, else solved at the run's samples.  Writing a batch drops its
+    statistics sidecar, so the sidecar never outlives its batch."""
     cache_path = run.cache_path
     if cache_path is not None:
         key = _batch_key(run, run.model, run.box, run.seed)
@@ -363,8 +407,7 @@ def _field_batch(run, points) -> sampling.FieldJacobianBatch:
                 return sampling.load_batch(cache_path, key)
             except ValueError as exc:
                 logger.warning("recomputing batch cache %s: %s", cache_path, exc)
-    batch = sampling.estimate_field_jacobians(run.model, sampling.SampleSet(points),
-                                              workers=run.workers)
+    batch = sampling.estimate_field_jacobians(run.model, run.samples, workers=run.workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         _statistics_path(cache_path).unlink(missing_ok=True)
@@ -372,42 +415,9 @@ def _field_batch(run, points) -> sampling.FieldJacobianBatch:
     return batch
 
 
-def _design_space(model, arity, count) -> design.DesignSpace:
-    """The exhaustive design space, refused before it is built if scoring
-    it over ``count`` samples would exceed the kernel budget."""
-    size = model.field_size
-    candidates = size if arity == 1 else size * (size - 1) // 2
-    matrices = candidates * count
-    if matrices > _MAX_KERNEL_MATRICES:
-        raise ConfigError(
-            f"design.arity: {candidates} candidates over the sample make {matrices} kernel "
-            f"matrices, more than the {_MAX_KERNEL_MATRICES} this tool scores in one run; "
-            "use 'svoed greedy' or design.arity: 1")
-    space = design.scalar_space if arity == 1 else design.pair_space
-    return space(size, coordinates=model.coordinates)
-
-
-def _scoring_inputs(run, arity):
-    """The prologue every scoring task shares: the checks that depend on the
-    model, then the space and the draw, and only then the output directory
-    and the batch, so that a config error costs no solve and leaves no
-    directory."""
-    count, model = run["sampling.count"], run.model
-    batch_bytes = count * model.field_size * model.n_params * 8
-    if batch_bytes > _MAX_BATCH_BYTES:
-        raise ConfigError(
-            f"sampling.count: {count} samples of {model.field_size} field values "
-            f"and {model.n_params} parameters make a {batch_bytes}-byte Jacobian batch, more "
-            f"than the {_MAX_BATCH_BYTES} bytes this tool holds in one run")
-    space = _design_space(model, arity, count)
-    points = _draw_initial(run.density, run.box, count, run.seed)
-    run.outdir.mkdir(parents=True, exist_ok=True)
-    return space, _field_batch(run, points)
-
-
-def _exhaustive(run, utility="ese_inverse"):
-    """Every candidate's statistics, ranked by ``utility``: the scoring
-    prologue of ``sweep`` and ``oed``.
+def _exhaustive(run: _Run, utility="ese_inverse"):
+    """Every candidate's statistics, ranked by ``utility``: what ``sweep``
+    and ``oed`` share.
 
     With a batch cache, the (C, 5) statistics are kept in a sidecar next to
     it, keyed on the batch key, the arity, ``rank_tol``, the statistics
@@ -417,7 +427,7 @@ def _exhaustive(run, utility="ese_inverse"):
     recomputed and overwritten.
     """
     arity, rank_tol = run["design.arity"], run["tolerances.rank_tol"]
-    space, batch = _scoring_inputs(run, arity)
+    space, batch = run.space, _field_batch(run)
     if run.cache_path is None:
         return design.exhaustive_oed(space, batch, utility, rank_tol)
     sidecar = _statistics_path(run.cache_path)
@@ -471,7 +481,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
                                                                for c in columns))]))
 
 
-def run_sweep(run) -> list[str]:
+def run_sweep(run: _Run) -> list[str]:
     result = _exhaustive(run)
     space, stats = result.space, result.reports
     coords = space.index_geometry
@@ -484,7 +494,7 @@ def run_sweep(run) -> list[str]:
     return ["sweep.csv"]
 
 
-def run_oed(run) -> list[str]:
+def run_oed(run: _Run) -> list[str]:
     utility, model = run["design.utility"], run.model
     result = _exhaustive(run, utility)
     space = result.space
@@ -516,59 +526,13 @@ def run_oed(run) -> list[str]:
     return ["ranking.csv", "oed_summary.json"]
 
 
-def run_greedy(run) -> list[str]:
-    space, batch = _scoring_inputs(run, arity=1)
-    trace = design.greedy_oed(space, batch, m_target=run["greedy.m_target"],
+def run_greedy(run: _Run) -> list[str]:
+    trace = design.greedy_oed(run.space, _field_batch(run), m_target=run["greedy.m_target"],
                               tol=run["tolerances.greedy_tol"],
                               rank_tol=run["tolerances.rank_tol"])
     design.trace_to_json(trace, run.outdir / "greedy_trace.json",
-                         coordinates=space.index_geometry)
+                         coordinates=run.space.index_geometry)
     return ["greedy_trace.json"]
-
-
-def _dci_ensemble(run):
-    """Design rows, initial points, the design's outputs there, their
-    weighted ensemble and the DCI seed.
-
-    Every setting is checked, the initial points drawn and the output
-    directory made before the first solve: the one at the model midpoint,
-    whose outputs an observed density at ``model-midpoint`` is centred on.
-    The outputs at the points then take one :func:`sampling.evaluate_samples`
-    call, on ``--workers`` threads, so a failed sample is named; their kernel
-    density is the predicted density the weights divide by.
-    """
-    model, box, sensors, count = run.model, run.box, run["dci.sensors"], run["dci.count"]
-    if count > _MAX_DCI_COUNT:
-        raise ConfigError(f"dci.count: {count} samples make {count}**2 kernel-density pairs, "
-                          f"more than the {_MAX_DCI_COUNT}**2 this tool evaluates in one run")
-    try:
-        rows = tuple(model.nearest_field_index(s) for s in sensors)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dci.sensors: {exc}") from exc
-    if len(set(rows)) < len(rows):
-        # Two equal output rows make the predicted kernel density singular.
-        raise ConfigError(f"dci.sensors: {sensors} resolve to field rows {list(rows)}, "
-                          "and each row may be observed only once")
-    if len(rows) > model.n_params:
-        raise ConfigError(f"dci.sensors: {len(rows)} sensors, more than the model's "
-                          f"{model.n_params} parameters")
-    obs_spec = run["dci.observed"]
-    midpoint = obs_spec.get("kind") == "gaussian" and obs_spec.get("mean") == "model-midpoint"
-    # A midpoint mean is checked as zeros of the right length until it is solved.
-    observed = build_density(dict(obs_spec, mean=[0.0] * len(rows)) if midpoint else obs_spec,
-                             "dci.observed")
-    if observed.dim != len(rows):
-        raise ConfigError(f"dci.observed: a density on {observed.dim} outputs for "
-                          f"{len(rows)} sensors")
-    seed = run.seed if run["dci.seed"] is None else run["dci.seed"]
-    points = _draw_initial(run.density, box, count, seed)
-    run.outdir.mkdir(parents=True, exist_ok=True)
-    if midpoint:
-        observed = build_density(
-            dict(obs_spec, mean=model.evaluate(box.midpoint)[list(rows)].tolist()), "dci.observed")
-    qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=run.workers)
-    predicted = dci.KdeDensity(qoi, bandwidth_rule=run["dci.bandwidth"])
-    return rows, points, qoi, dci.update_weights(qoi, observed, predicted), seed
 
 
 def _dci_report(model, rows, ensemble: dci.WeightedEnsemble, accepted) -> dict:
@@ -583,27 +547,42 @@ def _dci_report(model, rows, ensemble: dci.WeightedEnsemble, accepted) -> dict:
         # The largest ratio: the constant the rejection sampler divides by.
         "C_estimate": float(ensemble.weights.max()),
         "excluded_count": int(np.sum(ensemble.excluded)),
-        "design_rows": list(rows),
-        "design_coordinates": model.coordinates.reshape(model.field_size, -1)[list(rows)].tolist(),
+        "design_rows": rows,
+        "design_coordinates": model.coordinates.reshape(model.field_size, -1)[rows].tolist(),
         "predictability_ok": bool(abs(ensemble.mean_ratio - 1.0) <= dci.DIAGNOSTIC_TOL),
     }
 
 
-def run_dci(run) -> list[str]:
-    rows, points, qoi, ensemble, seed = _dci_ensemble(run)
+def run_dci(run: _Run) -> list[str]:
+    """The DCI update of the run's samples at the design's rows.
+
+    The first solve is the one at the box midpoint, when the observed
+    density is centred there.  The outputs at the samples then take one
+    :func:`sampling.evaluate_samples` call, on ``--workers`` threads, so a
+    failed sample is named; their kernel density is the predicted density
+    the weights divide by.
+    """
+    model, rows, points = run.model, run.rows, run.samples.points
+    observed = run.observed
+    if observed is None:  # centred on the outputs at the box midpoint
+        mean = model.evaluate(run.box.midpoint)[rows].tolist()
+        observed = build_density(dict(run["dci.observed"], mean=mean), "dci.observed")
+    qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=run.workers)
+    ensemble = dci.update_weights(
+        qoi, observed, dci.KdeDensity(qoi, bandwidth_rule=run["dci.bandwidth"]))
     # Its own seed, so the two random streams stay independent.
-    accepted = dci.rejection_sample(ensemble.weights, seed + 1)
+    accepted = dci.rejection_sample(ensemble.weights, run.draw_seed + 1)
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
     header += [f"q_{k + 1}" for k in range(qoi.shape[1])] + ["ratio", "accepted"]
     # The grid can still fail (a weighted ensemble that spans a line), so it
     # is computed before any file is written: a failed run leaves none.
     grid = None
-    if run.model.n_params == 2:
+    if model.n_params == 2:
         grid = dci.updated_density_grid(points, ensemble.weights, run.box)
     _write_csv(run.outdir / "ensemble.csv", header, [
         *points.T, *qoi.T, ensemble.weights, accepted.astype(np.int64)])
     _write_json(run.outdir / "dci_summary.json",
-                _dci_report(run.model, rows, ensemble, accepted))
+                _dci_report(model, rows, ensemble, accepted))
     outputs = ["ensemble.csv", "dci_summary.json"]
     if grid is not None:
         x, y, values = grid
@@ -642,8 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "always use every CPU the process may run on (taskset limits "
                             "them), each thread holding at most one density block "
                             "of sampling.BLOCK_BYTES")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="full-resolution settings for the 2-D plate model")
     return parser
 
 
@@ -670,7 +647,6 @@ def main(argv=None) -> int:
         "config": cfg,
         "seed_used": run.seed,
         "workers": run.workers,
-        "paper_scale": bool(args.paper_scale),
         "outputs": sorted(outputs),
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     })

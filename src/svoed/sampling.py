@@ -37,6 +37,10 @@ BATCH_SCHEMA_VERSION = 6
 # memory in flight is at most the thread count times this.
 BLOCK_BYTES = 1 << 20
 
+# Drawing from a density gives up after this many rounds of ``count`` draws,
+# so one with less than about 1/1000 of its mass in the box is reported.
+_MAX_DRAW_ROUNDS = 1000
+
 # What np.load raises, besides ValueError, on a truncated or foreign file.
 _UNREADABLE = (OSError, EOFError, KeyError, zipfile.BadZipFile)
 
@@ -113,13 +117,27 @@ class SampleSet:
     points: np.ndarray  # (N, n)
 
 
-def draw_samples(box: ParameterBox, count: int, seed: int) -> SampleSet:
-    """Reproducible uniform samples in the box; same seed, same points."""
+def draw_samples(box: ParameterBox, count: int, seed: int, density=None) -> SampleSet:
+    """``count`` points in the box, the same for the same seed: uniform on
+    it, or drawn from ``density`` in rounds of ``count`` with the points
+    outside it rejected.  ValueError after ``_MAX_DRAW_ROUNDS`` rounds."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    points = rng.uniform(box.lower, box.upper, size=(count, box.dim))
-    return SampleSet(points)
+    if density is None:
+        return SampleSet(rng.uniform(box.lower, box.upper, size=(count, box.dim)))
+    points = np.empty((count, box.dim))
+    filled = 0
+    for _ in range(_MAX_DRAW_ROUNDS):
+        block = density.sample(rng, count)
+        keep = block[box.contains(block)]
+        take = min(count - filled, keep.shape[0])
+        points[filled : filled + take] = keep[:take]
+        filled += take
+        if filled == count:
+            return SampleSet(points)
+    raise ValueError(f"only {filled} of {_MAX_DRAW_ROUNDS * count} draws fell in the box, "
+                     f"{count} needed; the density has almost no mass there")
 
 
 class ModelEvaluationError(RuntimeError):

@@ -44,11 +44,6 @@ def test_greedy_writes_one_trace_and_the_manifest(tmp_path):
             == [[rod.coordinates[row]] for row in trace["selected"]])
 
 
-def test_paper_scale_builds_the_99_element_plate():
-    plate = cli.build_model({"model": {"kind": "heat_plate_2d"}}, paper_scale=True)
-    assert plate.field_size == 100 * 100
-
-
 def test_plate_with_100_elements_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, "oed.json", {
         "task": "oed", "model": {"kind": "heat_plate_2d", "elements": 100},
@@ -520,14 +515,24 @@ def test_dci_count_over_the_kernel_density_budget_is_refused_before_any_solve(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("model", [ROD], ids=["rod"])
-def test_paper_scale_off_the_plate_is_a_config_error_before_any_solve(model, tmp_path, capsys,
-                                                                       monkeypatch):
-    forbid_solves(monkeypatch)
+@pytest.mark.parametrize("model", [{"kind": "heat_plate_2d", "elements": 2400},
+                                   {"kind": "heat_rod_1d", "elements": 10**8}],
+                         ids=["plate-e2400", "rod-e1e8"])
+def test_mesh_over_the_memory_budget_is_refused_before_it_is_built(model, tmp_path, capsys,
+                                                                   monkeypatch):
+    # About 8.6 GB and 8.8 GB to build, though one sample at arity 1 passes
+    # both later budgets.
+    def built(**kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(models, "HeatPlate2D", built)
+    monkeypatch.setattr(models, "HeatRod1D", built)
     config = write_config(tmp_path, "oed.json", {
-        "task": "oed", "model": model, "sampling": {"count": 4}, "output_dir": "out"})
-    assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
-    assert "--paper-scale" in capsys.readouterr().err
+        "task": "oed", "model": model, "sampling": {"count": 1}, "design": {"arity": 1},
+        "output_dir": "out"})
+    assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"model.elements: {model['elements']} per axis" in err and "bytes to build" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -579,17 +584,22 @@ def test_negative_seed_option_is_a_config_error_before_any_solve(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-def test_paper_scale_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys,
-                                                                       monkeypatch):
+def test_e99_pairs_are_refused_before_the_batch_and_the_space(tmp_path, capsys, monkeypatch):
     # 49,995,000 pairs of the e99 plate over 1000 samples: refused before any
     # solve and before the candidate array is allocated.
     forbid_solves(monkeypatch)
     config = write_config(tmp_path, "oed.json", {
-        "task": "oed", "model": {"kind": "heat_plate_2d"}, "output_dir": "out"})
-    assert cli.main(["oed", "--config", config, "--paper-scale"]) == cli.EXIT_CONFIG
+        "task": "oed", "model": {"kind": "heat_plate_2d", "elements": 99},
+        "sampling": {"count": 1000}, "design": {"arity": 2}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "49995000 candidates" in err and "greedy" in err
     assert not (tmp_path / "out").exists()
+    # No option rewrites the config: --paper-scale is not one.
+    with pytest.raises(SystemExit) as parsed:
+        cli.main(["oed", "--config", config, "--paper-scale"])
+    assert parsed.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("settings, digest", [
@@ -632,12 +642,25 @@ def test_init_density_without_mass_in_the_box_is_a_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_init_density_with_mass_in_the_box_fills_the_sample():
-    density = cli.build_density({"kind": "gaussian", "mean": [0.1, 0.1], "cov": 0.01}, "init")
-    box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
-    points = cli._draw_initial(density, box, 50, seed=1)
-    assert points.shape == (50, 2)
-    assert np.all(box.contains(points))
+@pytest.mark.parametrize("init", [None, {"kind": "gaussian", "mean": [0.02, 0.1], "cov": 0.01}],
+                         ids=["default", "gaussian"])
+def test_batch_holds_the_points_of_the_one_draw(init, tmp_path):
+    # The CLI draws through sampling.draw_samples, with the run's initial
+    # density: uniform on the box by default, or, here, a Gaussian with
+    # about half its mass at negative conductivities.
+    given = {} if init is None else {"init": init}
+    config = write_config(tmp_path, "sweep.json", dict(SWEEP, design={"arity": 1}, sampling=dict(
+        given, count=40, seed=6, batch_cache="batch.npz")))
+    assert cli.main(["sweep", "--config", config]) == cli.EXIT_OK
+    with np.load(tmp_path / "batch.npz") as cache:
+        points = cache["points"]
+    box = cli.build_model(SWEEP).parameter_box
+    density = cli.build_density(init or {"kind": "uniform-box"}, "init", default_box=box)
+    assert np.array_equal(points, sampling.draw_samples(box, 40, 6, density).points)
+    if init is None:
+        assert np.array_equal(points, sampling.draw_samples(box, 40, 6).points)
+    else:  # some of the first round's draws fell outside the box
+        assert not np.all(box.contains(density.sample(np.random.default_rng(6), 40)))
 
 
 def test_init_density_of_another_dimension_is_a_config_error(tmp_path, capsys, monkeypatch):

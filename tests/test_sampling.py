@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg
 
 import geometry_oracles
-from svoed import design, geometry, models, sampling
+from svoed import dci, design, geometry, models, sampling
 
 
 class CountingModel(models.ForwardModel):
@@ -91,6 +91,25 @@ def test_draw_samples_mean_within_monte_carlo_error():
     # Uniform on [a, b]: mean (a+b)/2, sd (b-a)/sqrt(12).
     stderr = 0.19 / np.sqrt(12.0) / np.sqrt(10_000)
     assert np.all(np.abs(s.points.mean(axis=0) - 0.105) <= 3.0 * stderr)
+
+
+def test_init_density_with_mass_in_the_box_fills_the_sample():
+    density = dci.GaussianDensity([0.1, 0.1], 0.01)
+    box = sampling.ParameterBox([0.01, 0.01], [0.2, 0.2])
+    points = sampling.draw_samples(box, 50, seed=1, density=density).points
+    assert points.shape == (50, 2)
+    assert np.all(box.contains(points))
+    assert np.array_equal(points, sampling.draw_samples(box, 50, seed=1, density=density).points)
+
+
+def test_density_without_mass_in_the_box_stops_after_the_round_cap(monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_DRAW_ROUNDS", 7)
+    rounds, density = [], dci.GaussianDensity([5.0, 5.0], 0.01)
+    sample = density.sample
+    density.sample = lambda rng, count: rounds.append(count) or sample(rng, count)
+    with pytest.raises(ValueError, match="only 0 of 35 draws fell in the box, 5 needed"):
+        sampling.draw_samples(unit_box(), 5, seed=1, density=density)
+    assert rounds == [5] * 7
 
 
 # --- evaluation and field Jacobians -------------------------------------------

@@ -558,8 +558,8 @@ def run_dci(run: _Run) -> list[str]:
 
     The first solve is the one at the box midpoint, when the observed
     density is centred there.  The outputs at the samples then take one
-    :func:`sampling.evaluate_samples` call, on ``--workers`` threads, so a
-    failed sample is named; their kernel density is the predicted density
+    :func:`sampling.evaluate_samples` call, on ``--workers`` processes, so
+    a failed sample is named; their kernel density is the predicted density
     the weights divide by.
     """
     model, rows, points = run.model, run.rows, run.samples.points
@@ -614,13 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="threads for model solves, which run in blocks of points, "
-                            "at most one thread per CPU (default: serial, since solves "
-                            "contend on threads and the rod's hold the GIL); "
-                            "criterion kernels and kernel densities "
-                            "always use every CPU the process may run on (taskset limits "
-                            "them), each thread holding at most one density block "
-                            "of sampling.BLOCK_BYTES")
+                       help="processes for model solves, which run in blocks of points, "
+                            "at most one process per CPU and per block (default: serial, "
+                            "in this process); criterion kernels and kernel densities "
+                            "always use threads on every CPU the process may run on "
+                            "(taskset limits them), each thread holding at most one "
+                            "density block of sampling.BLOCK_BYTES")
     return parser
 
 

@@ -94,8 +94,9 @@ class ForwardModel:
     Jacobians J (B, field_size, n), else None.  It may raise
     ``ModelEvaluationError`` naming a row of the block, which
     :func:`sampling.evaluate_samples` turns into the caller's sample.
-    Instances are immutable after construction and safe to evaluate
-    concurrently at distinct parameter points.
+    Instances are immutable after construction, and a forked worker
+    process evaluates the copy it inherits, so no state is shared between
+    the solves of distinct blocks.
     """
 
     model_id: str = "forward-model"
@@ -351,7 +352,8 @@ class HeatPlate2D(_HeatModel):
                 (stiff_vals[mask], (rows[mask], cols[mask])), shape=shape
             ).tocsc()
             self._stiff_regions.append(K_r)
-        # Built here, not on first use: instances are shared by worker threads.
+        # Built here, not on first use, so forked workers inherit it rather
+        # than each building its own.
         self._stiff_stack = scipy.sparse.vstack(self._stiff_regions).tocsr()
         self._load = load
 

@@ -11,16 +11,20 @@ Jacobians.
 Every loop over samples, for field batches and for data-consistent
 inversion alike, goes through :func:`evaluate_samples`.  It splits the
 samples into blocks of ``model.block_points`` and runs one
-``model.evaluate_stacked`` call per block, on ``--workers`` threads.
-:func:`thread_map` runs those blocks, and the chunks of the design kernels
-and kernel densities, which take every CPU the process may run on.
+``model.evaluate_stacked`` call per block, on ``--workers`` forked
+processes: SuperLU's and LAPACK's solves hold the GIL, so threads could not
+overlap them.  :func:`thread_map` runs the chunks of the design kernels and
+kernel densities, whose numpy work releases the GIL, on every CPU the
+process may run on.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +34,12 @@ import numpy as np
 # Schema 6: one key covers the recipe and the schema; no JSON header.
 BATCH_SCHEMA_VERSION = 6
 
-# Bytes of working set that one thread of a blocked loop may hold: the
-# kernel density's pair of block buffers, a rod block's bands and columns.
-# Sized to fit one core's L2 cache.  A loop takes as many rows or points as
-# fit, so its block boundaries depend on the problem's sizes alone and the
-# memory in flight is at most the thread count times this.
+# Bytes of working set that one thread or worker of a blocked loop may
+# hold: the kernel density's pair of block buffers, a rod block's bands and
+# columns.  Sized to fit one core's L2 cache.  A loop takes as many rows or
+# points as fit, so its block boundaries depend on the problem's sizes
+# alone and the memory in flight is at most the thread or worker count
+# times this.
 BLOCK_BYTES = 1 << 20
 
 # Drawing from a density gives up after this many rounds of ``count`` draws,
@@ -185,6 +190,36 @@ def _require_finite(points, first, outputs, jacobians) -> None:
         raise ModelEvaluationError(i, points[i], "model returned non-finite values")
 
 
+def _solve_block(job, first):
+    """The block of the job's points that starts at sample ``first``:
+    ``(outputs, jacobians, None)`` at the job's rows, or ``(None, None,
+    (sample index, cause))`` when the model raises."""
+    model, points, take, with_jacobian = job
+    try:
+        U, J = model.evaluate_stacked(points[first : first + model.block_points], with_jacobian)
+    except ModelEvaluationError as exc:
+        return None, None, (first + exc.sample_index, exc.cause)
+    except Exception as exc:  # named by the block's first sample
+        return None, None, (first, repr(exc))
+    return U[:, take], J[:, take] if with_jacobian else None, None
+
+
+# A worker process's job, set by the pool initializer: the fork hands the
+# model and the points over, so neither is pickled.
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+    # Ctrl-C stops the parent, whose shutdown of the pool ends the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _solve_worker_block(first):
+    return _solve_block(_worker_job, first)
+
+
 def evaluate_samples(
     model,
     points,
@@ -197,14 +232,17 @@ def evaluate_samples(
     Returns ``(outputs, jacobians)``: outputs (N, R) and jacobians
     (N, R, n), or None without ``with_jacobian``, where R counts ``rows``
     (observable indices; None keeps the whole field).  The points are split
-    into blocks of ``model.block_points``, and :func:`thread_map` runs one
-    ``model.evaluate_stacked`` call per block on ``workers`` threads, at
-    most one per CPU (the model must be safe to call concurrently); the
-    default is serial.  Each block is written into the preallocated
-    results, so they depend on neither the thread count nor the order.
-    A model's ModelEvaluationError names the sample its row is; any other
-    raise inside the model names the block's first sample, and a non-finite
-    output or Jacobian names its own.
+    into blocks of ``model.block_points``, one ``model.evaluate_stacked``
+    call each.  The blocks run inline by default; with ``workers`` > 1 they
+    run on that many processes, forked from this one, but at most one per
+    CPU and one per block.  Only block starts and the blocks' results cross
+    between processes, and no worker outlives the call.  The caller should
+    run no other thread while the pool forks (:func:`thread_map` joins its
+    own).  Each block is written into the preallocated results in block
+    order, so they depend on neither the worker count nor the order the
+    blocks finish in.  A model's ModelEvaluationError names the sample its
+    row is; any other raise inside the model names the block's first
+    sample, and a non-finite output or Jacobian names its own.
     """
     points = np.asarray(points, dtype=float)
     n_samples, n_params = points.shape
@@ -214,22 +252,29 @@ def evaluate_samples(
     outputs = np.empty((n_samples, size))
     jacobians = np.empty((n_samples, size, n_params)) if with_jacobian else None
 
-    def one_block(first):
-        block = slice(first, first + model.block_points)
-        try:
-            U, J = model.evaluate_stacked(points[block], with_jacobian)
-        except ModelEvaluationError as exc:
-            i = first + exc.sample_index
-            raise ModelEvaluationError(i, points[i], exc.cause) from exc
-        except Exception as exc:  # named by the block's first sample
-            raise ModelEvaluationError(first, points[first], repr(exc)) from exc
-        outputs[block] = U[:, take]
-        if with_jacobian:
-            jacobians[block] = J[:, take]
-        _require_finite(points, first, outputs[block],
-                        None if jacobians is None else jacobians[block])
-
-    thread_map(one_block, range(0, n_samples, model.block_points), threads=workers or 1)
+    job = (model, points, take, with_jacobian)
+    starts = range(0, n_samples, model.block_points)
+    processes = min(workers or 1, cpu_count(), len(starts))
+    pool = None
+    if processes > 1:
+        pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                   _start_worker, (job,))
+    try:
+        solved = (pool.map(_solve_worker_block, starts) if pool is not None
+                  else (_solve_block(job, first) for first in starts))
+        for first, (U, J, failure) in zip(starts, solved):
+            if failure is not None:
+                i, cause = failure
+                raise ModelEvaluationError(i, points[i], cause)
+            block = slice(first, first + len(U))
+            outputs[block] = U
+            if with_jacobian:
+                jacobians[block] = J
+            _require_finite(points, first, outputs[block],
+                            None if jacobians is None else jacobians[block])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return outputs, jacobians
 
 
@@ -239,7 +284,7 @@ def estimate_field_jacobians(
     workers: int | None = None,
 ) -> FieldJacobianBatch:
     """Exact Jacobians of the full observable field at every sample; see
-    :func:`evaluate_samples` for the blocks, the ``workers`` threads and
+    :func:`evaluate_samples` for the blocks, the ``workers`` processes and
     the ModelEvaluationError naming a failed sample.
     """
     outputs, jacobians = evaluate_samples(model, samples.points, with_jacobian=True,

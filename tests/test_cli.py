@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -747,7 +748,7 @@ def test_diag_is_not_a_subcommand(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::svoed.dci.PredictabilityWarning")
-def test_dci_on_worker_threads_matches_serial(tmp_path, monkeypatch):
+def test_dci_on_worker_processes_matches_serial(tmp_path, monkeypatch):
     pools, evaluate = [], sampling.evaluate_samples
     monkeypatch.setattr(sampling, "evaluate_samples",
                         lambda *a, **k: pools.append(k.get("workers")) or evaluate(*a, **k))
@@ -761,6 +762,7 @@ def test_dci_on_worker_threads_matches_serial(tmp_path, monkeypatch):
     assert cli.main(["dci", "--config", config, "--workers", "2"]) == cli.EXIT_OK
     assert output_bytes(tmp_path / "dci")[0] == serial
     assert pools == [None, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

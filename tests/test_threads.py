@@ -1,11 +1,16 @@
-"""The thread map behind the model solves, kernels and kernel densities:
-results that do not depend on the thread count, no thread left running, and
-bounded memory."""
+"""The worker processes behind the model solves, and the thread map behind
+the kernels and kernel densities: results that do not depend on the worker
+or thread count, no process or thread left running, and bounded memory."""
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 import tracemalloc
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -88,7 +93,7 @@ def solved_bytes(model, points, workers):
     return outputs.tobytes(), jacobians.tobytes()
 
 
-def test_rod_samples_do_not_depend_on_the_block_size_or_thread_count(monkeypatch):
+def test_rod_samples_do_not_depend_on_the_block_size_or_worker_count(monkeypatch):
     on_threads(monkeypatch, 2)
     rod = models.HeatRod1D()
     points = sampling.draw_samples(rod.parameter_box, 250, seed=12).points
@@ -101,11 +106,104 @@ def test_rod_samples_do_not_depend_on_the_block_size_or_thread_count(monkeypatch
             assert solved_bytes(blocked, points, workers) == expected
 
 
-def test_plate_samples_do_not_depend_on_the_thread_count(monkeypatch):
+def test_plate_samples_do_not_depend_on_the_worker_count(monkeypatch):
     on_threads(monkeypatch, 2)
     plate = models.HeatPlate2D(elements=6, time_steps=5)
     points = sampling.draw_samples(plate.parameter_box, 6, seed=4).points
     assert solved_bytes(plate, points, 2) == solved_bytes(plate, points, 1)
+
+
+class PidModel(models.ForwardModel):
+    """Outputs the id of the process that solves the point.  Each block
+    waits at a barrier for ``parties - 1`` other blocks, so two blocks only
+    pass a barrier of two if two processes take them."""
+
+    model_id = "pid"
+    n_params = 1
+    field_size = 1
+
+    def __init__(self, parties):
+        self.coordinates = np.zeros(1)
+        self.parameter_box = sampling.ParameterBox([0.0], [1.0])
+        self.barrier = multiprocessing.get_context("fork").Barrier(parties, timeout=30)
+
+    def evaluate_stacked(self, points, with_jacobian=False):
+        self.barrier.wait()
+        return np.full((len(points), 1), float(os.getpid())), None
+
+
+def test_solves_run_in_worker_processes(monkeypatch):
+    on_threads(monkeypatch, 2)
+    outputs, _ = sampling.evaluate_samples(PidModel(2), np.zeros((4, 1)), workers=2)
+    pids = set(outputs.ravel().tolist())
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_or_block_solves_inline(monkeypatch):
+    on_threads(monkeypatch, 2)
+    for points, workers in ((np.zeros((3, 1)), 1), (np.zeros((1, 1)), 4)):
+        outputs, _ = sampling.evaluate_samples(PidModel(1), points, workers=workers)
+        assert set(outputs.ravel().tolist()) == {os.getpid()}
+
+
+class KilledModel(PidModel):
+    """Killed in any process but the one that built it, as the kernel's
+    out-of-memory killer would kill a worker."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.parent = os.getpid()
+
+    def evaluate_stacked(self, points, with_jacobian=False):
+        if os.getpid() != self.parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().evaluate_stacked(points, with_jacobian)
+
+
+def test_a_killed_worker_raises_instead_of_hanging(monkeypatch):
+    on_threads(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        sampling.evaluate_samples(KilledModel(), np.zeros((4, 1)), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_failures_name_their_sample(monkeypatch):
+    on_threads(monkeypatch, 2)
+    rod = models.HeatRod1D(elements=10, time_steps=5)
+    rod.block_points = 7
+    rod_points = sampling.draw_samples(rod.parameter_box, 20, seed=3).points
+    rod_points[9] = [0.05, 0.0]  # row 2 of the block of 7 that starts at sample 7
+    plate = models.HeatPlate2D(elements=3, time_steps=5)
+    plate_points = sampling.draw_samples(plate.parameter_box, 6, seed=8).points
+    plate_points[3, 4] = 0.0
+    for model, points, bad in ((rod, rod_points, 9), (plate, plate_points, 3)):
+        with pytest.raises(sampling.ModelEvaluationError, match="finite and positive") as err:
+            sampling.evaluate_samples(model, points, with_jacobian=True, workers=2)
+        assert err.value.sample_index == bad
+        assert np.array_equal(err.value.parameters, points[bad])
+        assert multiprocessing.active_children() == []
+        points[bad] = points[0]
+        solved_bytes(model, points, 2)
+        assert multiprocessing.active_children() == []
+
+
+def test_workers_fork_from_a_process_without_other_threads(monkeypatch):
+    # A fork copies only the calling thread, so a lock another thread holds
+    # stays held in the child; Python 3.12 warns of it, which is an error
+    # here.  The kernels' threads are joined before the solves fork.
+    on_threads(monkeypatch, 2)
+    threads_at_fork, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: threads_at_fork.append(threading.active_count())
+                        or fork())
+    barrier = threading.Barrier(2, timeout=30)
+    sampling.thread_map(lambda i: barrier.wait(), range(2), threads=2)
+    plate = models.HeatPlate2D(elements=6, time_steps=5)
+    points = sampling.draw_samples(plate.parameter_box, 4, seed=4).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved_bytes(plate, points, 2)
+    assert threads_at_fork == [1, 1]
 
 
 def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch, small_chunks):

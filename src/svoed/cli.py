@@ -43,9 +43,10 @@ MANIFEST_SCHEMA_VERSION = 2
 
 # Exhaustive scoring is refused, before any solve and before the space is
 # built, when candidates x samples exceeds this many kernel matrices.  On a
-# 2-vCPU host the candidate scoring handles about 2.9M (2, 9) and 8.4M
-# (1, 9) matrices a second on one thread, and 5.1M (2, 9) and 10.7M (1, 9)
-# on both, so this is about 14 s at arity 2 on one CPU and 8 s on two.
+# 2-vCPU host the candidate scoring handles about 3.1-3.6M (2, 9) and
+# 11-12M (1, 9) matrices a second on one thread, and 4.2-5.0M (2, 9) and
+# 12-14M (1, 9) on both, so this is 11-13 s at arity 2 on one CPU and
+# 8-10 s on two.
 # It admits the e99 plate at arity 1 with 1000 samples (1e7 matrices) and
 # refuses its 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
@@ -57,10 +58,10 @@ _MAX_KERNEL_MATRICES = 4 * 10**7
 _MAX_BATCH_BYTES = 4 * 2**30
 
 # Peak bytes per element while a model is built, as tracemalloc saw them
-# (plate: 1491-1499 at 99 to 297 elements per axis; rod: 88 at 1e5 and 1e6),
+# (plate: 1491-1499 at 99 to 297 elements per axis; rod: 96 at 1e5 and 1e6),
 # and the axes ``model.elements`` counts along.  A mesh over _MAX_BATCH_BYTES
-# (a plate of 1700 elements per axis, a rod of 5e7) is refused unbuilt.
-_BUILD_BYTES = {"heat_rod_1d": (88, 1), "heat_plate_2d": (1500, 2)}
+# (a plate of 1700 elements per axis, a rod of 4.5e7) is refused unbuilt.
+_BUILD_BYTES = {"heat_rod_1d": (96, 1), "heat_plate_2d": (1500, 2)}
 
 # A DCI run is refused, before any solve, when ``dci.count`` exceeds this.
 # The predicted kernel density is evaluated at every sample over every
@@ -422,7 +423,7 @@ def _exhaustive(run: _Run, utility="ese_inverse"):
     With a batch cache, the (C, 5) statistics are kept in a sidecar next to
     it, keyed on the batch key, the arity, ``rank_tol``, the statistics
     columns and the kernel version: everything the rows depend on.  A later run with the same key
-    ranks the stored rows instead of running the kernels; any other
+    ranks the stored rows instead of running the kernel; any other
     sidecar, or one of another shape or with negative values, is
     recomputed and overwritten.
     """
@@ -616,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="processes for model solves, which run in blocks of points, "
                             "at most one process per CPU and per block (default: serial, "
-                            "in this process); criterion kernels and kernel densities "
+                            "in this process); the criterion kernel and kernel densities "
                             "always use threads on every CPU the process may run on "
                             "(taskset limits them), each thread holding at most one "
                             "density block of sampling.BLOCK_BYTES")

@@ -2,7 +2,7 @@
 
 A design space is a (C, m) array of observable-row indices into a shared
 field Jacobian batch, one row per candidate design, so an entire space is
-priced with array slicing and batched QR kernels: no model solves happen
+priced with array slicing and one batched kernel: no model solves happen
 here.
 
 The greedy algorithm builds an m-component design one component per round.
@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .criteria import STATISTICS, reciprocal_statistics
-from .geometry import RANK_TOL_DEFAULT, ExtensionBase, batch_reciprocals
+from .geometry import RANK_TOL_DEFAULT, ExtensionBase
 from .sampling import FieldJacobianBatch, thread_map
 
 # The utilities a search can maximize: the first two statistics columns.
@@ -89,7 +89,7 @@ def _chunks(n_items: int, n_samples: int):
     """Slices of at most _CHUNK_MATRICES // n_samples items (at least one).
 
     Chunks bound the memory in flight.  Their boundaries move no bit of a
-    result, since both kernels score each matrix on its own.
+    result, since the kernel scores each matrix on its own.
     """
     size = max(1, _CHUNK_MATRICES // n_samples)
     return (slice(start, start + size) for start in range(0, n_items, size))
@@ -98,9 +98,10 @@ def _chunks(n_items: int, n_samples: int):
 def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np.ndarray:
     """Per-candidate :func:`criteria.reciprocal_statistics` rows.
 
-    Each chunk of candidates is scored in one kernel call and reduced at
-    once, so memory is O(candidates), not O(candidates * samples).  The
-    chunks run on :func:`sampling.thread_map`'s threads.
+    Each chunk of candidates is scored, every design as its first m - 1
+    rows extended by its last, and reduced at once, so memory is
+    O(candidates), not O(candidates * samples).  The chunks run on
+    :func:`sampling.thread_map`'s threads.
     """
     n_cand, arity = candidates.shape
     stats = np.empty((n_cand, 5))
@@ -109,9 +110,9 @@ def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np
     def score(part):
         block = candidates[part]
         # One gather, laid out (m, C, N, n), viewed as the (C * N, m, n)
-        # stack without a copy; the kernel's batch-last copy is the only other.
-        rows = by_row[block.T].reshape(arity, -1, batch.n_params)
-        scal, skew = batch_reciprocals(rows.transpose(1, 0, 2), rank_tol)
+        # stack without a copy; the kernel's batch-last copies are the others.
+        rows = by_row[block.T].reshape(arity, -1, batch.n_params).transpose(1, 0, 2)
+        scal, skew = ExtensionBase(rows[:, :-1], rank_tol).extend(rows[:, -1:])
         shape = (block.shape[0], batch.count)
         stats[part] = reciprocal_statistics(scal.reshape(shape), skew.reshape(shape))
 
@@ -241,7 +242,8 @@ def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.
 
     def score(part):
         chunk = rows[part]
-        skew = base.skewness(batch.jacobians[:, chunk, :], np.flatnonzero(np.isin(chunk, selected)))
+        repeats = np.flatnonzero(np.isin(chunk, selected))
+        skew = base.extend(batch.jacobians[:, chunk, :], repeats)[1]
         means[part] = reduce(np.add, skew) / batch.count
 
     thread_map(score, _chunks(rows.size, batch.count))
@@ -286,7 +288,7 @@ def greedy_oed(
             per_candidate = _candidate_statistics(batch, space.candidates, rank_tol)[:, 0]
             utility = "ese_inverse"
         elif d > batch.n_params:
-            # More rows than parameters cannot be full rank; skip the kernels.
+            # More rows than parameters cannot be full rank; skip the kernel.
             per_candidate = np.zeros(rows.size)
             utility = "esk_inverse"
         else:

@@ -1,4 +1,4 @@
-"""Geometric criteria of Jacobians: batched kernels.
+"""Geometric criteria of Jacobians: one batched kernel.
 
 Everything here describes how a differentiable map with an m x n Jacobian
 (m <= n) distorts small sets when output events are pulled back into the
@@ -10,18 +10,17 @@ parameter space:
 * the per-row redundancy of the map components (the "local skewness"),
   i.e. how far each row sticks out of the span of the others.
 
-:func:`batch_reciprocals` scores a whole stack from one Householder QR of
-every J^T, and :class:`ExtensionBase` factors a fixed set of rows once and
-scores every one-row extension of it by applying that factor's reflectors
-to the new row.
-Both fall back to the singular-value formula for the matrices whose
-conditioning makes the QR route unreliable, so the rank cutoff means
-exactly what it means pointwise.  The pointwise definitions the tests
-check these kernels against live in ``tests/geometry_oracles.py``.
+The one criterion kernel, :class:`ExtensionBase`, factors a stack of
+bases once and scores any one-row extension of each: a scalar design
+extends a base of no rows, a pair a base of one row, and a greedy round
+the rows chosen so far.  Matrices too ill-conditioned for its QR route
+take the singular-value formula, so the rank cutoff means exactly what
+it means pointwise.  The pointwise definitions the tests check the
+kernel against live in ``tests/geometry_oracles.py``.
 
 The stacks hold up to millions of matrices of at most 9 x 9, and a LAPACK
 call per matrix costs more than the arithmetic it does.  So the QR works
-on a batch-last (n, m, N) copy of the stack: entry [i, j] of every
+on a batch-last (n, k, N) copy of the stack: entry [i, j] of every
 matrix's J^T is one contiguous length-N vector, and each step of the
 factorization is one elementwise numpy operation over the whole stack.
 Every sum or product over the m or n axis is written out in order, term
@@ -40,16 +39,16 @@ import numpy as np
 # the backward error of LAPACK's SVD for the tiny matrices handled here.
 RANK_TOL_DEFAULT = 1e-12
 
-# The identity of the kernels' arithmetic.  Cached statistics are keyed on
+# The identity of the kernel's arithmetic.  Cached statistics are keyed on
 # it, so any change that moves a statistic's bits must raise it.
-# Version 3: ``infinite_count`` counts the samples whose 1/SK is zero.
-KERNEL_VERSION = 3
+# Version 4: pairs are scored as one-row extensions of a one-row base.
+KERNEL_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels over stacks of Jacobians.
+# The batched kernel over stacks of Jacobians.
 #
-# They return the *reciprocals* 1/SE and 1/SK (zero where rank deficient),
+# It returns the *reciprocals* 1/SE and 1/SK (zero where rank deficient),
 # which is the form every downstream average needs.  With J^T = Q R for an
 # m x n matrix J, the Gram matrix is J J^T = R^T R, so
 #
@@ -59,8 +58,8 @@ KERNEL_VERSION = 3
 #
 # and 1/SK = min_k ||j_k_perp|| / ||j_k|| needs one triangular inverse.
 #
-# Each matrix is first scaled by the power of two that brings its largest
-# entry into [0.5, 1), so no square or product over- or underflows.  The
+# Each matrix is first scaled by a power of two that brings its largest
+# entries near one, so no square or product over- or underflows.  The
 # scaling is exact: 1/SK does not change at all, and 1/SE is scaled back by
 # 2^(m e) for a matrix scaled by 2^-e.
 # ---------------------------------------------------------------------------
@@ -70,15 +69,6 @@ KERNEL_VERSION = 3
 # on.  Matrices whose condition bound ||R||_F * ||R^-1||_F (>= cond(J)) is
 # not below this ceiling take the singular-value formula instead.
 _COND_CEILING = 1e8
-
-
-def _as_stack(stack) -> np.ndarray:
-    S = np.asarray(stack, dtype=float)
-    if S.ndim != 3:
-        raise ValueError(f"expected a (N, m, n) stack, got ndim={S.ndim}")
-    if S.shape[1] > S.shape[2]:
-        raise ValueError(f"need m <= n in stack, got shape {S.shape}")
-    return S
 
 
 def _cond_limit(rank_tol: float) -> float:
@@ -92,10 +82,10 @@ def _cond_limit(rank_tol: float) -> float:
     return min(_COND_CEILING, 0.5 / rank_tol)
 
 
-def _exponents(A: np.ndarray) -> np.ndarray:
-    """e with max |entry| in [2^(e-1), 2^e) for each matrix of a batch-last
-    (n, m, N) stack; at least -1021, so that 2^-e is a finite double."""
-    top = np.maximum(A.max(axis=(0, 1)), -A.min(axis=(0, 1)))
+def _exponents(A: np.ndarray, axis) -> np.ndarray:
+    """e with max |entry| over ``axis`` in [2^(e-1), 2^e); at least -1021,
+    so that 2^-e is a finite double."""
+    top = np.maximum(A.max(axis=axis), -A.min(axis=axis))
     return np.maximum(np.frexp(top)[1], -1021)
 
 
@@ -163,18 +153,6 @@ def _triangular_inverse(R: np.ndarray) -> np.ndarray:
     return X
 
 
-def _norms_sq(R: np.ndarray, R_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, N) squared column norms of the upper triangles R and squared row
-    norms of R_inv, each summed in index order."""
-    k = R.shape[0]
-    col_sq = R[0] * R[0]
-    inv_row_sq = R_inv[:, 0] * R_inv[:, 0]
-    for i in range(1, k):
-        col_sq[i:] += R[i, i:] * R[i, i:]
-        inv_row_sq[: i + 1] += R_inv[: i + 1, i] * R_inv[: i + 1, i]
-    return col_sq, inv_row_sq
-
-
 def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(1/SE, 1/SK) of a (N, m, n) stack from singular values alone.
 
@@ -182,10 +160,10 @@ def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nda
     ||j_k_perp|| * vol(rows without k) = vol(all rows), so it needs the
     singular values of every row-deleted minor.  Both are zero where the
     matrix is rank deficient under ``rank_tol``.  This is the reference
-    formula, and the fallback of the QR kernels near the rank cutoff.
+    formula, and the fallback of the QR kernel near the rank cutoff.
     """
     n_mats, m, n = S.shape
-    e = _exponents(S.transpose(2, 1, 0))
+    e = _exponents(S, axis=(1, 2))
     S = S * np.ldexp(1.0, -e)[:, None, None]
     sigma = np.linalg.svd(S, compute_uv=False)
     deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
@@ -207,110 +185,116 @@ def _svd_reciprocals(S: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nda
     return scal, skew
 
 
-def batch_reciprocals(
-    stack, rank_tol: float = RANK_TOL_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    """(1/SE, 1/SK) for each matrix in a (N, m, n) stack.
-
-    1/SE is the product of the singular values and 1/SK, in [0, 1], the
-    smallest ||j_k_perp|| / ||j_k|| over rows (one for mutually orthogonal
-    rows and for any nonzero single row).  Both are zero where the matrix
-    is rank deficient under ``rank_tol``.  One Householder QR of every J^T
-    gives both; matrices too ill-conditioned for it use the SVD formula.
-    The stack may have any memory layout: it is copied batch-last once.
-    """
-    S = _as_stack(stack)
-    m = S.shape[1]
-    A = _batch_last(S)
-    e = _exponents(A)
-    A *= np.ldexp(1.0, -e)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _householder(A)
-        R = A[:m]
-        col_sq, inv_row_sq = _norms_sq(R, _triangular_inverse(R))
-        bound_sq = reduce(np.add, col_sq) * reduce(np.add, inv_row_sq)
-        scal = np.ldexp(np.abs(reduce(np.multiply, (R[k, k] for k in range(m)))), m * e)
-        skew = 1.0 / np.sqrt(np.max(col_sq * inv_row_sq, axis=0))
-    if m == 1:
-        skew = np.ones_like(skew)
-    fallback = ~(bound_sq < _cond_limit(rank_tol) ** 2)
-    if fallback.any():
-        scal[fallback], skew[fallback] = _svd_reciprocals(S[fallback], rank_tol)
-    return scal, skew
-
-
 class ExtensionBase:
-    """A (N, k, n) stack of base matrices, k < n, factored once so that
-    :meth:`skewness` can score any number of one-row extensions of it.
+    """A (N, k, n) stack of base matrices, 0 <= k < n, factored once so that
+    :meth:`extend` can score any number of one-row extensions of it.
 
     Only what :func:`_householder` leaves of each base^T is kept: R and the
     k reflectors H_0 .. H_(k-1), never Q.  They take a new row j to
     x = H_(k-1) ... H_0 j, whose head g = x[:k] is Q^T j and whose tail is
     the part of j outside the base's row space, of norm s = ||x[k:]||
     (Golub & Van Loan, Matrix Computations, sections 5.1-5.2).  So the row
-    extends the factor to R' = [[R, g], [0, s]]: it scores s / ||j||, and
-    row l of R'^-1 is row l of R^-1 followed by -h_l / s, with h = R^-1 g.
-    Every sum is written out in index order, as in :func:`batch_reciprocals`.
-    A base that is already rank deficient scores zero with every row, since
-    adding a row can only lower sigma_min / sigma_max.  Nothing is scaled
-    here: a base or row whose squares overflow, or underflow to zero, fails
-    the condition bound, so its pairs take the SVD formula, which scales.
+    extends the factor to R' = [[R, g], [0, s]]: 1/SE is the product of
+    the base's |R_ii| times s, the new row scores s / ||j||, and row l of
+    R'^-1 is row l of R^-1 followed by -h_l / s, with h = R^-1 g.  With no
+    base rows R' = [s], so a lone row j scores (||j||, 1).
+
+    A base and every row extending it are scaled by the power of two that
+    brings the base's largest entry into [0.5, 1); without base rows, each
+    row is scaled by its own.  The scaling is exact, so 1/SK does not
+    change and 1/SE is scaled back.  A row so much larger or smaller than
+    its base that its squares overflow, or all underflow, fails the
+    condition bound, and its pair takes the SVD formula, which scales the
+    pair on its own.  A base whose own condition bound fails has its rank
+    tested by that formula too.  A rank-deficient base scores zero with
+    every row, since adding a row can only lower sigma_min / sigma_max.
     """
 
     def __init__(self, base, rank_tol: float = RANK_TOL_DEFAULT):
-        B = _as_stack(base)
-        k, n = B.shape[1:]
-        if not 1 <= k < n:
-            raise ValueError(f"need 1 <= k < n rows in the base stack, got shape {B.shape}")
+        B = np.asarray(base, dtype=float)
+        if B.ndim != 3 or B.shape[1] >= B.shape[2]:
+            raise ValueError(f"need a (N, k, n) base stack with k < n, got shape {B.shape}")
+        n_mats, k, _ = B.shape
         self.base, self.rank_tol = B, rank_tol
-        sigma = np.linalg.svd(B, compute_uv=False)
-        self.deficient = sigma[:, -1] <= rank_tol * sigma[:, 0]
         self.factor = _batch_last(B)
+        self.exponents = _exponents(self.factor, axis=(0, 1)) if k else None
+        if k:
+            self.factor *= np.ldexp(1.0, -self.exponents)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.tau = _householder(self.factor)
-            self.R_inv = _triangular_inverse(self.factor[:k])
-            # ||base row l||^2 and its dual, each (k, N).
-            self.col_sq, self.inv_row_sq = _norms_sq(self.factor[:k], self.R_inv)
+            R = self.factor[:k]
+            self.R_inv = _triangular_inverse(R)
+            # ||base row l||^2 and its dual, each (k, N) and summed in index
+            # order, and their sums over l.
+            self.col_sq, self.inv_row_sq = np.zeros(R.shape[1:]), np.zeros(R.shape[1:])
+            for i in range(k):
+                self.col_sq[i:] += R[i, i:] * R[i, i:]
+                self.inv_row_sq[: i + 1] += self.R_inv[: i + 1, i] * self.R_inv[: i + 1, i]
+            self.col_total = reduce(np.add, self.col_sq, np.zeros(n_mats))
+            self.inv_total = reduce(np.add, self.inv_row_sq, np.zeros(n_mats))
+            self.diagonal = np.abs(reduce(np.multiply, (R[i, i] for i in range(k)), 1.0))
+        self.deficient = ~(self.col_total * self.inv_total < _cond_limit(rank_tol) ** 2)
+        if self.deficient.any():
+            self.deficient[self.deficient] = _svd_reciprocals(B[self.deficient], rank_tol)[1] == 0
 
-    def skewness(self, rows, repeats=()) -> np.ndarray:
-        """1/SK of each base matrix extended by each of its candidate rows.
+    def extend(self, rows, repeats=()) -> tuple[np.ndarray, np.ndarray]:
+        """(1/SE, 1/SK) of each base matrix extended by each of its candidate rows.
 
-        ``rows`` is a (N, C, n) stack; entry [i, c] of the (N, C) result is
-        1/SK of base i with ``rows[i, c]`` appended as row k, as
-        :func:`batch_reciprocals` would score it.  Pairs whose condition
-        bound is not safely small use the SVD formula, as there.  The
-        positions c in ``repeats`` hold a row of the base in every sample:
-        they score exactly zero, the value of a repeated row, and never
-        take the SVD formula.
+        ``rows`` is a (N, C, n) stack; entry [i, c] of each (N, C) result
+        scores base i with ``rows[i, c]`` appended as row k.  1/SE is the
+        product of the singular values and 1/SK, in [0, 1], the smallest
+        ||j_l_perp|| / ||j_l|| over rows (one for mutually orthogonal rows
+        and for any nonzero single row).  Both are zero where the extended
+        matrix is rank deficient under ``rank_tol``.  Pairs whose condition
+        bound is not safely small use the SVD formula.  The positions c in
+        ``repeats`` hold a row of the base in every sample: they score
+        exactly zero, the value of a repeated row, and never take the SVD
+        formula.
         """
-        A, R_inv, col_sq, inv_row_sq = self.factor, self.R_inv, self.col_sq, self.inv_row_sq
         J = np.asarray(rows, dtype=float)
         n_mats, k, n = self.base.shape
         if J.ndim != 3 or J.shape[0] != n_mats or J.shape[2] != n:
             raise ValueError(f"expected a ({n_mats}, C, {n}) row stack, got shape {J.shape}")
         X = _batch_last(J)  # (n, C, N)
+        e = self.exponents if k else _exponents(X, axis=0)
+        X *= np.ldexp(1.0, -e)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             row_sq = reduce(np.add, (x * x for x in X))
             for i in range(k):
-                _reflect(A, i, self.tau[i], X)
-            s_sq = reduce(np.add, (x * x for x in X[k:]))
-            h = np.empty(X[:k].shape)  # h_l = sum_(i >= l) R_inv[l, i] g_i
+                _reflect(self.factor, i, self.tau[i], X)
+            # With no base rows nothing is reflected, and s = ||j||.
+            s_sq = reduce(np.add, (x * x for x in X[k:])) if k else row_sq.copy()
+            scal = np.sqrt(s_sq)
+            scal *= self.diagonal
+            scal = np.ldexp(scal, (k + 1) * e, out=scal).T
+            # In place from here on, to keep the chunks' temporaries few:
+            # h_l = sum_(i >= l) R_inv[l, i] g_i becomes (h_l / s)^2, then
+            # the squared ratio of base row l in the extended matrix.
+            h = np.empty(X[:k].shape)
             for i in range(k):
-                h[:i] += R_inv[:i, i, None] * X[i]
-                h[i] = R_inv[i, i] * X[i]
-            h_over_s_sq = h * h / s_sq
-            old_rows = col_sq[:, None] * (inv_row_sq[:, None] + h_over_s_sq)
-            worst_sq = reduce(np.maximum, old_rows, row_sq / s_sq)
-            skew = (1.0 / np.sqrt(worst_sq)).T
-            bound_sq = (reduce(np.add, col_sq) + row_sq) * (
-                reduce(np.add, inv_row_sq) + reduce(np.add, h_over_s_sq) + 1.0 / s_sq
-            )
-        skew[self.deficient] = 0.0
-        skew[:, repeats] = 0.0
+                h[:i] += self.R_inv[:i, i, None] * X[i]
+                h[i] = self.R_inv[i, i] * X[i]
+            del X
+            h *= h
+            h /= s_sq
+            inv_sq_total = self.inv_total + reduce(np.add, h, 0.0)
+            h += self.inv_row_sq[:, None]
+            h *= self.col_sq[:, None]
+            worst_sq = row_sq / s_sq
+            for old_row in h:
+                np.maximum(worst_sq, old_row, out=worst_sq)
+            skew = np.divide(1.0, np.sqrt(worst_sq, out=worst_sq), out=worst_sq).T
+            # The condition bound squared, ||R'||_F^2 ||R'^-1||_F^2, is
+            # (||R||_F^2 + ||j||^2) (||R^-1||_F^2 + ||h / s||^2 + 1 / s^2).
+            bound_sq = np.add(row_sq, self.col_total, out=row_sq)
+            bound_sq *= np.add(np.divide(1.0, s_sq, out=s_sq), inv_sq_total, out=s_sq)
+        for score in (scal, skew):
+            score[self.deficient] = 0.0
+            score[:, repeats] = 0.0
         fallback = ~(bound_sq.T < _cond_limit(self.rank_tol) ** 2) & ~self.deficient[:, None]
         fallback[:, repeats] = False
         if fallback.any():
             i, c = np.nonzero(fallback)
             extended = np.concatenate([self.base[i], J[i, c][:, None, :]], axis=1)
-            skew[i, c] = _svd_reciprocals(extended, self.rank_tol)[1]
-        return skew
+            scal[i, c], skew[i, c] = _svd_reciprocals(extended, self.rank_tol)
+        return scal, skew

@@ -64,6 +64,9 @@ depends neither on its block nor on the BLAS threads.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import scipy.linalg.lapack
 import scipy.sparse
@@ -211,6 +214,20 @@ class HeatRod1D(_HeatModel):
         self.field_size = nodes.size
         h = 1.0 / elements
 
+        # The (E, 2, 2) load terms (element, Gauss point, node), summed into
+        # shared nodes in that order as an element loop would.  The squares
+        # use libm's pow, as a scalar ``** 2`` does; an array's multiplies.
+        # The temporaries are dropped before the bands, which set the peak.
+        t = np.array(_GAUSS_PTS)
+        offsets = (0.5 - (nodes[:-1, None] + t * h)).ravel()
+        squares = np.fromiter(map(math.pow, offsets, itertools.repeat(2.0)), float, offsets.size)
+        terms = (0.5 * h * _source(squares)).reshape(-1, 2, 1) * np.stack([1.0 - t, t], axis=-1)
+        del offsets, squares
+        node = np.broadcast_to(np.arange(elements)[:, None, None] + np.arange(2), terms.shape)
+        self._load = np.zeros(self.field_size)
+        np.add.at(self._load, node, terms)
+        del terms, node
+
         m_local = _RHO_C * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
         k_local = 1.0 / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
         # The tridiagonal matrices as bands: the diagonal, and the
@@ -228,12 +245,6 @@ class HeatRod1D(_HeatModel):
             bands[0, e + 1] += local[1, 1]
             bands[1, e] = local[0, 1]
 
-        self._load = np.zeros(self.field_size)
-        for e in range(elements):
-            for t in _GAUSS_PTS:
-                weighted = 0.5 * h * _source((0.5 - (nodes[e] + t * h)) ** 2)
-                self._load[e] += weighted * (1.0 - t)
-                self._load[e + 1] += weighted * t
         # Per point, a block holds the bands of dt/2 K, A, B and the factor,
         # the n region bands of the couplings, the state and n sensitivity
         # columns and their step temporaries: about 30 columns of P floats.

@@ -13,7 +13,7 @@ inversion alike, goes through :func:`evaluate_samples`.  It splits the
 samples into blocks of ``model.block_points`` and runs one
 ``model.evaluate_stacked`` call per block, on ``--workers`` forked
 processes: SuperLU's and LAPACK's solves hold the GIL, so threads could not
-overlap them.  :func:`thread_map` runs the chunks of the design kernels and
+overlap them.  :func:`thread_map` runs the chunks of the criterion kernel and
 kernel densities, whose numpy work releases the GIL, on every CPU the
 process may run on.
 """

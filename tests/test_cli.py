@@ -220,14 +220,17 @@ def test_warm_statistics_skip_the_kernels(first, second, tmp_path, monkeypatch):
     assert cli.main([first, "--config", cache_config(tmp_path, first, 6, "first", arity=2)]) == 0
     assert (tmp_path / "cache" / "batch.stats.npz").exists()
 
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("kernel called on a warm statistics cache")
-
-    monkeypatch.setattr(geometry, "batch_reciprocals", no_kernel)
-    monkeypatch.setattr(design, "batch_reciprocals", no_kernel)
+    calls, extend = [], geometry.ExtensionBase.extend
+    monkeypatch.setattr(geometry.ExtensionBase, "extend",
+                        lambda *a, **k: calls.append(1) or extend(*a, **k))
     assert cli.main([second, "--config", cache_config(tmp_path, second, 6, "warm", arity=2)]) == 0
+    assert calls == []
     for name in SCORED_FILES[second]:
         assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+    # The spy sees the kernel wherever a run scores.
+    assert cli.main([second, "--config",
+                     cache_config(tmp_path, second, 6, "spied", cache=False, arity=2)]) == 0
+    assert calls
 
 
 def test_other_arity_or_rank_tol_rescores(tmp_path, monkeypatch):
@@ -521,7 +524,7 @@ def test_dci_count_over_the_kernel_density_budget_is_refused_before_any_solve(
                          ids=["plate-e2400", "rod-e1e8"])
 def test_mesh_over_the_memory_budget_is_refused_before_it_is_built(model, tmp_path, capsys,
                                                                    monkeypatch):
-    # About 8.6 GB and 8.8 GB to build, though one sample at arity 1 passes
+    # About 8.6 GB and 9.6 GB to build, though one sample at arity 1 passes
     # both later budgets.
     def built(**kwargs):
         raise AssertionError("the model was built")

@@ -273,7 +273,7 @@ def test_property_rank_deficiency_hits_both_criteria():
             assert crit.rank_deficient
 
 
-# --- batched kernels ----------------------------------------------------------
+# --- the criterion kernel -----------------------------------------------------
 
 
 def test_batch_kernels_match_pointwise():
@@ -281,27 +281,98 @@ def test_batch_kernels_match_pointwise():
     stack = rng.uniform(-1.0, 1.0, size=(64, 3, 5))
     stack[5] = 0.0  # all-zero matrix
     stack[9, 2] = 3.0 * stack[9, 0]  # dependent row
-    scal, skew = geo.batch_reciprocals(stack)
+    scal, skew = geo.ExtensionBase(stack[:, :2]).extend(stack[:, 2:])
     for i in range(stack.shape[0]):
         crit = oracles.local_skewness_svd(stack[i])
         want_scal = 0.0 if np.isinf(crit.scaling) else 1.0 / crit.scaling
         want_skew = 0.0 if np.isinf(crit.skewness) else 1.0 / crit.skewness
-        assert scal[i] == pytest.approx(want_scal, rel=1e-10, abs=1e-15)
-        assert skew[i] == pytest.approx(want_skew, rel=1e-10, abs=1e-15)
+        assert scal[i, 0] == pytest.approx(want_scal, rel=1e-10, abs=1e-15)
+        assert skew[i, 0] == pytest.approx(want_skew, rel=1e-10, abs=1e-15)
 
 
 def test_batch_kernels_single_row_maps():
     rng = np.random.default_rng(32)
     stack = rng.uniform(-1.0, 1.0, size=(16, 1, 4))
     stack[3] = 0.0
-    scal, skew = geo.batch_reciprocals(stack)
+    scal, skew = geo.ExtensionBase(stack[:, :0]).extend(stack)
     norms = np.linalg.norm(stack[:, 0, :], axis=1)
-    assert np.allclose(scal, norms)
-    assert np.allclose(skew, (norms > 0).astype(float))
+    assert np.allclose(scal[:, 0], norms)
+    assert np.allclose(skew[:, 0], (norms > 0).astype(float))
 
 
 def test_batch_kernels_reject_bad_shapes():
     with pytest.raises(ValueError):
-        geo.batch_reciprocals(np.ones((4, 3, 2)))  # m > n
+        geo.ExtensionBase(np.ones((4, 3, 2)))  # m > n
     with pytest.raises(ValueError):
-        geo.batch_reciprocals(np.ones((3, 2)))
+        geo.ExtensionBase(np.ones((4, 2, 2)))  # an extension would have m > n
+    with pytest.raises(ValueError):
+        geo.ExtensionBase(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        geo.ExtensionBase(np.ones((4, 1, 3))).extend(np.ones((4, 3)))
+
+
+def test_empty_base_scores_a_row_by_its_norm():
+    rng = np.random.default_rng(33)
+    rows = rng.uniform(-1.0, 1.0, size=(40, 3, 6))
+    rows[::7, 1] = 0.0
+    scales = np.exp2(rng.integers(-600, 600, size=40))[:, None]
+    norms = np.linalg.norm(rows, axis=2) * scales
+    scal, skew = geo.ExtensionBase(rows[:, :0]).extend(rows * scales[:, :, None])
+    zero = norms == 0.0
+    assert zero.sum() == 6
+    assert np.all(scal[zero] == 0.0) and np.all(skew[zero] == 0.0)
+    assert np.allclose(scal[~zero], norms[~zero], rtol=1e-14, atol=0.0)
+    assert np.all(skew[~zero] == 1.0)
+
+
+@pytest.mark.parametrize("kind", ["zero row", "repeated row"])
+def test_rank_deficient_base_scores_zero_with_every_extension(kind):
+    rng = np.random.default_rng(34)
+    base = rng.uniform(-1.0, 1.0, size=(8, 3, 5))
+    if kind == "zero row":
+        base[:, 1] = 0.0
+    else:
+        base[:, 2] = base[:, 0]
+    rows = rng.uniform(-1.0, 1.0, size=(8, 4, 5))
+    scal, skew = geo.ExtensionBase(base).extend(rows)
+    assert np.all(scal == 0.0) and np.all(skew == 0.0)
+
+
+def condition_bound(J):
+    """||J||_F ||J^+||_F from the singular values; inf where one is zero."""
+    sigma = np.linalg.svd(J, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return np.sqrt(np.sum(sigma**2, axis=-1) * np.sum(1.0 / sigma**2, axis=-1))
+
+
+def test_svd_runs_only_where_the_condition_bound_fails(monkeypatch):
+    rng = np.random.default_rng(35)
+    base = rng.uniform(-1.0, 1.0, size=(6, 2, 4))
+    base[0, 1] = 0.0  # rank deficient
+    base[1, 1] = base[1, 0]  # rank deficient
+    base[2, 1] = base[2, 0] + 1e-10 * rng.uniform(-1.0, 1.0, size=4)  # ill-conditioned
+    rows = rng.uniform(-1.0, 1.0, size=(6, 3, 4))
+    rows[:, 1] = base[:, 0] - base[:, 1] + 1e-10 * rng.uniform(-1.0, 1.0, size=(6, 4))
+    rows[:, 2] = base[:, 0] + 0.5 * base[:, 1]  # in the base's row space
+    extended = np.concatenate([np.repeat(base[:, None], 3, axis=1), rows[:, :, None]], axis=2)
+    limit = geo._cond_limit(geo.RANK_TOL_DEFAULT)
+    base_fails = ~(condition_bound(base) < limit)
+    pair_fails = ~(condition_bound(extended) < limit)
+    pair_fails[:2] = False  # a rank-deficient base scores zero without the SVD
+    assert base_fails.tolist() == [True, True, True, False, False, False]
+    assert pair_fails.sum(axis=0).tolist() == [1, 4, 4]
+    want_scal, want_skew = geo._svd_reciprocals(extended.reshape(-1, 3, 4),
+                                                geo.RANK_TOL_DEFAULT)
+
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    scal, skew = geo.ExtensionBase(base).extend(rows)
+    # The SVD formula factors each stack it takes whole, then without each row.
+    n_base, n_pairs = int(base_fails.sum()), int(pair_fails.sum())
+    assert shapes == [(n_base, 2, 4)] + [(n_base, 1, 4)] * 2 + [(n_pairs, 3, 4)] + [
+        (n_pairs, 2, 4)] * 3
+    assert np.all(scal[:2] == 0.0) and np.all(skew[:2] == 0.0)
+    assert np.array_equal(scal.ravel() == 0.0, want_scal == 0.0)
+    assert np.array_equal(skew.ravel() == 0.0, want_skew == 0.0)
+    assert np.allclose(scal.ravel(), want_scal, rtol=1e-6, atol=0.0)
+    assert np.allclose(skew.ravel(), want_skew, rtol=1e-6, atol=0.0)

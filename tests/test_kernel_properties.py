@@ -1,5 +1,5 @@
-"""Property tests of the batched QR kernels, the greedy rank-one rounds
-and the score-grid helpers."""
+"""Property tests of the criterion kernel, the greedy rank-one rounds and
+the score-grid helpers."""
 
 import criteria_oracles
 import design_oracles
@@ -24,6 +24,14 @@ def stacks(draw, max_n=6, max_count=5):
     return rng.uniform(-1.0, 1.0, size=(count, m, n)), rng
 
 
+def reciprocals(stack):
+    """The kernel's (1/SE, 1/SK) of each matrix of a (N, m, n) stack, scored
+    as the exhaustive search scores a design: its first m - 1 rows extended
+    by its last."""
+    scal, skew = geo.ExtensionBase(stack[:, :-1]).extend(stack[:, -1:])
+    return scal[:, 0], skew[:, 0]
+
+
 def well_conditioned(stack, limit=1e4):
     return bool(np.all(np.linalg.cond(stack) < limit))
 
@@ -34,7 +42,7 @@ def test_row_permutation_invariance(drawn):
     stack, rng = drawn
     assume(well_conditioned(stack))
     permuted = stack[:, rng.permutation(stack.shape[1]), :]
-    for got, want in zip(geo.batch_reciprocals(permuted), geo.batch_reciprocals(stack)):
+    for got, want in zip(reciprocals(permuted), reciprocals(stack)):
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -45,7 +53,7 @@ def test_output_rotation_invariance(drawn):
     assume(well_conditioned(stack))
     n = stack.shape[2]
     rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    for got, want in zip(geo.batch_reciprocals(stack @ rotation), geo.batch_reciprocals(stack)):
+    for got, want in zip(reciprocals(stack @ rotation), reciprocals(stack)):
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -57,8 +65,8 @@ def test_row_scaling_scales_only_the_scaling(drawn, c):
     k = int(rng.integers(stack.shape[1]))
     scaled = stack.copy()
     scaled[:, k, :] *= c
-    scal, skew = geo.batch_reciprocals(stack)
-    scal_c, skew_c = geo.batch_reciprocals(scaled)
+    scal, skew = reciprocals(stack)
+    scal_c, skew_c = reciprocals(scaled)
     assert np.allclose(scal_c, abs(c) * scal, rtol=1e-10, atol=0.0)
     assert np.allclose(skew_c, skew, rtol=1e-10, atol=0.0)
 
@@ -68,7 +76,7 @@ def test_row_scaling_scales_only_the_scaling(drawn, c):
 def test_kernel_matches_projection_oracle(drawn):
     stack, _ = drawn
     assume(well_conditioned(stack))
-    scal, skew = geo.batch_reciprocals(stack)
+    scal, skew = reciprocals(stack)
     for i, J in enumerate(stack):
         crit = local_skewness_oracle(J)
         assert np.isclose(scal[i], 1.0 / crit.scaling, rtol=1e-10, atol=0.0)
@@ -87,7 +95,7 @@ def test_zero_pattern_matches_svd_formula(drawn, noise):
     for i in range(0, count, 2):
         weights = rng.normal(size=m - 1)
         stack[i, -1] = weights @ stack[i, :-1] + noise * rng.normal(size=n)
-    scal, skew = geo.batch_reciprocals(stack)
+    scal, skew = reciprocals(stack)
     want_scal, want_skew = geo._svd_reciprocals(stack, geo.RANK_TOL_DEFAULT)
     assert np.array_equal(scal == 0.0, want_scal == 0.0)
     assert np.array_equal(skew == 0.0, want_skew == 0.0)
@@ -106,7 +114,8 @@ def test_greedy_round_scores_match_explicit_stacks(n, field_size, count, seed):
     for rnd in trace.rounds:
         chosen = trace.selected[: rnd.round_index - 1]
         stacks_ = np.stack([jacobians[:, list(chosen) + [p], :] for p in range(field_size)])
-        scal, skew = geo.batch_reciprocals(stacks_.reshape(-1, len(chosen) + 1, n))
+        scal, skew = geo._svd_reciprocals(stacks_.reshape(-1, len(chosen) + 1, n),
+                                          geo.RANK_TOL_DEFAULT)
         want = (scal if rnd.round_index == 1 else skew).reshape(field_size, count).mean(axis=1)
         assert np.allclose(rnd.scores, want, rtol=1e-9, atol=1e-15)
         assert np.array_equal(rnd.scores == 0.0, want == 0.0)
@@ -155,7 +164,7 @@ def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, coun
     rng = np.random.default_rng(seed)
     m = max(1, n - drop)
     stack = mixed_stack(rng, count, m, n)
-    alone = [geo.batch_reciprocals(stack[i : i + 1]) for i in range(count)]
+    alone = [reciprocals(stack[i : i + 1]) for i in range(count)]
     # The same matrices at random places of a longer stack of others, scored
     # in chunks of random sizes on ``threads`` threads, as a strided view.
     others = mixed_stack(rng, int(rng.integers(0, 40)), m, n)
@@ -167,7 +176,7 @@ def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, coun
     scal, skew = np.empty(len(big)), np.empty(len(big))
 
     def score(part):
-        scal[part], skew[part] = geo.batch_reciprocals(big[part])
+        scal[part], skew[part] = reciprocals(big[part])
 
     sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
                         threads=threads)
@@ -187,22 +196,23 @@ def test_each_extension_scores_the_same_alone_anywhere_and_on_threads(n, drop, c
     # is a hair from base row 0, so that pair takes the SVD route.
     jacobians = mixed_stack(rng, count, k + size + int(rng.integers(0, 40)), n)
     base = geo.ExtensionBase(jacobians[:, :k])
-    alone = [base.skewness(jacobians[:, k + c : k + c + 1]) for c in range(size)]
+    alone = [base.extend(jacobians[:, k + c : k + c + 1]) for c in range(size)]
     # The same rows at random places among the others, scored in chunks of
     # random sizes on ``threads`` threads, as a strided view.
     order = rng.permutation(jacobians.shape[1] - k)
     rows = np.asfortranarray(jacobians[:, k:][:, order])
     where = np.argsort(order)[:size]
     cuts = np.unique(np.concatenate([[0, len(order)], rng.integers(0, len(order), size=4)]))
-    skew = np.empty((count, len(order)))
+    scal, skew = np.empty((count, len(order))), np.empty((count, len(order)))
 
     def score(part):
-        skew[:, part] = base.skewness(rows[:, part])
+        scal[:, part], skew[:, part] = base.extend(rows[:, part])
 
     sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
                         threads=threads)
     for c, at in enumerate(where):
-        assert skew[:, at].tobytes() == alone[c][:, 0].tobytes()
+        assert scal[:, at].tobytes() == alone[c][0][:, 0].tobytes()
+        assert skew[:, at].tobytes() == alone[c][1][:, 0].tobytes()
 
 
 @pytest.mark.parametrize("k", [-560, -100, 100, 560])
@@ -213,7 +223,7 @@ def test_power_of_two_scaling_moves_only_the_scaling(k, m, n, monkeypatch):
     svd, svd_rows = geo._svd_reciprocals, []
     monkeypatch.setattr(geo, "_svd_reciprocals",
                         lambda S, tol: svd_rows.append(len(S)) or svd(S, tol))
-    for route in (geo.batch_reciprocals, lambda S: svd(S, geo.RANK_TOL_DEFAULT)):
+    for route in (reciprocals, lambda S: svd(S, geo.RANK_TOL_DEFAULT)):
         scal, skew = route(stack)
         scal_k, skew_k = route(stack * 2.0**k)
         assert not np.isnan(skew_k).any()
@@ -222,15 +232,15 @@ def test_power_of_two_scaling_moves_only_the_scaling(k, m, n, monkeypatch):
             want = np.ldexp(scal, k * m)
         normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
         assert scal_k[normal].tobytes() == want[normal].tobytes()
-    assert (sum(svd_rows) > 0) == (m > 1)  # the QR kernel used both routes
+    assert (sum(svd_rows) > 0) == (m > 1)  # the kernel used both routes
 
 
 @pytest.mark.parametrize("k", [-560, 560])
 def test_extensions_of_any_scale_are_scored(k):
-    # Squares under- or overflow at these scales; the SVD formula takes over.
+    # Squares under- or overflow at these scales unless the kernel scales.
     rng = np.random.default_rng(43)
     jacobians = mixed_stack(rng, 30, 8, 9) * 2.0**-40
     base, rows = jacobians[:, :3], jacobians[:, 3:]
-    want = geo.ExtensionBase(base).skewness(rows)
-    got = geo.ExtensionBase(base * 2.0**k).skewness(rows * 2.0**k)
+    want = geo.ExtensionBase(base).extend(rows)[1]
+    got = geo.ExtensionBase(base * 2.0**k).extend(rows * 2.0**k)[1]
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)

@@ -218,9 +218,10 @@ def test_assemble_selects_rows(rod_batch_small):
     # A design is scored on its rows of the field batch, and on nothing else.
     _, batch = rod_batch_small
     result = design.exhaustive_oed(design.DesignSpace(candidates=[[5]]), batch)
-    scal, skew = geometry.batch_reciprocals(batch.jacobians[:, [5], :])
-    assert result.reports[0, 0] == scal.mean()
-    assert result.reports[0, 1] == skew.mean()
+    rows = batch.jacobians[:, [5], :]
+    scal, skew = geometry.ExtensionBase(rows[:, :0]).extend(rows)
+    assert result.reports[0, 0] == scal[:, 0].mean()
+    assert result.reports[0, 1] == skew[:, 0].mean()
 
 
 def test_assemble_duplicate_rows_scores_infinite_skewness(rod_batch_small):

@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import logging
+import operator
 import sys
 import time
 from collections import namedtuple
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criteria, dci, design, geometry, models, sampling
+from . import __version__, criteria, dci, design, models, sampling
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,10 +44,10 @@ MANIFEST_SCHEMA_VERSION = 2
 
 # Exhaustive scoring is refused, before any solve and before the space is
 # built, when candidates x samples exceeds this many kernel matrices.  On a
-# 2-vCPU host the candidate scoring handles about 3.1-3.6M (2, 9) and
-# 11-12M (1, 9) matrices a second on one thread, and 4.2-5.0M (2, 9) and
-# 12-14M (1, 9) on both, so this is 11-13 s at arity 2 on one CPU and
-# 8-10 s on two.
+# 2-vCPU host the candidate scoring handles about 8.8-9.4M (2, 9) matrices
+# a second at 86 samples and 5.0-5.8M at 1000 on one thread, 10.2-10.8M
+# and 6.0M on both, and about 13M (1, 9) on either, so this is 4-8 s at
+# arity 2 on one CPU and 4-7 s on two.
 # It admits the e99 plate at arity 1 with 1000 samples (1e7 matrices) and
 # refuses its 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
@@ -84,9 +85,11 @@ class ConfigError(Exception):
 
 # One config key: its JSON type (names of _TYPES joined by " or "), its
 # default (_MISSING: required), the values it admits (a tuple of choices, or
-# a lower bound such as ">= 1", on the length of a list) and its readers.
+# bounds such as ">= 1" or ">= 0 and < 1", on the length of a list) and its
+# readers.
 _Setting = namedtuple("_Setting", "type default allowed readers")
 _TYPES = {"int": int, "number": (int, float), "string": str, "list": list, "object": dict}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 _SCORING, _DCI = ("sweep", "oed", "greedy"), ("dci",)
 _TASK_NAMES = _SCORING + _DCI
@@ -106,7 +109,8 @@ _SETTINGS = {
     "sampling.batch_cache": _Setting("string", None, None, _SCORING),
     "design.arity": _Setting("int", 2, (1, 2), ("sweep", "oed")),
     "design.utility": _Setting("string", "ese_inverse", design.UTILITIES, ("oed",)),
-    "tolerances.rank_tol": _Setting("number", 1e-12, ">= 0", _SCORING),
+    # sigma_min <= sigma_max, so at 1 or more every matrix is rank deficient.
+    "tolerances.rank_tol": _Setting("number", 1e-12, ">= 0 and < 1", _SCORING),
     "tolerances.greedy_tol": _Setting("number", 1e-3, "> 0", ("greedy",)),
     "greedy.m_target": _Setting("int", _MISSING, ">= 1", ("greedy",)),
     "dci.sensors": _Setting("list", _MISSING, ">= 1", _DCI),
@@ -153,9 +157,9 @@ def _value(key: str, value, setting: _Setting):
     if isinstance(setting.allowed, tuple) and value not in setting.allowed:
         raise ConfigError(f"{key}: must be one of {list(setting.allowed)}, got {value!r}")
     if isinstance(setting.allowed, str):
-        op, bound = setting.allowed.split()
         size = len(value) if isinstance(value, list) else value
-        if not (size > float(bound) if op == ">" else size >= float(bound)):
+        if not all(_COMPARE[op](size, float(bound))
+                   for op, bound in map(str.split, setting.allowed.split(" and "))):
             raise ConfigError(f"{key}: {'length ' if isinstance(value, list) else ''}must be "
                               f"{setting.allowed}, got {value!r}")
     return value
@@ -315,8 +319,8 @@ class _Run(dict):
         self.workers = args.workers
         cache = self.get("sampling.batch_cache")  # read by the scoring tasks only
         self.cache_path = None if cache is None else base_dir / cache
-        for path in () if cache is None else (self.cache_path, _statistics_path(self.cache_path)):
-            _refuse_unusable(path, "sampling.batch_cache", directory=False)
+        if cache is not None:
+            _refuse_unusable(self.cache_path, "sampling.batch_cache", directory=False)
         self.seed = args.seed if args.seed is not None else self["sampling.seed"]
         if not args.out and self["output_dir"] is None:
             raise ConfigError("output_dir: missing required field (or pass --out)")
@@ -391,15 +395,9 @@ class _Run(dict):
         return count, self.seed if self["dci.seed"] is None else self["dci.seed"]
 
 
-def _statistics_path(cache_path: Path) -> Path:
-    """The per-candidate statistics sidecar of a batch cache."""
-    return cache_path.with_suffix(".stats.npz")
-
-
 def _field_batch(run: _Run) -> sampling.FieldJacobianBatch:
     """The field batch, from ``sampling.batch_cache`` when it holds this
-    recipe's, else solved at the run's samples.  Writing a batch drops its
-    statistics sidecar, so the sidecar never outlives its batch."""
+    recipe's, else solved at the run's samples and written there."""
     cache_path = run.cache_path
     if cache_path is not None:
         key = _batch_key(run, run.model, run.box, run.seed)
@@ -411,40 +409,8 @@ def _field_batch(run: _Run) -> sampling.FieldJacobianBatch:
     batch = sampling.estimate_field_jacobians(run.model, run.samples, workers=run.workers)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        _statistics_path(cache_path).unlink(missing_ok=True)
         sampling.save_batch(batch, cache_path, key)
     return batch
-
-
-def _exhaustive(run: _Run, utility="ese_inverse"):
-    """Every candidate's statistics, ranked by ``utility``: what ``sweep``
-    and ``oed`` share.
-
-    With a batch cache, the (C, 5) statistics are kept in a sidecar next to
-    it, keyed on the batch key, the arity, ``rank_tol``, the statistics
-    columns and the kernel version: everything the rows depend on.  A later run with the same key
-    ranks the stored rows instead of running the kernel; any other
-    sidecar, or one of another shape or with negative values, is
-    recomputed and overwritten.
-    """
-    arity, rank_tol = run["design.arity"], run["tolerances.rank_tol"]
-    space, batch = run.space, _field_batch(run)
-    if run.cache_path is None:
-        return design.exhaustive_oed(space, batch, utility, rank_tol)
-    sidecar = _statistics_path(run.cache_path)
-    key = _sha256([_batch_key(run, run.model, run.box, run.seed), arity, float(rank_tol),
-                   criteria.STATISTICS, geometry.KERNEL_VERSION])
-    if sidecar.exists():
-        try:
-            (stats,) = sampling.load_arrays(sidecar, key, ["statistics"])
-            if stats.shape != (len(space), len(criteria.STATISTICS)) or np.any(stats < 0.0):
-                raise ValueError(f"statistics of shape {stats.shape} or with negative values")
-            return design.rank_designs(space, stats, utility)
-        except ValueError as exc:
-            logger.warning("recomputing statistics cache %s: %s", sidecar, exc)
-    result = design.exhaustive_oed(space, batch, utility, rank_tol)
-    sampling.save_arrays(sidecar, key, statistics=result.reports)
-    return result
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -483,7 +449,8 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def run_sweep(run: _Run) -> list[str]:
-    result = _exhaustive(run)
+    result = design.exhaustive_oed(run.space, _field_batch(run),
+                                   rank_tol=run["tolerances.rank_tol"])
     space, stats = result.space, result.reports
     coords = space.index_geometry
     header = [f"c{i}" for i in range(coords.shape[1])] + ["design_id"]
@@ -497,7 +464,8 @@ def run_sweep(run: _Run) -> list[str]:
 
 def run_oed(run: _Run) -> list[str]:
     utility, model = run["design.utility"], run.model
-    result = _exhaustive(run, utility)
+    result = design.exhaustive_oed(run.space, _field_batch(run), utility,
+                                   run["tolerances.rank_tol"])
     space = result.space
     ranked = result.reports[result.order]
     coords = space.index_geometry[result.order]

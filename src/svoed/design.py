@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -85,38 +84,50 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
     return DesignSpace(np.column_stack(np.tril_indices(field_size, -1)), coordinates)
 
 
-def _chunks(n_items: int, n_samples: int):
-    """Slices of at most _CHUNK_MATRICES // n_samples items (at least one).
+def _chunks(start: int, stop: int, n_samples: int):
+    """Slices of items start..stop, each of at most _CHUNK_MATRICES //
+    n_samples items (at least one).
 
     Chunks bound the memory in flight.  Their boundaries move no bit of a
     result, since the kernel scores each matrix on its own.
     """
     size = max(1, _CHUNK_MATRICES // n_samples)
-    return (slice(start, start + size) for start in range(0, n_items, size))
+    return (slice(first, min(first + size, stop)) for first in range(start, stop, size))
+
+
+def _extension_statistics(batch: FieldJacobianBatch, base: ExtensionBase, head, rows):
+    """:func:`criteria.reciprocal_statistics` rows of ``base``, the factored
+    field rows ``head``, extended by each field row in ``rows``.  A row of
+    the head repeats a base row, so the kernel scores it zero outright."""
+    repeats = np.flatnonzero(np.isin(rows, head))
+    scal, skew = base.extend(batch.jacobians[:, rows, :], repeats)
+    # extend returns transposes of contiguous (C, N) arrays, so each mean
+    # sums its samples in the same order whatever the chunk's size.
+    return reciprocal_statistics(scal.T, skew.T)
 
 
 def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np.ndarray:
     """Per-candidate :func:`criteria.reciprocal_statistics` rows.
 
-    Each chunk of candidates is scored, every design as its first m - 1
-    rows extended by its last, and reduced at once, so memory is
-    O(candidates), not O(candidates * samples).  The chunks run on
-    :func:`sampling.thread_map`'s threads.
+    Every design is its first m - 1 rows, its head, extended by its last.
+    Consecutive candidates with one head form a run (in
+    :func:`pair_space`, row i with every j < i).  Each task is a chunk of
+    one run: it factors the head once and extends it by the chunk's last
+    rows, so memory is O(candidates), not O(candidates * samples).  The
+    tasks run on :func:`sampling.thread_map`'s threads.
     """
-    n_cand, arity = candidates.shape
-    stats = np.empty((n_cand, 5))
-    by_row = batch.jacobians.transpose(1, 0, 2)  # (P, N, n)
+    heads, last = candidates[:, :-1], candidates[:, -1]
+    starts = np.flatnonzero(np.any(heads[1:] != heads[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(candidates)]
+    stats = np.empty((len(candidates), 5))
 
     def score(part):
-        block = candidates[part]
-        # One gather, laid out (m, C, N, n), viewed as the (C * N, m, n)
-        # stack without a copy; the kernel's batch-last copies are the others.
-        rows = by_row[block.T].reshape(arity, -1, batch.n_params).transpose(1, 0, 2)
-        scal, skew = ExtensionBase(rows[:, :-1], rank_tol).extend(rows[:, -1:])
-        shape = (block.shape[0], batch.count)
-        stats[part] = reciprocal_statistics(scal.reshape(shape), skew.reshape(shape))
+        head = heads[part.start]
+        base = ExtensionBase(batch.jacobians[:, head, :], rank_tol)
+        stats[part] = _extension_statistics(batch, base, head, last[part])
 
-    thread_map(score, _chunks(n_cand, batch.count))
+    thread_map(score, [part for start, stop in zip(bounds, bounds[1:])
+                       for part in _chunks(start, stop, batch.count)])
     return stats
 
 
@@ -143,15 +154,6 @@ def _rank(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values, kind="stable")
 
 
-def rank_designs(space: DesignSpace, stats: np.ndarray,
-                 utility: str = "ese_inverse") -> ExhaustiveResult:
-    """Rank the (C, 5) statistics rows of ``space`` by the chosen utility."""
-    if utility not in UTILITIES:
-        raise ValueError(f"utility must be one of {UTILITIES}")
-    order = _rank(stats[:, UTILITIES.index(utility)])
-    return ExhaustiveResult(space=space, reports=stats, order=order)
-
-
 def exhaustive_oed(
     space: DesignSpace,
     batch: FieldJacobianBatch,
@@ -159,8 +161,11 @@ def exhaustive_oed(
     rank_tol: float = RANK_TOL_DEFAULT,
 ) -> ExhaustiveResult:
     """Score every candidate design and rank by the chosen utility."""
-    return rank_designs(space, _candidate_statistics(batch, space.candidates, rank_tol),
-                        utility)
+    if utility not in UTILITIES:
+        raise ValueError(f"utility must be one of {UTILITIES}")
+    stats = _candidate_statistics(batch, space.candidates, rank_tol)
+    order = _rank(stats[:, UTILITIES.index(utility)])
+    return ExhaustiveResult(space=space, reports=stats, order=order)
 
 
 _NEIGHBOR_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
@@ -228,28 +233,6 @@ class GreedyTrace:
     tol: float = 0.0
 
 
-def _extension_means(batch: FieldJacobianBatch, selected, rows, rank_tol) -> np.ndarray:
-    """Mean 1/SK over samples of ``selected + (p,)`` for every row p.
-
-    The selected rows are factored once per sample for the whole round;
-    each candidate is then a rank-one extension of that factor, scored in
-    chunks of candidate rows on :func:`sampling.thread_map`'s threads.  A
-    selected row repeats a base row, so the kernel scores it zero outright.
-    Each mean sums its samples in order, whatever the chunk's size.
-    """
-    base = ExtensionBase(batch.jacobians[:, list(selected), :], rank_tol)
-    means = np.empty(rows.size)
-
-    def score(part):
-        chunk = rows[part]
-        repeats = np.flatnonzero(np.isin(chunk, selected))
-        skew = base.extend(batch.jacobians[:, chunk, :], repeats)[1]
-        means[part] = reduce(np.add, skew) / batch.count
-
-    thread_map(score, _chunks(rows.size, batch.count))
-    return means
-
-
 def greedy_oed(
     space: DesignSpace,
     batch: FieldJacobianBatch,
@@ -284,16 +267,19 @@ def greedy_oed(
     selected: list[int] = []
 
     for d in range(1, m_target + 1):
-        if d == 1:
-            per_candidate = _candidate_statistics(batch, space.candidates, rank_tol)[:, 0]
-            utility = "ese_inverse"
-        elif d > batch.n_params:
-            # More rows than parameters cannot be full rank; skip the kernel.
-            per_candidate = np.zeros(rows.size)
-            utility = "esk_inverse"
-        else:
-            per_candidate = _extension_means(batch, selected, rows, rank_tol)
-            utility = "esk_inverse"
+        column = min(d, 2) - 1  # the scaling utility in round one, then the skewness
+        utility = UTILITIES[column]
+        per_candidate = np.zeros(rows.size)
+        # More rows than parameters cannot be full rank; skip the kernel.
+        if d <= batch.n_params:
+            # The selected rows are factored once for the whole round, and
+            # every chunk of candidate rows extends that one factor.
+            base = ExtensionBase(batch.jacobians[:, selected, :], rank_tol)
+
+            def score(part, base=base, out=per_candidate, column=column):
+                out[part] = _extension_statistics(batch, base, selected, rows[part])[:, column]
+
+            thread_map(score, _chunks(0, rows.size, batch.count))
         best = int(_rank(per_candidate)[0])
         best_value = float(per_candidate[best])
 

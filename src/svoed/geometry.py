@@ -39,11 +39,6 @@ import numpy as np
 # the backward error of LAPACK's SVD for the tiny matrices handled here.
 RANK_TOL_DEFAULT = 1e-12
 
-# The identity of the kernel's arithmetic.  Cached statistics are keyed on
-# it, so any change that moves a statistic's bits must raise it.
-# Version 4: pairs are scored as one-row extensions of a one-row base.
-KERNEL_VERSION = 4
-
 
 # ---------------------------------------------------------------------------
 # The batched kernel over stacks of Jacobians.

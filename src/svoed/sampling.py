@@ -292,31 +292,35 @@ def estimate_field_jacobians(
     return FieldJacobianBatch(samples, outputs, jacobians)
 
 
-def save_arrays(path, key: str, **arrays) -> None:
-    """Write ``arrays`` under ``key`` at exactly ``path``, as an uncompressed
-    ``.npz``; :func:`load_arrays` refuses the file under any other key.
+def save_batch(batch: FieldJacobianBatch, path, key: str) -> None:
+    """Persist a batch at exactly ``path`` under ``key``, which names what
+    made it, so criterion sweeps can re-run without model solves;
+    :func:`load_batch` refuses the file under any other key.
 
     Uncompressed, because float samples barely compress.  Through an open
     file, because np.savez appends ".npz" to a path without it.
     """
     with open(path, "wb") as fh:
-        np.savez(fh, key=np.array(key), **arrays)
+        np.savez(fh, key=np.array(key), points=batch.samples.points, outputs=batch.outputs,
+                 jacobians=batch.jacobians)
 
 
-def load_arrays(path, key: str, names) -> list[np.ndarray]:
-    """The arrays ``names`` of a file written by :func:`save_arrays`.
+def load_batch(path, key: str) -> FieldJacobianBatch:
+    """Read a batch written by :func:`save_batch` under ``key``.
 
     Raises ValueError for a file that is not a readable ``.npz`` holding
-    them, for a file stored under another key (or none: an older schema),
-    and for an array that is not float64 or holds a non-finite value.
+    the batch, for a file stored under another key (or none: an older
+    schema), for an array that is not float64 or holds a non-finite value,
+    and for array shapes that disagree.
     """
+    names = ("points", "outputs", "jacobians")
     try:
         # Through an open file: np.load leaves a file it opened itself open
         # when the file is not a readable zip.
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if "key" not in data.files or str(data["key"]) != key:
                 raise ValueError("stored under another key")
-            arrays = [data[name] for name in names]
+            points, outputs, jacobians = arrays = [data[name] for name in names]
     except _UNREADABLE as exc:
         raise ValueError(f"unreadable file: {exc!r}") from exc
     for name, array in zip(names, arrays):
@@ -324,20 +328,6 @@ def load_arrays(path, key: str, names) -> list[np.ndarray]:
             raise ValueError(f"{name} is {array.dtype}, not float64")
         if not np.all(np.isfinite(array)):
             raise ValueError(f"{name} holds non-finite values")
-    return arrays
-
-
-def save_batch(batch: FieldJacobianBatch, path, key: str) -> None:
-    """Persist a batch at ``path`` under ``key``, which names what made it,
-    so criterion sweeps can re-run without model solves."""
-    save_arrays(path, key, points=batch.samples.points, outputs=batch.outputs,
-                jacobians=batch.jacobians)
-
-
-def load_batch(path, key: str) -> FieldJacobianBatch:
-    """Read a batch written by :func:`save_batch` under ``key``; ValueError
-    as for :func:`load_arrays`, and for array shapes that disagree."""
-    points, outputs, jacobians = load_arrays(path, key, ("points", "outputs", "jacobians"))
     shape = jacobians.shape
     if len(shape) != 3 or points.shape != (shape[0], shape[2]) or outputs.shape != shape[:2]:
         raise ValueError(f"batch shapes disagree: points {points.shape}, "

@@ -98,27 +98,25 @@ def test_batch_cache_without_the_npz_suffix_hits(tmp_path, monkeypatch):
     for out in ("first", "second"):
         assert cli.main(["sweep", "--config",
                          cache_config(tmp_path, "sweep", 4, out, cache="cache/batch")]) == 0
-    assert (len(solves), len(scored)) == (1, 1)
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["batch", "batch.stats.npz"]
+    assert (len(solves), len(scored)) == (1, 2)
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["batch"]
     assert ((tmp_path / "second" / "sweep.csv").read_bytes()
             == (tmp_path / "first" / "sweep.csv").read_bytes())
 
 
 def count_scoring(monkeypatch) -> list:
-    """Record every exhaustive scoring, i.e. every statistics-cache miss."""
+    """Record every exhaustive scoring."""
     scored, score = [], design.exhaustive_oed
     monkeypatch.setattr(design, "exhaustive_oed",
                         lambda *a, **k: scored.append(1) or score(*a, **k))
     return scored
 
 
-def write_schema_5(cache, sidecar, save):
-    """Rewrite the batch cache and its sidecar as schema 5 wrote them: the
-    arrays beside a JSON header, and a sidecar key hashed from a dict."""
+def write_schema_5(cache, save):
+    """Rewrite the batch cache as schema 5 wrote it: the arrays beside a
+    JSON header."""
     with np.load(cache) as data:
         arrays = {name: data[name] for name in ("points", "outputs", "jacobians")}
-    with np.load(sidecar) as data:
-        stats = data["statistics"]
     rod = cli.build_model({"model": ROD})
     recipe = cli._batch_recipe(cli._settings({"sampling": {"count": 4}}, "sweep"), rod,
                                rod.parameter_box, 5)
@@ -126,9 +124,6 @@ def write_schema_5(cache, sidecar, save):
     header = {"schema_version": 5, "model_id": rod.model_id, "seed": 5,
               "scheme": "uniform-random", "recipe_sha256": recipe, "N": N, "P": P, "n": n}
     save(cache, header=np.array(json.dumps(header)), **arrays)
-    key = cli._sha256({"recipe": recipe, "batch_schema": 5, "arity": 1, "rank_tol": 1e-12,
-                       "statistics": criteria.STATISTICS})
-    np.savez(sidecar, key=np.array(key), statistics=stats)
 
 
 def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
@@ -139,7 +134,6 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
     scored = count_scoring(monkeypatch)
     cache = tmp_path / "cache" / "batch.npz"
-    sidecar = cli._statistics_path(cache)
     assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
     cold = cache_config(tmp_path, "sweep", 4, "cold", cache=False)
     assert cli.main(["sweep", "--config", cold]) == 0
@@ -152,13 +146,13 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
 
     # Schema 5 as it was written (uncompressed or, by earlier versions,
     # compressed), and this layout under an older schema number.
-    for older in (lambda: write_schema_5(cache, sidecar, np.savez),
-                  lambda: write_schema_5(cache, sidecar, np.savez_compressed),
+    for older in (lambda: write_schema_5(cache, np.savez),
+                  lambda: write_schema_5(cache, np.savez_compressed),
                   this_layout_one_schema_back):
         older()
         solved, loaded, caplog_start = len(solves), len(loads), len(caplog.records)
         # The recipe is the same, but the batch is recomputed, with a
-        # warning, and rescored; the next run serves both.
+        # warning; the next run serves it.  Every run scores.
         for _ in range(2):
             assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 4)]) == 0
             assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (
@@ -167,38 +161,7 @@ def test_cache_of_an_older_schema_is_recomputed(tmp_path, monkeypatch, caplog):
         warned = [r.getMessage() for r in caplog.records[caplog_start:]]
         assert len(warned) == 1 and "recomputing batch cache" in warned[0]
         assert "stored under another key" in warned[0]
-    assert len(scored) == 2 + 3 + 1  # the older-schema number also rescored its oed
-
-
-def test_statistics_of_an_older_kernel_are_recomputed(tmp_path, monkeypatch, caplog):
-    solves, loads = [], []
-    estimate, load = sampling.estimate_field_jacobians, sampling.load_batch
-    monkeypatch.setattr(sampling, "estimate_field_jacobians",
-                        lambda *a, **k: solves.append(1) or estimate(*a, **k))
-    monkeypatch.setattr(sampling, "load_batch", lambda *a, **k: loads.append(1) or load(*a, **k))
-    with monkeypatch.context() as older:
-        older.setattr(geometry, "KERNEL_VERSION", geometry.KERNEL_VERSION - 1)
-        assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6, arity=2)]) == 0
-    # Statistics that an older kernel could have written: valid in every
-    # respect but their key, so serving them would change the output.
-    sidecar = tmp_path / "cache" / "batch.stats.npz"
-    with np.load(sidecar) as data:
-        key, stats = str(data["key"]), data["statistics"]
-    sampling.save_arrays(sidecar, key, statistics=stats * (1.0 + 1e-9))
-    cold = cache_config(tmp_path, "sweep", 6, "cold", cache=False, arity=2)
-    assert cli.main(["sweep", "--config", cold]) == 0
-    assert (len(solves), len(loads)) == (2, 0)
-
-    scored = count_scoring(monkeypatch)
-    caplog_start = len(caplog.records)
-    for _ in range(2):  # recomputed with a warning, then served
-        assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6, arity=2)]) == 0
-        assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (
-            tmp_path / "cold" / "sweep.csv").read_bytes()
-    assert (len(solves), len(loads), len(scored)) == (2, 2, 1)
-    warned = [r.getMessage() for r in caplog.records[caplog_start:]]
-    assert len(warned) == 1 and "recomputing statistics cache" in warned[0]
-    assert "stored under another key" in warned[0]
+    assert len(scored) == 2 + 3 * 2 + 1  # the older-schema number also ran an oed
 
 
 def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
@@ -210,100 +173,90 @@ def test_unreadable_batch_cache_is_recomputed(tmp_path, caplog):
     assert sampling.load_batch(cache, batch_key(4)).count == 4
 
 
-SCORED_FILES = {"sweep": ["sweep.csv"], "oed": ["ranking.csv", "oed_summary.json"]}
+def write_statistics(cache, count, arity, stats):
+    """Write ``stats`` where, and as, earlier versions kept the statistics
+    sidecar of the batch at ``cache``: at ``batch.stats.npz``, under the
+    key they would have served it under (kernel version 4)."""
+    key = cli._sha256([batch_key(count), arity, 1e-12, criteria.STATISTICS, 4])
+    sidecar = cache.with_suffix(".stats.npz")
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, key=np.array(key), statistics=stats)
+    return sidecar
 
 
-@pytest.mark.parametrize("first, second", [("oed", "sweep"), ("sweep", "oed")])
-def test_warm_statistics_skip_the_kernels(first, second, tmp_path, monkeypatch):
-    assert cli.main([second, "--config",
-                     cache_config(tmp_path, second, 6, "cold", cache=False, arity=2)]) == 0
-    assert cli.main([first, "--config", cache_config(tmp_path, first, 6, "first", arity=2)]) == 0
-    assert (tmp_path / "cache" / "batch.stats.npz").exists()
-
+def assert_statistics_unread(tmp_path, monkeypatch, count, arity, sidecar):
+    """A cached ``sweep`` next to ``sidecar`` scores, writes what a run
+    without the cache writes, and leaves the file as it was."""
+    assert cli.main(["sweep", "--config",
+                     cache_config(tmp_path, "sweep", count, "cold", False, arity)]) == 0
+    before = sidecar.read_bytes()
     calls, extend = [], geometry.ExtensionBase.extend
     monkeypatch.setattr(geometry.ExtensionBase, "extend",
                         lambda *a, **k: calls.append(1) or extend(*a, **k))
-    assert cli.main([second, "--config", cache_config(tmp_path, second, 6, "warm", arity=2)]) == 0
-    assert calls == []
-    for name in SCORED_FILES[second]:
-        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
-    # The spy sees the kernel wherever a run scores.
-    assert cli.main([second, "--config",
-                     cache_config(tmp_path, second, 6, "spied", cache=False, arity=2)]) == 0
+    assert cli.main(["sweep", "--config",
+                     cache_config(tmp_path, "sweep", count, arity=arity)]) == 0
     assert calls
+    assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
+            == (tmp_path / "cold" / "sweep.csv").read_bytes())
+    assert sidecar.read_bytes() == before
+
+
+def cold_statistics(tmp_path, count, arity):
+    """The statistics of a ``cache_config`` run's space over its batch."""
+    batch = sampling.load_batch(tmp_path / "cache" / "batch.npz", batch_key(count))
+    space = (design.scalar_space if arity == 1 else design.pair_space)(batch.outputs.shape[1])
+    return design.exhaustive_oed(space, batch).reports
+
+
+def test_statistics_of_an_older_kernel_are_recomputed(tmp_path, monkeypatch):
+    # Statistics earlier versions would have served from their sidecar: the
+    # right key and shape, but not what the kernel computes.
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6, arity=2)]) == 0
+    stats = cold_statistics(tmp_path, 6, 2) * (1.0 + 1e-9)
+    sidecar = write_statistics(tmp_path / "cache" / "batch.npz", 6, 2, stats)
+    assert_statistics_unread(tmp_path, monkeypatch, 6, 2, sidecar)
 
 
 def test_other_arity_or_rank_tol_rescores(tmp_path, monkeypatch):
-    # Each setting misses once on the one batch, then hits its own statistics.
+    # One batch serves every setting, and each run scores it afresh.
     scored = count_scoring(monkeypatch)
-    for i, settings in enumerate([{}, {"arity": 2}, {"arity": 2, "rank_tol": 1e-8}]):
-        for run in ("miss", "hit"):
-            config = cache_config(tmp_path, "sweep", 6, f"{run}{i}", **settings)
+    for i, settings in enumerate([{}, {"arity": 2}, {"arity": 2, "rank_tol": 1e-8}, {}]):
+        for run in ("cached", "cold"):
+            config = cache_config(tmp_path, "sweep", 6, f"{run}{i}",
+                                  cache=run == "cached" and "cache/batch.npz", **settings)
             assert cli.main(["sweep", "--config", config]) == 0
-            assert len(scored) == i + 1
-        assert ((tmp_path / f"hit{i}" / "sweep.csv").read_bytes()
-                == (tmp_path / f"miss{i}" / "sweep.csv").read_bytes())
+        assert len(scored) == 2 * (i + 1)
+        assert ((tmp_path / f"cached{i}" / "sweep.csv").read_bytes()
+                == (tmp_path / f"cold{i}" / "sweep.csv").read_bytes())
 
 
-def test_greedy_writes_no_statistics_and_its_new_batch_drops_them(tmp_path):
-    sidecar = tmp_path / "cache" / "batch.stats.npz"
-    greedy = {"task": "greedy", "model": ROD, "greedy": {"m_target": 2}, "output_dir": "greedy",
-              "sampling": {"count": 4, "seed": 5, "batch_cache": "cache/batch.npz"}}
-    assert cli.main(["greedy", "--config", write_config(tmp_path, "g.json", greedy)]) == 0
-    assert (tmp_path / "cache" / "batch.npz").exists() and not sidecar.exists()
-
+def test_sidecar_copied_back_over_a_rewritten_batch_is_rescored(tmp_path, monkeypatch):
+    # The sidecar of one batch stays, untouched, when another replaces it.
     assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
-    assert sidecar.exists()
-    greedy["sampling"]["count"] = 7
-    assert cli.main(["greedy", "--config", write_config(tmp_path, "g.json", greedy)]) == 0
-    assert sampling.load_batch(tmp_path / "cache" / "batch.npz", batch_key(7)).count == 7
-    assert not sidecar.exists()
+    cache = tmp_path / "cache" / "batch.npz"
+    sidecar = write_statistics(cache, 4, 1, cold_statistics(tmp_path, 4, 1))
+    before = sidecar.read_bytes()
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 7)]) == 0
+    assert sampling.load_batch(cache, batch_key(7)).count == 7
+    assert sidecar.read_bytes() == before
+    assert_statistics_unread(tmp_path, monkeypatch, 7, 1, sidecar)
 
 
-def test_sidecar_copied_back_over_a_rewritten_batch_is_rescored(tmp_path, monkeypatch, caplog):
-    sidecar = tmp_path / "cache" / "batch.stats.npz"
-    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == 0
-    old = sidecar.read_bytes()
-    # Another recipe rewrites the batch; then the old sidecar comes back.
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 7, "cold")]) == 0
-    sidecar.write_bytes(old)
-    scored = count_scoring(monkeypatch)
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 7)]) == 0
-    assert len(scored) == 1
-    assert "recomputing statistics cache" in caplog.text and "another key" in caplog.text
-    assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
-            == (tmp_path / "cold" / "sweep.csv").read_bytes())
-
-
-def damage(sidecar, how):
-    if how == "truncated":
-        sidecar.write_bytes(sidecar.read_bytes()[:200])
-        return
-    with np.load(sidecar) as data:
-        key, stats = str(data["key"]), data["statistics"]
+@pytest.mark.parametrize("how", ["truncated", "shape", "negative", "nan"])
+def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch):
+    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6)]) == 0
+    cache = tmp_path / "cache" / "batch.npz"
+    stats = cold_statistics(tmp_path, 6, 1)
     if how == "shape":
         stats = stats[:-1]
     elif how == "negative":
         stats[3, 0] = -1.0
-    else:
+    elif how == "nan":
         stats[0, 1] = np.nan
-    sampling.save_arrays(sidecar, key, statistics=stats)
-
-
-@pytest.mark.parametrize("how", ["truncated", "shape", "negative", "nan"])
-def test_damaged_statistics_are_recomputed(how, tmp_path, monkeypatch, caplog):
-    assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 6)]) == 0
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6, "cold", False)]) == 0
-    damage(tmp_path / "cache" / "batch.stats.npz", how)
-    scored = count_scoring(monkeypatch)
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6)]) == 0
-    assert len(scored) == 1
-    assert "recomputing statistics cache" in caplog.text
-    assert ((tmp_path / "sweep" / "sweep.csv").read_bytes()
-            == (tmp_path / "cold" / "sweep.csv").read_bytes())
-    # The recomputed statistics replaced the damaged ones.
-    assert cli.main(["sweep", "--config", cache_config(tmp_path, "sweep", 6)]) == 0
-    assert len(scored) == 1
+    sidecar = write_statistics(cache, 6, 1, stats)
+    if how == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:200])
+    assert_statistics_unread(tmp_path, monkeypatch, 6, 1, sidecar)
 
 
 def negate_the_rod_points(monkeypatch):
@@ -332,8 +285,7 @@ def test_failed_batch_sample_leaves_no_cache_and_no_manifest(tmp_path, capsys, m
     assert cli.main(["oed", "--config", cache_config(tmp_path, "oed", 4)]) == cli.EXIT_NUMERICAL
     assert "model evaluation failed at sample 0" in capsys.readouterr().err
     assert not (tmp_path / "oed" / "manifest.json").exists()
-    cache = tmp_path / "cache" / "batch.npz"
-    assert not cache.exists() and not cli._statistics_path(cache).exists()
+    assert not (tmp_path / "cache" / "batch.npz").exists()
 
 
 def test_failed_density_grid_leaves_no_output(tmp_path, capsys):
@@ -482,8 +434,9 @@ def test_sampling_init_bandwidth_is_a_config_error_before_any_solve(bandwidth, t
     assert "sampling.init.bandwidth" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tolerances", [{"greedy_tol": 0}, {"rank_tol": -1e-12}],
-                         ids=["greedy_tol", "rank_tol"])
+@pytest.mark.parametrize("tolerances", [{"greedy_tol": 0}, {"rank_tol": -1e-12},
+                                        {"rank_tol": 1.0}],
+                         ids=["greedy_tol", "rank_tol", "rank_tol-one"])
 def test_greedy_tolerance_is_a_config_error_before_any_solve(tolerances, tmp_path, capsys,
                                                                monkeypatch):
     forbid_solves(monkeypatch)
@@ -492,6 +445,18 @@ def test_greedy_tolerance_is_a_config_error_before_any_solve(tolerances, tmp_pat
         "greedy": {"m_target": 2}, "tolerances": tolerances, "output_dir": "out"})
     assert cli.main(["greedy", "--config", config]) == cli.EXIT_CONFIG
     assert f"tolerances.{next(iter(tolerances))}" in capsys.readouterr().err
+
+
+def test_rank_tol_of_one_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    # sigma_min <= sigma_max, so at rank_tol 1 every sample of every design
+    # would count as rank deficient and the "best" design be candidate 0.
+    forbid_solves(monkeypatch)
+    config = write_config(tmp_path, "oed.json", {
+        "task": "oed", "model": {"kind": "heat_rod_1d", "elements": 40},
+        "sampling": {"count": 500}, "tolerances": {"rank_tol": 1}, "output_dir": "out"})
+    assert cli.main(["oed", "--config", config]) == cli.EXIT_CONFIG
+    assert "tolerances.rank_tol: must be >= 0 and < 1, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_over_the_memory_budget_is_refused_before_any_solve(tmp_path, capsys,
@@ -546,10 +511,8 @@ def test_mesh_over_the_memory_budget_is_refused_before_it_is_built(model, tmp_pa
     ("taken", True, {}, True, "--out"),
     ("taken", False, {"sampling": {"count": 4, "batch_cache": "taken"}}, False,
      "sampling.batch_cache"),
-    ("b.stats.npz", False, {"sampling": {"count": 4, "batch_cache": "b.npz"}}, False,
-     "sampling.batch_cache"),
 ], ids=["output-dir-is-a-file", "output-dir-under-a-file", "out-is-a-file",
-        "batch-cache-is-a-directory", "statistics-sidecar-is-a-directory"])
+        "batch-cache-is-a-directory"])
 def test_unusable_output_path_is_a_config_error_before_any_solve(taken, is_file, change, use_out,
                                                                  key, tmp_path, capsys,
                                                                  monkeypatch):

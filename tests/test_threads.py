@@ -15,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from svoed import cli, dci, design, models, sampling
+from svoed import cli, criteria, dci, design, geometry, models, sampling
 
 ROD = {"kind": "heat_rod_1d", "elements": 10, "time_steps": 5}
 
@@ -206,14 +206,60 @@ def test_workers_fork_from_a_process_without_other_threads(monkeypatch):
     assert threads_at_fork == [1, 1]
 
 
-def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch, small_chunks):
+def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch):
+    # The runs of pair_space (row i with every j < i) are split into chunks
+    # of 2, 3 or 7 pairs, or each held whole in one.
     batch = random_batch()
     space = design.pair_space(batch.outputs.shape[1])
-    rows = []
-    for threads in (1, 3):
-        on_threads(monkeypatch, threads)
-        rows.append(design._candidate_statistics(batch, space.candidates, 1e-12))
-    assert rows[0].tobytes() == rows[1].tobytes()
+    rows = set()
+    for chunk_matrices in (CHUNK_MATRICES, 60, 140, 1 << 14):
+        monkeypatch.setattr(design, "_CHUNK_MATRICES", chunk_matrices)
+        for threads in (1, 3):
+            on_threads(monkeypatch, threads)
+            rows.add(design._candidate_statistics(batch, space.candidates, 1e-12).tobytes())
+    assert len(rows) == 1
+
+
+def scored_alone(batch, candidate):
+    """The statistics of one candidate, its head factored for it alone."""
+    rows = batch.jacobians[:, candidate, :]
+    scal, skew = geometry.ExtensionBase(rows[:, :-1]).extend(rows[:, -1:])
+    return criteria.reciprocal_statistics(scal.T, skew.T)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_candidate_statistics_match_each_candidate_scored_alone(arity, small_chunks):
+    batch = random_batch()
+    batch.jacobians[:, 5] *= 2.0**-600  # tiny rows
+    batch.jacobians[:, 6] = 3.0 * batch.jacobians[:, 7]  # collinear rows
+    rng = np.random.default_rng(arity)
+    # Random candidates, runs of one head longer than a chunk, and repeated,
+    # tiny and collinear rows, in no order.
+    head = list(rng.integers(0, 40, size=arity - 1))
+    candidates = np.concatenate([
+        rng.integers(0, 40, size=(30, arity)),
+        [head + [j] for j in (9, 3, 6, 7, 5, 8)],
+        [[i] * arity for i in (3, 5, 6)],
+        [[5] * (arity - 1) + [j] for j in (5, 8, 9)],
+        [[6] * (arity - 1) + [j] for j in (7, 6, 2)],
+        [[7] * (arity - 1) + [6]]])
+    want = np.concatenate([scored_alone(batch, candidate) for candidate in candidates])
+    got = design._candidate_statistics(batch, candidates, 1e-12)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk_matrices", [CHUNK_MATRICES, 1 << 14])
+def test_each_head_is_factored_once_per_chunk_of_its_run(chunk_matrices, monkeypatch):
+    batch = random_batch()  # 20 samples
+    space = design.pair_space(batch.outputs.shape[1])  # 39 runs, 780 pairs
+    monkeypatch.setattr(design, "_CHUNK_MATRICES", chunk_matrices)
+    factored, init = [], geometry.ExtensionBase.__init__
+    monkeypatch.setattr(geometry.ExtensionBase, "__init__",
+                        lambda self, base, *args: factored.append(len(base))
+                        or init(self, base, *args))
+    design._candidate_statistics(batch, space.candidates, 1e-12)
+    chunks = -(-len(space) // max(1, chunk_matrices // batch.count))
+    assert sum(factored) <= (39 + chunks) * batch.count < len(space) * batch.count
 
 
 def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):

@@ -44,10 +44,10 @@ MANIFEST_SCHEMA_VERSION = 2
 
 # Exhaustive scoring is refused, before any solve and before the space is
 # built, when candidates x samples exceeds this many kernel matrices.  On a
-# 2-vCPU host the candidate scoring handles about 8.8-9.4M (2, 9) matrices
-# a second at 86 samples and 5.0-5.8M at 1000 on one thread, 10.2-10.8M
-# and 6.0M on both, and about 13M (1, 9) on either, so this is 4-8 s at
-# arity 2 on one CPU and 4-7 s on two.
+# 2-vCPU host the candidate scoring of random pairs handles about 6.6-7.5M
+# (2, 9) matrices a second at 86 samples and 9.6-9.9M at 1000 serially,
+# 5.6-9.8M and 13-14M on two workers, and 12M (1, 9) serially and 15-18M on
+# two, so this is 4-6 s at arity 2 serially and 3-7 s on two workers.
 # It admits the e99 plate at arity 1 with 1000 samples (1e7 matrices) and
 # refuses its 49,995,000 pairs at any sample count.
 _MAX_KERNEL_MATRICES = 4 * 10**7
@@ -66,8 +66,9 @@ _BUILD_BYTES = {"heat_rod_1d": (96, 1), "heat_plate_2d": (1500, 2)}
 
 # A DCI run is refused, before any solve, when ``dci.count`` exceeds this.
 # The predicted kernel density is evaluated at every sample over every
-# sample, count**2 pairs: about 15.25M pairs in 55 ms on a 2-vCPU host with
-# two threads, so the 1e10 pairs of 1e5 samples take about 36 s.
+# sample, count**2 pairs: 310-380M pairs a second on a 2-vCPU host serially
+# and 370-600M on two workers, so the 1e10 pairs of 1e5 samples take about
+# 30 s serially and 17-27 s on two workers.
 _MAX_DCI_COUNT = 10**5
 
 # CSV rows are formatted this many at a time, so a file of millions of
@@ -450,7 +451,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def run_sweep(run: _Run) -> list[str]:
     result = design.exhaustive_oed(run.space, _field_batch(run),
-                                   rank_tol=run["tolerances.rank_tol"])
+                                   rank_tol=run["tolerances.rank_tol"], workers=run.workers)
     space, stats = result.space, result.reports
     coords = space.index_geometry
     header = [f"c{i}" for i in range(coords.shape[1])] + ["design_id"]
@@ -465,7 +466,7 @@ def run_sweep(run: _Run) -> list[str]:
 def run_oed(run: _Run) -> list[str]:
     utility, model = run["design.utility"], run.model
     result = design.exhaustive_oed(run.space, _field_batch(run), utility,
-                                   run["tolerances.rank_tol"])
+                                   run["tolerances.rank_tol"], run.workers)
     space = result.space
     ranked = result.reports[result.order]
     coords = space.index_geometry[result.order]
@@ -498,7 +499,7 @@ def run_oed(run: _Run) -> list[str]:
 def run_greedy(run: _Run) -> list[str]:
     trace = design.greedy_oed(run.space, _field_batch(run), m_target=run["greedy.m_target"],
                               tol=run["tolerances.greedy_tol"],
-                              rank_tol=run["tolerances.rank_tol"])
+                              rank_tol=run["tolerances.rank_tol"], workers=run.workers)
     design.trace_to_json(trace, run.outdir / "greedy_trace.json",
                          coordinates=run.space.index_geometry)
     return ["greedy_trace.json"]
@@ -527,9 +528,9 @@ def run_dci(run: _Run) -> list[str]:
 
     The first solve is the one at the box midpoint, when the observed
     density is centred there.  The outputs at the samples then take one
-    :func:`sampling.evaluate_samples` call, on ``--workers`` processes, so
-    a failed sample is named; their kernel density is the predicted density
-    the weights divide by.
+    :func:`sampling.evaluate_samples` call, so a failed sample is named;
+    their kernel density is the predicted density the weights divide by.
+    Solves and densities alike run on ``--workers`` processes.
     """
     model, rows, points = run.model, run.rows, run.samples.points
     observed = run.observed
@@ -537,8 +538,8 @@ def run_dci(run: _Run) -> list[str]:
         mean = model.evaluate(run.box.midpoint)[rows].tolist()
         observed = build_density(dict(run["dci.observed"], mean=mean), "dci.observed")
     qoi, _ = sampling.evaluate_samples(model, points, rows=rows, workers=run.workers)
-    ensemble = dci.update_weights(
-        qoi, observed, dci.KdeDensity(qoi, bandwidth_rule=run["dci.bandwidth"]))
+    ensemble = dci.update_weights(qoi, observed, dci.KdeDensity(
+        qoi, bandwidth_rule=run["dci.bandwidth"], workers=run.workers))
     # Its own seed, so the two random streams stay independent.
     accepted = dci.rejection_sample(ensemble.weights, run.draw_seed + 1)
     header = [f"lambda_{j + 1}" for j in range(points.shape[1])]
@@ -547,7 +548,8 @@ def run_dci(run: _Run) -> list[str]:
     # is computed before any file is written: a failed run leaves none.
     grid = None
     if model.n_params == 2:
-        grid = dci.updated_density_grid(points, ensemble.weights, run.box)
+        grid = dci.updated_density_grid(points, ensemble.weights, run.box,
+                                        workers=run.workers)
     _write_csv(run.outdir / "ensemble.csv", header, [
         *points.T, *qoi.T, ensemble.weights, accepted.astype(np.int64)])
     _write_json(run.outdir / "dci_summary.json",
@@ -583,12 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="processes for model solves, which run in blocks of points, "
-                            "at most one process per CPU and per block (default: serial, "
-                            "in this process); the criterion kernel and kernel densities "
-                            "always use threads on every CPU the process may run on "
-                            "(taskset limits them), each thread holding at most one "
-                            "density block of sampling.BLOCK_BYTES")
+                       help="processes forked for every parallel loop (model solves, "
+                            "criterion kernel, kernel densities), at most one per CPU "
+                            "the process may run on and one per task (default: serial, "
+                            "in this process); outputs do not depend on it")
     return parser
 
 

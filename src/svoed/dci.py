@@ -15,12 +15,12 @@ outputs Q(lam) alone, which the caller computes.
 
 Both Gaussian densities here are plain numpy on a Cholesky factor: the
 kernel density whitens its samples once and evaluates query points in
-blocks, on every CPU the process may run on, elementwise, so its values
-depend neither on the block nor on the thread count.  Each thread
-allocates one pair of block buffers per call, which together fit in
+blocks, striped over ``workers`` processes, elementwise, so its values
+depend neither on the block nor on the worker count.  Each stripe
+allocates one pair of block buffers, which together fit in
 ``sampling.BLOCK_BYTES``, and evaluates all of its blocks into them, so no
 block faults in fresh memory.  Block boundaries depend on the sizes alone,
-and the memory in flight is the thread count times ``BLOCK_BYTES``.
+and the memory in flight is the worker count times ``BLOCK_BYTES``.
 
 The sample mean of r doubles as a diagnostic: it estimates the integral of
 the updated density and should be one.  A mean far from one means the
@@ -130,7 +130,7 @@ class KdeDensity(Density):
     standard-normal kernels over them for a block of query points at a time.
     """
 
-    def __init__(self, samples, bandwidth_rule="silverman", weights=None):
+    def __init__(self, samples, bandwidth_rule="silverman", weights=None, workers=None):
         pts = np.asarray(samples, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -150,7 +150,7 @@ class KdeDensity(Density):
                 "a kernel density cannot be formed there"
             )
         count, self.dim = pts.shape
-        self.samples = pts
+        self.samples, self.workers = pts, workers
         if weights is None:
             self.weights = np.ones(count) / count
         else:
@@ -177,17 +177,18 @@ class KdeDensity(Density):
         queries = self._whiten(self._points(points))
         count = len(queries)
         values = np.empty(count)
-        # Each thread's pair of (query x sample) buffers fits in BLOCK_BYTES.
+        # Each stripe's pair of (query x sample) buffers fits in BLOCK_BYTES.
         rows = max(1, min(count, sampling.BLOCK_BYTES // (16 * len(self.samples))))
         starts = range(0, count, rows)
-        threads = min(sampling.cpu_count(), len(starts))
+        stripes = min(self.workers or 1, sampling.cpu_count(), len(starts))
 
-        def evaluate(first):
-            # One pair of (query x sample) buffers per thread, reused by
-            # every block it takes: blocks first, first + threads, ...
+        def evaluate(stripe):
+            # One pair of buffers, reused by every block of the stripe:
+            # blocks stripe, stripe + stripes, ...
             exponent_rows = np.empty((rows, len(self.samples)))
             step_rows = np.empty_like(exponent_rows)
-            for start in starts[first::threads]:
+            sums = []
+            for start in starts[stripe::stripes]:
                 block = queries[start:start + rows]
                 exponent, step = exponent_rows[:len(block)], step_rows[:len(block)]
                 # -|x - p|^2 / 2 for every query x and sample p, one axis at
@@ -201,9 +202,14 @@ class KdeDensity(Density):
                     exponent += step
                 exponent *= -0.5
                 np.exp(exponent, out=exponent)
-                values[start:start + len(block)] = np.einsum("ij,j->i", exponent, self.weights)
+                sums.append(np.einsum("ij,j->i", exponent, self.weights))
+            return sums
 
-        sampling.thread_map(evaluate, range(threads), threads)
+        def collect(stripe, sums):
+            for start, block in zip(starts[stripe::stripes], sums):
+                values[start:start + len(block)] = block
+
+        sampling.fork_map(evaluate, range(stripes), collect, self.workers)
         return values * self._norm
 
     def sample(self, rng, count) -> np.ndarray:
@@ -274,9 +280,10 @@ def rejection_sample(weights: np.ndarray, seed: int) -> np.ndarray:
     return rng.uniform(size=weights.size) <= weights / bound
 
 
-def updated_density_grid(points, weights, box: sampling.ParameterBox, shape=(60, 60)):
+def updated_density_grid(points, weights, box: sampling.ParameterBox, shape=(60, 60),
+                         workers: int | None = None):
     """Kernel density of the ``points`` (N, 2) weighted by ``weights``, the
-    updated ensemble, on a 2-D grid over ``box``.
+    updated ensemble, on a 2-D grid over ``box``, on ``workers`` processes.
 
     Returns (x_axis, y_axis, values) with values[i, j] at (x_axis[i],
     y_axis[j]).  Two parameters only; higher-dimensional marginals are out
@@ -287,7 +294,7 @@ def updated_density_grid(points, weights, box: sampling.ParameterBox, shape=(60,
         raise ValueError("density grids are supported for 2 parameters only")
     if np.sum(weights) <= 0.0:
         raise ValueError("cannot form a density from all-zero weights")
-    kde = KdeDensity(points, weights=weights)
+    kde = KdeDensity(points, weights=weights, workers=workers)
     x = np.linspace(box.lower[0], box.upper[0], shape[0])
     y = np.linspace(box.lower[1], box.upper[1], shape[1])
     xx, yy = np.meshgrid(x, y, indexing="ij")

@@ -2,8 +2,8 @@
 
 A design space is a (C, m) array of observable-row indices into a shared
 field Jacobian batch, one row per candidate design, so an entire space is
-priced with array slicing and one batched kernel: no model solves happen
-here.
+priced with array slicing and one batched kernel, inline or on forked
+worker processes: no model solves happen here.
 
 The greedy algorithm builds an m-component design one component per round.
 The first component maximizes the expected-scaling utility over all scalar
@@ -23,7 +23,7 @@ import numpy as np
 
 from .criteria import STATISTICS, reciprocal_statistics
 from .geometry import RANK_TOL_DEFAULT, ExtensionBase
-from .sampling import FieldJacobianBatch, thread_map
+from .sampling import FieldJacobianBatch, fork_map
 
 # The utilities a search can maximize: the first two statistics columns.
 UTILITIES = STATISTICS[:2]
@@ -84,50 +84,44 @@ def pair_space(field_size: int, coordinates=None) -> DesignSpace:
     return DesignSpace(np.column_stack(np.tril_indices(field_size, -1)), coordinates)
 
 
-def _chunks(start: int, stop: int, n_samples: int):
-    """Slices of items start..stop, each of at most _CHUNK_MATRICES //
-    n_samples items (at least one).
-
-    Chunks bound the memory in flight.  Their boundaries move no bit of a
-    result, since the kernel scores each matrix on its own.
-    """
-    size = max(1, _CHUNK_MATRICES // n_samples)
-    return (slice(first, min(first + size, stop)) for first in range(start, stop, size))
-
-
-def _extension_statistics(batch: FieldJacobianBatch, base: ExtensionBase, head, rows):
-    """:func:`criteria.reciprocal_statistics` rows of ``base``, the factored
-    field rows ``head``, extended by each field row in ``rows``.  A row of
-    the head repeats a base row, so the kernel scores it zero outright."""
-    repeats = np.flatnonzero(np.isin(rows, head))
-    scal, skew = base.extend(batch.jacobians[:, rows, :], repeats)
-    # extend returns transposes of contiguous (C, N) arrays, so each mean
-    # sums its samples in the same order whatever the chunk's size.
-    return reciprocal_statistics(scal.T, skew.T)
-
-
-def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol) -> np.ndarray:
+def _candidate_statistics(batch: FieldJacobianBatch, candidates, rank_tol,
+                          workers: int | None = None) -> np.ndarray:
     """Per-candidate :func:`criteria.reciprocal_statistics` rows.
 
     Every design is its first m - 1 rows, its head, extended by its last.
-    Consecutive candidates with one head form a run (in
-    :func:`pair_space`, row i with every j < i).  Each task is a chunk of
-    one run: it factors the head once and extends it by the chunk's last
-    rows, so memory is O(candidates), not O(candidates * samples).  The
-    tasks run on :func:`sampling.thread_map`'s threads.
+    Consecutive candidates with one head form a run (in :func:`pair_space`,
+    row i with every j < i; in a greedy round, every candidate).  Each task
+    is a chunk of one run, and :func:`sampling.fork_map` runs the tasks on
+    ``workers``.  A process factors a run's head once, for its first task
+    in the run, and extends it by each chunk's last rows.
     """
     heads, last = candidates[:, :-1], candidates[:, -1]
     starts = np.flatnonzero(np.any(heads[1:] != heads[:-1], axis=1)) + 1
     bounds = [0, *starts.tolist(), len(candidates)]
     stats = np.empty((len(candidates), 5))
+    previous = [None, None]  # this process's last run and its factored head
 
-    def score(part):
-        head = heads[part.start]
-        base = ExtensionBase(batch.jacobians[:, head, :], rank_tol)
-        stats[part] = _extension_statistics(batch, base, head, last[part])
+    def score(task):
+        run, part = task
+        head, rows = heads[part.start], last[part]
+        if previous[0] != run:
+            previous[:] = run, ExtensionBase(batch.jacobians[:, head, :], rank_tol)
+        # A last row that repeats a head row scores zero outright.
+        scal, skew = previous[1].extend(batch.jacobians[:, rows, :],
+                                        np.flatnonzero(np.isin(rows, head)))
+        # extend returns transposes of contiguous (C, N) arrays, so each mean
+        # sums its samples in the same order whatever the chunk's size.
+        return reciprocal_statistics(scal.T, skew.T)
 
-    thread_map(score, [part for start, stop in zip(bounds, bounds[1:])
-                       for part in _chunks(start, stop, batch.count)])
+    def collect(task, result):
+        stats[task[1]] = result
+
+    # The kernel scores each matrix on its own, so chunk boundaries move no
+    # bit of a result.
+    size = max(1, _CHUNK_MATRICES // batch.count)
+    fork_map(score, [(run, slice(first, min(first + size, stop)))
+                     for run, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+                     for first in range(start, stop, size)], collect, workers)
     return stats
 
 
@@ -159,11 +153,12 @@ def exhaustive_oed(
     batch: FieldJacobianBatch,
     utility: str = "ese_inverse",
     rank_tol: float = RANK_TOL_DEFAULT,
+    workers: int | None = None,
 ) -> ExhaustiveResult:
-    """Score every candidate design and rank by the chosen utility."""
+    """Score every candidate design on ``workers`` and rank by the utility."""
     if utility not in UTILITIES:
         raise ValueError(f"utility must be one of {UTILITIES}")
-    stats = _candidate_statistics(batch, space.candidates, rank_tol)
+    stats = _candidate_statistics(batch, space.candidates, rank_tol, workers)
     order = _rank(stats[:, UTILITIES.index(utility)])
     return ExhaustiveResult(space=space, reports=stats, order=order)
 
@@ -239,6 +234,7 @@ def greedy_oed(
     m_target: int,
     tol: float = 1e-3,
     rank_tol: float = RANK_TOL_DEFAULT,
+    workers: int | None = None,
 ) -> GreedyTrace:
     """Greedy component-by-component design over a scalar candidate pool.
 
@@ -272,14 +268,11 @@ def greedy_oed(
         per_candidate = np.zeros(rows.size)
         # More rows than parameters cannot be full rank; skip the kernel.
         if d <= batch.n_params:
-            # The selected rows are factored once for the whole round, and
-            # every chunk of candidate rows extends that one factor.
-            base = ExtensionBase(batch.jacobians[:, selected, :], rank_tol)
-
-            def score(part, base=base, out=per_candidate, column=column):
-                out[part] = _extension_statistics(batch, base, selected, rows[part])[:, column]
-
-            thread_map(score, _chunks(0, rows.size, batch.count))
+            # One run on ``workers``: the rows chosen so far, extended by each row.
+            extended = np.empty((rows.size, d), dtype=np.int64)
+            extended[:, :-1], extended[:, -1] = selected, rows
+            per_candidate = _candidate_statistics(batch, extended, rank_tol,
+                                                  workers)[:, column]
         best = int(_rank(per_candidate)[0])
         best_value = float(per_candidate[best])
 

@@ -25,7 +25,7 @@ matrix's J^T is one contiguous length-N vector, and each step of the
 factorization is one elementwise numpy operation over the whole stack.
 Every sum or product over the m or n axis is written out in order, term
 by term, so each score depends on its own matrix alone: not on the stack
-length, its place in the stack, the chunking or the thread count.
+length, its place in the stack, the chunking or the worker count.
 """
 
 from __future__ import annotations

@@ -121,13 +121,17 @@ class ForwardModel:
             raise ValueError(exc.cause) from None
 
     def nearest_field_index(self, coordinate) -> int:
-        """Index of the observable location closest to ``coordinate``;
-        ValueError unless it has one finite number per coordinate axis."""
+        """Index of the observable location closest to ``coordinate``; ValueError
+        unless it is one finite number per axis, in the coordinates' bounding box."""
         coords = self.coordinates.reshape(self.field_size, -1)
         target = np.atleast_1d(np.asarray(coordinate, dtype=float))
         if target.shape != coords.shape[1:] or not np.all(np.isfinite(target)):
             raise ValueError(f"{coordinate!r}: expected one finite number per coordinate axis, "
                              f"of which the model has {coords.shape[1]}")
+        lower, upper = coords.min(axis=0), coords.max(axis=0)
+        if np.any((target < lower) | (target > upper)):
+            raise ValueError(f"{coordinate!r}: outside the model's domain, "
+                             f"{lower.tolist()} to {upper.tolist()}")
         return int(np.argmin(np.linalg.norm(coords - target, axis=1)))
 
 

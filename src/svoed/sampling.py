@@ -11,11 +11,12 @@ Jacobians.
 Every loop over samples, for field batches and for data-consistent
 inversion alike, goes through :func:`evaluate_samples`.  It splits the
 samples into blocks of ``model.block_points`` and runs one
-``model.evaluate_stacked`` call per block, on ``--workers`` forked
-processes: SuperLU's and LAPACK's solves hold the GIL, so threads could not
-overlap them.  :func:`thread_map` runs the chunks of the criterion kernel and
-kernel densities, whose numpy work releases the GIL, on every CPU the
-process may run on.
+``model.evaluate_stacked`` call per block.  :func:`fork_map` is the one
+way anything runs in parallel: the model blocks here, the candidate chunks
+of the criterion kernel and the query blocks of kernel densities run
+inline by default and on ``--workers`` forked processes when asked.
+Processes, not threads: SuperLU's and LAPACK's solves hold the GIL, and
+the kernels' short numpy calls lose to its hand-offs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import multiprocessing
 import os
 import signal
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,11 @@ import numpy as np
 # Schema 6: one key covers the recipe and the schema; no JSON header.
 BATCH_SCHEMA_VERSION = 6
 
-# Bytes of working set that one thread or worker of a blocked loop may
-# hold: the kernel density's pair of block buffers, a rod block's bands and
-# columns.  Sized to fit one core's L2 cache.  A loop takes as many rows or
-# points as fit, so its block boundaries depend on the problem's sizes
-# alone and the memory in flight is at most the thread or worker count
-# times this.
+# Bytes of working set that one process of a blocked loop may hold: the
+# kernel density's pair of block buffers, a rod block's bands and columns.
+# Sized to fit one core's L2 cache.  A loop takes as many rows or points as
+# fit, so its block boundaries depend on the problem's sizes alone and the
+# memory in flight is at most the worker count times this.
 BLOCK_BYTES = 1 << 20
 
 # Drawing from a density gives up after this many rounds of ``count`` draws,
@@ -59,26 +59,46 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def thread_map(fn, items, threads: int | None = None) -> None:
-    """Call ``fn`` on every item of ``items``, on ``threads`` threads but
-    never more than :func:`cpu_count` (the default); a single item or thread
-    runs inline.
+# A worker process's task, set by the pool initializer: the fork hands it
+# over with everything it refers to, so it is never pickled.
+_worker_task = None
 
-    ``fn`` writes each result into its own preallocated slice, so results
-    depend neither on the thread count nor on the completion order.  The
-    threads are joined before this returns, and the first item to raise, in
-    item order, re-raises its exception here.
+
+def _start_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
+    # Ctrl-C stops the parent, whose shutdown of the pool ends the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_worker_task(item):
+    return _worker_task(item)
+
+
+def fork_map(task, items, collect, workers: int | None = None) -> None:
+    """Call ``collect(item, task(item))`` for every item, in item order, here.
+
+    ``task`` runs inline by default and for one worker or one item, else on
+    ``min(workers, cpu_count(), len(items))`` processes forked from this
+    one, which inherit ``task`` and its state; each takes its items in item
+    order.  Items, results and raised exceptions must pickle.  The first
+    failure in item order raises here (``BrokenProcessPool`` for a killed
+    worker), and no worker outlives the call.  No other thread may run
+    while the pool forks: a fork copies only the calling thread.
     """
     items = list(items)
-    cpus = cpu_count()
-    threads = min(len(items), cpus, cpus if threads is None else threads)
-    if threads <= 1:
+    processes = min(workers or 1, cpu_count(), len(items))
+    if processes <= 1:
         for item in items:
-            fn(item)
+            collect(item, task(item))
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Reading every result re-raises the first failure.
-        list(pool.map(fn, items))
+    pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                               _start_worker, (task,))
+    try:
+        for item, result in zip(items, pool.map(_run_worker_task, items)):
+            collect(item, result)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -190,36 +210,6 @@ def _require_finite(points, first, outputs, jacobians) -> None:
         raise ModelEvaluationError(i, points[i], "model returned non-finite values")
 
 
-def _solve_block(job, first):
-    """The block of the job's points that starts at sample ``first``:
-    ``(outputs, jacobians, None)`` at the job's rows, or ``(None, None,
-    (sample index, cause))`` when the model raises."""
-    model, points, take, with_jacobian = job
-    try:
-        U, J = model.evaluate_stacked(points[first : first + model.block_points], with_jacobian)
-    except ModelEvaluationError as exc:
-        return None, None, (first + exc.sample_index, exc.cause)
-    except Exception as exc:  # named by the block's first sample
-        return None, None, (first, repr(exc))
-    return U[:, take], J[:, take] if with_jacobian else None, None
-
-
-# A worker process's job, set by the pool initializer: the fork hands the
-# model and the points over, so neither is pickled.
-_worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-    # Ctrl-C stops the parent, whose shutdown of the pool ends the workers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _solve_worker_block(first):
-    return _solve_block(_worker_job, first)
-
-
 def evaluate_samples(
     model,
     points,
@@ -233,16 +223,13 @@ def evaluate_samples(
     (N, R, n), or None without ``with_jacobian``, where R counts ``rows``
     (observable indices; None keeps the whole field).  The points are split
     into blocks of ``model.block_points``, one ``model.evaluate_stacked``
-    call each.  The blocks run inline by default; with ``workers`` > 1 they
-    run on that many processes, forked from this one, but at most one per
-    CPU and one per block.  Only block starts and the blocks' results cross
-    between processes, and no worker outlives the call.  The caller should
-    run no other thread while the pool forks (:func:`thread_map` joins its
-    own).  Each block is written into the preallocated results in block
-    order, so they depend on neither the worker count nor the order the
-    blocks finish in.  A model's ModelEvaluationError names the sample its
-    row is; any other raise inside the model names the block's first
-    sample, and a non-finite output or Jacobian names its own.
+    call each, run by :func:`fork_map` on ``workers``.  Only block starts
+    and the blocks' results cross between processes.  Each block is written
+    into the preallocated results in block order, so they depend on neither
+    the worker count nor the order the blocks finish in.  A model's
+    ModelEvaluationError names the sample its row is; any other raise
+    inside the model names the block's first sample, and a non-finite
+    output or Jacobian names its own.
     """
     points = np.asarray(points, dtype=float)
     n_samples, n_params = points.shape
@@ -252,29 +239,31 @@ def evaluate_samples(
     outputs = np.empty((n_samples, size))
     jacobians = np.empty((n_samples, size, n_params)) if with_jacobian else None
 
-    job = (model, points, take, with_jacobian)
-    starts = range(0, n_samples, model.block_points)
-    processes = min(workers or 1, cpu_count(), len(starts))
-    pool = None
-    if processes > 1:
-        pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                                   _start_worker, (job,))
-    try:
-        solved = (pool.map(_solve_worker_block, starts) if pool is not None
-                  else (_solve_block(job, first) for first in starts))
-        for first, (U, J, failure) in zip(starts, solved):
-            if failure is not None:
-                i, cause = failure
-                raise ModelEvaluationError(i, points[i], cause)
-            block = slice(first, first + len(U))
-            outputs[block] = U
-            if with_jacobian:
-                jacobians[block] = J
-            _require_finite(points, first, outputs[block],
-                            None if jacobians is None else jacobians[block])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    def solve(first):
+        # A failure comes back as (sample index, cause): a ModelEvaluationError
+        # does not unpickle.
+        try:
+            U, J = model.evaluate_stacked(points[first : first + model.block_points],
+                                          with_jacobian)
+        except ModelEvaluationError as exc:
+            return None, None, (first + exc.sample_index, exc.cause)
+        except Exception as exc:  # named by the block's first sample
+            return None, None, (first, repr(exc))
+        return U[:, take], J[:, take] if with_jacobian else None, None
+
+    def collect(first, solved):
+        U, J, failure = solved
+        if failure is not None:
+            i, cause = failure
+            raise ModelEvaluationError(i, points[i], cause)
+        block = slice(first, first + len(U))
+        outputs[block] = U
+        if with_jacobian:
+            jacobians[block] = J
+        _require_finite(points, first, outputs[block],
+                        None if jacobians is None else jacobians[block])
+
+    fork_map(solve, range(0, n_samples, model.block_points), collect, workers)
     return outputs, jacobians
 
 

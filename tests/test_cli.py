@@ -394,18 +394,23 @@ ASYMMETRIC = [[0.1, 9.0], [0.0, 0.1]]
     {"observed": {"kind": "gaussian", "mean": [1.0, 2.0, 3.0], "cov": 0.1}},
     {"sensors": [0.0, 0.5, 1.0]}, {"sensors": [0.0, 0.0]},
     {"sensors": [[0.5, 0.5], [1.0, 1.0]]}, {"sensors": ["a", 1.0]}, {"sensors": [None, 1.0]},
+    {"sensors": [0.0, 50.0]},
+    {"sensors": [[0.5, 0.5], [1.5, 0.5]], "model": {"kind": "heat_plate_2d", "elements": 3}},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": 0.3}},
     {"init": {"kind": "kde-from-samples", "samples": KDE_SAMPLES, "bandwidth": "foo"}},
     {"observed": {"kind": "gaussian", "mean": [1.0, 2.0], "cov": ASYMMETRIC}},
     {"init": {"kind": "gaussian", "mean": [0.1, 0.1], "cov": ASYMMETRIC}},
 ], ids=["bandwidth", "count", "count-1", "count-0", "seed", "seed-negative", "observed",
         "observed-mean", "observed-dimension", "sensors", "sensors-duplicate",
-        "sensors-dimension", "sensors-string", "sensors-null", "init-bandwidth-number",
-        "init-bandwidth-name", "observed-cov-asymmetric", "init-cov-asymmetric"])
+        "sensors-dimension", "sensors-string", "sensors-null", "sensors-outside-rod",
+        "sensors-outside-plate", "init-bandwidth-number", "init-bandwidth-name",
+        "observed-cov-asymmetric", "init-cov-asymmetric"])
 def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsys,
                                                          monkeypatch):
     # The initial density is sampling.init, read by every task.
     forbid_solves(monkeypatch)
+    setting = dict(setting)
+    model = setting.pop("model", ROD)
     (name, value), = setting.items()
     if name == "init":
         key = "sampling.init.bandwidth" if "bandwidth" in value else "sampling.init"
@@ -413,7 +418,7 @@ def test_dci_setting_is_a_config_error_before_any_solve(setting, tmp_path, capsy
     else:
         key, sampling_section, dci_section = f"dci.{name}", {}, setting
     config = write_config(tmp_path, "dci.json", {
-        "task": "dci", "model": ROD, "sampling": {"seed": 2, **sampling_section},
+        "task": "dci", "model": model, "sampling": {"seed": 2, **sampling_section},
         "dci": {"sensors": [0.0, 1.0], "count": 300, **dci_section}, "output_dir": "out"})
     assert cli.main(["dci", "--config", config]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err

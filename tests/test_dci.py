@@ -99,7 +99,6 @@ def test_kde_blocks_do_not_change_the_values(monkeypatch):
     samples, weights, _ = kde_case(2, True, 0.0)
     queries = np.random.default_rng(23).normal(size=(50, 2))
     kde = dci.KdeDensity(samples, weights=weights)
-    monkeypatch.setattr(sampling, "cpu_count", lambda: 1)  # one block of `rows` at a time
     values = []
     for rows in (1, 7, len(queries)):
         monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 16 * len(samples))

@@ -1,6 +1,8 @@
 """Property tests of the criterion kernel, the greedy rank-one rounds and
 the score-grid helpers."""
 
+from unittest import mock
+
 import criteria_oracles
 import design_oracles
 import numpy as np
@@ -146,6 +148,13 @@ def test_pair_score_grid_matches_loop_oracle(size, data):
                           equal_nan=True)
 
 
+def on_workers(task, items, collect, workers):
+    """:func:`sampling.fork_map` on ``workers`` processes, as if the host
+    had that many CPUs."""
+    with mock.patch.object(sampling, "cpu_count", lambda: workers):
+        sampling.fork_map(task, items, collect, workers)
+
+
 def mixed_stack(rng, count, m, n):
     """Random matrices of scales 2^-40 .. 2^40, every third one a hair from
     rank deficient so that it takes the SVD route (for m >= 2)."""
@@ -157,16 +166,16 @@ def mixed_stack(rng, count, m, n):
 
 
 @FEW
-@given(st.integers(1, 9), st.integers(0, 8), st.integers(1, 12), st.sampled_from([1, 3]),
+@given(st.integers(1, 9), st.integers(0, 8), st.integers(1, 12), st.sampled_from([1, 2, 3]),
        st.integers(0, 2**32 - 1))
-def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, count, threads,
+def test_each_matrix_scores_the_same_alone_anywhere_and_on_workers(n, drop, count, workers,
                                                                     seed):
     rng = np.random.default_rng(seed)
     m = max(1, n - drop)
     stack = mixed_stack(rng, count, m, n)
     alone = [reciprocals(stack[i : i + 1]) for i in range(count)]
     # The same matrices at random places of a longer stack of others, scored
-    # in chunks of random sizes on ``threads`` threads, as a strided view.
+    # in chunks of random sizes on ``workers`` processes, as a strided view.
     others = mixed_stack(rng, int(rng.integers(0, 40)), m, n)
     big = np.concatenate([stack, others])
     order = rng.permutation(len(big))
@@ -175,11 +184,11 @@ def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, coun
     cuts = np.unique(np.concatenate([[0, len(big)], rng.integers(0, len(big), size=4)]))
     scal, skew = np.empty(len(big)), np.empty(len(big))
 
-    def score(part):
-        scal[part], skew[part] = reciprocals(big[part])
+    def collect(part, scores):
+        scal[part], skew[part] = scores
 
-    sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
-                        threads=threads)
+    on_workers(lambda part: reciprocals(big[part]),
+               [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])], collect, workers)
     for i, at in enumerate(where):
         assert scal[at].tobytes() == alone[i][0].tobytes()
         assert skew[at].tobytes() == alone[i][1].tobytes()
@@ -187,9 +196,9 @@ def test_each_matrix_scores_the_same_alone_anywhere_and_on_threads(n, drop, coun
 
 @FEW
 @given(st.integers(2, 9), st.integers(0, 7), st.integers(1, 6), st.integers(1, 12),
-       st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
-def test_each_extension_scores_the_same_alone_anywhere_and_on_threads(n, drop, count, size,
-                                                                       threads, seed):
+       st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_each_extension_scores_the_same_alone_anywhere_and_on_workers(n, drop, count, size,
+                                                                       workers, seed):
     rng = np.random.default_rng(seed)
     k = max(1, n - 1 - drop)
     # The candidate rows, then others; the last row of every third sample
@@ -198,18 +207,18 @@ def test_each_extension_scores_the_same_alone_anywhere_and_on_threads(n, drop, c
     base = geo.ExtensionBase(jacobians[:, :k])
     alone = [base.extend(jacobians[:, k + c : k + c + 1]) for c in range(size)]
     # The same rows at random places among the others, scored in chunks of
-    # random sizes on ``threads`` threads, as a strided view.
+    # random sizes on ``workers`` processes, as a strided view.
     order = rng.permutation(jacobians.shape[1] - k)
     rows = np.asfortranarray(jacobians[:, k:][:, order])
     where = np.argsort(order)[:size]
     cuts = np.unique(np.concatenate([[0, len(order)], rng.integers(0, len(order), size=4)]))
     scal, skew = np.empty((count, len(order))), np.empty((count, len(order)))
 
-    def score(part):
-        scal[:, part], skew[:, part] = base.extend(rows[:, part])
+    def collect(part, scores):
+        scal[:, part], skew[:, part] = scores
 
-    sampling.thread_map(score, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
-                        threads=threads)
+    on_workers(lambda part: base.extend(rows[:, part]),
+               [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])], collect, workers)
     for c, at in enumerate(where):
         assert scal[:, at].tobytes() == alone[c][0][:, 0].tobytes()
         assert skew[:, at].tobytes() == alone[c][1][:, 0].tobytes()

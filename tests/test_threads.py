@@ -1,6 +1,7 @@
-"""The worker processes behind the model solves, and the thread map behind
-the kernels and kernel densities: results that do not depend on the worker
-or thread count, no process or thread left running, and bounded memory."""
+"""The worker processes behind every parallel loop, ``sampling.fork_map``:
+model solves, the criterion kernel and kernel densities give results that do
+not depend on the worker count, no process or thread is left running, and
+memory stays bounded."""
 
 import json
 import multiprocessing
@@ -29,8 +30,30 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(design, "_CHUNK_MATRICES", CHUNK_MATRICES)
 
 
-def on_threads(monkeypatch, threads):
-    monkeypatch.setattr(sampling, "cpu_count", lambda: threads)
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(sampling, "cpu_count", lambda: cpus)
+
+
+class SharedLog:
+    """Integers appended by this process or by any process forked from it."""
+
+    def __init__(self, capacity=4096):
+        context = multiprocessing.get_context("fork")
+        self._length = context.Value("l", 0)
+        self._values = context.RawArray("q", capacity)
+
+    def append(self, value):
+        with self._length.get_lock():
+            self._values[self._length.value] = value
+            self._length.value += 1
+
+    def clear(self):
+        with self._length.get_lock():
+            self._length.value = 0
+
+    def values(self) -> list:
+        with self._length.get_lock():
+            return self._values[:self._length.value]
 
 
 def random_batch(count=20, field_size=40, n_params=4, seed=0):
@@ -48,43 +71,73 @@ def kde_case(count=300, queries=200, seed=31):
             rng.normal(size=(queries, 2)))
 
 
-def test_thread_map_runs_items_concurrently_and_joins(monkeypatch):
-    on_threads(monkeypatch, 3)
-    barrier = threading.Barrier(3, timeout=30)
-    seen = np.zeros(3)
+def test_fork_map_runs_items_on_forked_processes_and_joins(monkeypatch):
+    on_cpus(monkeypatch, 3)
+    barrier = multiprocessing.get_context("fork").Barrier(3, timeout=30)
 
-    def fn(i):
-        barrier.wait()  # passes only when all three items run at once
-        seen[i] = i + 1
+    def task(i):
+        barrier.wait()  # passes only when three processes run items at once
+        return i + 1, os.getpid()
 
-    before = threading.active_count()
-    sampling.thread_map(fn, range(3), threads=3)
-    assert seen.tolist() == [1, 2, 3]
+    seen, before = [], threading.active_count()
+    sampling.fork_map(task, range(3), lambda i, result: seen.append(result), workers=3)
+    assert [value for value, _ in seen] == [1, 2, 3]
+    pids = {pid for _, pid in seen}
+    assert len(pids) == 3 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
 
 
-def test_thread_map_starts_at_most_one_thread_per_cpu(monkeypatch):
-    on_threads(monkeypatch, 2)
-    idents = set()
-    sampling.thread_map(lambda i: idents.add(threading.get_ident()) or time.sleep(0.01),
-                        range(16), threads=8)
-    assert 1 <= len(idents) <= 2
+def test_fork_map_starts_at_most_one_process_per_cpu_and_item(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus, items in ((2, 16), (8, 3)):
+        on_cpus(monkeypatch, cpus)
+        forks.clear()
+        pids = []
+        sampling.fork_map(lambda i: time.sleep(0.01) or os.getpid(), range(items),
+                          lambda i, pid: pids.append(pid), workers=8)
+        assert len(forks) == min(cpus, items)
+        assert 1 <= len(set(pids)) <= len(forks)
+        assert multiprocessing.active_children() == []
 
 
-def test_thread_map_runs_one_item_or_thread_inline():
-    callers = []
-    sampling.thread_map(lambda i: callers.append(threading.get_ident()), [0], threads=4)
-    sampling.thread_map(lambda i: callers.append(threading.get_ident()), range(3), threads=1)
-    assert callers == [threading.get_ident()] * 4
+def test_fork_map_runs_one_item_or_worker_inline(monkeypatch):
+    on_cpus(monkeypatch, 4)
+    pids = []
+    for items, workers in (([0], 4), (range(3), 1), (range(3), None)):
+        sampling.fork_map(lambda i: os.getpid(), items, lambda i, pid: pids.append(pid),
+                          workers)
+    assert pids == [os.getpid()] * 7
 
 
-def test_thread_map_raises_the_first_failure_in_item_order():
-    def fn(i):
+def test_fork_map_collects_in_item_order_in_this_process(monkeypatch):
+    on_cpus(monkeypatch, 3)
+
+    def task(i):
+        time.sleep(0.05 if i % 3 == 0 else 0.0)  # later items finish first
+        return i * i
+
+    collected = []
+    sampling.fork_map(task, range(9), lambda i, r: collected.append((i, r, os.getpid())),
+                      workers=3)
+    assert collected == [(i, i * i, os.getpid()) for i in range(9)]
+
+
+def test_fork_map_raises_the_first_failure_in_item_order(monkeypatch):
+    on_cpus(monkeypatch, 3)
+
+    def task(i):
+        if i == 2:
+            time.sleep(0.2)  # fails after item 5 has
         if i in (2, 5):
             raise RuntimeError(f"item {i}")
+        return i
 
-    with pytest.raises(RuntimeError, match="item 2"):
-        sampling.thread_map(fn, range(8), threads=3)
+    for workers in (None, 3):
+        with pytest.raises(RuntimeError, match="item 2"):
+            sampling.fork_map(task, range(8), lambda i, result: None, workers)
+        assert multiprocessing.active_children() == []
 
 
 def solved_bytes(model, points, workers):
@@ -94,7 +147,7 @@ def solved_bytes(model, points, workers):
 
 
 def test_rod_samples_do_not_depend_on_the_block_size_or_worker_count(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     rod = models.HeatRod1D()
     points = sampling.draw_samples(rod.parameter_box, 250, seed=12).points
     assert len(points) > 2 * rod.block_points  # three blocks at the default size
@@ -107,7 +160,7 @@ def test_rod_samples_do_not_depend_on_the_block_size_or_worker_count(monkeypatch
 
 
 def test_plate_samples_do_not_depend_on_the_worker_count(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     plate = models.HeatPlate2D(elements=6, time_steps=5)
     points = sampling.draw_samples(plate.parameter_box, 6, seed=4).points
     assert solved_bytes(plate, points, 2) == solved_bytes(plate, points, 1)
@@ -133,7 +186,7 @@ class PidModel(models.ForwardModel):
 
 
 def test_solves_run_in_worker_processes(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     outputs, _ = sampling.evaluate_samples(PidModel(2), np.zeros((4, 1)), workers=2)
     pids = set(outputs.ravel().tolist())
     assert len(pids) == 2 and os.getpid() not in pids
@@ -141,7 +194,7 @@ def test_solves_run_in_worker_processes(monkeypatch):
 
 
 def test_one_worker_or_block_solves_inline(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     for points, workers in ((np.zeros((3, 1)), 1), (np.zeros((1, 1)), 4)):
         outputs, _ = sampling.evaluate_samples(PidModel(1), points, workers=workers)
         assert set(outputs.ravel().tolist()) == {os.getpid()}
@@ -162,14 +215,14 @@ class KilledModel(PidModel):
 
 
 def test_a_killed_worker_raises_instead_of_hanging(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
         sampling.evaluate_samples(KilledModel(), np.zeros((4, 1)), workers=2)
     assert multiprocessing.active_children() == []
 
 
 def test_worker_failures_name_their_sample(monkeypatch):
-    on_threads(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     rod = models.HeatRod1D(elements=10, time_steps=5)
     rod.block_points = 7
     rod_points = sampling.draw_samples(rod.parameter_box, 20, seed=3).points
@@ -191,32 +244,39 @@ def test_worker_failures_name_their_sample(monkeypatch):
 def test_workers_fork_from_a_process_without_other_threads(monkeypatch):
     # A fork copies only the calling thread, so a lock another thread holds
     # stays held in the child; Python 3.12 warns of it, which is an error
-    # here.  The kernels' threads are joined before the solves fork.
-    on_threads(monkeypatch, 2)
+    # here.  Each pool is shut down, its thread joined, before the next forks.
+    on_cpus(monkeypatch, 2)
     threads_at_fork, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: threads_at_fork.append(threading.active_count())
                         or fork())
-    barrier = threading.Barrier(2, timeout=30)
-    sampling.thread_map(lambda i: barrier.wait(), range(2), threads=2)
+    monkeypatch.setattr(design, "_CHUNK_MATRICES", CHUNK_MATRICES)
+    batch = random_batch()
+    kde, queries = kde_case()
+    block_rows(monkeypatch, len(kde.samples))
+    kde.workers = 2
     plate = models.HeatPlate2D(elements=6, time_steps=5)
     points = sampling.draw_samples(plate.parameter_box, 4, seed=4).points
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        design._candidate_statistics(batch, design.pair_space(40).candidates, 1e-12, 2)
+        kde.pdf(queries)
         solved_bytes(plate, points, 2)
-    assert threads_at_fork == [1, 1]
+    assert threads_at_fork == [1] * 6
 
 
 def test_candidate_statistics_do_not_depend_on_the_thread_count(monkeypatch):
     # The runs of pair_space (row i with every j < i) are split into chunks
-    # of 2, 3 or 7 pairs, or each held whole in one.
+    # of 2, 3 or 7 pairs, or each held whole in one, and scored inline or
+    # on three worker processes.
     batch = random_batch()
     space = design.pair_space(batch.outputs.shape[1])
+    on_cpus(monkeypatch, 3)
     rows = set()
     for chunk_matrices in (CHUNK_MATRICES, 60, 140, 1 << 14):
         monkeypatch.setattr(design, "_CHUNK_MATRICES", chunk_matrices)
-        for threads in (1, 3):
-            on_threads(monkeypatch, threads)
-            rows.add(design._candidate_statistics(batch, space.candidates, 1e-12).tobytes())
+        for workers in (None, 3):
+            rows.add(design._candidate_statistics(batch, space.candidates, 1e-12,
+                                                  workers).tobytes())
     assert len(rows) == 1
 
 
@@ -248,27 +308,52 @@ def test_candidate_statistics_match_each_candidate_scored_alone(arity, small_chu
     assert got.tobytes() == want.tobytes()
 
 
+def spy_factored(monkeypatch) -> SharedLog:
+    """The row count of every head factored from now on, in any process."""
+    factored, init = SharedLog(), geometry.ExtensionBase.__init__
+    monkeypatch.setattr(geometry.ExtensionBase, "__init__",
+                        lambda self, base, *args: factored.append(np.shape(base)[1])
+                        or init(self, base, *args))
+    return factored
+
+
 @pytest.mark.parametrize("chunk_matrices", [CHUNK_MATRICES, 1 << 14])
 def test_each_head_is_factored_once_per_chunk_of_its_run(chunk_matrices, monkeypatch):
+    # Each process factors a run's head once, however many of the run's
+    # chunks it takes: inline, once a run; a greedy round, whose candidates
+    # all share the rows chosen so far, at most once a worker.
     batch = random_batch()  # 20 samples
     space = design.pair_space(batch.outputs.shape[1])  # 39 runs, 780 pairs
+    scalars = design.scalar_space(batch.outputs.shape[1])
     monkeypatch.setattr(design, "_CHUNK_MATRICES", chunk_matrices)
-    factored, init = [], geometry.ExtensionBase.__init__
-    monkeypatch.setattr(geometry.ExtensionBase, "__init__",
-                        lambda self, base, *args: factored.append(len(base))
-                        or init(self, base, *args))
-    design._candidate_statistics(batch, space.candidates, 1e-12)
-    chunks = -(-len(space) // max(1, chunk_matrices // batch.count))
-    assert sum(factored) <= (39 + chunks) * batch.count < len(space) * batch.count
+    on_cpus(monkeypatch, 3)
+    factored = spy_factored(monkeypatch)
+    stats, rounds = set(), set()
+    for workers in (None, 1, 2, 3):
+        factored.clear()
+        stats.add(design._candidate_statistics(batch, space.candidates, 1e-12,
+                                               workers).tobytes())
+        processes = workers or 1
+        if processes == 1:
+            assert factored.values() == [1] * 39
+        else:
+            assert 39 <= len(factored.values()) <= 39 * processes
+        factored.clear()
+        trace = design.greedy_oed(scalars, batch, m_target=4, tol=1e-12, workers=workers)
+        assert len(trace.selected) == 4
+        per_round = [factored.values().count(k) for k in range(4)]
+        assert all(1 <= count <= processes for count in per_round)
+        assert processes > 1 or per_round == [1] * 4
+        rounds.add(b"".join(r.scores.tobytes() for r in trace.rounds))
+    assert len(stats) == 1 and len(rounds) == 1
 
 
 def test_greedy_does_not_depend_on_the_thread_count(monkeypatch, small_chunks):
     batch = random_batch()
-    traces = []
-    for threads in (1, 3):
-        on_threads(monkeypatch, threads)
-        traces.append(design.greedy_oed(design.scalar_space(batch.outputs.shape[1]), batch,
-                                        m_target=4, tol=1e-12))
+    on_cpus(monkeypatch, 3)
+    traces = [design.greedy_oed(design.scalar_space(batch.outputs.shape[1]), batch,
+                                m_target=4, tol=1e-12, workers=workers)
+              for workers in (None, 3)]
     one, three = traces
     assert one.selected == three.selected and len(one.selected) == 4
     assert [r.chosen for r in one.rounds] == [r.chosen for r in three.rounds]
@@ -297,14 +382,16 @@ def block_rows(monkeypatch, samples):
 def test_kde_pdf_does_not_depend_on_the_thread_count(monkeypatch):
     kde, queries = kde_case()
     block_rows(monkeypatch, len(kde.samples))
-    values = []
-    for threads in (1, 3):
-        on_threads(monkeypatch, threads)
-        values.append(kde.pdf(queries))
-    assert values[0].tobytes() == values[1].tobytes()
+    on_cpus(monkeypatch, 3)
+    values = set()
+    for workers in (None, 1, 2, 3):
+        kde.workers = workers
+        values.add(kde.pdf(queries).tobytes())
+    assert len(values) == 1
 
 
 CLI_CASES = {
+    "sweep": {"model": ROD, "sampling": {"count": 8, "seed": 4}, "design": {"arity": 2}},
     "oed": {"model": ROD, "sampling": {"count": 8, "seed": 3}, "design": {"arity": 2}},
     "greedy": {"model": ROD, "sampling": {"count": 6, "seed": 5}, "greedy": {"m_target": 2}},
     "dci": {"model": ROD, "sampling": {"seed": 2},
@@ -312,99 +399,111 @@ CLI_CASES = {
 }
 
 
-def run_cli(tmp_path, task, out):
+def run_cli(tmp_path, task, out, workers=None):
     config = tmp_path / f"{task}.json"
     config.write_text(json.dumps(dict(CLI_CASES[task], task=task)))
-    assert cli.main([task, "--config", str(config), "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    argv = [task, "--config", str(config), "--out", str(tmp_path / out)]
+    if workers is not None:
+        argv += ["--workers", str(workers)]
+    assert cli.main(argv) == cli.EXIT_OK
     return tmp_path / out
 
 
 def output_bytes(outdir):
     files = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "manifest.json"}
     manifest = json.loads((outdir / "manifest.json").read_text())
-    del manifest["elapsed_seconds"]
+    del manifest["elapsed_seconds"], manifest["workers"]
     return files, manifest
 
 
 @pytest.mark.parametrize("task", sorted(CLI_CASES))
 def test_cli_outputs_do_not_depend_on_the_thread_count(task, tmp_path, monkeypatch,
                                                       small_chunks):
+    # --workers absent, 1, 2 and 3: every file but the manifest's record of
+    # the option and the elapsed time is byte-identical.
     block_rows(monkeypatch, 300)
-    outputs = []
-    for threads in (1, 3):
-        on_threads(monkeypatch, threads)
-        outputs.append(output_bytes(run_cli(tmp_path, task, f"out{threads}")))
-    assert outputs[0] == outputs[1]
+    on_cpus(monkeypatch, 3)
+    outputs = [output_bytes(run_cli(tmp_path, task, f"out{workers}", workers))
+               for workers in (None, 1, 2, 3)]
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 @pytest.mark.parametrize("task", ["oed", "dci"])
 def test_cli_leaves_no_thread_running(task, tmp_path, monkeypatch, small_chunks):
-    # A pool left behind would keep the process, or the benchmark study, alive.
-    on_threads(monkeypatch, 3)
+    # A pool left behind, its thread or its workers, would keep the process,
+    # or the benchmark study, alive.
+    on_cpus(monkeypatch, 3)
     block_rows(monkeypatch, 300)
     before = threading.active_count()
-    run_cli(tmp_path, task, "out")
+    run_cli(tmp_path, task, "out", workers=3)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
-def spy_block_buffers(monkeypatch, samples) -> list:
-    """Shapes of the (query x sample) matrices numpy allocates from now on."""
-    allocated = []
+def spy_block_buffers(monkeypatch, samples) -> SharedLog:
+    """The rows of every (query x sample) matrix numpy allocates from now
+    on, in any process."""
+    allocated = SharedLog()
     for name in ("empty", "empty_like"):
         def spied(*args, _allocate=getattr(np, name), **kwargs):
             array = _allocate(*args, **kwargs)
             if array.ndim == 2 and array.shape[1] == samples:
-                allocated.append(array.shape)
+                allocated.append(array.shape[0])
             return array
         monkeypatch.setattr(np, name, spied)
     return allocated
 
 
 def test_kde_block_rows_do_not_depend_on_the_thread_count(monkeypatch):
-    # Every thread's pair of buffers takes the rows that fit in
-    # BLOCK_BYTES, so more threads hold more memory, not smaller blocks.
+    # Every worker's pair of buffers takes the rows that fit in
+    # BLOCK_BYTES, so more workers hold more memory, not smaller blocks.
     kde, queries = kde_case(count=2000, queries=3000)
     allocated = spy_block_buffers(monkeypatch, len(kde.samples))
+    on_cpus(monkeypatch, 3)
     rows = {}
-    for threads in (1, 3, 8):
-        on_threads(monkeypatch, threads)
+    for workers in (None, 2, 3):
+        kde.workers = workers
         allocated.clear()
         kde.pdf(queries)
-        rows[threads] = {shape[0] for shape in allocated}
-    assert rows[1] == rows[3] == rows[8] and len(rows[1]) == 1
-    assert 2 * rows[1].pop() * 8 * len(kde.samples) <= sampling.BLOCK_BYTES
+        rows[workers] = set(allocated.values())
+    assert rows[None] == rows[2] == rows[3] and len(rows[None]) == 1
+    assert 2 * rows[None].pop() * 8 * len(kde.samples) <= sampling.BLOCK_BYTES
 
 
 def test_kde_memory_is_bounded_per_thread(monkeypatch):
-    # Each of T threads holds at most BLOCK_BYTES of (query x sample)
-    # matrices.  Slack: 192 KiB per thread, whose broadcasting ufunc calls
-    # allocate their own iterator buffers (8192 elements per operand)
-    # whatever the block size.
+    # Inline, the call holds at most BLOCK_BYTES of (query x sample)
+    # matrices: one pair of buffers.  Slack: 192 KiB, which broadcasting
+    # ufunc calls allocate for their own iterator buffers (8192 elements per
+    # operand) whatever the block size.  On workers this process holds not
+    # even one of the buffers, only the pool and the block sums that come back.
     kde, queries = kde_case(count=2000, queries=3000)
+    on_cpus(monkeypatch, 3)
     peaks = {}
-    for threads in (1, 3):
-        on_threads(monkeypatch, threads)
+    for workers in (None, 3):
+        kde.workers = workers
         tracemalloc.start()
         try:
             values = kde.pdf(queries)
-            peaks[threads] = tracemalloc.get_traced_memory()[1]
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peaks[threads] <= threads * (sampling.BLOCK_BYTES + 192 * 1024) + values.nbytes
-    assert peaks[1] > 0.9 * sampling.BLOCK_BYTES  # the matrices are traced at all
+    bound = sampling.BLOCK_BYTES + 192 * 1024 + values.nbytes
+    assert sampling.BLOCK_BYTES * 0.9 < peaks[None] <= bound
+    assert peaks[3] < sampling.BLOCK_BYTES / 2
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_kde_threads_each_allocate_one_pair_of_block_buffers(monkeypatch, threads):
-    # Every thread evaluates many blocks into the same two (query x sample)
-    # matrices, so the call allocates two of them per thread, not per block.
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_kde_threads_each_allocate_one_pair_of_block_buffers(monkeypatch, workers):
+    # Every worker evaluates many blocks into the same two (query x sample)
+    # matrices, so the call allocates two of them per worker, not per block.
     kde, queries = kde_case(queries=600)
     block_rows(monkeypatch, len(kde.samples))
-    on_threads(monkeypatch, threads)
+    on_cpus(monkeypatch, workers)
+    kde.workers = workers
     expected = kde.pdf(queries)
-    assert -(-len(queries) // BLOCK_ROWS) >= 10 * threads
+    assert -(-len(queries) // BLOCK_ROWS) >= 10 * workers
 
     allocated = spy_block_buffers(monkeypatch, len(kde.samples))
     values = kde.pdf(queries)
-    assert len(allocated) == 2 * threads
+    assert len(allocated.values()) == 2 * workers
     assert values.tobytes() == expected.tobytes()
